@@ -37,21 +37,21 @@ from .polyspace import (
     evaluate,
     evaluate_all,
     gram_matrix,
+    indicator_coefficients,
     indicator_poly,
     interpolate,
     shift_coefficient_matrix,
+    split_violation,
     support_split_rank_bound,
     zero_set,
 )
 from .proof import (
     ProofCheck,
     ProofTranscript,
-    basis_supported_on,
     check_diagonal_size_bound,
     check_gram_rank_bound,
     diagonal_certificate,
-    intersect_poly_spans,
-    low_degree_basis,
+    low_degree_kernel,
     prove_size_bound,
     select_unit_witness,
     verify_transcript,
@@ -80,7 +80,6 @@ __all__ = [
     "ProofTranscript",
     "ReducedPoly",
     "SearchResult",
-    "basis_supported_on",
     "cap_equivalence_check",
     "check_diagonal_size_bound",
     "check_gram_rank_bound",
@@ -97,11 +96,11 @@ __all__ = [
     "gram_matrix",
     "greedy_progression_free",
     "hoeffding_bound",
+    "indicator_coefficients",
     "indicator_poly",
     "interpolate",
-    "intersect_poly_spans",
     "is_progression_free",
-    "low_degree_basis",
+    "low_degree_kernel",
     "low_third_dimension",
     "main_bound",
     "max_progression_free",
@@ -114,6 +113,7 @@ __all__ = [
     "row_space_intersection",
     "select_unit_witness",
     "shift_coefficient_matrix",
+    "split_violation",
     "support_split_rank_bound",
     "verify_duality",
     "verify_entropy_lemma",

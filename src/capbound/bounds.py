@@ -21,6 +21,7 @@ from .monomials import dim_L, extended_binomial
 
 __all__ = [
     "DEFAULT_PRECISION",
+    "MAX_PRECISION",
     "GUARD_MARGIN",
     "BoundReport",
     "precision_digits",
@@ -33,16 +34,23 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 30
+MAX_PRECISION = 1000
 GUARD_MARGIN = Decimal("1e-9")
 
 
 def precision_digits() -> int:
-    """Working precision for real comparisons (CAPSET_PRECISION, default 30)."""
+    """Working precision for real comparisons (CAPSET_PRECISION, default 30).
+
+    Values above MAX_PRECISION raise ValueError instead of running the
+    decimal exp/ln for minutes.
+    """
     raw = os.environ.get("CAPSET_PRECISION", "")
     try:
         digits = int(raw)
     except ValueError:
         return DEFAULT_PRECISION
+    if digits > MAX_PRECISION:
+        raise ValueError(f"CAPSET_PRECISION={digits} exceeds the maximum {MAX_PRECISION}")
     return digits if digits >= 1 else DEFAULT_PRECISION
 
 

@@ -29,9 +29,11 @@ __all__ = [
     "evaluate_all",
     "interpolate",
     "indicator_poly",
+    "indicator_coefficients",
     "zero_set",
     "shift_coefficient_matrix",
     "support_split_rank_bound",
+    "split_violation",
     "gram_matrix",
     "poly_to_vector",
     "poly_from_vector",
@@ -280,6 +282,23 @@ def indicator_poly(point: Sequence[int], field: PrimeField) -> ReducedPoly:
     return ReducedPoly(field, n, coeffs)
 
 
+def indicator_coefficients(points: PointSet, monos: Sequence[Monomial]) -> FpMatrix:
+    """M[c, alpha] = coefficient of x^alpha in indicator_poly(c).
+
+    Rows are the members of `points` in index order, columns follow `monos`;
+    each entry is the product of univariate indicator coefficients, so no
+    indicator is expanded over all p^n monomials.
+    """
+    n, p = points.n, points.field.p
+    coords = np.array(points.points(), dtype=np.int64).reshape(-1, n)
+    exps = np.array(monos, dtype=np.int64).reshape(-1, n)
+    rows = _indicator_rows(p)
+    block = np.ones((len(coords), len(exps)), dtype=np.int64)
+    for i in range(n):
+        block = block * rows[coords[:, i, None], exps[None, :, i]] % p
+    return FpMatrix(block, points.field)
+
+
 def zero_set(f: ReducedPoly) -> PointSet:
     """All points where f vanishes, as a PointSet."""
     mask = 0
@@ -346,6 +365,19 @@ def support_split_rank_bound(C: FpMatrix, d: int, n: int, field: PrimeField) -> 
             },
         )
     return 2 * dim_L(n, d, field)
+
+
+def split_violation(f: ReducedPoly, d: int) -> Monomial | None:
+    """A term of f whose shift-grid cells break the support split at d, or None.
+
+    Cell (alpha, beta) of `shift_coefficient_matrix(f)` is c * prod_i
+    C(gamma_i, alpha_i) for the term c x^gamma with gamma = alpha + beta,
+    and no such binomial vanishes mod p since gamma_i < p (Lucas). So the
+    grid has a nonzero cell with |alpha| > d and |beta| > d exactly when f
+    has a term of degree >= 2d + 2; the first one in graded-lex order is
+    returned, and the p^n x p^n grid is never built.
+    """
+    return next((alpha for alpha, _ in f.terms() if sum(alpha) >= 2 * d + 2), None)
 
 
 def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet) -> FpMatrix:

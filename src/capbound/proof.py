@@ -21,18 +21,18 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .bounds import exponent_c, precision_digits
+from .bounds import DEFAULT_PRECISION, MAX_PRECISION, exponent_c, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
-from .gf import FpMatrix, PrimeField, point_coords, point_index, row_space_intersection
+from .gf import FpMatrix, PrimeField, point_index
 from .monomials import dim_L, enumerate_monomials, monomial_index
 from .polyspace import (
     ReducedPoly,
     evaluate_all,
     gram_matrix,
-    indicator_poly,
-    poly_from_vector,
-    poly_to_vector,
+    indicator_coefficients,
+    interpolate,
     shift_coefficient_matrix,
+    split_violation,
     support_split_rank_bound,
 )
 from .sets import PointSet, is_progression_free, pair_sums
@@ -44,9 +44,7 @@ __all__ = [
     "ProofTranscript",
     "RankCheck",
     "DiagonalCheck",
-    "basis_supported_on",
-    "low_degree_basis",
-    "intersect_poly_spans",
+    "low_degree_kernel",
     "select_unit_witness",
     "diagonal_certificate",
     "prove_size_bound",
@@ -151,124 +149,130 @@ class ProofTranscript:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProofTranscript":
-        if data.get("format") != TRANSCRIPT_FORMAT:
-            raise ValueError(f"unrecognized transcript format {data.get('format')!r}")
-        input_points = PointSet.from_json(data["input"])
-        field = input_points.field
-        witness = (
-            None
-            if data["witness"] is None
-            else ReducedPoly.from_json_terms(data["witness"], field, int(data["n"]))
-        )
+        """Parse a serialized transcript; a missing or ill-typed field raises ValueError."""
+        fmt = _field(data, "format", str)
+        if fmt != TRANSCRIPT_FORMAT:
+            raise ValueError(f"unrecognized transcript format {fmt!r}")
+        try:
+            input_points = PointSet.from_json(_field(data, "input", dict))
+            field, n = input_points.field, input_points.n
+            terms = _field(data, "witness", list, optional=True)
+            witness = None if terms is None else ReducedPoly.from_json_terms(terms, field, n)
+            recorded_off = _field(data, "witness_values_off_selection", dict)
+            off_selection = {int(k): int(v) for k, v in recorded_off.items()}
+            dims = {k: int(v) for k, v in _field(data, "dims", dict).items()}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from None
+        if (_field(data, "p", int), _field(data, "n", int)) != (field.p, n):
+            raise ValueError("transcript p and n disagree with its input set")
+        precision = _field(data, "precision", int, optional=True)
+        precision = DEFAULT_PRECISION if precision is None else precision
+        if not 1 <= precision <= MAX_PRECISION:
+            raise ValueError(f"transcript precision {precision} is outside [1, {MAX_PRECISION}]")
         checks = [
             ProofCheck(
-                name=c["name"],
-                relation=c["relation"],
-                lhs=c["lhs"],
-                rhs=c["rhs"],
-                holds=bool(c["holds"]),
-                note=c.get("note", ""),
+                name=_field(c, "name", str),
+                relation=_field(c, "relation", str),
+                lhs=_field(c, "lhs", str),
+                rhs=_field(c, "rhs", str),
+                holds=_field(c, "holds", bool),
+                note=_field(c, "note", str, optional=True) or "",
             )
-            for c in data["checks"]
+            for c in _field(data, "checks", list)
         ]
         return cls(
-            p=int(data["p"]),
-            n=int(data["n"]),
-            branch=data["branch"],
+            p=field.p,
+            n=n,
+            branch=_field(data, "branch", str),
             input_points=input_points,
-            input_size=int(data["input_size"]),
-            doubles=[int(i) for i in data["doubles"]],
-            pair_sum_count=int(data["pair_sum_count"]),
-            dims={k: int(v) for k, v in data["dims"].items()},
-            degree_cap=int(data["degree_cap"]),
-            selected_doubles=[int(i) for i in data["selected_doubles"]],
-            selected_points=[int(i) for i in data["selected_points"]],
+            input_size=_field(data, "input_size", int),
+            doubles=_int_list(data, "doubles"),
+            pair_sum_count=_field(data, "pair_sum_count", int),
+            dims=dims,
+            degree_cap=_field(data, "degree_cap", int),
+            selected_doubles=_int_list(data, "selected_doubles"),
+            selected_points=_int_list(data, "selected_points"),
             witness=witness,
-            witness_values_off_selection={
-                int(k): int(v) for k, v in data["witness_values_off_selection"].items()
-            },
-            matrix_rank=None if data["matrix_rank"] is None else int(data["matrix_rank"]),
+            witness_values_off_selection=off_selection,
+            matrix_rank=_field(data, "matrix_rank", int, optional=True),
             checks=checks,
-            conclusion=data["conclusion"],
-            precision=int(data.get("precision", 30)),
+            conclusion=_field(data, "conclusion", dict),
+            precision=precision,
         )
 
 
-def basis_supported_on(points: PointSet) -> list[ReducedPoly]:
-    """Indicator basis of the space of functions vanishing off `points`.
+def _field(data, key: str, kind: type, optional: bool = False):
+    """data[key], required to be a `kind` (bool is not an int), else ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object holding {key!r}, got {type(data).__name__}")
+    value = data.get(key)
+    if value is None and optional:
+        return None
+    if key not in data:
+        raise ValueError(f"transcript field {key!r} is missing")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"transcript field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
-    The indicators are linearly independent (their evaluation matrix is a
-    permuted identity), so the dimension is exactly the set size.
+
+def _int_list(data: dict, key: str) -> list[int]:
+    values = _field(data, key, list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"transcript field {key!r} must be a list of ints")
+    return values
+
+
+def low_degree_kernel(points: PointSet) -> list[list[int]]:
+    """Value vectors on `points` of a basis of V, for V = K & L; needs 3 | n.
+
+    K is the space of functions vanishing off `points` and L the slice of
+    degree <= (2/3)(p-1)n. A member of K with values lam on `points` has
+    coefficient sum_c lam_c M[c, alpha] at x^alpha, with M from
+    `indicator_coefficients`, so it lies in L exactly when lam is in the
+    left kernel of M restricted to the monomials of degree above the cap.
+    By complementation alpha -> (p-1, ..., p-1) - alpha these are the
+    complements of the h = dim(degree <= (p-1)n/3 - 1) low monomials,
+    which gives a |points| x h block instead of any p^n-sized one.
     """
-    field = points.field
-    return [indicator_poly(c, field) for c in points.points()]
-
-
-def low_degree_basis(field: PrimeField, n: int) -> list[ReducedPoly]:
-    """Monomial basis of the degree-<=(2/3)(p-1)n slice; needs 3 | n.
-
-    By the complementation duality its dimension equals
-    p^n - dim(degree <= (p-1)n/3 - 1), which is asserted here.
-    """
+    field, n = points.field, points.n
     if n <= 0 or n % 3 != 0:
         raise ValueError("degree cut requires 3 | n")
-    cap = 2 * (field.p - 1) * n // 3
-    monos = enumerate_monomials(n, field, cap)
-    low_minus = (field.p - 1) * n // 3 - 1
-    dual = field.p**n - (dim_L(n, low_minus, field) if low_minus >= 0 else 0)
-    if len(monos) != dual:
-        raise AssertionError("duality identity failed; this is a bug")
-    return [ReducedPoly.monomial(field, n, m) for m in monos]
-
-
-def intersect_poly_spans(
-    basis_a: list[ReducedPoly], basis_b: list[ReducedPoly], field: PrimeField, n: int
-) -> list[ReducedPoly]:
-    """Basis of span(basis_a) & span(basis_b) over the monomial coordinates."""
-    va = [poly_to_vector(f) for f in basis_a]
-    vb = [poly_to_vector(f) for f in basis_b]
-    if not va or not vb:
-        return []
-    return [poly_from_vector(v, field, n) for v in row_space_intersection(va, vb, field)]
+    low = enumerate_monomials(n, field, (field.p - 1) * n // 3 - 1)
+    high = [tuple(field.p - 1 - e for e in alpha) for alpha in low]
+    return indicator_coefficients(points, high).transpose().kernel_basis()
 
 
 def select_unit_witness(
-    span_basis: list[ReducedPoly], points: PointSet
+    span_values: list[list[int]], points: PointSet
 ) -> tuple[PointSet, ReducedPoly, dict[int, int]]:
-    """Pick pivot points of the span's evaluation on `points` and a witness.
+    """Pick pivot points of a span of functions on `points` and a witness.
 
-    Builds the (dim span) x |points| evaluation matrix, takes its pivot
-    columns as the selected subset (full column rank there, of size equal
-    to the span dimension when the span embeds into functions on `points`),
-    and solves the square system for the unique combination equal to 1 on
-    every selected point. Values on the unselected points are free; they
-    are returned for the record.
+    `span_values` holds the value vectors on `points` (index order) of a
+    basis of the span, whose members vanish off `points`. The pivot
+    columns of its reduced row echelon form are the selected subset: the
+    leftmost pivots, so they depend only on the span, and there are dim
+    span of them. The sum of the reduced rows is the unique member equal
+    to 1 on every selected point; it is interpolated as the witness. Its
+    values on the unselected points are free; they are returned for the
+    record.
     """
-    if not span_basis:
+    if not span_values:
         raise ValueError("span basis is empty; nothing to select")
-    field = points.field
+    field, n = points.field, points.n
     idxs = points.indices()
-    tables = [evaluate_all(f) for f in span_basis]
-    eval_mat = FpMatrix([[t[i] for i in idxs] for t in tables], field)
-    pivots = eval_mat.pivot_columns()
-    if len(pivots) != len(span_basis):
+    reduced, pivots = FpMatrix(span_values, field).rref()
+    if len(pivots) != len(span_values):
         raise HypothesisViolation(
-            "span does not embed into functions on the given points",
-            evidence={"rank": len(pivots), "dim": len(span_basis)},
+            "span values are linearly dependent",
+            evidence={"rank": len(pivots), "dim": len(span_values)},
         )
-    square = FpMatrix([[eval_mat.entry(i, j) for j in pivots] for i in range(len(span_basis))], field)
-    lam = square.transpose().solve([1] * len(pivots))
-    if lam is None:
-        raise AssertionError("pivot system must be solvable; this is a bug")
-    combo = np.zeros(len(poly_to_vector(span_basis[0])), dtype=np.int64)
-    for coeff, f in zip(lam, span_basis):
-        if coeff:
-            combo = (combo + coeff * poly_to_vector(f)) % field.p
-    witness = poly_from_vector(combo, field, points.n)
-    selected = PointSet.from_indices(field, points.n, [idxs[j] for j in pivots])
-    table = evaluate_all(witness)
-    off_selection = {i: table[i] for i in idxs if i not in selected}
-    return selected, witness, off_selection
+    lam = [int(v) for v in reduced.array.sum(axis=0) % field.p]
+    values = [0] * field.p**n
+    for i, v in zip(idxs, lam):
+        values[i] = v
+    selected = PointSet.from_indices(field, n, [idxs[j] for j in pivots])
+    off_selection = {i: v for i, v in zip(idxs, lam) if i not in selected}
+    return selected, interpolate(values, field, n), off_selection
 
 
 def diagonal_certificate(f: ReducedPoly, selected: PointSet) -> FpMatrix:
@@ -289,8 +293,8 @@ def diagonal_certificate(f: ReducedPoly, selected: PointSet) -> FpMatrix:
         raise HypothesisViolation(
             "hypothesis violated: Gram matrix is not diagonal",
             evidence={
-                "row_point": list(point_coords_of(selected, i)),
-                "col_point": list(point_coords_of(selected, j)),
+                "row_point": list(selected.points()[i]),
+                "col_point": list(selected.points()[j]),
                 "value": int(off[i, j]),
             },
         )
@@ -299,16 +303,11 @@ def diagonal_certificate(f: ReducedPoly, selected: PointSet) -> FpMatrix:
         k = int(np.argmin(diag != 0))
         raise HypothesisViolation(
             "hypothesis violated: zero diagonal entry in Gram matrix",
-            evidence={"point": list(point_coords_of(selected, k))},
+            evidence={"point": list(selected.points()[k])},
         )
     if mat.rank() != selected.size:
         raise AssertionError("diagonal matrix with nonzero diagonal must have full rank")
     return mat
-
-
-def point_coords_of(ps: PointSet, position: int) -> tuple[int, ...]:
-    """Coordinates of the position-th member (by index order) of a PointSet."""
-    return ps.points()[position]
 
 
 @dataclass(frozen=True)
@@ -383,7 +382,7 @@ def check_diagonal_size_bound(f: ReducedPoly, A: PointSet, d: int) -> DiagonalCh
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
             s = tuple((x + y) % p for x, y in zip(a, b))
-            val = table[_index_of(s, p)]
+            val = table[point_index(s, field)]
             if (val == 0) != (i != j):
                 raise HypothesisViolation(
                     "hypothesis violated: f(a+b) = 0 iff a != b fails",
@@ -396,11 +395,18 @@ def check_diagonal_size_bound(f: ReducedPoly, A: PointSet, d: int) -> DiagonalCh
     )
 
 
-def _index_of(coords, p: int) -> int:
-    idx = 0
-    for c in reversed(coords):
-        idx = idx * p + c
-    return idx
+def _split_check(f: ReducedPoly, size: int, d: int, note: str = "") -> ProofCheck:
+    """size <= 2 dim(degree <= d), the rank bound of f's split shift grid.
+
+    When a term of f breaks the support split the bound is not established
+    and the row fails, naming that term, instead of raising.
+    """
+    bound = 2 * dim_L(f.n, d, f.field)
+    term = split_violation(f, d)
+    if term is None:
+        return _check("selected_size_bound", size, "<=", bound, note=note)
+    note = f"support split fails: term {list(term)} has degree >= 2d + 2 = {2 * d + 2}"
+    return ProofCheck("selected_size_bound", "<=", str(size), str(bound), False, note)
 
 
 def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> ProofTranscript:
@@ -439,19 +445,9 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     )
     checks.append(_check("doubling_injective", doubles.size, "==", A.size))
 
-    degree_cap = 2 * (p - 1) * n // 3
     low_third = (p - 1) * n // 3
-    dim_low = dim_L(n, degree_cap, field)
-    dim_low_third = dim_L(n, low_third, field)
-    dim_low_third_minus = dim_L(n, low_third - 1, field) if low_third >= 1 else 0
-    ambient = p**n
-    dims = {
-        "ambient": ambient,
-        "vanishing_off_doubles": doubles.size,
-        "low_degree": dim_low,
-        "low_third": dim_low_third,
-        "low_third_minus": dim_low_third_minus,
-    }
+    dims = _dimension_table(field, n, doubles.size)
+    ambient, dim_low, dim_low_third_minus = dims["ambient"], dims["low_degree"], dims["low_third_minus"]
     checks.append(
         _check(
             "low_degree_dim_lower_bound",
@@ -462,9 +458,7 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         )
     )
 
-    indicator_basis = basis_supported_on(doubles)
-    degree_basis = low_degree_basis(field, n)
-    intersection = intersect_poly_spans(indicator_basis, degree_basis, field, n)
+    intersection = low_degree_kernel(doubles)
     dims["intersection"] = len(intersection)
     checks.append(
         _check(
@@ -474,12 +468,6 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
             doubles.size + dim_low - ambient,
         )
     )
-
-    with localcontext() as ctx:
-        ctx.prec = precision_digits()
-        c_exp = exponent_c(field)
-        p_cn = (c_exp * n * Decimal(p).ln()).exp()
-        asympt_bound = 3 * p_cn
 
     if not intersection:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
@@ -492,104 +480,56 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
                 note="zero-dimensional intersection branch",
             )
         )
-        checks.append(_check("size_bound_asymptotic", Decimal(A.size), "<=", asympt_bound))
-        conclusion = {
-            "exact": {
-                "size": str(A.size),
-                "bound": str(dim_low_third_minus),
-                "holds": A.size <= dim_low_third_minus,
-            },
-            "asymptotic": {
-                "c": str(c_exp),
-                "p_cn": str(p_cn),
-                "bound": str(asympt_bound),
-                "holds": Decimal(A.size) <= asympt_bound,
-            },
+        exact = {
+            "size": str(A.size),
+            "bound": str(dim_low_third_minus),
+            "holds": A.size <= dim_low_third_minus,
         }
-        return ProofTranscript(
-            p=p,
-            n=n,
-            branch="zero_intersection",
-            input_points=A,
-            input_size=A.size,
-            doubles=doubles.indices(),
-            pair_sum_count=sums.size,
-            dims=dims,
-            degree_cap=degree_cap,
-            selected_doubles=[],
-            selected_points=[],
-            witness=None,
-            witness_values_off_selection={},
-            matrix_rank=None,
-            checks=checks,
-            conclusion=conclusion,
+        selected_doubles, witness, off_selection = PointSet.empty(field, n), None, {}
+        selected_points, rank = [], None
+    else:
+        selected_doubles, witness, off_selection = select_unit_witness(intersection, doubles)
+        checks.append(
+            _check("selection_size", selected_doubles.size, "==", len(intersection))
         )
+        checks += _witness_checks(witness, doubles, sums, selected_doubles, 2 * low_third)
+        selected_points = _halves_of(A, selected_doubles)
+        a_prime = PointSet.from_indices(field, n, selected_points)
+        checks.append(_check("selected_points_count", a_prime.size, "==", selected_doubles.size))
 
-    selected_doubles, witness, off_selection = select_unit_witness(intersection, doubles)
-    checks.append(
-        _check("selection_size", selected_doubles.size, "==", len(intersection))
-    )
-    checks.append(
-        _check(
-            "witness_degree",
-            witness.degree if witness.degree is not None else 0,
-            "<=",
-            degree_cap,
+        rank = diagonal_certificate(witness, a_prime).rank()
+        checks.append(_check("gram_rank_equals_selection", rank, "==", a_prime.size))
+        checks.append(
+            _split_check(
+                witness, a_prime.size, low_third, note="diagonal Gram rank against the support split"
+            )
         )
-    )
-    witness_table = evaluate_all(witness)
-    vanishes_off = all(
-        witness_table[i] == 0 for i in range(ambient) if i not in doubles
-    )
-    checks.append(
-        _check("witness_vanishes_off_doubles", int(vanishes_off), "==", 1)
-    )
-    unit_on_selected = all(witness_table[i] == 1 for i in selected_doubles)
-    checks.append(_check("witness_unit_on_selected", int(unit_on_selected), "==", 1))
-    sums_in_zero_set = all(witness_table[i] == 0 for i in sums)
-    checks.append(_check("pair_sums_in_zero_set", int(sums_in_zero_set), "==", 1))
-
-    selected_points = [
-        i for i in A.indices() if _double_index(i, n, field) in selected_doubles
-    ]
-    a_prime = PointSet.from_indices(field, n, selected_points)
-    checks.append(_check("selected_points_count", a_prime.size, "==", selected_doubles.size))
-
-    gram = diagonal_certificate(witness, a_prime)
-    rank = gram.rank()
-    checks.append(_check("gram_rank_equals_selection", rank, "==", a_prime.size))
-    split_bound = support_split_rank_bound(
-        shift_coefficient_matrix(witness), low_third, n, field
-    )
-    checks.append(
-        _check(
-            "selected_size_bound",
-            a_prime.size,
-            "<=",
-            split_bound,
-            note="diagonal Gram rank against the support split",
+        exact_bound = dim_low_third_minus + selected_doubles.size
+        checks.append(
+            _check(
+                "size_bound_exact",
+                A.size,
+                "<=",
+                exact_bound,
+                note="|A| = |C| <= dim(low third minus one) + |C'|",
+            )
         )
-    )
-    exact_bound = dim_low_third_minus + selected_doubles.size
-    checks.append(
-        _check(
-            "size_bound_exact",
-            A.size,
-            "<=",
-            exact_bound,
-            note="|A| = |C| <= dim(low third minus one) + |C'|",
-        )
-    )
-    checks.append(_check("size_bound_asymptotic", Decimal(A.size), "<=", asympt_bound))
-
-    conclusion = {
-        "exact": {
+        exact = {
             "size": str(A.size),
             "low_third_minus": str(dim_low_third_minus),
             "selected": str(selected_doubles.size),
             "bound": str(exact_bound),
             "holds": A.size <= exact_bound,
-        },
+        }
+
+    with localcontext() as ctx:
+        ctx.prec = precision_digits()
+        c_exp = exponent_c(field)
+        p_cn = (c_exp * n * Decimal(p).ln()).exp()
+        asympt_bound = 3 * p_cn
+    checks.append(_check("size_bound_asymptotic", Decimal(A.size), "<=", asympt_bound))
+    conclusion = {
+        "exact": exact,
         "asymptotic": {
             "c": str(c_exp),
             "p_cn": str(p_cn),
@@ -600,13 +540,13 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     return ProofTranscript(
         p=p,
         n=n,
-        branch="main",
+        branch="main" if intersection else "zero_intersection",
         input_points=A,
         input_size=A.size,
         doubles=doubles.indices(),
         pair_sum_count=sums.size,
         dims=dims,
-        degree_cap=degree_cap,
+        degree_cap=2 * low_third,
         selected_doubles=selected_doubles.indices(),
         selected_points=selected_points,
         witness=witness,
@@ -617,9 +557,49 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     )
 
 
-def _double_index(index: int, n: int, field: PrimeField) -> int:
-    coords = point_coords(index, n, field)
-    return point_index(tuple(2 * x % field.p for x in coords), field)
+def _dimension_table(field: PrimeField, n: int, doubles_size: int) -> dict[str, int]:
+    """The recorded dimensions other than dim V, in transcript order."""
+    low_third = (field.p - 1) * n // 3
+    return {
+        "ambient": field.p**n,
+        "vanishing_off_doubles": doubles_size,
+        "low_degree": dim_L(n, 2 * low_third, field),
+        "low_third": dim_L(n, low_third, field),
+        "low_third_minus": dim_L(n, low_third - 1, field) if low_third >= 1 else 0,
+    }
+
+
+def _witness_checks(
+    witness: ReducedPoly, doubles: PointSet, sums: PointSet, selected, degree_cap: int
+) -> list[ProofCheck]:
+    """Degree cap, vanishing off C, 1 on the selection and 0 on B, from one value table."""
+    table = evaluate_all(witness)
+    return [
+        _check(
+            "witness_degree",
+            witness.degree if witness.degree is not None else 0,
+            "<=",
+            degree_cap,
+        ),
+        _check(
+            "witness_vanishes_off_doubles",
+            int(all(v == 0 for i, v in enumerate(table) if i not in doubles)),
+            "==",
+            1,
+        ),
+        _check("witness_unit_on_selected", int(all(table[i] == 1 for i in selected)), "==", 1),
+        _check("pair_sums_in_zero_set", int(all(table[i] == 0 for i in sums)), "==", 1),
+    ]
+
+
+def _halves_of(A: PointSet, doubled) -> list[int]:
+    """Indices, in order, of the members a of A with 2a in `doubled`."""
+    field = A.field
+    return [
+        i
+        for i, a in zip(A.indices(), A.points())
+        if point_index(tuple(2 * x % field.p for x in a), field) in doubled
+    ]
 
 
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
@@ -648,19 +628,12 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     if doubles.indices() != t.doubles or sums.size != t.pair_sum_count:
         return False, recomputed
 
-    degree_cap = 2 * (p - 1) * n // 3
     low_third = (p - 1) * n // 3
-    dim_low = dim_L(n, degree_cap, field)
-    dim_low_third_minus = dim_L(n, low_third - 1, field) if low_third >= 1 else 0
-    ambient = p**n
-    dims_ok = (
-        t.degree_cap == degree_cap
-        and t.dims.get("ambient") == ambient
-        and t.dims.get("vanishing_off_doubles") == doubles.size
-        and t.dims.get("low_degree") == dim_low
-        and t.dims.get("low_third") == dim_L(n, low_third, field)
-        and t.dims.get("low_third_minus") == dim_low_third_minus
+    expected = _dimension_table(field, n, doubles.size)
+    ambient, dim_low, dim_low_third_minus = (
+        expected["ambient"], expected["low_degree"], expected["low_third_minus"]
     )
+    dims_ok = t.degree_cap == 2 * low_third and all(t.dims.get(k) == v for k, v in expected.items())
     recomputed.append(_check("recorded_dimensions", int(dims_ok), "==", 1))
     recomputed.append(
         _check("low_degree_dim_lower_bound", dim_low, ">=", ambient - dim_low_third_minus)
@@ -708,30 +681,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
         recomputed.append(_check("branch_shape", int(shape_ok), "==", 1))
         if not shape_ok:
             return False, recomputed
-        recomputed.append(
-            _check(
-                "witness_degree",
-                witness.degree if witness.degree is not None else 0,
-                "<=",
-                degree_cap,
-            )
-        )
-        table = evaluate_all(witness)
-        vanishes_off = all(table[i] == 0 for i in range(ambient) if i not in doubles)
-        recomputed.append(_check("witness_vanishes_off_doubles", int(vanishes_off), "==", 1))
-        unit_on_selected = all(table[i] == 1 for i in t.selected_doubles)
-        recomputed.append(_check("witness_unit_on_selected", int(unit_on_selected), "==", 1))
-        recomputed.append(
-            _check(
-                "pair_sums_in_zero_set",
-                int(all(table[i] == 0 for i in sums)),
-                "==",
-                1,
-            )
-        )
-        selected_points = [
-            i for i in t.input_points.indices() if _double_index(i, n, field) in set(t.selected_doubles)
-        ]
+        recomputed += _witness_checks(witness, doubles, sums, t.selected_doubles, 2 * low_third)
+        selected_points = _halves_of(t.input_points, set(t.selected_doubles))
         points_ok = selected_points == t.selected_points
         recomputed.append(_check("selected_points_count", len(selected_points), "==", dim_v))
         recomputed.append(_check("selected_points_match", int(points_ok), "==", 1))
@@ -746,10 +697,7 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
         recomputed.append(
             _check("matrix_rank_recorded", rank, "==", -1 if t.matrix_rank is None else t.matrix_rank)
         )
-        split_bound = support_split_rank_bound(
-            shift_coefficient_matrix(witness), low_third, n, field
-        )
-        recomputed.append(_check("selected_size_bound", a_prime.size, "<=", split_bound))
+        recomputed.append(_split_check(witness, a_prime.size, low_third))
         recomputed.append(
             _check(
                 "size_bound_exact",

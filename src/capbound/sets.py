@@ -72,11 +72,15 @@ class PointSet:
     def from_points(
         cls, field: PrimeField, n: int, points: Iterable[Sequence[int]]
     ) -> "PointSet":
+        """Set of the given points; a point listed twice raises ValueError."""
         mask = 0
         for coords in points:
             if len(coords) != n:
                 raise ValueError(f"point {tuple(coords)} has wrong dimension, expected {n}")
-            mask |= 1 << point_index(coords, field)
+            bit = 1 << point_index(coords, field)
+            if mask & bit:
+                raise ValueError(f"duplicate point {tuple(coords)}")
+            mask |= bit
         return cls(field, n, mask)
 
     @property
@@ -181,7 +185,7 @@ class PointSet:
 
 
 def parse_point_set(text: str) -> PointSet:
-    """Accept either the JSON or the plain-text serialization."""
+    """Accept either the JSON or the plain-text serialization; repeated points are rejected."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return PointSet.from_json(json.loads(text))

@@ -6,6 +6,7 @@ import pytest
 
 from capbound.bounds import (
     GUARD_MARGIN,
+    MAX_PRECISION,
     exact_tail_identity,
     exponent_c,
     hoeffding_bound,
@@ -167,3 +168,10 @@ class TestMainBound:
         assert len(str(c).replace("0.", "")) >= 45
         monkeypatch.setenv("CAPSET_PRECISION", "junk")
         assert precision_digits() == 30
+
+    def test_precision_env_bounded(self, monkeypatch):
+        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
+        assert precision_digits() == MAX_PRECISION
+        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
+        with pytest.raises(ValueError, match="CAPSET_PRECISION"):
+            precision_digits()

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import capbound
+from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
+from capbound.gf import PrimeField
+from capbound.sets import PointSet
 
 
 @pytest.fixture()
@@ -154,6 +161,76 @@ class TestProveAndVerify:
         code, env2 = run_json(run, "verify-transcript", "--input", str(f))
         assert code == 1 and not env2["result"]["valid"]
 
+    def test_verify_reports_broken_support_split(self, run, tmp_path, cap9_search):
+        cap = cap9_search.witness.points()
+        product = PointSet.from_points(PrimeField(3), 6, [a + b for a in cap for b in cap])
+        set_file = tmp_path / "product.json"
+        set_file.write_text(json.dumps(product.to_json()))
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["branch"] == "main"
+        env["result"]["witness"].append([[2, 2, 2, 2, 2, 2], 1])
+        f = tmp_path / "injected.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 1 and env2["result"]["valid"] is False
+        rows = {c["name"]: c for c in env2["result"]["checks"]}
+        assert rows["selected_size_bound"]["holds"] is False
+        assert "[2, 2, 2, 2, 2, 2]" in rows["selected_size_bound"]["note"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: {"format": t["format"]},
+            lambda t: {k: v for k, v in t.items() if k != "doubles"},
+            lambda t: {**t, "input_size": "9"},
+            lambda t: {**t, "p": 5},
+            lambda t: {**t, "doubles": [0, True]},
+            lambda t: {**t, "witness": 5},
+            lambda t: {**t, "witness": [[[0, 0], 1]]},
+            lambda t: {**t, "dims": {**t["dims"], "low_degree": [23]}},
+            lambda t: {**t, "input": {"p": 3, "n": 3}},
+            lambda t: {**t, "checks": [{**t["checks"][0], "holds": "yes"}]},
+            lambda t: [t],
+        ],
+        ids=[
+            "truncated",
+            "missing_field",
+            "string_for_int",
+            "p_disagrees",
+            "bool_in_index_list",
+            "witness_not_list",
+            "witness_wrong_arity",
+            "dims_value_list",
+            "input_without_points",
+            "check_holds_string",
+            "not_an_object",
+        ],
+    )
+    def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        f = tmp_path / "malformed.json"
+        f.write_text(json.dumps(edit(env["result"])))
+        code, out, err = run("verify-transcript", "--input", str(f), "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_verify_precision_bounded(self, run, tmp_path):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        f = tmp_path / "precise.json"
+        env["result"]["precision"] = MAX_PRECISION
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 0 and env2["result"]["valid"]
+        env["result"]["precision"] = 20000
+        f.write_text(json.dumps(env))
+        code, out, err = run("verify-transcript", "--input", str(f))
+        assert code == 2 and "precision 20000" in err
+
+    def test_precision_env_bounded(self, run, monkeypatch):
+        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
+        code, out, err = run("bound", "--p", "3", "--n-max", "1")
+        assert code == 2 and "CAPSET_PRECISION" in err
+
 
 class TestVerifySet:
     def test_valid_cap(self, run, tmp_path):
@@ -182,6 +259,13 @@ class TestVerifySet:
         code, _, err = run("verify-set", "--input", "/nonexistent/file")
         assert code == 2
 
+    def test_duplicate_point_rejected(self, run, tmp_path):
+        f = tmp_path / "dup.txt"
+        f.write_text("p=3 n=1\n0\n0\n1\n")
+        code, out, err = run("verify-set", "--input", str(f))
+        assert code == 2 and out == ""
+        assert "duplicate point (0,)" in err
+
 
 class TestUsage:
     def test_no_command(self, run):
@@ -197,3 +281,16 @@ class TestUsage:
         code, out, _ = run("bound", "--p", "3", "--n-max", "1")
         assert code == 0
         assert json.loads(out)["command"] == "bound"
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "capbound.cli", "dims", "--p", "3", "--n", "3", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["ambient"] == "27"

@@ -4,114 +4,216 @@ import numpy as np
 import pytest
 
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField
-from capbound.monomials import dim_L
+from capbound.gf import FpMatrix, PrimeField, row_space_intersection
+from capbound.monomials import dim_L, enumerate_monomials
 from capbound.polyspace import (
     ReducedPoly,
     evaluate_all,
+    indicator_coefficients,
     indicator_poly,
+    interpolate,
+    poly_from_vector,
     poly_to_vector,
+    shift_coefficient_matrix,
+    split_violation,
+    support_split_rank_bound,
     zero_set,
 )
 from capbound.proof import (
-    basis_supported_on,
     check_diagonal_size_bound,
     check_gram_rank_bound,
     diagonal_certificate,
-    intersect_poly_spans,
-    low_degree_basis,
+    low_degree_kernel,
     prove_size_bound,
     select_unit_witness,
     verify_transcript,
 )
-from capbound.sets import PointSet, is_progression_free
+from capbound.sets import PointSet, greedy_progression_free, is_progression_free, pair_sums
 
 F3 = PrimeField(3)
 
 
+def all_monomials(field, n):
+    return enumerate_monomials(n, field, (field.p - 1) * n)
+
+
+def extend_by_zero(values, points):
+    """Value table over F_p^n of the function with `values` on `points`, 0 elsewhere."""
+    table = [0] * points.field.p**points.n
+    for i, v in zip(points.indices(), values):
+        table[i] = v
+    return table
+
+
+def kernel_polys(points):
+    """The members of V given by `low_degree_kernel`, as polynomials."""
+    return [
+        interpolate(extend_by_zero(v, points), points.field, points.n)
+        for v in low_degree_kernel(points)
+    ]
+
+
 class TestSpaceBuilders:
     def test_empty_support(self):
-        assert basis_supported_on(PointSet.empty(F3, 2)) == []
+        empty = PointSet.empty(F3, 3)
+        assert indicator_coefficients(empty, all_monomials(F3, 3)).rows == 0
+        assert low_degree_kernel(empty) == []
 
     def test_univariate_indicator(self):
-        basis = basis_supported_on(PointSet.from_points(F3, 1, [(0,)]))
-        assert basis == [ReducedPoly(F3, 1, {(0,): 1, (2,): 2})]
+        ps = PointSet.from_points(F3, 1, [(0,)])
+        block = indicator_coefficients(ps, all_monomials(F3, 1))
+        assert block.to_lists() == [[1, 0, 2]]  # 1 + 2x^2
 
     def test_dimension_matches_set_size(self):
         rng = np.random.default_rng(4)
+        monos = all_monomials(F3, 2)
         for _ in range(5):
             idxs = rng.choice(9, size=int(rng.integers(1, 9)), replace=False)
             ps = PointSet.from_indices(F3, 2, idxs)
-            basis = basis_supported_on(ps)
-            mat = FpMatrix([poly_to_vector(f) for f in basis], F3)
-            assert mat.rank() == ps.size
+            block = indicator_coefficients(ps, monos)
+            assert block.rank() == ps.size
+            # row c holds the coefficients of indicator_poly(c) in graded-lex order
+            for row, c in zip(block.to_lists(), ps.points()):
+                assert row == list(poly_to_vector(indicator_poly(c, F3)))
 
     def test_low_degree_basis(self):
-        basis = low_degree_basis(F3, 3)
-        assert len(basis) == 23 == dim_L(3, 4, F3)
-        assert all(f.degree <= 4 for f in basis)
-        assert len(basis) == 27 - dim_L(3, 1, F3)
-        with pytest.raises(ValueError):
-            low_degree_basis(F3, 4)
+        # with every function allowed on the support, V is the whole slice L
+        V = kernel_polys(PointSet.full(F3, 3))
+        assert len(V) == 23 == dim_L(3, 4, F3) == 27 - dim_L(3, 1, F3)
+        assert all(f.degree <= 4 for f in V)
+        with pytest.raises(ValueError, match="3 \\| n"):
+            low_degree_kernel(PointSet.empty(F3, 4))
 
 
 class TestIntersection:
     def test_full_support_gives_low_degree_space(self):
-        K = basis_supported_on(PointSet.full(F3, 3))
-        L = low_degree_basis(F3, 3)
-        V = intersect_poly_spans(K, L, F3, 3)
-        assert len(V) == len(L)
-        for f in V:
-            assert f.degree is None or f.degree <= 4
+        V = kernel_polys(PointSet.full(F3, 3))
+        L = [poly_to_vector(ReducedPoly.monomial(F3, 3, m)) for m in enumerate_monomials(3, F3, 4)]
+        assert FpMatrix([poly_to_vector(f) for f in V], F3).rank() == len(L)
+        assert FpMatrix(L + [poly_to_vector(f) for f in V], F3).rank() == len(L)
 
     def test_members_lie_in_both_spans(self, cap9_search):
-        from capbound.sets import pair_sums
-
-        cap = cap9_search.witness
-        _, doubles = pair_sums(cap)
-        K = basis_supported_on(doubles)
-        L = low_degree_basis(F3, 3)
-        V = intersect_poly_spans(K, L, F3, 3)
-        assert len(V) >= doubles.size + len(L) - 27
-        k_mat = [poly_to_vector(f) for f in K]
-        l_mat = [poly_to_vector(f) for f in L]
+        _, doubles = pair_sums(cap9_search.witness)
+        V = kernel_polys(doubles)
+        assert len(V) >= doubles.size + dim_L(3, 4, F3) - 27
+        assert FpMatrix([poly_to_vector(f) for f in V], F3).rank() == len(V)
         for f in V:
-            v = poly_to_vector(f)
-            assert FpMatrix(k_mat + [v], F3).rank() == len(K)
-            assert FpMatrix(l_mat + [v], F3).rank() == len(L)
+            assert f.degree is None or f.degree <= 4
+            assert (zero_set(f).complement() - doubles).size == 0
 
 
 class TestSelection:
     def test_single_indicator(self):
         c = PointSet.from_points(F3, 1, [(1,)])
-        delta = indicator_poly((1,), F3)
-        selected, witness, off = select_unit_witness([delta], c)
+        selected, witness, off = select_unit_witness([[1]], c)
         assert selected == c
-        assert witness == delta
+        assert witness == indicator_poly((1,), F3)
         assert off == {}
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
             select_unit_witness([], PointSet.full(F3, 1))
 
-    def test_witness_is_unit_on_selection(self, cap9_search):
-        from capbound.sets import pair_sums
+    def test_dependent_values_rejected(self):
+        with pytest.raises(HypothesisViolation, match="dependent"):
+            select_unit_witness([[1, 2, 0], [2, 1, 0]], PointSet.full(F3, 1))
 
-        cap = cap9_search.witness
-        _, doubles = pair_sums(cap)
-        V = intersect_poly_spans(
-            basis_supported_on(doubles), low_degree_basis(F3, 3), F3, 3
-        )
+    def test_witness_is_unit_on_selection(self, cap9_search):
+        _, doubles = pair_sums(cap9_search.witness)
+        V = low_degree_kernel(doubles)
         selected, witness, off = select_unit_witness(V, doubles)
         assert selected.size == len(V)
         table = evaluate_all(witness)
         for i in selected:
             assert table[i] == 1
         assert set(off) == set(doubles.indices()) - set(selected.indices())
+        assert all(table[i] == v for i, v in off.items())
         # witness vanishes off the doubles and respects the degree cut
         assert witness.degree <= 4
         complement = zero_set(witness).complement()
         assert (complement - doubles).size == 0
+
+
+def zassenhaus_reference(points):
+    """dim V, C' and the witness by the dense path: intersect K and L as
+    coefficient spans, then solve for the member equal to 1 on the pivots."""
+    field, n, p = points.field, points.n, points.field.p
+    K = [poly_to_vector(indicator_poly(c, field)) for c in points.points()]
+    L = [
+        poly_to_vector(ReducedPoly.monomial(field, n, m))
+        for m in enumerate_monomials(n, field, 2 * (p - 1) * n // 3)
+    ]
+    V = row_space_intersection(K, L, field)
+    if not V:
+        return 0, [], None
+    idxs = points.indices()
+    tables = [evaluate_all(poly_from_vector(v, field, n)) for v in V]
+    eval_mat = FpMatrix([[t[i] for i in idxs] for t in tables], field)
+    pivots = eval_mat.pivot_columns()
+    square = FpMatrix([[eval_mat.entry(i, j) for j in pivots] for i in range(len(V))], field)
+    lam = square.transpose().solve([1] * len(pivots))
+    combo = sum(c * np.array(v, dtype=np.int64) for c, v in zip(lam, V)) % p
+    return len(V), [idxs[j] for j in pivots], poly_from_vector(combo, field, n)
+
+
+def assert_matches_reference(points, dim_v=None):
+    ref_dim, ref_selected, ref_witness = zassenhaus_reference(points)
+    V = low_degree_kernel(points)
+    assert len(V) == ref_dim
+    if dim_v is not None:
+        assert ref_dim == dim_v
+    if not V:
+        return
+    selected, witness, _ = select_unit_witness(V, points)
+    assert selected.indices() == ref_selected
+    assert witness == ref_witness
+
+
+class TestZassenhausCrossCheck:
+    def test_nine_cap(self, cap9_search):
+        _, doubles = pair_sums(cap9_search.witness)
+        assert_matches_reference(doubles, dim_v=5)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_seeded_progression_free_sets(self, p):
+        for seed in range(3):
+            A = greedy_progression_free(PrimeField(p), 3, order_seed=seed)
+            assert_matches_reference(pair_sums(A)[1])
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_seeded_supports_above_h(self, p):
+        # greedy sets in F_5^3 and F_7^3 give V = 0; supports larger than
+        # h = dim(degree <= (p-1)n/3 - 1) force a nonzero V and a witness
+        field = PrimeField(p)
+        h = dim_L(3, p - 2, field)
+        rng = np.random.default_rng(p)
+        for extra in (1, 7):
+            idxs = rng.choice(p**3, size=h + extra, replace=False)
+            assert_matches_reference(PointSet.from_indices(field, 3, idxs))
+
+    def test_product_cap(self, cap9_search):
+        cap = cap9_search.witness.points()
+        product = PointSet.from_points(F3, 6, [a + b for a in cap for b in cap])
+        assert_matches_reference(pair_sums(product)[1], dim_v=25)
+
+
+class TestSplitCheck:
+    @pytest.mark.parametrize("field", [F3, PrimeField(5)], ids=["p3", "p5"])
+    def test_terms_agree_with_shift_grid(self, field):
+        from test_polyspace import random_poly
+
+        rng = np.random.default_rng(field.p)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            f = random_poly(rng, field, n)
+            grid = shift_coefficient_matrix(f)
+            for d in range((field.p - 1) * n + 1):
+                try:
+                    support_split_rank_bound(grid, d, n, field)
+                    raised = False
+                except HypothesisViolation:
+                    raised = True
+                assert raised == (split_violation(f, d) is not None), (f, d)
 
 
 class TestDiagonalCertificate:

@@ -71,6 +71,13 @@ class TestPointSet:
         assert parse_point_set(json.dumps(ps.to_json())) == ps
         assert parse_point_set(ps.to_text()) == ps
 
+    def test_duplicate_points_rejected(self):
+        with pytest.raises(ValueError, match="duplicate point \\(0,\\)"):
+            parse_point_set("p=3 n=1\n0\n0\n1\n")
+        data = {"p": 3, "n": 2, "points": [[1, 2], [0, 0], [1, 2]]}
+        with pytest.raises(ValueError, match="duplicate point \\(1, 2\\)"):
+            parse_point_set(json.dumps(data))
+
 
 class TestProgressionFree:
     def test_single_point(self):
