@@ -275,7 +275,7 @@ def cmd_verify_set(args) -> int:
 
 def cmd_verify_transcript(args) -> int:
     data = json.loads(_read_input(args.input))
-    if "result" in data and "command" in data:
+    if isinstance(data, dict) and "result" in data and "command" in data:
         data = data["result"]
     ok, checks = verify_transcript(data)
     rows = [c.to_json() for c in checks]

@@ -52,12 +52,12 @@ class PrimeField:
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"modulus must be an int, got {p!r}")
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus {p} is too large, need p < 2^16")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         if p == 2:
             raise ValueError("p = 2 is rejected: an odd prime is required")
-        if p >= MAX_MODULUS:
-            raise ValueError(f"modulus {p} is too large, need p < 2^16")
         self.p = p
         self.inv2 = pow(2, -1, p)
 

@@ -173,10 +173,16 @@ class ReducedPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable, field: PrimeField, n: int) -> "ReducedPoly":
+        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once."""
         coeffs: dict[Monomial, int] = {}
         for alpha, c in data:
-            alpha = tuple(int(e) for e in alpha)
-            coeffs[alpha] = (coeffs.get(alpha, 0) + int(c)) % field.p
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in [*alpha, c]):
+                raise ValueError(f"term {[alpha, c]!r} must hold ints")
+            if tuple(alpha) in coeffs:
+                raise ValueError(f"monomial {tuple(alpha)} is listed twice")
+            if not 0 < c < field.p:
+                raise ValueError(f"coefficient {c} of {tuple(alpha)} is outside [1, {field.p - 1}]")
+            coeffs[tuple(alpha)] = c
         return cls(field, n, coeffs)
 
 

@@ -154,9 +154,14 @@ class PointSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "PointSet":
-        field = PrimeField(int(data["p"]))
-        n = int(data["n"])
-        return cls.from_points(field, n, [tuple(map(int, c)) for c in data["points"]])
+        """Inverse of `to_json`: int p, n and coordinates; anything else raises ValueError."""
+        try:
+            field, n, points = PrimeField(data["p"]), data["n"], [tuple(c) for c in data["points"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"point-set object needs p, n and a points list: {exc!r}") from None
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"point-set n must be an int, got {n!r}")
+        return cls.from_points(field, n, points)
 
     def to_text(self) -> str:
         lines = [f"p={self.field.p} n={self.n}"]

@@ -1,14 +1,20 @@
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capbound
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
+from capbound.proof import prove_size_bound
 from capbound.sets import PointSet
 
 
@@ -178,19 +184,43 @@ class TestProveAndVerify:
         assert "[2, 2, 2, 2, 2, 2]" in rows["selected_size_bound"]["note"]
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda t: {"format": t["format"]},
-            lambda t: {k: v for k, v in t.items() if k != "doubles"},
-            lambda t: {**t, "input_size": "9"},
-            lambda t: {**t, "p": 5},
-            lambda t: {**t, "doubles": [0, True]},
-            lambda t: {**t, "witness": 5},
-            lambda t: {**t, "witness": [[[0, 0], 1]]},
-            lambda t: {**t, "dims": {**t["dims"], "low_degree": [23]}},
-            lambda t: {**t, "input": {"p": 3, "n": 3}},
-            lambda t: {**t, "checks": [{**t["checks"][0], "holds": "yes"}]},
-            lambda t: [t],
+            (lambda t: {"format": t["format"]}, "'input' is missing"),
+            (lambda t: {k: v for k, v in t.items() if k != "doubles"}, "'doubles' is missing"),
+            (lambda t: {**t, "input_size": "9"}, "'input_size' must be int"),
+            (lambda t: {**t, "p": 5}, "disagree"),
+            (lambda t: {**t, "doubles": [0, True]}, "'doubles' must hold ints"),
+            (lambda t: {**t, "witness": 5}, "'witness' must be list"),
+            (lambda t: {**t, "witness": [[[0, 0], 1]]}, "arity"),
+            (lambda t: {**t, "dims": {**t["dims"], "low_degree": [23]}}, "'dims' holds [23]"),
+            (lambda t: {**t, "input": {"p": 3, "n": 3}}, "points"),
+            (lambda t: {**t, "checks": [{**t["checks"][0], "holds": "yes"}]}, "'holds'"),
+            (lambda t: [t], "got list"),
+            (lambda t: 5, "got int"),
+            (lambda t: None, "got NoneType"),
+            (
+                lambda t: {**t, "selected_doubles": [-1] + t["selected_doubles"][1:]},
+                "'selected_doubles' holds -1",
+            ),
+            (lambda t: {**t, "doubles": t["doubles"][:-1] + [27]}, "'doubles' holds 27"),
+            (lambda t: {**t, "selected_points": [-5]}, "'selected_points' holds -5"),
+            (
+                lambda t: {**t, "witness_values_off_selection": {"27": 1}},
+                "'witness_values_off_selection' holds 27",
+            ),
+            (
+                lambda t: {**t, "witness_values_off_selection": {"0": 3}},
+                "'witness_values_off_selection' holds 3",
+            ),
+            (lambda t: {**t, "input": {**t["input"], "p": 2**61 - 1}}, "too large"),
+            (lambda t: {k: v for k, v in t.items() if k != "precision"}, "'precision' is missing"),
+            (lambda t: {**t, "dims": {**t["dims"], "low_degree": "023"}}, "'dims' holds '023'"),
+            (lambda t: {**t, "witness": t["witness"] + t["witness"][:1]}, "listed twice"),
+            (
+                lambda t: {**t, "input": {**t["input"], "points": [[1.0, 0, 0]]}},
+                "must be an int, got 1.0",
+            ),
         ],
         ids=[
             "truncated",
@@ -204,15 +234,61 @@ class TestProveAndVerify:
             "input_without_points",
             "check_holds_string",
             "not_an_object",
+            "number",
+            "null",
+            "negative_selected_double",
+            "double_out_of_range",
+            "negative_selected_point",
+            "off_selection_key_out_of_range",
+            "off_selection_value_out_of_range",
+            "modulus_too_large",
+            "precision_missing",
+            "dims_not_canonical",
+            "witness_monomial_twice",
+            "float_coordinate",
         ],
     )
-    def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit):
+    def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit, message):
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
         f = tmp_path / "malformed.json"
         f.write_text(json.dumps(edit(env["result"])))
         code, out, err = run("verify-transcript", "--input", str(f), "--format", "json")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "edit, differs",
+        [
+            (lambda t: t["checks"][3].update(holds=False), "row 3 (low_degree_dim_lower_bound)"),
+            (lambda t: t["checks"].pop(), "row 14 (size_bound_asymptotic)"),
+            (lambda t: t["conclusion"]["exact"].update(bound="3"), "conclusion.exact"),
+            (lambda t: t["conclusion"]["asymptotic"].update(holds=False), "asymptotic.holds"),
+        ],
+        ids=["row_holds_flipped", "row_dropped", "exact_bound_edited", "asymptotic_holds_flipped"],
+    )
+    def test_verify_compares_recorded_claims(self, run, tmp_path, edit, differs):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        edit(env["result"])
+        f = tmp_path / "claims.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 1 and env2["result"]["valid"] is False
+        failed = [c for c in env2["result"]["checks"] if not c["holds"]]
+        assert [c["name"] for c in failed] == ["recorded_claims"]
+        assert differs in failed[0]["note"]
+
+    def test_verify_compares_off_selection_values(self, run, tmp_path):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        off = env["result"]["witness_values_off_selection"]
+        key = next(k for k, v in off.items() if v == 1)
+        off[key] = 2
+        f = tmp_path / "off.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 1 and env2["result"]["valid"] is False
+        failed = [c["name"] for c in env2["result"]["checks"] if not c["holds"]]
+        assert failed == ["witness_values_off_selection"]
 
     def test_verify_precision_bounded(self, run, tmp_path):
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
@@ -230,6 +306,97 @@ class TestProveAndVerify:
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
         code, out, err = run("bound", "--p", "3", "--n-max", "1")
         assert code == 2 and "CAPSET_PRECISION" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _compared(path: tuple, container) -> bool:
+    """False for the parts of a transcript the verifier deliberately does not compare:
+    the digits of the asymptotic bound, which depend on the precision."""
+    if path[:2] == ("conclusion", "asymptotic") and len(path) == 3:
+        return path[2] == "holds"
+    return not (path[-1] == "rhs" and container.get("name") == "size_bound_asymptotic")
+
+
+def perturbed(draw, value, path: tuple):
+    """`value` with one change of meaning: a leaf changed, or an item or key
+    dropped, or a list item added (a copy of another item or any JSON value)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        if path == ("precision",):  # values in [1, MAX_PRECISION] are accepted by design
+            return draw(st.integers(-10**6, 0) | st.integers(MAX_PRECISION + 1, 10**6))
+        return value + draw(st.integers(-30, 30).filter(bool))
+    if isinstance(value, str):
+        return draw(st.text(max_size=12).filter(lambda s: s != value))
+    keys = list(range(len(value))) if isinstance(value, list) else list(value)
+    keys = [k for k in keys if _compared(path + (k,), value)]
+    actions = ["edit", "drop"] if keys else []
+    action = draw(st.sampled_from(actions + ["add"] if isinstance(value, list) else actions))
+    out = copy.deepcopy(value)
+    if action == "add":
+        item = draw(st.sampled_from(value) | JSON_VALUES if value else JSON_VALUES)
+        out.insert(draw(st.integers(0, len(value))), item)
+        return out
+    k = draw(st.sampled_from(keys))
+    if action == "drop":
+        del out[k]
+    else:
+        out[k] = perturbed(draw, value[k], path + (k,))
+    return out
+
+
+def verify_from_stdin(payload) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify-transcript", "--input", "-", "--format", "json"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def transcripts(cap9_search):
+    cap = cap9_search.witness.points()
+    product = PointSet.from_points(PrimeField(3), 6, [a + b for a in cap for b in cap])
+    out = {
+        "cap9": prove_size_bound(cap9_search.witness).to_json(),
+        "product_cap": prove_size_bound(product).to_json(),
+    }
+    assert all(verify_from_stdin(t)[0] == 0 for t in out.values())
+    return out
+
+
+class TestVerifyMutations:
+    """Drop, retype or perturb one top-level field of a valid transcript: the
+    verifier must report valid: false (exit 1) or a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("name", ["cap9", "product_cap"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutation_never_verifies(self, transcripts, name, data):
+        t = copy.deepcopy(transcripts[name])
+        key = data.draw(st.sampled_from(sorted(t)), label="field")
+        how = data.draw(st.sampled_from(["drop", "retype", "perturb"]), label="mutation")
+        if how == "drop":
+            del t[key]
+        elif how == "retype":
+            t[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(t[key])))
+        else:
+            t[key] = perturbed(data.draw, t[key], (key,))
+        code, out, err = verify_from_stdin(t)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        else:
+            assert code == 1 and json.loads(out)["result"]["valid"] is False
 
 
 class TestVerifySet:

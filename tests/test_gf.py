@@ -27,6 +27,11 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(bad)
 
+    def test_large_modulus_rejected_before_primality(self):
+        # trial division up to the square root of a 61-bit prime would not finish
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2**61 - 1)
+
     def test_basic_ops(self):
         assert F3.mul(2, 2) == 1
         assert F5.inv(2) == 3 and F5.mul(2, F5.inv(2)) == 1

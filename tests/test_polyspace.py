@@ -77,6 +77,20 @@ class TestReducedPoly:
         payload = json.loads(json.dumps(f.to_json_terms()))
         assert ReducedPoly.from_json_terms(payload, F5, 2) == f
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([[[1, 0], 1], [[1, 0], 2]], "listed twice"),
+            ([[[1, 0], 5]], "outside \\[1, 4\\]"),
+            ([[[1, 0], 0]], "outside"),
+            ([[[1.0, 0], 1]], "must hold ints"),
+            ([[[1, 0], True]], "must hold ints"),
+        ],
+    )
+    def test_json_terms_are_canonical(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            ReducedPoly.from_json_terms(terms, F5, 2)
+
     def test_vector_round_trip(self):
         f = ReducedPoly(F3, 2, {(1, 2): 2, (0, 0): 1})
         assert poly_from_vector(poly_to_vector(f), F3, 2) == f

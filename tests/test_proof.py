@@ -415,6 +415,33 @@ class TestTranscriptSerialization:
         ok, _ = verify_transcript(tampered)
         assert not ok
 
+    @pytest.mark.parametrize("kind", ["cap9", "product_cap", "zero_branch"])
+    def test_verifier_rows_start_with_recorded_rows(self, cap9_search, kind):
+        cap = cap9_search.witness
+        inputs = {
+            "cap9": cap,
+            "product_cap": PointSet.from_points(
+                F3, 6, [a + b for a in cap.points() for b in cap.points()]
+            ),
+            "zero_branch": greedy_progression_free(PrimeField(5), 3, order_seed=1),
+        }
+        transcript = prove_size_bound(inputs[kind])
+        assert (transcript.branch == "zero_intersection") == (kind == "zero_branch")
+        ok, rows = verify_transcript(json.loads(json.dumps(transcript.to_json())))
+        assert ok
+        assert rows[: len(transcript.checks)] == transcript.checks
+        records = [c.name for c in rows[len(transcript.checks) :]]
+        main_only = ["gram_diagonal", "matrix_rank_recorded"] if kind != "zero_branch" else []
+        assert records == [
+            "recorded_sets",
+            "recorded_dimensions",
+            "branch_shape",
+            "selected_points_match",
+            "witness_values_off_selection",
+            *main_only,
+            "recorded_claims",
+        ]
+
     def test_serialized_fields_stable(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
         payload = transcript.to_json()

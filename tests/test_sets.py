@@ -54,6 +54,21 @@ class TestPointSet:
         data = json.loads(json.dumps(ps.to_json()))
         assert PointSet.from_json(data) == ps
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"p": 3, "n": 1, "points": [[1.0]]}, "must be an int"),
+            ({"p": 3, "n": 1, "points": [["1"]]}, "must be an int"),
+            ({"p": "3", "n": 1, "points": []}, "must be an int"),
+            ({"p": 3, "n": 1.0, "points": []}, "n must be an int"),
+            ({"p": 3, "n": 1}, "points"),
+            ({"p": 3, "n": 1, "points": [1]}, "points"),
+        ],
+    )
+    def test_json_requires_ints(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            PointSet.from_json(data)
+
     def test_text_round_trip(self):
         ps = PointSet.from_points(F3, 3, [(0, 0, 0), (1, 2, 0)])
         text = ps.to_text()
