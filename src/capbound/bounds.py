@@ -66,10 +66,11 @@ def _to_decimal(x) -> Decimal:
     raise ValueError(f"expected a number, got {x!r}")
 
 
-def exponent_c(field: PrimeField) -> Decimal:
-    """The exponent c(p) = 1 - 1/(18 ln p), strictly inside (0, 1)."""
+def exponent_c(field: PrimeField, digits: int | None = None) -> Decimal:
+    """The exponent c(p) = 1 - 1/(18 ln p), strictly inside (0, 1), to `digits`
+    significant digits (default `precision_digits()`)."""
     with localcontext() as ctx:
-        ctx.prec = precision_digits()
+        ctx.prec = precision_digits() if digits is None else digits
         return 1 - 1 / (18 * Decimal(field.p).ln())
 
 

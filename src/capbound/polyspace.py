@@ -20,7 +20,7 @@ import numpy as np
 from .errors import HypothesisViolation
 from .gf import FpMatrix, PrimeField
 from .monomials import Monomial, dim_L, graded_lex_key, monomial_index
-from .sets import PointSet
+from .sets import PointSet, _members, _pair_indices
 
 __all__ = [
     "DENSE_MATRIX_CEILING",
@@ -295,23 +295,24 @@ def indicator_coefficients(points: PointSet, monos: Sequence[Monomial]) -> FpMat
     each entry is the product of univariate indicator coefficients, so no
     indicator is expanded over all p^n monomials.
     """
+    return _coordinate_products(points, monos, _indicator_rows(points.field.p))
+
+
+def _coordinate_products(points: PointSet, monos: Sequence[Monomial], table) -> FpMatrix:
+    """M[c, alpha] = prod_i table[c_i, alpha_i] mod p, rows and columns as in
+    `indicator_coefficients`; with `_vandermonde(p)` as table, M[c, alpha] = c^alpha."""
     n, p = points.n, points.field.p
-    coords = np.array(points.points(), dtype=np.int64).reshape(-1, n)
+    _, coords = _members(points)
     exps = np.array(monos, dtype=np.int64).reshape(-1, n)
-    rows = _indicator_rows(p)
     block = np.ones((len(coords), len(exps)), dtype=np.int64)
     for i in range(n):
-        block = block * rows[coords[:, i, None], exps[None, :, i]] % p
+        block = block * table[coords[:, i, None], exps[None, :, i]] % p
     return FpMatrix(block, points.field)
 
 
 def zero_set(f: ReducedPoly) -> PointSet:
     """All points where f vanishes, as a PointSet."""
-    mask = 0
-    for idx, v in enumerate(evaluate_all(f)):
-        if v == 0:
-            mask |= 1 << idx
-    return PointSet(f.field, f.n, mask)
+    return PointSet._from_table(f.field, f.n, np.array(evaluate_all(f)) == 0)
 
 
 def _require_dense_ok(field: PrimeField, n: int) -> int:
@@ -390,13 +391,11 @@ def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet) -> FpMatrix:
     """Matrix of f(a + b) over a in A (rows), b in B (columns), index order."""
     if A.field != f.field or B.field != f.field or A.n != f.n or B.n != f.n:
         raise ValueError("polynomial and point sets live in different spaces")
-    p, n = f.field.p, f.n
     values = np.array(evaluate_all(f), dtype=np.int64)
-    a_coords = np.array(A.points(), dtype=np.int64).reshape(len(A), n)
-    b_coords = np.array(B.points(), dtype=np.int64).reshape(len(B), n)
-    sums = (a_coords[:, None, :] + b_coords[None, :, :]) % p
-    pows = p ** np.arange(n, dtype=np.int64)
-    return FpMatrix(values[sums @ pows], f.field)
+    gram = np.zeros((len(A), len(B)), dtype=np.int64)
+    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], 1, 1, f.field.p):
+        gram[r : r + block.shape[0], c : c + block.shape[1]] = values[block]
+    return FpMatrix(gram, f.field)
 
 
 def poly_to_vector(f: ReducedPoly) -> np.ndarray:

@@ -21,7 +21,7 @@ at the configured precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields
 from decimal import Decimal, localcontext
 from itertools import zip_longest
 
@@ -29,10 +29,12 @@ import numpy as np
 
 from .bounds import MAX_PRECISION, exponent_c, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
-from .gf import FpMatrix, PrimeField, point_index
+from .gf import FpMatrix, PrimeField
 from .monomials import dim_L, enumerate_monomials, monomial_index
 from .polyspace import (
     ReducedPoly,
+    _coordinate_products,
+    _vandermonde,
     evaluate_all,
     gram_matrix,
     indicator_coefficients,
@@ -41,7 +43,7 @@ from .polyspace import (
     split_violation,
     support_split_rank_bound,
 )
-from .sets import PointSet, is_progression_free, pair_sums
+from .sets import PointSet, _index_of, _members, is_progression_free, pair_sums
 
 __all__ = [
     "PIPELINE_CEILING",
@@ -158,12 +160,15 @@ class ProofTranscript:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProofTranscript":
-        """Parse a serialized transcript; a missing or ill-typed field raises ValueError."""
+        """Parse a serialized transcript; a missing, ill-typed or unknown field is a ValueError."""
         fmt = _field(data, "format", str)
         if fmt != TRANSCRIPT_FORMAT:
             raise ValueError(f"unrecognized transcript format {fmt!r}")
+        _known_keys("transcript", data, _TRANSCRIPT_KEYS)
         try:
-            input_points = PointSet.from_json(_field(data, "input", dict))
+            input_data = _field(data, "input", dict)
+            _known_keys("transcript field 'input'", input_data, ("p", "n", "points"))
+            input_points = PointSet.from_json(input_data)
             field, n = input_points.field, input_points.n
             terms = _field(data, "witness", list, optional=True)
             witness = None if terms is None else ReducedPoly.from_json_terms(terms, field, n)
@@ -187,6 +192,7 @@ class ProofTranscript:
             _indices(key, _field(data, key, list), total)
             for key in ("doubles", "selected_doubles", "selected_points")
         )
+        rows = _field(data, "checks", list)
         checks = [
             ProofCheck(
                 name=_field(c, "name", str),
@@ -196,8 +202,12 @@ class ProofTranscript:
                 holds=_field(c, "holds", bool),
                 note=_field(c, "note", str, optional=True) or "",
             )
-            for c in _field(data, "checks", list)
+            for c in rows
         ]
+        for c in rows:
+            _known_keys("transcript check row", c, _ROW_KEYS)
+        conclusion = _field(data, "conclusion", dict)
+        _known_keys("transcript field 'conclusion'", conclusion, ("exact", "asymptotic"))
         return cls(
             p=field.p,
             n=n,
@@ -214,9 +224,16 @@ class ProofTranscript:
             witness_values_off_selection=off_selection,
             matrix_rank=_field(data, "matrix_rank", int, optional=True),
             checks=checks,
-            conclusion=_field(data, "conclusion", dict),
+            conclusion=conclusion,
             precision=precision,
         )
+
+
+# keys of a serialized transcript and of one of its check rows
+_TRANSCRIPT_KEYS = {"format", "input"} | (
+    {f.name for f in fields(ProofTranscript)} - {"input_points"}
+)
+_ROW_KEYS = {f.name for f in fields(ProofCheck)}
 
 
 def _field(data, key: str, kind: type, optional: bool = False):
@@ -231,6 +248,13 @@ def _field(data, key: str, kind: type, optional: bool = False):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ValueError(f"transcript field {key!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _known_keys(where: str, data: dict, known) -> None:
+    """ValueError naming the first key of `data` that is not in `known`."""
+    unknown = next((k for k in data if k not in known), None)
+    if unknown is not None:
+        raise ValueError(f"{where} has unknown key {unknown!r}")
 
 
 def _indices(key: str, values: list, total: int) -> list[int]:
@@ -296,9 +320,8 @@ def select_unit_witness(
             evidence={"rank": len(pivots), "dim": len(span_values)},
         )
     lam = [int(v) for v in reduced.array.sum(axis=0) % field.p]
-    values = [0] * field.p**n
-    for i, v in zip(idxs, lam):
-        values[i] = v
+    values = np.zeros(field.p**n, dtype=np.int64)
+    values[idxs] = lam
     selected = PointSet.from_indices(field, n, [idxs[j] for j in pivots])
     off_selection = {i: v for i, v in zip(idxs, lam) if i not in selected}
     return selected, interpolate(values, field, n), off_selection
@@ -359,30 +382,13 @@ def check_gram_rank_bound(f: ReducedPoly, A: PointSet, B: PointSet) -> RankCheck
     monos, _ = monomial_index(field.p, n)
     C = shift_coefficient_matrix(f)
     M = gram_matrix(f, A, B)
-
-    def power_table(ps: PointSet) -> FpMatrix:
-        cols = []
-        for pt in ps.points():
-            cols.append([_monomial_value(m, pt, field.p) for m in monos])
-        if not cols:
-            return FpMatrix(np.zeros((len(monos), 0), dtype=np.int64), field)
-        return FpMatrix(np.array(cols, dtype=np.int64).T, field)
-
-    Ma, Mb = power_table(A), power_table(B)
-    product = Ma.transpose().matmul(C).matmul(Mb)
+    Ma, Mb = (_coordinate_products(ps, monos, _vandermonde(field.p)) for ps in (A, B))
+    product = Ma.matmul(C).matmul(Mb.transpose())
     factorization_ok = product == M
     rg, rc = M.rank(), C.rank()
     return RankCheck(
         rank_gram=rg, rank_shift=rc, factorization_ok=factorization_ok, holds=rg <= rc
     )
-
-
-def _monomial_value(alpha, pt, p: int) -> int:
-    v = 1
-    for e, x in zip(alpha, pt):
-        if e:
-            v = v * pow(x, e, p) % p
-    return v
 
 
 @dataclass(frozen=True)
@@ -399,24 +405,22 @@ def check_diagonal_size_bound(f: ReducedPoly, A: PointSet, d: int) -> DiagonalCh
     """Confirm |A| <= 2 * dim(degree <= d) for f of degree <= 2d that is
     nonzero exactly on the doubled diagonal of A.
 
-    The hypothesis f(a+b) = 0 iff a != b is verified pointwise first; the
+    The hypothesis f(a+b) = 0 iff a != b is verified first, on the Gram
+    matrix of f over A (the first failing pair in row order is named); the
     bound comes through the support split of the shift grid.
     """
     if f.degree is not None and f.degree > 2 * d:
         raise ValueError(f"degree {f.degree} exceeds 2d = {2 * d}")
     field, n = f.field, f.n
-    table = evaluate_all(f)
-    pts = A.points()
-    p = field.p
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            s = tuple((x + y) % p for x, y in zip(a, b))
-            val = table[point_index(s, field)]
-            if (val == 0) != (i != j):
-                raise HypothesisViolation(
-                    "hypothesis violated: f(a+b) = 0 iff a != b fails",
-                    evidence={"a": list(a), "b": list(b), "value": val},
-                )
+    gram = gram_matrix(f, A, A).array
+    bad = (gram == 0) == np.eye(len(gram), dtype=bool)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        points = A.points()
+        raise HypothesisViolation(
+            "hypothesis violated: f(a+b) = 0 iff a != b fails",
+            evidence={"a": list(points[i]), "b": list(points[j]), "value": int(gram[i, j])},
+        )
     C = shift_coefficient_matrix(f)
     bound = support_split_rank_bound(C, d, n, field)
     return DiagonalCheck(
@@ -571,23 +575,19 @@ def _certificate_checks(
         exact.update(low_third_minus=str(h), selected=str(len(selected)))
     checks.append(_check("size_bound_exact", size, "<=", exact_bound, note=note))
     exact.update(bound=str(exact_bound), holds=size <= exact_bound)
+    row, asymptotic = _asymptotic(field, n, size, max(t.precision, precision_digits()))
+    return checks + [row], {"exact": exact, "asymptotic": asymptotic}
 
+
+def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[ProofCheck, dict]:
+    """The row size <= 3 p^(cn) and the asymptotic conclusion, at `digits` digits."""
     with localcontext() as ctx:
-        ctx.prec = max(t.precision, precision_digits())
-        c_exp = exponent_c(field)
+        ctx.prec = digits
+        c_exp = exponent_c(field, digits)
         p_cn = (c_exp * n * Decimal(field.p).ln()).exp()
-        asympt_bound = 3 * p_cn
-    checks.append(_check("size_bound_asymptotic", Decimal(size), "<=", asympt_bound))
-    conclusion = {
-        "exact": exact,
-        "asymptotic": {
-            "c": str(c_exp),
-            "p_cn": str(p_cn),
-            "bound": str(asympt_bound),
-            "holds": Decimal(size) <= asympt_bound,
-        },
-    }
-    return checks, conclusion
+        bound = 3 * p_cn
+    row = _check("size_bound_asymptotic", Decimal(size), "<=", bound)
+    return row, {"c": str(c_exp), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
 
 def _dimension_table(field: PrimeField, n: int, doubles_size: int) -> dict[str, int]:
@@ -604,12 +604,9 @@ def _dimension_table(field: PrimeField, n: int, doubles_size: int) -> dict[str, 
 
 def _halves_of(A: PointSet, doubled) -> list[int]:
     """Indices, in order, of the members a of A with 2a in `doubled`."""
-    field = A.field
-    return [
-        i
-        for i, a in zip(A.indices(), A.points())
-        if point_index(tuple(2 * x % field.p for x in a), field) in doubled
-    ]
+    idx, coords = _members(A)
+    twice = _index_of(2 * coords % A.field.p, A.field.p)
+    return idx[np.isin(twice, list(doubled))].tolist()
 
 
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
@@ -623,7 +620,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     certificate). Record rows follow: the recorded sets, dimensions, branch,
     selection, off-selection values and rank match their recomputation, and
     `recorded_claims` compares the recorded rows and conclusion with the
-    recomputed ones. Returns (every row holds, rows).
+    recomputed ones, the asymptotic digits at the recorded precision.
+    Returns (every row holds, rows).
     """
     t = ProofTranscript.from_json(data)
     field, n = t.input_points.field, t.n
@@ -662,6 +660,9 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     if t.witness is not None:
         recorded_rank = -1 if t.matrix_rank is None else t.matrix_rank
         checks.append(_check("matrix_rank_recorded", rank, "==", recorded_rank))
+    if precision_digits() > t.precision:  # the rows were evaluated above the recorded precision
+        row, asymptotic = _asymptotic(field, n, t.input_size, t.precision)
+        rows, conclusion = rows[:-1] + [row], {**conclusion, "asymptotic": asymptotic}
     differs = _first_difference(t, rows, conclusion)
     checks.append(_check("recorded_claims", int(differs is None), "==", 1, note=differs or ""))
     return all(c.holds for c in checks), checks
@@ -670,21 +671,18 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
 def _first_difference(t: ProofTranscript, rows: list[ProofCheck], conclusion: dict) -> str | None:
     """Where the recorded rows and conclusion first differ from the recomputed ones.
 
-    The asymptotic bound's digits depend on the precision, which the
-    verifier may raise above the recorded one, so that row's right-hand
-    side and all of the asymptotic conclusion but its verdict are skipped.
+    `rows` and `conclusion` hold the asymptotic bound at the recorded
+    precision, so its digits are compared too. Conclusion values must
+    match in JSON type as well as in value (true is not 1).
     """
-
-    def comparable(c: ProofCheck | None):
-        return replace(c, rhs="") if c and c.name == "size_bound_asymptotic" else c
-
     for i, (recorded, derived) in enumerate(zip_longest(t.checks, rows)):
-        if comparable(recorded) != comparable(derived):
+        if recorded != derived:
             return f"recorded row {i} ({(derived or recorded).name}) differs"
-    if t.conclusion.get("exact") != conclusion["exact"]:
-        return "recorded conclusion.exact differs"
-    recorded = t.conclusion.get("asymptotic")
-    holds = recorded.get("holds") if isinstance(recorded, dict) else None
-    if holds is not conclusion["asymptotic"]["holds"]:
-        return "recorded conclusion.asymptotic.holds differs"
+    for part, values in conclusion.items():
+        recorded = t.conclusion.get(part)
+        if not isinstance(recorded, dict) or recorded.keys() != values.keys():
+            return f"recorded conclusion.{part} differs"
+        for key, value in values.items():
+            if type(recorded[key]) is not type(value) or recorded[key] != value:
+                return f"recorded conclusion.{part}.{key} differs"
     return None

@@ -1,10 +1,15 @@
 """Subsets of F_p^n and progression-free machinery: verify, build, search.
 
 A PointSet is an immutable membership bitmap (one Python int) over the
-base-p point encoding, plus its ambient (p, n). Progression-freeness means
-no distinct a, b, c in the set with a + b = 2c; since p is odd the
-midpoint c = (a + b)/2 of any pair is unique, which keeps every check
-quadratic.
+base-p point encoding, plus its ambient (p, n) of at most 2^24 points.
+Progression-freeness means no distinct a, b, c in the set with
+a + b = 2c; since p is odd the midpoint c = (a + b)/2 of any pair is
+unique, which keeps every check quadratic.
+
+Pair work runs in one numpy index kernel: `_pair_indices` maps two
+coordinate blocks (from `_members`) to the indices of alpha*u + beta*v
+for every pair, in blocks of bounded size, which are looked up in bool
+tables over F_p^n. Only the exact search keeps Python-int masks.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ProgressionFound
 from .gf import PrimeField, point_coords, point_index
@@ -32,6 +39,16 @@ __all__ = [
 ]
 
 EXACT_SEARCH_CEILING = 3**6
+_AMBIENT_CEILING = 1 << 24  # most points an ambient F_p^n may have
+_PAIR_CHUNK = 1 << 16  # most int64 entries of one temporary in `_pair_indices`
+
+
+def _ambient_size(field: PrimeField, n: int) -> int:
+    """p^n if n >= 0 and p^n <= _AMBIENT_CEILING, else ValueError. Since p > 2,
+    n >= 25 is refused before p^n is computed, whatever n an input names."""
+    if not 0 <= n < _AMBIENT_CEILING.bit_length() or field.p**n > _AMBIENT_CEILING:
+        raise ValueError(f"F_{field.p}^{n} needs n >= 0 and at most {_AMBIENT_CEILING} points")
+    return field.p**n
 
 
 class PointSet:
@@ -40,9 +57,7 @@ class PointSet:
     __slots__ = ("field", "n", "_mask", "_size")
 
     def __init__(self, field: PrimeField, n: int, mask: int) -> None:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if mask < 0 or mask >> field.p**n:
+        if mask < 0 or mask >> _ambient_size(field, n):
             raise ValueError("membership mask has bits outside [0, p^n)")
         self.field = field
         self.n = n
@@ -55,11 +70,11 @@ class PointSet:
 
     @classmethod
     def full(cls, field: PrimeField, n: int) -> "PointSet":
-        return cls(field, n, (1 << field.p**n) - 1)
+        return cls(field, n, (1 << _ambient_size(field, n)) - 1)
 
     @classmethod
     def from_indices(cls, field: PrimeField, n: int, indices: Iterable[int]) -> "PointSet":
-        total = field.p**n
+        total = _ambient_size(field, n)
         mask = 0
         for i in indices:
             i = int(i)
@@ -73,6 +88,7 @@ class PointSet:
         cls, field: PrimeField, n: int, points: Iterable[Sequence[int]]
     ) -> "PointSet":
         """Set of the given points; a point listed twice raises ValueError."""
+        _ambient_size(field, n)
         mask = 0
         for coords in points:
             if len(coords) != n:
@@ -82,6 +98,18 @@ class PointSet:
                 raise ValueError(f"duplicate point {tuple(coords)}")
             mask |= bit
         return cls(field, n, mask)
+
+    @classmethod
+    def _from_table(cls, field: PrimeField, n: int, table: np.ndarray) -> "PointSet":
+        """Set of the indices where a bool array over [0, p^n) is true."""
+        packed = np.packbits(table, bitorder="little").tobytes()
+        return cls(field, n, int.from_bytes(packed, "little"))
+
+    def _table(self) -> np.ndarray:
+        """Membership as a bool array over [0, p^n)."""
+        total = self.field.p**self.n
+        raw = np.frombuffer(self._mask.to_bytes((total + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
     @property
     def mask(self) -> int:
@@ -98,16 +126,10 @@ class PointSet:
         return bool(self._mask >> index & 1)
 
     def indices(self) -> list[int]:
-        out = []
-        mask = self._mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return np.flatnonzero(self._table()).tolist()
 
     def points(self) -> list[tuple[int, ...]]:
-        return [point_coords(i, self.n, self.field) for i in self.indices()]
+        return list(map(tuple, _members(self)[1].tolist()))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
@@ -197,24 +219,63 @@ def parse_point_set(text: str) -> PointSet:
     return PointSet.from_text(text)
 
 
+def _members(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Members of `ps` as an ascending index vector and their (m, n) coordinates."""
+    idx = np.flatnonzero(ps._table())
+    return idx, _coords_of(idx, ps.field.p, ps.n)
+
+
+def _coords_of(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(m, n) coordinates of the points with base-p indices `idx`."""
+    return np.asarray(idx, dtype=np.int64)[:, None] // p ** np.arange(n, dtype=np.int64) % p
+
+
+def _index_of(coords: np.ndarray, p: int) -> np.ndarray:
+    """Base-p indices of the points in the last axis of `coords`."""
+    return coords @ p ** np.arange(coords.shape[-1], dtype=np.int64)
+
+
+def _pair_indices(
+    u: np.ndarray, v: np.ndarray, alpha: int, beta: int, p: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Indices of alpha*x + beta*y mod p for every row x of `u` and row y of `v`.
+
+    Yields (row, col, block) with block[i, j] the index for u[row + i] and
+    v[col + j], in row-major order of the pairs. Each block is sized so
+    that its coordinate temporary holds at most _PAIR_CHUNK int64 entries.
+    """
+    n = u.shape[1]
+    cols = max(1, min(len(v), _PAIR_CHUNK // max(n, 1)))
+    rows = max(1, _PAIR_CHUNK // (cols * max(n, 1)))
+    for r in range(0, len(u), rows):
+        au = alpha * u[r : r + rows, None, :]
+        for c in range(0, len(v), cols):
+            coords = au + beta * v[None, c : c + cols, :]
+            yield r, c, _index_of(np.remainder(coords, p, out=coords), p)
+
+
+def _col_minus_row(r: int, c: int, block: np.ndarray) -> np.ndarray:
+    """j - i over a block of `_pair_indices`: > 0 above the diagonal, 0 on it."""
+    return np.arange(c, c + block.shape[1]) - np.arange(r, r + block.shape[0])[:, None]
+
+
 def is_progression_free(ps: PointSet) -> tuple[bool, tuple | None]:
     """Check for distinct a, b, c with a + b = 2c; returns one witness triple.
 
-    For every unordered pair the unique midpoint (a + b)/2 is looked up in
-    the membership mask, so the whole check is O(|A|^2) point operations.
+    For every pair a < b of members, in index order, the unique midpoint
+    (a + b)/2 is looked up in the membership table; for odd p it differs
+    from a and b. The first pair whose midpoint is a member gives the
+    witness, so the check is O(|A|^2) index operations.
     """
-    field, n, mask = ps.field, ps.n, ps.mask
-    p, inv2 = field.p, field.inv2
-    members = ps.indices()
-    coords = [point_coords(i, n, field) for i in members]
-    for i in range(len(members)):
-        a = coords[i]
-        for j in range(i + 1, len(members)):
-            b = coords[j]
-            mid = tuple((x + y) * inv2 % p for x, y in zip(a, b))
-            mid_idx = point_index(mid, field)
-            if mask >> mid_idx & 1 and mid_idx != members[i] and mid_idx != members[j]:
-                return False, (a, b, mid)
+    field = ps.field
+    member = ps._table()
+    _, coords = _members(ps)
+    for r, c, block in _pair_indices(coords, coords, field.inv2, field.inv2, field.p):
+        hit = member[block] & (_col_minus_row(r, c, block) > 0)
+        if hit.any():
+            i, j = np.unravel_index(np.argmax(hit), hit.shape)
+            mid = point_coords(int(block[i, j]), ps.n, field)
+            return False, (tuple(coords[r + i].tolist()), tuple(coords[c + j].tolist()), mid)
     return True, None
 
 
@@ -224,17 +285,14 @@ def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
     Doubling x -> 2x is injective for odd p, so the doubles set always has
     exactly |A| elements; for progression-free A the two sets are disjoint.
     """
-    field, n = ps.field, ps.n
-    p = field.p
-    coords = ps.points()
-    sums_mask = 0
-    doubles_mask = 0
-    for i, a in enumerate(coords):
-        doubles_mask |= 1 << point_index(tuple(2 * x % p for x in a), field)
-        for b in coords[i + 1 :]:
-            s = tuple((x + y) % p for x, y in zip(a, b))
-            sums_mask |= 1 << point_index(s, field)
-    return PointSet(field, n, sums_mask), PointSet(field, n, doubles_mask)
+    field, n, p = ps.field, ps.n, ps.field.p
+    _, coords = _members(ps)
+    sums = np.zeros(p**n, dtype=bool)
+    for r, c, block in _pair_indices(coords, coords, 1, 1, p):
+        sums[block[_col_minus_row(r, c, block) > 0]] = True
+    doubles = np.zeros_like(sums)
+    doubles[_index_of(2 * coords % p, p)] = True
+    return PointSet._from_table(field, n, sums), PointSet._from_table(field, n, doubles)
 
 
 @dataclass
@@ -426,29 +484,26 @@ def max_progression_free(
 def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> PointSet:
     """Scan points in a seeded pseudo-random order, keeping what fits.
 
-    Deterministic for a fixed seed; the result is re-verified before it is
-    returned.
+    A point is kept unless it is blocked: accepting z blocks, for every
+    earlier chosen a, the three points (z + a)/2, 2z - a and 2a - z that
+    would complete a progression with {z, a}. Deterministic for a fixed
+    seed; the result is re-verified before it is returned.
     """
     p, inv2 = field.p, field.inv2
-    total = p**n
+    total = _ambient_size(field, n)
     order = list(range(total))
     random.Random(order_seed).shuffle(order)
-    chosen_coords: list[tuple[int, ...]] = []
-    mask = 0
+    blocked = np.zeros(total, dtype=bool)
+    chosen: list[int] = []
     for idx in order:
-        z = point_coords(idx, n, field)
-        ok = True
-        for a in chosen_coords:
-            # z + a = 2b with b already chosen, or a + b = 2z with b chosen
-            mid = point_index(tuple((u + v) * inv2 % p for u, v in zip(z, a)), field)
-            opp = point_index(tuple((2 * u - v) % p for u, v in zip(z, a)), field)
-            if mask >> mid & 1 or mask >> opp & 1:
-                ok = False
-                break
-        if ok:
-            chosen_coords.append(z)
-            mask |= 1 << idx
-    result = PointSet(field, n, mask)
+        if blocked[idx]:
+            continue
+        z, a = _coords_of([idx], p, n), _coords_of(chosen, p, n)
+        for alpha, beta in ((inv2, inv2), (2, p - 1), (p - 1, 2)):
+            for _, _, block in _pair_indices(z, a, alpha, beta, p):
+                blocked[block] = True
+        chosen.append(idx)
+    result = PointSet.from_indices(field, n, chosen)
     ok, triple = is_progression_free(result)
     if not ok:
         raise ProgressionFound("greedy construction violated its invariant", triple)
@@ -458,22 +513,19 @@ def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> P
 def cap_equivalence_check(ps: PointSet) -> bool:
     """For p = 3: compare no-progression against no-three-collinear.
 
-    The two predicates are computed independently (midpoint lookup versus
-    a + b + c = 0 completion) and must agree: 2 = -1 in GF(3) makes
-    a + b = 2c the same equation as a + b + c = 0.
+    The two predicates are computed separately (midpoint lookup with the
+    coefficient 1/2 versus a + b + c = 0 completion with -1) and must agree:
+    2 = -1 in GF(3) makes a + b = 2c the same equation as a + b + c = 0.
     """
-    if ps.field.p != 3:
+    p = ps.field.p
+    if p != 3:
         raise ValueError("equivalence specific to p=3")
     progression_free = is_progression_free(ps)[0]
-    coords = ps.points()
-    mask = ps.mask
-    no_line = True
-    for i, a in enumerate(coords):
-        for b in coords[i + 1 :]:
-            third = tuple((-u - v) % 3 for u, v in zip(a, b))
-            if mask >> point_index(third, ps.field) & 1 and third != a and third != b:
-                no_line = False
-                break
-        if not no_line:
-            break
+    member = ps._table()
+    _, coords = _members(ps)
+    # the third point -a - b of distinct a, b differs from both
+    no_line = not any(
+        (member[block] & (_col_minus_row(r, c, block) > 0)).any()
+        for r, c, block in _pair_indices(coords, coords, p - 1, p - 1, p)
+    )
     return progression_free == no_line

@@ -4,11 +4,14 @@ Nothing here shares machinery with the production code paths it checks:
 rank is defined by enumerating coefficient combinations, maximum
 progression-free sizes come from exhaustive subset enumeration over
 coordinate tuples with no pruning heuristics, and dimensions are counted
-by direct enumeration.
+by direct enumeration. The point-set references below are the per-pair
+tuple loops that the library's numpy index kernel replaced; they take
+coordinate tuples listed in index order and encode points themselves.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 from capbound.gf import PrimeField, point_coords
@@ -51,6 +54,70 @@ def has_progression(points: set[tuple[int, ...]], p: int) -> bool:
             if c in points and c != a and c != b:
                 return True
     return False
+
+
+def _index(coords, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(coords))
+
+
+def first_progression(points: list[tuple[int, ...]], p: int):
+    """(a, b, (a + b)/2) for the first pair i < j of `points` whose midpoint
+    is in the set and distinct from both, or None."""
+    present = set(points)
+    inv2 = pow(2, -1, p)
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            mid = tuple((x + y) * inv2 % p for x, y in zip(a, b))
+            if mid in present and mid != a and mid != b:
+                return a, b, mid
+    return None
+
+
+def pair_sum_indices(points: list[tuple[int, ...]], p: int) -> tuple[set[int], set[int]]:
+    """Indices of the sums of distinct pairs, and of the doubles 2a."""
+    sums = {
+        _index(tuple((x + y) % p for x, y in zip(a, b)), p)
+        for i, a in enumerate(points)
+        for b in points[i + 1 :]
+    }
+    return sums, {_index(tuple(2 * x % p for x in a), p) for a in points}
+
+
+def has_line(points: list[tuple[int, ...]]) -> bool:
+    """For p = 3: distinct a, b in the set whose completion -a - b is a third member."""
+    present = set(points)
+    for i, a in enumerate(points):
+        for b in points[i + 1 :]:
+            third = tuple((-u - v) % 3 for u, v in zip(a, b))
+            if third in present and third != a and third != b:
+                return True
+    return False
+
+
+def halves(points: list[tuple[int, ...]], doubled, p: int) -> list[int]:
+    """Indices, in order, of the points a with the index of 2a in `doubled`."""
+    return [
+        _index(a, p) for a in points if _index(tuple(2 * x % p for x in a), p) in doubled
+    ]
+
+
+def greedy_indices(p: int, n: int, order_seed: int) -> list[int]:
+    """Seeded greedy scan: keep z unless some chosen a has (z + a)/2 or 2z - a chosen."""
+    field = PrimeField(p)
+    order = list(range(p**n))
+    random.Random(order_seed).shuffle(order)
+    chosen: list[tuple[int, ...]] = []
+    present: set[tuple[int, ...]] = set()
+    for idx in order:
+        z = point_coords(idx, n, field)
+        if not any(
+            tuple((u + v) * field.inv2 % p for u, v in zip(z, a)) in present
+            or tuple((2 * u - v) % p for u, v in zip(z, a)) in present
+            for a in chosen
+        ):
+            chosen.append(z)
+            present.add(z)
+    return sorted(_index(z, p) for z in chosen)
 
 
 def max_pf_all_subsets(p: int, n: int) -> int:

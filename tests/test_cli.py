@@ -221,6 +221,20 @@ class TestProveAndVerify:
                 lambda t: {**t, "input": {**t["input"], "points": [[1.0, 0, 0]]}},
                 "must be an int, got 1.0",
             ),
+            (lambda t: {**t, "claims": []}, "transcript has unknown key 'claims'"),
+            (
+                lambda t: {**t, "checks": [{**t["checks"][0], "verified": True}]},
+                "check row has unknown key 'verified'",
+            ),
+            (
+                lambda t: {**t, "input": {**t["input"], "size": 9}},
+                "field 'input' has unknown key 'size'",
+            ),
+            (
+                lambda t: {**t, "conclusion": {**t["conclusion"], "extra": "|A| <= 1"}},
+                "field 'conclusion' has unknown key 'extra'",
+            ),
+            (lambda t: {**t, "input": {**t["input"], "n": 2_000_000}}, "at most 16777216 points"),
         ],
         ids=[
             "truncated",
@@ -246,6 +260,11 @@ class TestProveAndVerify:
             "dims_not_canonical",
             "witness_monomial_twice",
             "float_coordinate",
+            "unknown_top_key",
+            "unknown_row_key",
+            "unknown_input_key",
+            "unknown_conclusion_key",
+            "ambient_too_large",
         ],
     )
     def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit, message):
@@ -264,8 +283,25 @@ class TestProveAndVerify:
             (lambda t: t["checks"].pop(), "row 14 (size_bound_asymptotic)"),
             (lambda t: t["conclusion"]["exact"].update(bound="3"), "conclusion.exact"),
             (lambda t: t["conclusion"]["asymptotic"].update(holds=False), "asymptotic.holds"),
+            (lambda t: t["conclusion"]["asymptotic"].update(bound="3"), "asymptotic.bound"),
+            (lambda t: t["conclusion"]["asymptotic"].update(c="0.9"), "asymptotic.c"),
+            (lambda t: t["conclusion"]["asymptotic"].update(p_cn="3"), "asymptotic.p_cn"),
+            (lambda t: t["checks"][14].update(rhs="30"), "row 14 (size_bound_asymptotic)"),
+            (lambda t: t.update(precision=MAX_PRECISION), "row 14 (size_bound_asymptotic)"),
+            (lambda t: t["conclusion"]["exact"].update(holds=1), "conclusion.exact.holds"),
         ],
-        ids=["row_holds_flipped", "row_dropped", "exact_bound_edited", "asymptotic_holds_flipped"],
+        ids=[
+            "row_holds_flipped",
+            "row_dropped",
+            "exact_bound_edited",
+            "asymptotic_holds_flipped",
+            "asymptotic_bound_edited",
+            "asymptotic_c_edited",
+            "asymptotic_p_cn_edited",
+            "asymptotic_rhs_edited",
+            "precision_relabelled",
+            "exact_holds_retyped",
+        ],
     )
     def test_verify_compares_recorded_claims(self, run, tmp_path, edit, differs):
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
@@ -290,10 +326,12 @@ class TestProveAndVerify:
         failed = [c["name"] for c in env2["result"]["checks"] if not c["holds"]]
         assert failed == ["witness_values_off_selection"]
 
-    def test_verify_precision_bounded(self, run, tmp_path):
+    def test_verify_precision_bounded(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        monkeypatch.delenv("CAPSET_PRECISION")
+        assert env["result"]["precision"] == MAX_PRECISION
         f = tmp_path / "precise.json"
-        env["result"]["precision"] = MAX_PRECISION
         f.write_text(json.dumps(env))
         code, env2 = run_json(run, "verify-transcript", "--input", str(f))
         assert code == 0 and env2["result"]["valid"]
@@ -301,6 +339,20 @@ class TestProveAndVerify:
         f.write_text(json.dumps(env))
         code, out, err = run("verify-transcript", "--input", str(f))
         assert code == 2 and "precision 20000" in err
+
+    def test_verify_above_recorded_precision(self, run, tmp_path, monkeypatch):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        f = tmp_path / "claims.json"
+        f.write_text(json.dumps(env))
+        monkeypatch.setenv("CAPSET_PRECISION", "60")
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 0 and env2["result"]["valid"]
+        env["result"]["conclusion"]["asymptotic"]["bound"] = "3"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        failed = [c for c in env2["result"]["checks"] if not c["holds"]]
+        assert code == 1 and [c["name"] for c in failed] == ["recorded_claims"]
+        assert "conclusion.asymptotic.bound" in failed[0]["note"]
 
     def test_precision_env_bounded(self, run, monkeypatch):
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
@@ -316,17 +368,10 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _compared(path: tuple, container) -> bool:
-    """False for the parts of a transcript the verifier deliberately does not compare:
-    the digits of the asymptotic bound, which depend on the precision."""
-    if path[:2] == ("conclusion", "asymptotic") and len(path) == 3:
-        return path[2] == "holds"
-    return not (path[-1] == "rhs" and container.get("name") == "size_bound_asymptotic")
-
-
 def perturbed(draw, value, path: tuple):
-    """`value` with one change of meaning: a leaf changed, or an item or key
-    dropped, or a list item added (a copy of another item or any JSON value)."""
+    """`value` with one change of meaning: a leaf changed, an item or key
+    dropped, a list item added (a copy of another item or any JSON value),
+    or a key added to an object."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -336,10 +381,12 @@ def perturbed(draw, value, path: tuple):
     if isinstance(value, str):
         return draw(st.text(max_size=12).filter(lambda s: s != value))
     keys = list(range(len(value))) if isinstance(value, list) else list(value)
-    keys = [k for k in keys if _compared(path + (k,), value)]
     actions = ["edit", "drop"] if keys else []
-    action = draw(st.sampled_from(actions + ["add"] if isinstance(value, list) else actions))
+    action = draw(st.sampled_from(actions + ["add"]))
     out = copy.deepcopy(value)
+    if action == "add" and isinstance(value, dict):
+        out[draw(st.text(max_size=8).filter(lambda k: k not in value))] = draw(JSON_VALUES)
+        return out
     if action == "add":
         item = draw(st.sampled_from(value) | JSON_VALUES if value else JSON_VALUES)
         out.insert(draw(st.integers(0, len(value))), item)
@@ -376,8 +423,9 @@ def transcripts(cap9_search):
 
 
 class TestVerifyMutations:
-    """Drop, retype or perturb one top-level field of a valid transcript: the
-    verifier must report valid: false (exit 1) or a usage error (exit 2)."""
+    """Drop, retype or perturb one top-level field of a valid transcript, or add
+    a top-level key: the verifier must report valid: false (exit 1) or a usage
+    error (exit 2)."""
 
     @pytest.mark.parametrize("name", ["cap9", "product_cap"])
     @settings(max_examples=150, deadline=None)
@@ -385,8 +433,10 @@ class TestVerifyMutations:
     def test_mutation_never_verifies(self, transcripts, name, data):
         t = copy.deepcopy(transcripts[name])
         key = data.draw(st.sampled_from(sorted(t)), label="field")
-        how = data.draw(st.sampled_from(["drop", "retype", "perturb"]), label="mutation")
-        if how == "drop":
+        how = data.draw(st.sampled_from(["drop", "retype", "perturb", "add"]), label="mutation")
+        if how == "add":
+            t[data.draw(st.text(max_size=8).filter(lambda k: k not in t))] = data.draw(JSON_VALUES)
+        elif how == "drop":
             del t[key]
         elif how == "retype":
             t[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(t[key])))
@@ -425,6 +475,16 @@ class TestVerifySet:
     def test_missing_file(self, run):
         code, _, err = run("verify-set", "--input", "/nonexistent/file")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text", ["p=3 n=2000000\n", '{"p": 3, "n": 2000000, "points": []}'], ids=["text", "json"]
+    )
+    def test_ambient_too_large(self, run, tmp_path, text):
+        f = tmp_path / "huge.txt"
+        f.write_text(text)
+        code, out, err = run("verify-set", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "at most 16777216 points" in err
 
     def test_duplicate_point_rejected(self, run, tmp_path):
         f = tmp_path / "dup.txt"

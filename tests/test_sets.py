@@ -1,11 +1,16 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capbound.errors import ProgressionFound
-from capbound.gf import PrimeField
+import oracles
+from capbound import sets
+from capbound.errors import HypothesisViolation, ProgressionFound
+from capbound.gf import PrimeField, point_coords
+from capbound.polyspace import ReducedPoly, evaluate, gram_matrix
+from capbound.proof import _halves_of, check_diagonal_size_bound
 from capbound.sets import (
     PointSet,
     SearchResult,
@@ -85,6 +90,23 @@ class TestPointSet:
         ps = PointSet.from_points(F3, 2, [(1, 1)])
         assert parse_point_set(json.dumps(ps.to_json())) == ps
         assert parse_point_set(ps.to_text()) == ps
+
+    def test_ambient_bounded_before_its_size_is_computed(self):
+        assert PointSet(F3, 15, 0).size == 0  # 3^15 points: within 2^24
+        # each refusal is immediate; computing 3^2000000 alone takes about 0.3 s
+        start = time.perf_counter()
+        for make in (
+            lambda: PointSet(F3, 16, 0),
+            lambda: PointSet.full(F5, 11),
+            lambda: PointSet.from_indices(F3, 2_000_000, []),
+            lambda: PointSet.from_json({"p": 3, "n": 2_000_000, "points": []}),
+            lambda: PointSet.from_points(F3, 2_000_000, [(0,) * 2_000_000]),
+            lambda: parse_point_set("p=3 n=2000000\n"),
+            lambda: greedy_progression_free(F3, 2_000_000),
+        ):
+            with pytest.raises(ValueError, match="at most 16777216 points"):
+                make()
+        assert time.perf_counter() - start < 0.25
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate point \\(0,\\)"):
@@ -245,3 +267,83 @@ class TestCapEquivalence:
     @given(st.sets(st.integers(0, 8), max_size=9))
     def test_random_subsets_agree(self, idxs):
         assert cap_equivalence_check(PointSet.from_indices(F3, 2, idxs))
+
+
+AMBIENTS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (7, 2), (11, 2)]
+
+
+@st.composite
+def index_sets(draw):
+    p, n = draw(st.sampled_from(AMBIENTS))
+    idxs = sorted(draw(st.sets(st.integers(0, p**n - 1), max_size=40)))
+    doubled = draw(st.sets(st.integers(0, p**n - 1), max_size=20))
+    monomials = st.tuples(*[st.integers(0, p - 1)] * n)
+    terms = draw(st.dictionaries(monomials, st.integers(1, p - 1), max_size=4))
+    return PrimeField(p), n, idxs, doubled, ReducedPoly(PrimeField(p), n, terms)
+
+
+class TestKernelAgainstTupleLoops:
+    """Every function on the numpy index kernel against the per-pair tuple
+    loop it replaced (tests/oracles.py), at the module's block size and at
+    blocks of a few entries, so that pairs straddle block boundaries."""
+
+    @pytest.mark.parametrize("chunk", [sets._PAIR_CHUNK, 7], ids=["module_block", "block_7"])
+    @settings(max_examples=150, deadline=None)
+    @given(case=index_sets())
+    def test_set_functions(self, chunk, case):
+        field, n, idxs, doubled, f = case
+        p = field.p
+        pts = [point_coords(i, n, field) for i in idxs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sets, "_PAIR_CHUNK", chunk)
+            ps = PointSet.from_indices(field, n, idxs)
+            assert ps.indices() == idxs and ps.points() == pts
+            ok, triple = is_progression_free(ps)
+            assert ok is not oracles.has_progression(set(pts), p)
+            assert triple == oracles.first_progression(pts, p)
+            sums, doubles = pair_sums(ps)
+            assert (set(sums), set(doubles)) == oracles.pair_sum_indices(pts, p)
+            if p == 3:
+                assert cap_equivalence_check(ps) is (ok is not oracles.has_line(pts))
+            expected_halves = oracles.halves(pts, doubled, p)
+            assert _halves_of(ps, doubled) == expected_halves
+            assert _halves_of(ps, PointSet.from_indices(field, n, doubled)) == expected_halves
+            gram = [
+                [evaluate(f, tuple((x + y) % p for x, y in zip(a, b))) for b in pts] for a in pts
+            ]
+            assert gram_matrix(f, ps, ps).to_lists() == gram
+            bad = [
+                (a, b, gram[i][j])
+                for i, a in enumerate(pts)
+                for j, b in enumerate(pts)
+                if (gram[i][j] == 0) != (i != j)
+            ]
+            if bad:
+                with pytest.raises(HypothesisViolation) as info:
+                    check_diagonal_size_bound(f, ps, (p - 1) * n)
+                a, b, value = bad[0]
+                assert info.value.evidence == {"a": list(a), "b": list(b), "value": value}
+            else:
+                assert check_diagonal_size_bound(f, ps, (p - 1) * n).set_size == len(pts)
+
+    @pytest.mark.parametrize("chunk", [sets._PAIR_CHUNK, 7], ids=["module_block", "block_7"])
+    @pytest.mark.parametrize("p, n", AMBIENTS)
+    def test_greedy(self, p, n, chunk, monkeypatch):
+        monkeypatch.setattr(sets, "_PAIR_CHUNK", chunk)
+        for seed in range(10):
+            result = greedy_progression_free(PrimeField(p), n, order_seed=seed)
+            assert result.indices() == oracles.greedy_indices(p, n, seed)
+
+    def test_product_cap_in_f3_9_spans_many_blocks(self):
+        cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
+        product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
+        ps = PointSet.from_points(F3, 9, product)
+        assert len(product) ** 2 * 9 > 10 * sets._PAIR_CHUNK
+        assert is_progression_free(ps) == (True, None)
+        last, before_last = ps.points()[-1], ps.points()[-2]
+        mid = tuple((x + y) * 2 % 3 for x, y in zip(last, before_last))
+        assert mid not in product
+        ok, triple = is_progression_free(ps | PointSet.from_points(F3, 9, [mid]))
+        assert not ok and mid in triple
+        in_index_order = sorted(product + [mid], key=lambda c: c[::-1])
+        assert triple == oracles.first_progression(in_index_order, 3)
