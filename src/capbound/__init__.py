@@ -59,7 +59,6 @@ from .proof import (
 from .sets import (
     PointSet,
     SearchResult,
-    cap_equivalence_check,
     greedy_progression_free,
     is_progression_free,
     max_progression_free,
@@ -80,7 +79,6 @@ __all__ = [
     "ProofTranscript",
     "ReducedPoly",
     "SearchResult",
-    "cap_equivalence_check",
     "check_diagonal_size_bound",
     "check_gram_rank_bound",
     "diagonal_certificate",

@@ -17,7 +17,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .gf import PrimeField
-from .monomials import dim_L, extended_binomial
+from .monomials import dim_L
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -155,7 +155,8 @@ def exact_tail_identity(
 ) -> tuple[Fraction, Decimal | None]:
     """Exact Pr[S <= k] for S a sum of n uniforms on {0..p-1}, plus its bound.
 
-    The probability is a big rational: the layer counts divided by p^n.
+    The probability is a big rational: the number of capped monomials of
+    degree <= k, dim_L(n, k), divided by p^n.
     The second component is the Hoeffding bound at t = (p-1)n/2 - k, only
     meaningful below the mean (None above it).
     """
@@ -164,7 +165,7 @@ def exact_tail_identity(
     m = field.p - 1
     if not 0 <= k <= m * n:
         raise ValueError(f"k={k} out of range [0, {m * n}]")
-    tail = Fraction(sum(extended_binomial(n, j, m) for j in range(k + 1)), field.p**n)
+    tail = Fraction(dim_L(n, k, field), field.p**n)
     mean_twice = m * n  # 2 * E[S]
     if 2 * k > mean_twice:
         return tail, None

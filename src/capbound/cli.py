@@ -31,7 +31,6 @@ from .proof import prove_size_bound, verify_transcript
 from .sets import (
     EXACT_SEARCH_CEILING,
     SearchResult,
-    cap_equivalence_check,
     greedy_progression_free,
     is_progression_free,
     max_progression_free,
@@ -251,25 +250,16 @@ def cmd_verify_set(args) -> int:
         "progression_free": ok,
         "witness": None if triple is None else [list(c) for c in triple],
     }
-    if points.field.p == 3:
-        result["cap_equivalence"] = cap_equivalence_check(points)
     envelope = {"command": "verify-set", "params": {"input": args.input}, "result": result}
     rows = [
         {
             "size": points.size,
             "progression_free": ok,
             "witness": "" if triple is None else str([list(c) for c in triple]),
-            "cap_equivalence": result.get("cap_equivalence", ""),
         }
     ]
     head = [f"set in F_{points.field.p}^{points.n}"]
-    _emit(
-        envelope,
-        rows,
-        ["size", "progression_free", "witness", "cap_equivalence"],
-        head,
-        _pick_format(args.format),
-    )
+    _emit(envelope, rows, ["size", "progression_free", "witness"], head, _pick_format(args.format))
     return 0 if ok else 1
 
 

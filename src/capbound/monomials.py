@@ -4,11 +4,16 @@ A monomial is a plain tuple of exponents, each in [0, p-1]. The canonical
 order everywhere in this package is graded lexicographic: first by total
 degree, then tuple-lexicographic, so matrix row/column indices are
 reproducible across runs.
+
+Dimensions come from one prefix-sum table of layer counts per (n, p-1),
+built by a linear recurrence in O((p-1) n) big-integer steps; the last
+two tables are cached, and `dim_L` and `extended_binomial` read it in O(1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .gf import PrimeField
 
@@ -52,21 +57,26 @@ def enumerate_monomials(n: int, field: PrimeField, d: int) -> list[Monomial]:
     return sorted(_exponent_vectors(n, cap, d), key=graded_lex_key)
 
 
-@lru_cache(maxsize=None)
-def _layer_counts(n: int, m: int) -> tuple[int, ...]:
-    """Entry k counts vectors in {0..m}^n with coordinate sum k.
+@lru_cache(maxsize=2)
+def _cumulative_counts(n: int, m: int) -> tuple[int, ...]:
+    """Entry k counts vectors in {0..m}^n with coordinate sum <= k.
 
-    Built by convolving n copies of the all-ones window of width m+1; exact
-    big integers throughout, memoized per (n, m).
+    The layer counts c_k are the coefficients of P = Q^n, Q = 1 + x + ... +
+    x^m. Comparing coefficients in Q P' = n Q' P gives
+    k c_k = sum_{j=1..m} (j(n+1) - k) c_{k-j} = (n+1) t - k s, an exact
+    division by k, where s = sum_j c_{k-j} and t = sum_j j c_{k-j} are
+    window sums updated in O(1) as the window slides, so the table costs
+    O(m n) big-integer steps. A command reads one (n, m), so the cache keeps
+    the last two tables only.
     """
-    row = [1]
-    for _ in range(n):
-        prev = row
-        row = [0] * (len(prev) + m)
-        for k, v in enumerate(prev):
-            for j in range(m + 1):
-                row[k + j] += v
-    return tuple(row)
+    c = [1]
+    s = t = 0
+    for k in range(1, m * n + 1):
+        out = c[k - 1 - m] if k > m else 0  # c_{k-1-m} leaves the window
+        s += c[k - 1] - out
+        t += s - m * out
+        c.append(((n + 1) * t - k * s) // k)
+    return tuple(accumulate(c))
 
 
 def extended_binomial(n: int, k: int, m: int) -> int:
@@ -77,7 +87,8 @@ def extended_binomial(n: int, k: int, m: int) -> int:
         raise ValueError("m must be at least 1")
     if k < 0 or k > m * n:
         return 0
-    return _layer_counts(n, m)[k]
+    cum = _cumulative_counts(n, m)
+    return cum[k] - cum[k - 1] if k else cum[0]
 
 
 def dim_L(n: int, d: int, field: PrimeField) -> int:
@@ -85,7 +96,7 @@ def dim_L(n: int, d: int, field: PrimeField) -> int:
     cap = field.p - 1
     if not 0 <= d <= cap * n:
         raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
-    return sum(_layer_counts(n, cap)[: d + 1])
+    return _cumulative_counts(n, cap)[d]
 
 
 def verify_duality(n: int, field: PrimeField) -> bool:
@@ -98,10 +109,9 @@ def verify_duality(n: int, field: PrimeField) -> bool:
     if n < 1:
         raise ValueError("n must be positive")
     total = field.p**n
-    top = (field.p - 1) * n
-    return all(
-        dim_L(n, d, field) + dim_L(n, top - d - 1, field) == total for d in range(top)
-    )
+    cum = _cumulative_counts(n, field.p - 1)
+    top = len(cum) - 1
+    return all(cum[d] + cum[top - d - 1] == total for d in range(top))
 
 
 @lru_cache(maxsize=32)

@@ -33,7 +33,6 @@ __all__ = [
     "pair_sums",
     "max_progression_free",
     "greedy_progression_free",
-    "cap_equivalence_check",
     "parse_point_set",
     "EXACT_SEARCH_CEILING",
 ]
@@ -508,24 +507,3 @@ def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> P
     if not ok:
         raise ProgressionFound("greedy construction violated its invariant", triple)
     return result
-
-
-def cap_equivalence_check(ps: PointSet) -> bool:
-    """For p = 3: compare no-progression against no-three-collinear.
-
-    The two predicates are computed separately (midpoint lookup with the
-    coefficient 1/2 versus a + b + c = 0 completion with -1) and must agree:
-    2 = -1 in GF(3) makes a + b = 2c the same equation as a + b + c = 0.
-    """
-    p = ps.field.p
-    if p != 3:
-        raise ValueError("equivalence specific to p=3")
-    progression_free = is_progression_free(ps)[0]
-    member = ps._table()
-    _, coords = _members(ps)
-    # the third point -a - b of distinct a, b differs from both
-    no_line = not any(
-        (member[block] & (_col_minus_row(r, c, block) > 0)).any()
-        for r, c, block in _pair_indices(coords, coords, p - 1, p - 1, p)
-    )
-    return progression_free == no_line

@@ -7,6 +7,8 @@ coordinate tuples with no pruning heuristics, and dimensions are counted
 by direct enumeration. The point-set references below are the per-pair
 tuple loops that the library's numpy index kernel replaced; they take
 coordinate tuples listed in index order and encode points themselves.
+Layer counts come from the window convolution that the library's
+recurrence replaced.
 """
 
 from __future__ import annotations
@@ -176,3 +178,16 @@ def max_pf_recursive(p: int, n: int) -> tuple[int, int]:
 def count_monomials_direct(n: int, p: int, d: int) -> int:
     """Dimension of the degree-<=d slice by direct product enumeration."""
     return sum(1 for alpha in product(range(p), repeat=n) if sum(alpha) <= d)
+
+
+def layer_counts_convolution(n: int, m: int) -> list[int]:
+    """Entry k counts vectors in {0..m}^n with coordinate sum k, by convolving
+    n copies of the all-ones window of width m + 1."""
+    row = [1]
+    for _ in range(n):
+        prev = row
+        row = [0] * (len(prev) + m)
+        for k, v in enumerate(prev):
+            for j in range(m + 1):
+                row[k + j] += v
+    return row

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capbound import monomials
 from capbound.gf import PrimeField
 from capbound.monomials import (
     dim_L,
@@ -10,7 +11,7 @@ from capbound.monomials import (
     graded_lex_key,
     verify_duality,
 )
-from oracles import count_monomials_direct
+from oracles import count_monomials_direct, layer_counts_convolution
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -56,12 +57,44 @@ class TestExtendedBinomial:
         with pytest.raises(ValueError):
             extended_binomial(2, 0, 0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 7), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 12))
+    @example(300, 2)
     def test_row_sum_and_symmetry(self, n, m):
         row = [extended_binomial(n, k, m) for k in range(m * n + 1)]
         assert sum(row) == (m + 1) ** n
         assert row == row[::-1]
+
+
+class TestLayerRecurrence:
+    """The recurrence-built prefix-sum table against the window convolution
+    it replaced (tests/oracles.py)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 12))
+    @example(0, 1)
+    @example(0, 2)
+    @example(1, 1)
+    @example(60, 12)
+    @example(300, 2)
+    def test_matches_convolution(self, n, m):
+        ref = layer_counts_convolution(n, m)
+        top = m * n
+        for k in range(-2, top + 3):
+            assert extended_binomial(n, k, m) == (ref[k] if 0 <= k <= top else 0)
+        if m + 1 in (3, 5, 7, 11, 13):
+            field = PrimeField(m + 1)
+            for d in range(top + 1):
+                assert dim_L(n, d, field) == sum(ref[: d + 1])
+            for d in (-1, top + 1):
+                with pytest.raises(ValueError):
+                    dim_L(n, d, field)
+
+    def test_cache_stays_bounded(self):
+        for n in range(200, 300):
+            dim_L(n, n, F3)
+        info = monomials._cumulative_counts.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestDimensions:

@@ -14,7 +14,6 @@ from capbound.proof import _halves_of, check_diagonal_size_bound
 from capbound.sets import (
     PointSet,
     SearchResult,
-    cap_equivalence_check,
     greedy_progression_free,
     is_progression_free,
     max_progression_free,
@@ -252,21 +251,23 @@ class TestGreedy:
 
 
 class TestCapEquivalence:
+    """For p = 3, 2 = -1 makes a + b = 2c the line equation a + b + c = 0, so
+    the progression check must agree with the no-three-collinear oracle."""
+
     def test_full_line(self):
-        assert cap_equivalence_check(PointSet.from_points(F3, 1, [(0,), (1,), (2,)]))
+        pts = [(0,), (1,), (2,)]
+        ps = PointSet.from_points(F3, 1, pts)
+        assert oracles.has_line(pts) and is_progression_free(ps)[0] is False
 
     def test_small_sets(self):
-        assert cap_equivalence_check(PointSet.from_indices(F3, 2, [0, 5]))
-        assert cap_equivalence_check(PointSet.empty(F3, 2))
-
-    def test_rejects_other_primes(self):
-        with pytest.raises(ValueError, match="p=3"):
-            cap_equivalence_check(PointSet.from_indices(F5, 1, [0]))
+        for ps in (PointSet.from_indices(F3, 2, [0, 5]), PointSet.empty(F3, 2)):
+            assert is_progression_free(ps)[0] is not oracles.has_line(ps.points())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sets(st.integers(0, 8), max_size=9))
     def test_random_subsets_agree(self, idxs):
-        assert cap_equivalence_check(PointSet.from_indices(F3, 2, idxs))
+        ps = PointSet.from_indices(F3, 2, idxs)
+        assert is_progression_free(ps)[0] is not oracles.has_line(ps.points())
 
 
 AMBIENTS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (7, 2), (11, 2)]
@@ -304,7 +305,7 @@ class TestKernelAgainstTupleLoops:
             sums, doubles = pair_sums(ps)
             assert (set(sums), set(doubles)) == oracles.pair_sum_indices(pts, p)
             if p == 3:
-                assert cap_equivalence_check(ps) is (ok is not oracles.has_line(pts))
+                assert ok is not oracles.has_line(pts)
             expected_halves = oracles.halves(pts, doubled, p)
             assert _halves_of(ps, doubled) == expected_halves
             assert _halves_of(ps, PointSet.from_indices(field, n, doubled)) == expected_halves
