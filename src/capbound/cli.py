@@ -156,8 +156,19 @@ def cmd_entropy_check(args) -> int:
     return 0 if all_hold else 1
 
 
+_POOL_BUDGET = 50_000  # above this budget a pool wins; every exhaustive run measured did not
+
+
+def _default_threads(budget: int | None) -> int:
+    """Worker processes for an exact search run without --threads."""
+    return (os.cpu_count() or 1) if budget is not None and budget > _POOL_BUDGET else 1
+
+
 def _search(args) -> SearchResult:
+    """Run the search `args` names; a missing `args.threads` gets its default."""
     field = PrimeField(args.p)
+    if args.threads is None:
+        args.threads = _default_threads(args.budget)
     if args.mode == "greedy":
         t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
@@ -283,6 +294,9 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=["table", "json", "csv"], default=None)
 
 
+_THREADS_HELP = "exact mode: processes, at most the CPU count (default 1; all CPUs above a 50000 budget)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capbound",
@@ -314,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    s.add_argument("--budget", type=int, default=None, help="node budget for exact mode")
+    s.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
     s.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
-    s.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    s.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     s.add_argument("--ceiling", type=int, default=EXACT_SEARCH_CEILING)
     _add_format(s)
     s.set_defaults(handler=cmd_search)
@@ -327,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--p", type=int, default=3)
     pr.add_argument("--n", type=int, default=3)
     pr.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    pr.add_argument("--budget", type=int, default=None)
+    pr.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes explored")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    pr.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     pr.add_argument("--ceiling", type=int, default=EXACT_SEARCH_CEILING)
     _add_format(pr)
     pr.set_defaults(handler=cmd_prove)

@@ -9,16 +9,27 @@ unique, which keeps every check quadratic.
 Pair work runs in one numpy index kernel: `_pair_indices` maps two
 coordinate blocks (from `_members`) to the indices of alpha*u + beta*v
 for every pair, in blocks of bounded size, which are looked up in bool
-tables over F_p^n. Only the exact search keeps Python-int masks.
+tables over F_p^n.
+
+The exact search keeps Python-int masks. Its row table (`_BlockRows`)
+is built from the same kernel, one row per point j it reaches, so that
+including j ORs one precomputed mask per chosen point: about 1 us per node
+on F_3^4 and F_5^3. One loop, `_explore`, runs the depth-first walk and
+the breadth-first split for worker processes; a node budget caps both.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -312,110 +323,77 @@ class SearchResult:
             raise ValueError("witness size disagrees with best_size")
 
 
-def _pair_block_mask(x: int, a: int, field: PrimeField, n: int, cache: dict) -> int:
-    """Bits of the three indices that {x, a} forbids as future additions.
+class _BlockRows(dict):
+    """Row j, built on first lookup: entry a < j masks the indices that
+    {j, a} forbids as later additions, (j + a)/2, 2a - j and 2j - a. The
+    search only includes j above every chosen a, so a row holds the prefix
+    a < j, one index-kernel pass per form, and the include step is
+    `extra |= row[a]` per chosen a."""
 
-    A later point z would complete a progression with x and a exactly when
-    z = (x + a)/2, z = 2a - x, or z = 2x - a; the set of those three indices
-    is symmetric in (x, a).
+    def __init__(self, p: int, n: int) -> None:
+        super().__init__()
+        self._p, self._coords = p, _coords_of(np.arange(p**n), p, n)
+
+    def __missing__(self, j: int) -> list[int]:
+        p, c = self._p, self._coords
+        x, y, z = (_index_of((a * c[j] + b * c[:j]) % p, p).tolist() for a, b in _completion_forms(p))
+        row = self[j] = [1 << u | 1 << v | 1 << w for u, v, w in zip(x, y, z)]
+        return row
+
+
+# One table per process, shared by its subtrees: rows depend on (p, n, j) only.
+_block_rows = functools.lru_cache(maxsize=1)(_BlockRows)
+
+
+def _completion_forms(p: int) -> tuple[tuple[int, int], ...]:
+    """(alpha, beta) of alpha*z + beta*a completing a progression with z and a:
+    (z + a)/2, 2z - a and 2a - z."""
+    return ((p + 1) // 2, (p + 1) // 2), (2, p - 1), (p - 1, 2)
+
+
+def _explore(p: int, n: int, todo: list, best: int, budget: int | None, target: int | None = None):
+    """Include/exclude branch and bound from the states in `todo`.
+
+    A state is (chosen, avail): the chosen indices in increasing order and
+    the mask of later indices that keep chosen progression-free if added.
+    A node is pruned when |chosen| + |avail| <= best; else j = min avail gives
+    the include child, visited first, and the exclude child. Depth first if
+    `target` is None, else breadth first until `target` states are pending;
+    at most `budget` nodes are expanded. The incumbent only grows, so the
+    final best does not depend on how subtrees are scheduled. Returns
+    (pending states, best, best_chosen or None, nodes).
     """
-    key = (x, a) if x < a else (a, x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    p, inv2 = field.p, field.inv2
-    cx = point_coords(x, n, field)
-    ca = point_coords(a, n, field)
-    m = 1 << point_index(tuple((u + v) * inv2 % p for u, v in zip(cx, ca)), field)
-    m |= 1 << point_index(tuple((2 * v - u) % p for u, v in zip(cx, ca)), field)
-    m |= 1 << point_index(tuple((2 * u - v) % p for u, v in zip(cx, ca)), field)
-    cache[key] = m
-    return m
-
-
-def _search_span(
-    p: int,
-    n: int,
-    start: int,
-    chosen: list[int],
-    blocked: int,
-    incumbent: int,
-    budget: int | None,
-):
-    """Exhaust one subtree of the include/exclude search.
-
-    Returns (best_size, best_chosen or None, nodes, exhausted). `blocked`
-    marks indices that would break progression-freeness of `chosen`; the
-    incumbent only ever increases, so the final value is independent of how
-    subtrees are scheduled.
-    """
-    field = PrimeField(p)
-    total = p**n
-    full = (1 << total) - 1
-    cache: dict = {}
-    best = incumbent
+    rows = _block_rows(p, n)
+    todo = deque(todo)
+    wide = target is not None
+    pop = todo.popleft if wide else todo.pop
+    limit = math.inf if budget is None else budget
     best_chosen: list[int] | None = None
     nodes = 0
-    exhausted = True
-
-    def walk(start: int, chosen: list[int], blocked: int) -> None:
-        nonlocal best, best_chosen, nodes, exhausted
-        while True:
-            if not exhausted:
-                return
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = False
-                return
-            avail = ~blocked & (full >> start << start) & full
-            if len(chosen) + avail.bit_count() <= best:
-                return
-            j = (avail & -avail).bit_length() - 1
-            extra = 0
-            for a in chosen:
-                extra |= _pair_block_mask(j, a, field, n, cache)
-            picked = chosen + [j]
-            if len(picked) > best:
-                best = len(picked)
-                best_chosen = picked
-            walk(j + 1, picked, blocked | extra)
-            start = j + 1  # exclude j, same frame
-
-    walk(start, chosen, blocked)
-    return best, best_chosen, nodes, exhausted
-
-
-def _frontier_tasks(p: int, n: int, incumbent: int, target: int):
-    """Breadth-first expansion of the root into independent subtree states."""
-    field = PrimeField(p)
-    total = p**n
-    full = (1 << total) - 1
-    cache: dict = {}
-    queue: list[tuple[int, list[int], int]] = [(1, [0], 0)]
-    best = incumbent
-    best_chosen: list[int] | None = None
-    nodes = 0
-    while queue and len(queue) < target:
-        start, chosen, blocked = queue.pop(0)
+    while todo and nodes < limit:
+        chosen, avail = pop()
         nodes += 1
-        avail = ~blocked & (full >> start << start) & full
         if len(chosen) + avail.bit_count() <= best:
             continue
         j = (avail & -avail).bit_length() - 1
+        row = rows[j]
         extra = 0
         for a in chosen:
-            extra |= _pair_block_mask(j, a, field, n, cache)
+            extra |= row[a]
+        avail ^= 1 << j
         picked = chosen + [j]
         if len(picked) > best:
-            best = len(picked)
-            best_chosen = picked
-        queue.append((j + 1, picked, blocked | extra))
-        queue.append((j + 1, chosen, blocked))
-    return queue, best, best_chosen, nodes
+            best, best_chosen = len(picked), picked
+        if wide:
+            todo += ((picked, avail & ~extra), (chosen, avail))
+            if len(todo) >= target:
+                break
+        else:
+            todo += ((chosen, avail), (picked, avail & ~extra))
+    return list(todo), best, best_chosen, nodes
 
 
-def _run_task(args):
-    return _search_span(*args)
+_MAX_WORKERS = 256  # most workers an exact search may split for (4 subtrees each)
 
 
 def max_progression_free(
@@ -431,40 +409,49 @@ def max_progression_free(
     bound size + |remaining unblocked| <= incumbent. Translates of
     progression-free sets are progression-free (midpoints are affine
     invariant), so the search fixes 0 as a member. With `workers` > 1 the
-    root is split breadth-first into subtrees explored in separate
-    processes; each inherits the greedy incumbent, and the final size is a
-    maximum over an exhaustive partition, hence scheduling-independent.
+    root is split breadth-first into 4 * workers subtrees, run in at most
+    min(workers, CPU count) processes; each inherits the greedy incumbent,
+    and the final size is a maximum over an exhaustive partition, hence
+    scheduling-independent. `workers` must lie in [1, _MAX_WORKERS].
 
-    A spent `node_budget` yields optimal=False, not an error.
+    `node_budget` caps `nodes_explored`: the split spends its nodes first
+    and the subtrees share the rest. A spent budget yields optimal=False,
+    not an error.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     total = field.p**n
     if total > ceiling:
         raise ValueError(
             f"p^n = {total} exceeds the exact-search ceiling {ceiling}; "
             "use the greedy search for spaces this large"
         )
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"threads must be in [1, {_MAX_WORKERS}], got {workers}")
     t0 = time.perf_counter()
     seed_set = greedy_progression_free(field, n, order_seed=0)
-    best = seed_set.size
-    best_chosen: list[int] | None = None
-    nodes = 0
-    exhausted = True
-
-    if workers <= 1:
-        best, best_chosen, nodes, exhausted = _search_span(
-            field.p, n, 1, [0], 0, best, node_budget
-        )
-    else:
-        tasks, best, best_chosen, nodes = _frontier_tasks(field.p, n, best, 4 * workers)
-        if tasks:
-            share = None if node_budget is None else max(1, node_budget // len(tasks))
-            args = [(field.p, n, s, ch, bl, best, share) for s, ch, bl in tasks]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for size, chosen, task_nodes, done in pool.map(_run_task, args):
+    target = 4 * workers if workers > 1 else None
+    tasks, best, best_chosen, nodes = _explore(
+        field.p, n, [([0], (1 << total) - 2)], seed_set.size, node_budget, target
+    )
+    exhausted = not tasks
+    if target and tasks:
+        shares = [None] * len(tasks)
+        if node_budget is not None:
+            q, r = divmod(node_budget - nodes, len(tasks))
+            shares = [q + (i < r) for i in range(len(tasks))]
+        runs = [([state], share) for state, share in zip(tasks, shares) if share != 0]
+        exhausted = len(runs) == len(tasks)
+        if runs:
+            roots, budgets = zip(*runs)
+            with ProcessPoolExecutor(min(workers, len(runs), os.cpu_count() or 1)) as pool:
+                for pending, size, chosen, task_nodes in pool.map(
+                    _explore, repeat(field.p), repeat(n), roots, repeat(best), budgets
+                ):
                     nodes += task_nodes
-                    exhausted = exhausted and done
+                    exhausted = exhausted and not pending
                     if size > best:
                         best, best_chosen = size, chosen
 
@@ -488,7 +475,7 @@ def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> P
     would complete a progression with {z, a}. Deterministic for a fixed
     seed; the result is re-verified before it is returned.
     """
-    p, inv2 = field.p, field.inv2
+    p = field.p
     total = _ambient_size(field, n)
     order = list(range(total))
     random.Random(order_seed).shuffle(order)
@@ -498,8 +485,8 @@ def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> P
         if blocked[idx]:
             continue
         z, a = _coords_of([idx], p, n), _coords_of(chosen, p, n)
-        for alpha, beta in ((inv2, inv2), (2, p - 1), (p - 1, 2)):
-            for _, _, block in _pair_indices(z, a, alpha, beta, p):
+        for form in _completion_forms(p):
+            for _, _, block in _pair_indices(z, a, *form, p):
                 blocked[block] = True
         chosen.append(idx)
     result = PointSet.from_indices(field, n, chosen)

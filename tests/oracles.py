@@ -8,7 +8,8 @@ by direct enumeration. The point-set references below are the per-pair
 tuple loops that the library's numpy index kernel replaced; they take
 coordinate tuples listed in index order and encode points themselves.
 Layer counts come from the window convolution that the library's
-recurrence replaced.
+recurrence replaced, and the search's block masks from the per-pair tuple
+formula that its row table replaced.
 """
 
 from __future__ import annotations
@@ -94,6 +95,17 @@ def has_line(points: list[tuple[int, ...]]) -> bool:
             if third in present and third != a and third != b:
                 return True
     return False
+
+
+def pair_block_mask(x: int, a: int, p: int, n: int) -> int:
+    """Bits of the three points that complete a progression with points x and a:
+    (x + a)/2, 2a - x and 2x - a."""
+    field = PrimeField(p)
+    cx, ca = point_coords(x, n, field), point_coords(a, n, field)
+    mid = tuple((u + v) * field.inv2 % p for u, v in zip(cx, ca))
+    past_a = tuple((2 * v - u) % p for u, v in zip(cx, ca))
+    past_x = tuple((2 * u - v) % p for u, v in zip(cx, ca))
+    return 1 << _index(mid, p) | 1 << _index(past_a, p) | 1 << _index(past_x, p)
 
 
 def halves(points: list[tuple[int, ...]], doubled, p: int) -> list[int]:

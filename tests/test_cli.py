@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
+from capbound import cli
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
@@ -94,6 +95,54 @@ def test_dimension_outputs_byte_stable(run, monkeypatch, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
 
 
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the `result` object of exhaustive `search --mode exact`, keys
+# sorted, taken with the per-pair tuple masks that the row table replaced;
+# the row table and the one search loop must reproduce them at one and at two
+# processes (nodes_explored and the witness both depend on the frontier).
+PINNED_SEARCHES = {
+    ("3", "2", "1"): "0fa921df40b8f3618f198af5bcaf1dd4955b37d028da6c49835b5709a5020f56",
+    ("3", "2", "2"): "0fa921df40b8f3618f198af5bcaf1dd4955b37d028da6c49835b5709a5020f56",
+    ("3", "3", "1"): "693ac48232305ba6b0d32bf9fa97cb8de58239c1a5ca08fdba7db4def3984ca2",
+    ("3", "3", "2"): "d2fe58c5f78929efba5385281ebaf670bfd38da6d70f8deb7b98a1232a58b5f6",
+    ("5", "2", "1"): "c7d2423acffe865dea7f37039d5069b58dba11116a8723879403e0e0819a5b84",
+    ("5", "2", "2"): "c7d2423acffe865dea7f37039d5069b58dba11116a8723879403e0e0819a5b84",
+    ("7", "2", "1"): "1801a516e2019e2a8684a9201217b8e7d6df2e18cddfd597811639a7a5b42d81",
+    ("7", "2", "2"): "1407929f000b8b2cd971adb89bcf70b74f1e27d96a4ed345bed850f1a338b406",
+}
+
+# Budgeted searches at 2 processes: best size and the witness's sha256, keys
+# sorted, as the tuple masks gave them.
+PINNED_BUDGETED = {
+    ("3", "4"): (20, "36279c4948acdd07ecada6366083a8c6bd0b36992fc29c65bfa3ca2dd4c04224"),
+    ("5", "3"): (25, "ab19ec029dd7af78512fd2112ccd578fd7ca5e29472f969577947e82777c95a4"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(PINNED_SEARCHES), ids=lambda k: f"p{k[0]}_n{k[1]}_threads{k[2]}"
+)
+def test_exact_search_output_pinned(run, key):
+    p, n, threads = key
+    code, env = run_json(run, "search", "--p", p, "--n", n, "--mode", "exact", "--threads", threads)
+    assert code == 0 and env["result"]["optimal"]
+    assert _sha256_json(env["result"]) == PINNED_SEARCHES[key]
+
+
+@pytest.mark.parametrize("key", list(PINNED_BUDGETED), ids=lambda k: f"p{k[0]}_n{k[1]}")
+def test_budgeted_search_pinned(run, key):
+    p, n = key
+    code, env = run_json(
+        run, "search", "--p", p, "--n", n, "--mode", "exact", "--budget", "300000", "--threads", "2"
+    )
+    result = env["result"]
+    assert code == 0 and result["nodes_explored"] == 300000 and not result["optimal"]
+    assert (result["best_size"], _sha256_json(result["witness"])) == PINNED_BUDGETED[key]
+
+
 class TestEntropyCheck:
     def test_multiple_n(self, run):
         code, env = run_json(run, "entropy-check", "--p", "3", "--n", "3,6,9")
@@ -120,6 +169,39 @@ class TestSearch:
     def test_ceiling_suggests_greedy(self, run):
         code, _, err = run("search", "--p", "3", "--n", "7", "--mode", "exact", "--threads", "1")
         assert code == 2 and "greedy" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "257"])
+    @pytest.mark.parametrize(
+        "command", [["search"], ["prove", "--search"]], ids=["search", "prove"]
+    )
+    def test_threads_out_of_range_is_usage_error(self, run, command, threads):
+        code, out, err = run(*command, "--p", "3", "--n", "3", "--threads", threads)
+        assert code == 2 and "threads" in err and out == ""
+
+    def test_threads_reported_as_resolved(self, run):
+        code, env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "exact")
+        assert code == 0 and env["params"]["threads"] == 1
+        code, env = run_json(run, "search", "--p", "3", "--n", "3", "--threads", "3")
+        assert code == 0 and env["params"]["threads"] == 3 and env["result"]["optimal"]
+
+    def test_default_threads_follow_the_budget(self, monkeypatch):
+        """One process unless a budget above cli._POOL_BUDGET makes a pool
+        pay off; exhaustive F_3^3 and F_7^2 both ran faster in one."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert cli._POOL_BUDGET == 50_000
+        for budget in (None, 0, 50_000):
+            assert cli._default_threads(budget) == 1
+        assert cli._default_threads(50_001) == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._default_threads(300_000) == 1
+
+    def test_budget_caps_nodes_explored(self, run):
+        for threads in ("1", "4"):
+            code, env = run_json(
+                run, "search", "--p", "3", "--n", "3", "--budget", "50", "--threads", threads
+            )
+            assert code == 0 and env["result"]["nodes_explored"] <= 50
+            assert not env["result"]["optimal"]
 
     def test_greedy_deterministic(self, run):
         a = run("search", "--p", "3", "--n", "6", "--mode", "greedy", "--seed", "7", "--format", "json")

@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 
@@ -210,7 +211,30 @@ class TestMaxSearch:
     def test_parallel_budget_split(self):
         budgeted = max_progression_free(F3, 3, node_budget=50, workers=4)
         assert not budgeted.optimal
+        assert budgeted.nodes_explored <= 50
         assert is_progression_free(budgeted.witness)[0]
+
+    @pytest.mark.parametrize(
+        "budget, workers", [(0, 1), (1, 1), (20, 1), (0, 2), (1, 4), (50, 4), (5000, 2)]
+    )
+    def test_budget_caps_nodes_explored(self, budget, workers):
+        res = max_progression_free(F3, 3, node_budget=budget, workers=workers)
+        assert res.nodes_explored <= budget
+        assert not res.optimal
+        assert res.best_size >= 8 and is_progression_free(res.witness)[0]
+
+    def test_budget_counts_expanded_nodes_only(self, cap9_search):
+        """An exhaustive search of N nodes fits a budget of exactly N and is cut by N - 1."""
+        full = cap9_search.nodes_explored
+        exact = max_progression_free(F3, 3, node_budget=full)
+        assert exact.optimal and exact.nodes_explored == full
+        assert exact.witness == cap9_search.witness
+        short = max_progression_free(F3, 3, node_budget=full - 1)
+        assert not short.optimal and short.nodes_explored == full - 1
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            max_progression_free(F3, 2, node_budget=-1)
 
     def test_monotone_growth(self, cap9_search):
         sizes = {
@@ -228,6 +252,67 @@ class TestMaxSearch:
             SearchResult(3, line, True, 0, 0.0)
         with pytest.raises(ValueError):
             SearchResult(5, PointSet.from_indices(F3, 1, [0]), True, 0, 0.0)
+
+
+class TestWorkers:
+    def test_worker_count_must_be_in_range(self):
+        for k in (0, -1, sets._MAX_WORKERS + 1):
+            with pytest.raises(ValueError, match="threads"):
+                max_progression_free(F3, 2, workers=k)
+
+    def test_pool_capped_by_cpus_and_tasks(self, monkeypatch):
+        """A pool gets at most min(workers, tasks, CPUs) processes and at most
+        4 * workers + 1 subtrees; a recording stand-in runs the tasks inline."""
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                args = list(zip(*iterables))
+                seen.append(len(args))
+                return (fn(*a) for a in args)
+
+        monkeypatch.setattr(sets, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
+        for workers in (3, sets._MAX_WORKERS):
+            seen.clear()
+            res = max_progression_free(F3, 3, workers=workers)
+            processes, tasks = seen
+            assert processes == 2 and 1 < tasks <= 4 * workers + 1
+            assert res.best_size == 9 and res.optimal
+        seen.clear()
+        max_progression_free(F3, 3, node_budget=200, workers=sets._MAX_WORKERS)
+        assert seen == []  # the split spends the whole budget; no task is left a share
+
+
+ROW_AMBIENTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 2)]
+
+
+@functools.cache
+def _tuple_rows(p: int, n: int) -> list[list[int]]:
+    return [[oracles.pair_block_mask(j, a, p, n) for a in range(j)] for j in range(p**n)]
+
+
+class TestBlockRows:
+    """The search's row table against the per-pair tuple formula it replaced,
+    for every j and every a < j (the search only includes j above its chosen
+    points), with the rows built lazily in a drawn order."""
+
+    @pytest.mark.parametrize("p, n", ROW_AMBIENTS)
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_tuple_formula(self, p, n, data):
+        order = data.draw(st.permutations(range(p**n)))
+        rows = sets._BlockRows(p, n)
+        assert [rows[j] for j in order] == [_tuple_rows(p, n)[j] for j in order]
 
 
 class TestGreedy:
