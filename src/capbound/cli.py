@@ -4,7 +4,9 @@ Exit codes are stable across commands: 0 = all checks pass, 1 = a
 mathematical check failed (evidence included in the output), 2 = usage or
 parse error. JSON output is schema-stable per command and serializes every
 unbounded integer as a decimal string; `--format` overrides the default
-(table on a terminal, JSON when redirected). All randomized behavior is
+(table on a terminal, JSON when redirected). JSON output equals
+`json.dumps(envelope, indent=2)` byte for byte; `_dumps` writes it without
+the pure-Python encoder that `indent` selects. All randomized behavior is
 seed-controlled, so identical invocations produce identical outputs.
 """
 
@@ -12,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import time
 from decimal import Decimal, localcontext
+from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     exponent_c,
@@ -40,9 +44,32 @@ from .sets import (
 __all__ = ["main", "run"]
 
 
+def _dumps(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte; `pad` is the newline and
+    indent of the enclosing level. Plain dicts with str keys, lists, tuples,
+    str, int, bool and None are written here, and anything else by `json`."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    if (kind is list or kind is tuple) and obj:
+        items = map(int.__repr__, obj) if set(map(type, obj)) == {int} else (_dumps(v, inner) for v in obj)
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _emit(envelope: dict, rows: list[dict], columns: list[str], table_head: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(envelope, indent=2))
+        print(_dumps(envelope))
     elif fmt == "csv":
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=columns, extrasaction="ignore")
@@ -297,7 +324,10 @@ def _add_format(sub) -> None:
 _THREADS_HELP = "exact mode: processes, at most the CPU count (default 1; all CPUs above a 50000 budget)"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; `parse_args` returns a fresh
+    Namespace on each call and no handler changes the parser."""
     parser = argparse.ArgumentParser(
         prog="capbound",
         description="Exact progression-free set bounds over F_p^n",
@@ -375,11 +405,11 @@ def main(argv=None) -> int:
             "error": str(exc),
             "witness": exc.evidence,
         }
-        print(json.dumps(envelope, indent=2))
+        print(_dumps(envelope))
         return 1
     except CheckFailure as exc:
         envelope = {"command": args.command, "error": str(exc), "evidence": exc.evidence}
-        print(json.dumps(envelope, indent=2))
+        print(_dumps(envelope))
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

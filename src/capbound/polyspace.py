@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -173,17 +173,34 @@ class ReducedPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable, field: PrimeField, n: int) -> "ReducedPoly":
-        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once."""
-        coeffs: dict[Monomial, int] = {}
-        for alpha, c in data:
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in [*alpha, c]):
-                raise ValueError(f"term {[alpha, c]!r} must hold ints")
-            if tuple(alpha) in coeffs:
-                raise ValueError(f"monomial {tuple(alpha)} is listed twice")
-            if not 0 < c < field.p:
-                raise ValueError(f"coefficient {c} of {tuple(alpha)} is outside [1, {field.p - 1}]")
-            coeffs[tuple(alpha)] = c
-        return cls(field, n, coeffs)
+        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once.
+
+        Each check is one pass over all terms; the first term that fails it
+        is looked up only to word the error."""
+        terms = [(tuple(alpha), c) for alpha, c in data]
+        alphas, cs = [a for a, _ in terms], [c for _, c in terms]
+        exps = list(chain.from_iterable(alphas))
+        if not set(map(type, exps)) | set(map(type, cs)) <= {int}:
+            alpha, c = next((a, c) for a, c in zip(alphas, cs) if {*map(type, a), type(c)} - {int})
+            raise ValueError(f"term {[list(alpha), c]!r} must hold ints")
+        coeffs = dict(zip(alphas, cs))
+        if len(coeffs) < len(alphas):
+            seen: set[Monomial] = set()
+            twice = next(a for a in alphas if a in seen or seen.add(a))
+            raise ValueError(f"monomial {twice} is listed twice")
+        cap = field.p - 1
+        if cs and not 1 <= min(cs) <= max(cs) <= cap:
+            alpha, c = next((a, c) for a, c in zip(alphas, cs) if not 1 <= c <= cap)
+            raise ValueError(f"coefficient {c} of {alpha} is outside [1, {cap}]")
+        if set(map(len, alphas)) - {n}:
+            alpha = next(a for a in alphas if len(a) != n)
+            raise ValueError(f"monomial {alpha} has arity {len(alpha)}, expected {n}")
+        if exps and not 0 <= min(exps) <= max(exps) <= cap:
+            alpha = next(a for a in alphas if not 0 <= min(a) <= max(a) <= cap)
+            raise ValueError(f"monomial {alpha} has an exponent outside [0, {cap}]")
+        poly = cls(field, n, {})
+        poly._coeffs, poly._degree = coeffs, max(map(sum, alphas), default=None)
+        return poly
 
 
 @lru_cache(maxsize=32)

@@ -29,13 +29,13 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ProgressionFound
-from .gf import PrimeField, point_coords, point_index
+from .gf import PrimeField, point_coords
 
 __all__ = [
     "PointSet",
@@ -97,17 +97,31 @@ class PointSet:
     def from_points(
         cls, field: PrimeField, n: int, points: Iterable[Sequence[int]]
     ) -> "PointSet":
-        """Set of the given points; a point listed twice raises ValueError."""
-        _ambient_size(field, n)
-        mask = 0
-        for coords in points:
-            if len(coords) != n:
-                raise ValueError(f"point {tuple(coords)} has wrong dimension, expected {n}")
-            bit = 1 << point_index(coords, field)
-            if mask & bit:
-                raise ValueError(f"duplicate point {tuple(coords)}")
-            mask |= bit
-        return cls(field, n, mask)
+        """Set of the given points; a point listed twice raises ValueError.
+
+        Arity, coordinate types and range are each one pass over all points,
+        which the index kernel then encodes; the first bad point is looked up
+        only to word the error."""
+        total = _ambient_size(field, n)
+        points = [tuple(c) for c in points]
+        if set(map(len, points)) - {n}:
+            bad = next(c for c in points if len(c) != n)
+            raise ValueError(f"point {bad} has wrong dimension, expected {n}")
+        flat = list(chain.from_iterable(points))
+        kinds = set(map(type, flat))
+        if flat and not (
+            all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds)
+            and 0 <= min(flat) <= max(flat) < field.p
+        ):
+            for x in flat:
+                field.validate(x)
+        table = np.zeros(total, dtype=bool)
+        table[_index_of(np.array(flat, dtype=np.int64).reshape(len(points), n), field.p)] = True
+        ps = cls._from_table(field, n, table)
+        if ps.size < len(points):
+            seen: set[tuple] = set()
+            raise ValueError(f"duplicate point {next(c for c in points if c in seen or seen.add(c))}")
+        return ps
 
     @classmethod
     def _from_table(cls, field: PrimeField, n: int, table: np.ndarray) -> "PointSet":

@@ -9,13 +9,16 @@ tuple loops that the library's numpy index kernel replaced; they take
 coordinate tuples listed in index order and encode points themselves.
 Layer counts come from the window convolution that the library's
 recurrence replaced, and the search's block masks from the per-pair tuple
-formula that its row table replaced.
+formula that its row table replaced. The input readers are the
+per-point and per-term loops that the flat-pass readers replaced.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
+
+import numpy as np
 
 from capbound.gf import PrimeField, point_coords
 
@@ -61,6 +64,40 @@ def has_progression(points: set[tuple[int, ...]], p: int) -> bool:
 
 def _index(coords, p: int) -> int:
     return sum(c * p**i for i, c in enumerate(coords))
+
+
+def point_indices(points, p: int, n: int) -> list[int]:
+    """Indices of `points` in order, one point at a time. A point of the wrong
+    arity, a coordinate that is not an int (a bool is not) in [0, p), or a
+    point listed twice raises ValueError."""
+    out: list[int] = []
+    for coords in points:
+        if len(coords) != n:
+            raise ValueError(f"arity {len(coords)}")
+        for c in coords:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < p:
+                raise ValueError(f"coordinate {c!r}")
+        if _index(coords, p) in out:
+            raise ValueError("duplicate")
+        out.append(_index(coords, p))
+    return out
+
+
+def json_term_coeffs(terms, p: int, n: int) -> dict[tuple[int, ...], int]:
+    """Coefficients of serialized [exponents, coefficient] terms, one term at a
+    time. A non-int entry, the wrong arity, an exponent outside [0, p-1], a
+    coefficient outside [1, p-1] or a monomial listed twice raises ValueError."""
+    out: dict[tuple[int, ...], int] = {}
+    for alpha, c in terms:
+        alpha = tuple(alpha)
+        if any(type(x) is not int for x in (*alpha, c)):
+            raise ValueError("not an int")
+        if len(alpha) != n or not all(0 <= e < p for e in alpha) or not 0 < c < p:
+            raise ValueError("out of range")
+        if alpha in out:
+            raise ValueError("listed twice")
+        out[alpha] = c
+    return out
 
 
 def first_progression(points: list[tuple[int, ...]], p: int):

@@ -8,7 +8,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capbound
@@ -141,6 +141,51 @@ def test_budgeted_search_pinned(run, key):
     result = env["result"]
     assert code == 0 and result["nodes_explored"] == 300000 and not result["optimal"]
     assert (result["best_size"], _sha256_json(result["witness"])) == PINNED_BUDGETED[key]
+
+
+CAP9 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2)]
+# greedy_progression_free(F_5, 3, order_seed=0): 15 points, zero-intersection branch
+GREEDY_F5_N3 = [
+    (3, 0, 0), (4, 2, 0), (1, 4, 0), (4, 0, 1), (0, 1, 1), (1, 4, 1), (2, 0, 2), (0, 1, 3),
+    (4, 2, 3), (1, 3, 3), (0, 4, 3), (4, 0, 4), (2, 1, 4), (4, 1, 4), (0, 4, 4),
+]
+
+
+def _point_text(p: int, n: int, points) -> str:
+    return f"p={p} n={n}\n" + "".join(" ".join(map(str, c)) + "\n" for c in points)
+
+
+TRANSCRIPT_INPUTS = {
+    "product_cap": _point_text(3, 6, [a + b for a in CAP9 for b in CAP9]),
+    "zero_branch": _point_text(5, 3, GREEDY_F5_N3),
+}
+
+# sha256 of the JSON output of `prove --input <file>` and of
+# `verify-transcript --input -` on that transcript, taken with
+# `json.dumps(envelope, indent=2)` as the writer.
+PINNED_TRANSCRIPTS = {
+    "product_cap": (
+        "6e5134a9483e9a42b87885a914e7cf638bc8c9461932534c666996a50ff5e553",
+        "8a0d743c0f20ca5447977e7cb510d7b1f948c131562f113faa9e2c6901a4159c",
+    ),
+    "zero_branch": (
+        "b62e2b83d20665f0943c0a2c0d712f1614d05a3ed60fe3b937176908747bf2fc",
+        "5d9fb678f6a13a4788d1066066b369670f280a3e4f8a898fb5bcd9ef24a5b9a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TRANSCRIPTS))
+def test_transcript_outputs_byte_stable(run, monkeypatch, tmp_path, name):
+    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+    f = tmp_path / "set.txt"
+    f.write_text(TRANSCRIPT_INPUTS[name])
+    code, proved, _ = run("prove", "--input", str(f), "--format", "json")
+    assert code == 0
+    code, verified, _ = verify_from_stdin(json.loads(proved))
+    assert code == 0
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (proved, verified))
+    assert digests == PINNED_TRANSCRIPTS[name]
 
 
 class TestEntropyCheck:
@@ -623,3 +668,69 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["ambient"] == "27"
+
+
+# JSON trees as the CLI could meet them, plus what only `json` writes: floats,
+# non-str keys, ints past 2^64, escapes, tuples and empty containers
+JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none(), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    @example({"\u00e9\n\"\x00\ud83d": ["\u2028\x1f", 2**70, -(2**65), True, False, None, 1.5, [], {}, ()]})
+    @example([[[1, 2], 3], {"a": {"b": [(), [{}]]}}, [True, 1, 0]])
+    def test_equals_indented_json_dumps(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_unserializable_value_raises_as_json_does(self):
+        for obj in ({"a": [object()]}, [{1j: 1}], {"x": {1, 2}}):
+            with pytest.raises(TypeError):
+                cli._dumps(obj)
+
+
+class TestOneProcess:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_print_what_a_fresh_interpreter_prints(self, run, monkeypatch, tmp_path):
+        """The parser is shared by every `main` call in a process: a sequence of
+        calls, one of which writes `args.threads`, and one of which is a usage
+        error, must each print what they print in a fresh interpreter."""
+        monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+        f = tmp_path / "set.txt"
+        f.write_text(TRANSCRIPT_INPUTS["zero_branch"])
+        calls = [
+            ("search", "--p", "3", "--n", "2", "--format", "json"),
+            ("dims", "--p", "5", "--n", "4", "--format", "json"),
+            ("dims", "--p", "3", "--format", "json"),
+            ("search", "--p", "3", "--n", "2", "--threads", "2", "--format", "json"),
+            ("prove", "--input", str(f), "--format", "json"),
+            ("search", "--p", "3", "--n", "2", "--format", "json"),
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        codes = []
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "capbound.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            code, out, err = run(*argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+            if code != 2:
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert codes == [0, 0, 2, 0, 0, 0]

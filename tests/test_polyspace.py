@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from capbound.errors import HypothesisViolation
 from capbound.gf import PrimeField, point_coords
 from capbound.polyspace import (
@@ -24,6 +25,8 @@ from capbound.sets import PointSet
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+# scalars a serialized witness term may hold, valid or not
+JSON_ENTRY = st.integers(-1, 6) | st.sampled_from([True, False, 1.0, "1", None, 2**70])
 
 
 def random_poly(rng, field, n, max_terms=6):
@@ -85,11 +88,40 @@ class TestReducedPoly:
             ([[[1, 0], 0]], "outside"),
             ([[[1.0, 0], 1]], "must hold ints"),
             ([[[1, 0], True]], "must hold ints"),
+            ([[[1, 0, 0], 1]], "arity 3, expected 2"),
+            ([[[5, 0], 1]], "exponent outside \\[0, 4\\]"),
+            ([[[0, -1], 1]], "exponent outside"),
         ],
     )
     def test_json_terms_are_canonical(self, terms, message):
         with pytest.raises(ValueError, match=message):
             ReducedPoly.from_json_terms(terms, F5, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 4), min_size=2, max_size=2)
+                | st.lists(JSON_ENTRY, min_size=2, max_size=2)
+                | st.lists(JSON_ENTRY, max_size=3),
+                st.integers(1, 4) | JSON_ENTRY,
+            ).map(list),
+            max_size=8,
+        )
+    )
+    @example([[[5, 0], 1]])
+    @example([[[0, 1], 5]])
+    def test_json_terms_match_term_loop(self, terms):
+        """The flat-pass reader accepts exactly what the per-term loop accepts,
+        and reads the same coefficients."""
+        try:
+            expected = oracles.json_term_coeffs(terms, 5, 2)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ReducedPoly.from_json_terms(terms, F5, 2)
+            return
+        f, g = ReducedPoly.from_json_terms(terms, F5, 2), ReducedPoly(F5, 2, expected)
+        assert f == g and f.degree == g.degree
 
     def test_vector_round_trip(self):
         f = ReducedPoly(F3, 2, {(1, 2): 2, (0, 0): 1})

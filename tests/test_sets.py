@@ -2,8 +2,9 @@ import functools
 import json
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -25,6 +26,8 @@ from oracles import has_progression, max_pf_all_subsets
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+# coordinates a point file or a caller may give, valid or not
+COORDINATE = st.integers(-1, 3) | st.sampled_from([True, 1.0, "1", 2**70, np.int64(2), np.bool_(True)])
 
 
 class TestPointSet:
@@ -114,6 +117,50 @@ class TestPointSet:
         data = {"p": 3, "n": 2, "points": [[1, 2], [0, 0], [1, 2]]}
         with pytest.raises(ValueError, match="duplicate point \\(1, 2\\)"):
             parse_point_set(json.dumps(data))
+
+    def test_numpy_coordinates_accepted(self):
+        expected = PointSet.from_points(F3, 2, [(0, 1), (2, 2)])
+        assert PointSet.from_points(F3, 2, np.array([[0, 1], [2, 2]])) == expected
+        assert PointSet.from_points(F3, 2, [(np.int32(0), np.int64(1)), (2, np.uint8(2))]) == expected
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(0, True)], "must be an int, got True"),
+            ([(0, np.True_)], "must be an int"),
+            ([(0.0, 1)], "must be an int, got 0.0"),
+            ([(0, 1), (1,)], "point \\(1,\\) has wrong dimension, expected 2"),
+            ([(0, 3)], "element 3 out of range \\[0, 2\\]"),
+            ([(-1, 0)], "element -1 out of range"),
+            ([(2**70, 0)], "out of range"),
+        ],
+    )
+    def test_points_rejected_with_reason(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            PointSet.from_points(F3, 2, points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=2, max_size=2)
+            | st.lists(COORDINATE, min_size=2, max_size=2)
+            | st.lists(COORDINATE, max_size=3),
+            max_size=10,
+        )
+    )
+    @example([[3, 0]])
+    @example([[0, -1]])
+    @example([[np.int64(2), np.uint8(1)], [0, 0]])
+    def test_from_points_matches_point_loop(self, points):
+        """The flat-pass reader accepts exactly what the per-point loop accepts,
+        and sets the same members."""
+        try:
+            expected = oracles.point_indices(points, 3, 2)
+        except ValueError:
+            with pytest.raises(ValueError):
+                PointSet.from_points(F3, 2, points)
+            return
+        assert PointSet.from_points(F3, 2, points).indices() == sorted(expected)
 
 
 class TestProgressionFree:
