@@ -1,8 +1,10 @@
 """Exact arithmetic over GF(p): field elements, points of F_p^n, dense matrices.
 
 Field elements are plain ints in [0, p-1]. Matrices keep their entries in
-int64 numpy arrays so row operations vectorize; with p < 2^16 every
-intermediate product fits in int64, so all linear algebra here is exact.
+int64 numpy arrays so row operations vectorize. Elimination reduces mod p
+lazily: after k pivots an entry has |entry| < p + k(p-1)^2, which for
+p < 2^16 stays inside int64 while k < 2^31, so all linear algebra here is
+exact.
 """
 
 from __future__ import annotations
@@ -153,8 +155,13 @@ def point_scale(a: Sequence[int], k: int, field: PrimeField) -> tuple[int, ...]:
 def _row_reduce(a: np.ndarray, p: int) -> list[int]:
     """In-place reduced row echelon form mod p; returns pivot column indices.
 
-    Pivot choice is the first nonzero entry in column order, so the result
-    is deterministic (there are no numerical concerns in exact arithmetic).
+    One Gauss-Jordan pass, reducing lazily: per pivot only its column and
+    its scaled row are taken mod p, and the row is subtracted from the rows
+    nonzero in that column; the array is taken mod p once, at the end. Each
+    pivot moves an entry by at most (p-1)^2, so after k pivots |entry| <
+    p + k(p-1)^2, inside int64 for p < 2^16 while k < 2^31 (k <= min(rows,
+    cols)). Pivots are the first nonzero entry in column order; the RREF is
+    unique, so the result is deterministic.
     """
     rows, cols = a.shape
     pivots: list[int] = []
@@ -162,26 +169,27 @@ def _row_reduce(a: np.ndarray, p: int) -> list[int]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c]
+        col %= p
+        nz = col.nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
+            a[[r, i], c:] = a[[i, r], c:]
+        row = a[r, c:]
+        row %= p
+        inv = pow(int(row[0]), -1, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - a[idx, c][:, None] * a[r]) % p
+            row *= inv
+            row %= p
+        others = nz[nz != i]
+        if others.size:
+            a[others, c:] -= col[others, None] * row
         pivots.append(c)
         r += 1
-    for j in range(len(pivots) - 1, 0, -1):
-        c = pivots[j]
-        above = np.nonzero(a[:j, c])[0]
-        if above.size:
-            a[above] = (a[above] - a[above, c][:, None] * a[j]) % p
+    a %= p
     return pivots
 
 
@@ -245,8 +253,7 @@ class FpMatrix:
         return FpMatrix(a, self.field), tuple(pivots)
 
     def rank(self) -> int:
-        a = self._a.copy()
-        return len(_row_reduce(a, self.field.p))
+        return len(_row_reduce(self._a.copy(), self.field.p))
 
     def pivot_columns(self) -> list[int]:
         """Column indices whose restriction has full column rank.
@@ -255,25 +262,17 @@ class FpMatrix:
         selection is deterministic and stable under row permutations (any
         rank-many independent column set stays independent).
         """
-        a = self._a.copy()
-        return list(_row_reduce(a, self.field.p))
+        return _row_reduce(self._a.copy(), self.field.p)
 
     def kernel_basis(self) -> list[list[int]]:
         """Basis of {v : M v = 0}; always cols - rank(M) vectors."""
-        p = self.field.p
         a = self._a.copy()
-        pivots = _row_reduce(a, p)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            v = [0] * self.cols
-            v[free] = 1
-            for j, pc in enumerate(pivots):
-                v[pc] = int(-a[j, free]) % p
-            basis.append(v)
-        return basis
+        pivots = _row_reduce(a, self.field.p)
+        free = np.delete(np.arange(self.cols), pivots)
+        basis = np.zeros((free.size, self.cols), dtype=np.int64)
+        basis[np.arange(free.size), free] = 1
+        basis[:, pivots] = -a[: len(pivots), free].T % self.field.p
+        return basis.tolist()
 
     def solve(self, rhs: Sequence[int]) -> list[int] | None:
         """One solution of M x = rhs (free coordinates zero), or None."""

@@ -198,8 +198,13 @@ class ReducedPoly:
         if exps and not 0 <= min(exps) <= max(exps) <= cap:
             alpha = next(a for a in alphas if not 0 <= min(a) <= max(a) <= cap)
             raise ValueError(f"monomial {alpha} has an exponent outside [0, {cap}]")
+        return cls._trusted(field, n, coeffs)
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, n: int, coeffs: dict[Monomial, int]) -> "ReducedPoly":
+        """`coeffs` taken as is: nonzero reduced values of valid monomials."""
         poly = cls(field, n, {})
-        poly._coeffs, poly._degree = coeffs, max(map(sum, alphas), default=None)
+        poly._coeffs, poly._degree = coeffs, max(map(sum, coeffs), default=None)
         return poly
 
 
@@ -258,7 +263,7 @@ def evaluate_all(f: ReducedPoly) -> list[int]:
     van = _vandermonde(p)
     for _ in range(n):
         tensor = np.tensordot(tensor, van, axes=([0], [1])) % p
-    return [int(x) for x in tensor.ravel(order="F")]
+    return tensor.ravel(order="F").tolist()
 
 
 def interpolate(values: Sequence[int], field: PrimeField, n: int) -> ReducedPoly:
@@ -272,17 +277,11 @@ def interpolate(values: Sequence[int], field: PrimeField, n: int) -> ReducedPoly
     p = field.p
     if len(values) != p**n:
         raise ValueError(f"value vector has length {len(values)}, expected {p**n}")
-    if n == 0:
-        return ReducedPoly.constant(field, 0, int(values[0]))
     tensor = np.mod(np.array(values, dtype=np.int64), p).reshape((p,) * n, order="F")
     rows = _indicator_rows(p)
     for _ in range(n):
         tensor = np.tensordot(tensor, rows, axes=([0], [0])) % p
-    coeffs = {
-        tuple(int(e) for e in alpha): int(tensor[tuple(alpha)])
-        for alpha in np.argwhere(tensor)
-    }
-    return ReducedPoly(field, n, coeffs)
+    return _from_tensor(tensor, field)
 
 
 def indicator_poly(point: Sequence[int], field: PrimeField) -> ReducedPoly:
@@ -291,18 +290,19 @@ def indicator_poly(point: Sequence[int], field: PrimeField) -> ReducedPoly:
     Always has the full monomial (p-1, ..., p-1) with coefficient (-1)^n,
     hence degree exactly (p-1)n.
     """
-    n = len(point)
     rows = _indicator_rows(field.p)
-    tensor = rows[field.validate(point[0])] if n else None
-    if n == 0:
-        return ReducedPoly.constant(field, 0, 1)
-    for c in point[1:]:
+    tensor = np.ones((), dtype=np.int64)
+    for c in point:
         tensor = np.multiply.outer(tensor, rows[field.validate(c)]) % field.p
-    coeffs = {
-        tuple(int(e) for e in alpha): int(tensor[tuple(alpha)])
-        for alpha in np.argwhere(tensor)
-    }
-    return ReducedPoly(field, n, coeffs)
+    return _from_tensor(tensor, field)
+
+
+def _from_tensor(tensor: np.ndarray, field: PrimeField) -> ReducedPoly:
+    """The polynomial with coefficient tensor[alpha] at x^alpha, for a tensor
+    of shape (p,) * n with entries in [0, p-1], read in one flat pass."""
+    alphas = map(tuple, np.argwhere(tensor).tolist())
+    coeffs = dict(zip(alphas, tensor[tensor != 0].tolist()))
+    return ReducedPoly._trusted(field, tensor.ndim, coeffs)
 
 
 def indicator_coefficients(points: PointSet, monos: Sequence[Monomial]) -> FpMatrix:
@@ -404,11 +404,13 @@ def split_violation(f: ReducedPoly, d: int) -> Monomial | None:
     return next((alpha for alpha, _ in f.terms() if sum(alpha) >= 2 * d + 2), None)
 
 
-def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet) -> FpMatrix:
-    """Matrix of f(a + b) over a in A (rows), b in B (columns), index order."""
+def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet, values=None) -> FpMatrix:
+    """Matrix of f(a + b) over a in A (rows), b in B (columns), index order.
+
+    `values` is f's value table over F_p^n when the caller already has it."""
     if A.field != f.field or B.field != f.field or A.n != f.n or B.n != f.n:
         raise ValueError("polynomial and point sets live in different spaces")
-    values = np.array(evaluate_all(f), dtype=np.int64)
+    values = np.asarray(evaluate_all(f) if values is None else values, dtype=np.int64)
     gram = np.zeros((len(A), len(B)), dtype=np.int64)
     for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], 1, 1, f.field.p):
         gram[r : r + block.shape[0], c : c + block.shape[1]] = values[block]

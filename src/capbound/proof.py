@@ -327,15 +327,16 @@ def select_unit_witness(
     return selected, interpolate(values, field, n), off_selection
 
 
-def diagonal_certificate(f: ReducedPoly, selected: PointSet) -> FpMatrix:
+def diagonal_certificate(f: ReducedPoly, selected: PointSet, values=None) -> FpMatrix:
     """Gram matrix of f over `selected`; must be diagonal with nonzero diagonal.
 
     This is exactly where progression-freeness is consumed: an off-diagonal
     nonzero entry means f(a + b) != 0 for distinct a, b, i.e. a + b escaped
     the zero set that the construction promised. Returns the matrix after
-    asserting rank = |selected|.
+    asserting rank = |selected|, so its rank is |selected| for the caller.
+    `values` is f's value table over F_p^n when the caller already has it.
     """
-    mat = gram_matrix(f, selected, selected)
+    mat = gram_matrix(f, selected, selected, values)
     arr = mat.array
     off = np.array(arr)
     np.fill_diagonal(off, 0)
@@ -473,10 +474,11 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     selected_points, table, rank = [], None, None
     if intersection:
         selected_doubles, witness, off_selection = select_unit_witness(intersection, doubles)
-        table = evaluate_all(witness)
+        table = np.array(evaluate_all(witness))
         selected_points = _halves_of(A, selected_doubles)
         a_prime = PointSet.from_indices(field, n, selected_points)
-        rank = diagonal_certificate(witness, a_prime).rank()
+        diagonal_certificate(witness, a_prime, table)
+        rank = a_prime.size
 
     transcript = ProofTranscript(
         p=p,
@@ -507,7 +509,7 @@ def _certificate_checks(
     pf: bool,
     sums: PointSet,
     doubles: PointSet,
-    table: list[int] | None,
+    table: np.ndarray | None,
     rank: int | None,
 ) -> tuple[list[ProofCheck], dict]:
     """Every row of a transcript and its conclusion, in transcript order.
@@ -556,17 +558,13 @@ def _certificate_checks(
         exact_bound, note = h, "zero-dimensional intersection branch"
     else:
         witness, selected, a_prime = t.witness, t.selected_doubles, len(t.selected_points)
+        vanishes_off_doubles = not table[~doubles._table()].any()
         checks += [
             _check("selection_size", len(selected), "==", dims["intersection"]),
             _check("witness_degree", witness.degree or 0, "<=", 2 * low_third),
-            _check(
-                "witness_vanishes_off_doubles",
-                int(all(v == 0 for i, v in enumerate(table) if i not in doubles)),
-                "==",
-                1,
-            ),
-            _check("witness_unit_on_selected", int(all(table[i] == 1 for i in selected)), "==", 1),
-            _check("pair_sums_in_zero_set", int(all(table[i] == 0 for i in sums)), "==", 1),
+            _check("witness_vanishes_off_doubles", int(vanishes_off_doubles), "==", 1),
+            _check("witness_unit_on_selected", int((table[selected] == 1).all()), "==", 1),
+            _check("pair_sums_in_zero_set", int(not table[sums._table()].any()), "==", 1),
             _check("selected_points_count", a_prime, "==", len(selected)),
             _check("gram_rank_equals_selection", rank, "==", a_prime),
             _split_check(witness, a_prime, low_third),
@@ -630,11 +628,12 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     selected = set(t.selected_doubles)
     table, rank, off_selection = None, None, {}
     if t.witness is not None:
-        table = evaluate_all(t.witness)
-        off_selection = {i: table[i] for i in doubles if i not in selected}
+        table = np.array(evaluate_all(t.witness))
+        off_selection = {i: int(table[i]) for i in doubles if i not in selected}
         try:
             a_prime = PointSet.from_indices(field, n, t.selected_points)
-            rank = diagonal_certificate(t.witness, a_prime).rank()
+            diagonal_certificate(t.witness, a_prime, table)
+            rank = a_prime.size
         except HypothesisViolation:
             rank = -1
     rows, conclusion = _certificate_checks(t, pf, sums, doubles, table, rank)

@@ -11,16 +11,24 @@ Layer counts come from the window convolution that the library's
 recurrence replaced, and the search's block masks from the per-pair tuple
 formula that its row table replaced. The input readers are the
 per-point and per-term loops that the flat-pass readers replaced.
+Row reduction is the per-pivot elimination (every updated row reduced mod
+p at each pivot, then a separate back-substitution) that the library's
+lazy Gauss-Jordan pass replaced, and the kernel basis is filled entry by
+entry from its echelon form, as before the library's array assignment.
+Interpolation reads the coefficient tensor term by term through the
+validating `ReducedPoly` constructor, as before the library's flat read.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 
 import numpy as np
 
 from capbound.gf import PrimeField, point_coords
+from capbound.polyspace import ReducedPoly
 
 
 def rows_independent(rows, p: int) -> bool:
@@ -240,3 +248,79 @@ def layer_counts_convolution(n: int, m: int) -> list[int]:
             for j in range(m + 1):
                 row[k + j] += v
     return row
+
+
+def row_reduce_per_pivot(a: np.ndarray, p: int) -> list[int]:
+    """In-place reduced row echelon form mod p, pivots first nonzero in column
+    order; returns the pivot columns. Forward elimination takes the whole
+    updated rows mod p at every pivot, then a back-substitution pass clears
+    the entries above each pivot."""
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        below = np.nonzero(a[r + 1 :, c])[0]
+        if below.size:
+            idx = below + r + 1
+            a[idx] = (a[idx] - a[idx, c][:, None] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    for j in range(len(pivots) - 1, 0, -1):
+        c = pivots[j]
+        above = np.nonzero(a[:j, c])[0]
+        if above.size:
+            a[above] = (a[above] - a[above, c][:, None] * a[j]) % p
+    return pivots
+
+
+def interpolate_term_loop(values, field: PrimeField, n: int) -> ReducedPoly:
+    """The capped-exponent polynomial with value table `values`: the sum of
+    values[a] times the indicator of a, contracted one coordinate at a time
+    against the coefficients of 1 - (x - s)^(p-1), then read term by term."""
+    p = field.p
+    if n == 0:
+        return ReducedPoly.constant(field, 0, int(values[0]))
+    rows = np.array(
+        [
+            [int(j == 0) - math.comb(p - 1, j) * pow(-s, p - 1 - j, p) for j in range(p)]
+            for s in range(p)
+        ],
+        dtype=np.int64,
+    ) % p
+    tensor = np.array(values, dtype=np.int64).reshape((p,) * n, order="F") % p
+    for _ in range(n):
+        tensor = np.tensordot(tensor, rows, axes=([0], [0])) % p
+    coeffs = {
+        tuple(int(e) for e in alpha): int(tensor[tuple(alpha)])
+        for alpha in np.argwhere(tensor)
+    }
+    return ReducedPoly(field, n, coeffs)
+
+
+def kernel_basis_loop(a: np.ndarray, p: int) -> list[list[int]]:
+    """Basis of {v : a v = 0}, one vector per free column of the RREF, filled
+    entry by entry: 1 at the free column, minus the pivot rows' entries there
+    at the pivot columns."""
+    a = a.copy()
+    pivots = row_reduce_per_pivot(a, p)
+    basis = []
+    for free in range(a.shape[1]):
+        if free in pivots:
+            continue
+        v = [0] * a.shape[1]
+        v[free] = 1
+        for j, pc in enumerate(pivots):
+            v[pc] = int(-a[j, free]) % p
+        basis.append(v)
+    return basis

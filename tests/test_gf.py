@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from capbound.gf import (
     FpMatrix,
     PrimeField,
+    _row_reduce,
     field_arith,
     point_add,
     point_coords,
@@ -13,12 +15,37 @@ from capbound.gf import (
     point_scale,
     row_space_intersection,
 )
+from capbound.monomials import enumerate_monomials
+from capbound.polyspace import indicator_coefficients
+from capbound.sets import PointSet, pair_sums
 from oracles import brute_force_rank, rows_independent
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 SMALL_PRIMES = [3, 5, 7, 11, 13]
+ELIMINATION_PRIMES = [3, 5, 7, 11, 65521]
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(p, matrix): zero, random or a product of two random factors of inner
+    size k, which is rank-deficient when k < min(rows, cols); tall and wide
+    shapes, including empty ones, come from independent row and column counts."""
+    p = draw(st.sampled_from(ELIMINATION_PRIMES))
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["zero", "random", "product"]))
+
+    def block(r, c):
+        entries = st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c)
+        return np.array(draw(entries), dtype=np.int64).reshape(r, c)
+
+    if kind == "zero":
+        return p, np.zeros((rows, cols), dtype=np.int64)
+    if kind == "random":
+        return p, block(rows, cols)
+    k = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+    return p, block(rows, k) @ block(k, cols) % p
 
 
 class TestPrimeField:
@@ -177,6 +204,43 @@ class TestFpMatrix:
         assert a.transpose().to_lists() == [[1, 0], [2, 1]]
         with pytest.raises(ValueError):
             a.matmul(FpMatrix([[1]], F3))
+
+
+class TestRowReduce:
+    """The lazy Gauss-Jordan pass against the per-pivot elimination it replaced."""
+
+    @staticmethod
+    def assert_matches_oracle(a: np.ndarray, p: int) -> list[int]:
+        got, want = a.copy(), a.copy()
+        pivots = _row_reduce(got, p)
+        assert pivots == oracles.row_reduce_per_pivot(want, p)
+        assert np.array_equal(got, want)
+        return pivots
+
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_inputs())
+    def test_matches_per_pivot_elimination(self, case):
+        p, a = case
+        self.assert_matches_oracle(a, p)
+        assert FpMatrix(a, PrimeField(p)).kernel_basis() == oracles.kernel_basis_loop(a, p)
+
+    def test_entry_growth_at_largest_modulus(self):
+        # dense, so every row is updated at every pivot: an entry takes up to
+        # 299 unreduced subtractions of up to (p-1)^2 before the final reduction
+        p = 65521
+        a = np.random.default_rng(65521).integers(p - 256, p, size=(300, 300))
+        assert len(self.assert_matches_oracle(a, p)) == 300
+        deficient = a[:, :150] @ a[:150, :] % p
+        assert len(self.assert_matches_oracle(deficient, p)) == 150
+
+    def test_product_cap_indicator_block(self):
+        """The 78 x 81 block whose left kernel is V for the product cap in F_3^6."""
+        cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
+        _, doubles = pair_sums(PointSet.from_points(F3, 6, [a + b for a in cap9 for b in cap9]))
+        high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(6, F3, 3)]
+        block = indicator_coefficients(doubles, high).transpose().array
+        assert block.shape == (78, 81)
+        assert len(self.assert_matches_oracle(block, 3)) == 81 - 25
 
 
 class TestRowSpaceIntersection:

@@ -188,10 +188,28 @@ class TestInterpolation:
         assert evaluate_all(f) == values
         assert interpolate(evaluate_all(f), field, n) == f
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(3, 0), (5, 0), (3, 1), (3, 2), (5, 2), (7, 2), (3, 3)]), st.data())
+    @example(pn=(3, 2), data=None)
+    @example(pn=(5, 0), data=None)
+    def test_matches_term_loop(self, pn, data):
+        """The flat read equals the per-term read, zero table (data=None) included."""
+        p, n = pn
+        field = PrimeField(p)
+        size = p**n
+        values = [0] * size if data is None else data.draw(
+            st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
+        )
+        f, g = interpolate(values, field, n), oracles.interpolate_term_loop(values, field, n)
+        assert f._coeffs == g._coeffs and f.degree == g.degree
+        assert f.to_json_terms() == g.to_json_terms()
+        assert {type(x) for alpha, c in f._coeffs.items() for x in (*alpha, c)} <= {int}
+
 
 class TestIndicator:
     def test_univariate(self):
         assert indicator_poly((0,), F3) == ReducedPoly(F3, 1, {(0,): 1, (2,): 2})
+        assert indicator_poly((), F3) == ReducedPoly.constant(F3, 0, 1)
 
     def test_kronecker_property(self):
         for field, n in [(F3, 2), (F5, 1)]:

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField, row_space_intersection
+from capbound.gf import FpMatrix, PrimeField, point_coords, row_space_intersection
 from capbound.monomials import dim_L, enumerate_monomials
 from capbound.polyspace import (
     ReducedPoly,
@@ -414,6 +416,28 @@ class TestTranscriptSerialization:
         tampered["witness"] = [[[0, 0, 0], 1]]
         ok, _ = verify_transcript(tampered)
         assert not ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(point=st.integers(0, 26), scale=st.integers(0, 2))
+    def test_witness_rows_match_entrywise_tests(self, cap9_search, point, scale):
+        """The witness rows equal the per-entry tests over the value table when
+        the recorded witness moves by `scale` times the indicator of one point."""
+        payload = prove_size_bound(cap9_search.witness).to_json()
+        f = ReducedPoly.from_json_terms(payload["witness"], F3, 3)
+        f = f + indicator_poly(point_coords(point, 3, F3), F3).scale(scale)
+        payload["witness"] = f.to_json_terms()
+        _, rows = verify_transcript(payload)
+        table, doubles = evaluate_all(f), set(payload["doubles"])
+        expected = {
+            "witness_vanishes_off_doubles": all(
+                v == 0 for i, v in enumerate(table) if i not in doubles
+            ),
+            "witness_unit_on_selected": all(table[i] == 1 for i in payload["selected_doubles"]),
+            "pair_sums_in_zero_set": all(table[i] == 0 for i in pair_sums(cap9_search.witness)[0]),
+        }
+        assert {c.name: c.lhs for c in rows if c.name in expected} == {
+            name: str(int(holds)) for name, holds in expected.items()
+        }
 
     @pytest.mark.parametrize("kind", ["cap9", "product_cap", "zero_branch"])
     def test_verifier_rows_start_with_recorded_rows(self, cap9_search, kind):
