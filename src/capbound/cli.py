@@ -5,9 +5,10 @@ mathematical check failed (evidence included in the output), 2 = usage or
 parse error. JSON output is schema-stable per command and serializes every
 unbounded integer as a decimal string; `--format` overrides the default
 (table on a terminal, JSON when redirected). JSON output equals
-`json.dumps(envelope, indent=2)` byte for byte; `_dumps` writes it without
-the pure-Python encoder that `indent` selects. All randomized behavior is
-seed-controlled, so identical invocations produce identical outputs.
+`json.dumps(envelope, indent=2)` byte for byte; `_dumps` writes each list of
+flat rows in one C-encoder call, and nothing through the pure-Python encoder
+that `indent` selects. All randomized behavior is seed-controlled, so
+identical invocations produce identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import os
 import sys
 import time
 from decimal import Decimal, localcontext
-from json.encoder import encode_basestring_ascii
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .bounds import (
     exponent_c,
@@ -30,7 +32,7 @@ from .bounds import (
 )
 from .errors import CheckFailure, ProgressionFound
 from .gf import PrimeField
-from .monomials import dim_L
+from .monomials import _cumulative_counts
 from .proof import prove_size_bound, verify_transcript
 from .sets import (
     EXACT_SEARCH_CEILING,
@@ -44,10 +46,17 @@ from .sets import (
 __all__ = ["main", "run"]
 
 
+_SCALARS = frozenset((str, int, bool, type(None)))
+
+
 def _dumps(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte; `pad` is the newline and
-    indent of the enclosing level. Plain dicts with str keys, lists, tuples,
-    str, int, bool and None are written here, and anything else by `json`."""
+    """`json.dumps(obj, indent=2)`, byte for byte; `pad` is the newline and indent
+    of the enclosing level. A list of flat rows (all non-empty dicts, or all
+    non-empty lists and tuples, of _SCALARS values; dict keys are coerced as json
+    does) is one call of json's C encoder with the rows' field indent in its item
+    separator; no string holds a raw newline, so one `str.replace` re-indents the
+    row boundaries. Other dicts with str keys, lists and tuples recurse (all do
+    without the C encoder, as on PyPy), and `json` writes the rest."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -59,7 +68,16 @@ def _dumps(obj, pad: str = "\n") -> str:
         return "null"
     inner = pad + "  "
     if (kind is list or kind is tuple) and obj:
-        items = map(int.__repr__, obj) if set(map(type, obj)) == {int} else (_dumps(v, inner) for v in obj)
+        kinds = set(map(type, obj))
+        dicts = kinds == {dict}
+        rows = c_make_encoder and (dicts or kinds <= {list, tuple}) and all(obj)
+        if rows and set(map(type, chain.from_iterable(map(dict.values, obj) if dicts else obj))) <= _SCALARS:
+            (o, c), field = ("{}" if dicts else "[]"), inner + "  "
+            encoder_args = (None, None, encode_basestring_ascii, None, ": ", "," + field, False, False, True)
+            body = "".join(c_make_encoder(*encoder_args)(obj, 0))[2:-2]  # slice first: 2 copies live
+            body = body.replace(f"{c},{field}{o}", f"{inner}{c},{inner}{o}{field}")
+            return f"[{inner}{o}{field}{body}{inner}{c}{pad}]"
+        items = map(int.__repr__, obj) if kinds == {int} else (_dumps(v, inner) for v in obj)
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if kind is dict and obj and set(map(type, obj)) == {str}:
         items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
@@ -120,6 +138,13 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _require_printable(p: int, n: int) -> None:
+    """Refuse an n whose p^n has more digits than str(int) may write (p >= 3)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (n >= 3 * limit or p**n >= 10**limit):
+        raise ValueError(f"p^n = {p}^{n} has more than {limit} decimal digits (sys.get_int_max_str_digits())")
+
+
 def cmd_dims(args) -> int:
     field = PrimeField(args.p)
     top = (field.p - 1) * args.n
@@ -127,18 +152,14 @@ def cmd_dims(args) -> int:
     d_max = args.d_max if args.d_max is not None else top
     if not 0 <= d_min <= d_max <= top:
         raise ValueError(f"degree range [{d_min}, {d_max}] not inside [0, {top}]")
+    _require_printable(field.p, args.n)
     total = field.p**args.n
+    # every partner top - d - 1 is read from the table too, never derived by symmetry
+    cum = _cumulative_counts(args.n, field.p - 1, max(d_max, top - d_min - 1))
     rows = []
     for d in range(d_min, d_max + 1):
-        dim = dim_L(args.n, d, field)
-        partner = dim_L(args.n, top - d - 1, field) if top - d - 1 >= 0 else 0
-        rows.append(
-            {
-                "d": d,
-                "dim": str(dim),
-                "duality": "ok" if dim + partner == total else "FAIL",
-            }
-        )
+        partner = cum[top - d - 1] if d < top else 0
+        rows.append({"d": d, "dim": str(cum[d]), "duality": "ok" if cum[d] + partner == total else "FAIL"})
     envelope = {
         "command": "dims",
         "params": {"p": args.p, "n": args.n, "d_min": d_min, "d_max": d_max},
@@ -152,6 +173,9 @@ def cmd_dims(args) -> int:
 def cmd_entropy_check(args) -> int:
     field = PrimeField(args.p)
     ns = [int(t) for t in args.n.split(",") if t.strip()]
+    if not ns:
+        raise ValueError("--n names no n")
+    _require_printable(field.p, max(ns))
     rows = []
     all_hold = True
     for n in ns:

@@ -5,15 +5,15 @@ order everywhere in this package is graded lexicographic: first by total
 degree, then tuple-lexicographic, so matrix row/column indices are
 reproducible across runs.
 
-Dimensions come from one prefix-sum table of layer counts per (n, p-1),
-built by a linear recurrence in O((p-1) n) big-integer steps; the last
-two tables are cached, and `dim_L` and `extended_binomial` read it in O(1).
+Dimensions come from one prefix-sum table of layer counts per (n, p-1), built
+by a linear recurrence as far as a caller reads, entries 0..d in O((p-1) d)
+big-integer steps; the last two tables are cached, built entries read in O(1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .gf import PrimeField
 
@@ -57,26 +57,38 @@ def enumerate_monomials(n: int, field: PrimeField, d: int) -> list[Monomial]:
     return sorted(_exponent_vectors(n, cap, d), key=graded_lex_key)
 
 
-@lru_cache(maxsize=2)
-def _cumulative_counts(n: int, m: int) -> tuple[int, ...]:
-    """Entry k counts vectors in {0..m}^n with coordinate sum <= k.
+def _layer_counts(n: int, m: int):
+    """Yield c_0, ..., c_{mn}: c_k counts vectors in {0..m}^n with sum k.
 
-    The layer counts c_k are the coefficients of P = Q^n, Q = 1 + x + ... +
-    x^m. Comparing coefficients in Q P' = n Q' P gives
+    The c_k are the coefficients of P = Q^n, Q = 1 + x + ... + x^m.
+    Comparing coefficients in Q P' = n Q' P gives
     k c_k = sum_{j=1..m} (j(n+1) - k) c_{k-j} = (n+1) t - k s, an exact
     division by k, where s = sum_j c_{k-j} and t = sum_j j c_{k-j} are
-    window sums updated in O(1) as the window slides, so the table costs
-    O(m n) big-integer steps. A command reads one (n, m), so the cache keeps
-    the last two tables only.
+    window sums updated in O(1) as the window slides, so c_0..c_d cost
+    O(m d) big-integer steps.
     """
     c = [1]
     s = t = 0
+    yield 1
     for k in range(1, m * n + 1):
         out = c[k - 1 - m] if k > m else 0  # c_{k-1-m} leaves the window
         s += c[k - 1] - out
         t += s - m * out
         c.append(((n + 1) * t - k * s) // k)
-    return tuple(accumulate(c))
+        yield c[k]
+
+
+@lru_cache(maxsize=2)  # a command reads one (n, m)
+def _prefix_table(n: int, m: int):
+    """The prefix sums of the layer counts built so far, and the iterator of the rest."""
+    return [], accumulate(_layer_counts(n, m))
+
+
+def _cumulative_counts(n: int, m: int, d: int) -> list[int]:
+    """Entry k counts vectors in {0..m}^n with sum <= k; built at least up to entry d <= mn."""
+    cum, rest = _prefix_table(n, m)
+    cum.extend(islice(rest, max(0, d + 1 - len(cum))))
+    return cum
 
 
 def extended_binomial(n: int, k: int, m: int) -> int:
@@ -87,7 +99,7 @@ def extended_binomial(n: int, k: int, m: int) -> int:
         raise ValueError("m must be at least 1")
     if k < 0 or k > m * n:
         return 0
-    cum = _cumulative_counts(n, m)
+    cum = _cumulative_counts(n, m, k)
     return cum[k] - cum[k - 1] if k else cum[0]
 
 
@@ -96,7 +108,7 @@ def dim_L(n: int, d: int, field: PrimeField) -> int:
     cap = field.p - 1
     if not 0 <= d <= cap * n:
         raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
-    return _cumulative_counts(n, cap)[d]
+    return _cumulative_counts(n, cap, d)[d]
 
 
 def verify_duality(n: int, field: PrimeField) -> bool:
@@ -109,8 +121,8 @@ def verify_duality(n: int, field: PrimeField) -> bool:
     if n < 1:
         raise ValueError("n must be positive")
     total = field.p**n
-    cum = _cumulative_counts(n, field.p - 1)
-    top = len(cum) - 1
+    top = (field.p - 1) * n
+    cum = _cumulative_counts(n, field.p - 1, top)
     return all(cum[d] + cum[top - d - 1] == total for d in range(top))
 
 

@@ -312,19 +312,22 @@ def indicator_coefficients(points: PointSet, monos: Sequence[Monomial]) -> FpMat
     each entry is the product of univariate indicator coefficients, so no
     indicator is expanded over all p^n monomials.
     """
-    return _coordinate_products(points, monos, _indicator_rows(points.field.p))
+    return _coordinate_products(_members(points)[1], monos, _indicator_rows(points.field.p), points.field)
 
 
-def _coordinate_products(points: PointSet, monos: Sequence[Monomial], table) -> FpMatrix:
-    """M[c, alpha] = prod_i table[c_i, alpha_i] mod p, rows and columns as in
-    `indicator_coefficients`; with `_vandermonde(p)` as table, M[c, alpha] = c^alpha."""
-    n, p = points.n, points.field.p
-    _, coords = _members(points)
+def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, field: PrimeField) -> FpMatrix:
+    """M[c, alpha] = prod_i table[c_i, alpha_i] mod p (c^alpha with `_vandermonde(p)`), rows c from
+    `coords`, columns as in `indicator_coefficients`. Entries are below p, so for the largest k
+    with (p-1)^k < 2^63 (k >= 3) the reduced block takes k - 1 factors per reduction."""
+    p, n = field.p, coords.shape[1]
+    k = max(j for j in range(2, 64) if (p - 1) ** j < 2**63)
     exps = np.array(monos, dtype=np.int64).reshape(-1, n)
     block = np.ones((len(coords), len(exps)), dtype=np.int64)
-    for i in range(n):
-        block = block * table[coords[:, i, None], exps[None, :, i]] % p
-    return FpMatrix(block, points.field)
+    for lo in range(0, n, k - 1):
+        for i in range(lo, min(lo + k - 1, n)):
+            block *= table[coords[:, i, None], exps[None, :, i]]
+        block %= p
+    return FpMatrix(block, field)
 
 
 def zero_set(f: ReducedPoly) -> PointSet:

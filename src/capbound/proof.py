@@ -383,7 +383,7 @@ def check_gram_rank_bound(f: ReducedPoly, A: PointSet, B: PointSet) -> RankCheck
     monos, _ = monomial_index(field.p, n)
     C = shift_coefficient_matrix(f)
     M = gram_matrix(f, A, B)
-    Ma, Mb = (_coordinate_products(ps, monos, _vandermonde(field.p)) for ps in (A, B))
+    Ma, Mb = (_coordinate_products(_members(ps)[1], monos, _vandermonde(field.p), field) for ps in (A, B))
     product = Ma.matmul(C).matmul(Mb.transpose())
     factorization_ok = product == M
     rg, rc = M.rank(), C.rank()

@@ -17,6 +17,8 @@ lazy Gauss-Jordan pass replaced, and the kernel basis is filled entry by
 entry from its echelon form, as before the library's array assignment.
 Interpolation reads the coefficient tensor term by term through the
 validating `ReducedPoly` constructor, as before the library's flat read.
+Coordinate products are reduced mod p after every coordinate's pass, as
+before the library grouped several passes per reduction.
 """
 
 from __future__ import annotations
@@ -324,3 +326,12 @@ def kernel_basis_loop(a: np.ndarray, p: int) -> list[list[int]]:
             v[pc] = int(-a[j, free]) % p
         basis.append(v)
     return basis
+
+
+def coordinate_products_per_pass(coords: np.ndarray, exps: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """M[c, alpha] = prod_i table[c_i, alpha_i] mod p for the rows of `coords`
+    and of `exps`, reduced after each coordinate's gather-and-multiply pass."""
+    block = np.ones((len(coords), len(exps)), dtype=np.int64)
+    for i in range(coords.shape[1]):
+        block = block * table[coords[:, i, None], exps[None, :, i]] % p
+    return block

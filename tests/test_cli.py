@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
-from capbound import cli
+from capbound import cli, monomials
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
@@ -76,6 +77,29 @@ class TestDims:
     def test_range_errors(self, run):
         code, _, err = run("dims", "--p", "3", "--n", "2", "--d-max", "9")
         assert code == 2
+
+    def test_huge_n_refused_before_any_table(self, run):
+        monomials._prefix_table.cache_clear()
+        code, out, err = run("dims", "--p", "3", "--n", "9100")
+        assert (code, out) == (2, "")
+        assert "3^9100" in err and str(sys.get_int_max_str_digits()) in err
+        code, _, err = run("entropy-check", "--p", "3", "--n", "3,9102")
+        assert code == 2 and "3^9102" in err
+        assert monomials._prefix_table.cache_info().currsize == 0
+
+    def test_digit_limit_is_exact(self, run):
+        """3^1341 has 640 decimal digits and 3^1342 has 641; a limit of 0
+        refuses nothing."""
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert run("entropy-check", "--p", "3", "--n", "1341", "--format", "json")[0] == 0
+            code, _, err = run("dims", "--p", "3", "--n", "1342", "--d-max", "0")
+            assert code == 2 and "3^1342" in err and "640" in err
+            sys.set_int_max_str_digits(0)
+            assert run("dims", "--p", "3", "--n", "1342", "--d-max", "0", "--format", "json")[0] == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # sha256 of the JSON output, taken with the window convolution the layer
@@ -197,6 +221,19 @@ class TestEntropyCheck:
     def test_rejects_bad_n(self, run):
         code, _, err = run("entropy-check", "--p", "3", "--n", "4")
         assert code == 2 and "3 | n" in err
+
+    @pytest.mark.parametrize("ns", ["", " , ", ","])
+    def test_rejects_empty_n_list(self, run, ns):
+        code, out, err = run("entropy-check", "--p", "3", "--n", ns)
+        assert (code, out) == (2, "") and "no n" in err
+
+    def test_builds_only_the_entries_read(self, run):
+        """entropy-check reads d = (p-1)n/3; dims reads up to max(d_max, top - d_min - 1)."""
+        monomials._prefix_table.cache_clear()
+        assert run_json(run, "entropy-check", "--p", "3", "--n", "30")[0] == 0
+        assert len(monomials._prefix_table(30, 2)[0]) == 21
+        assert run_json(run, "dims", "--p", "5", "--n", "10", "--d-min", "30", "--d-max", "31")[0] == 0
+        assert len(monomials._prefix_table(10, 4)[0]) == 32
 
     def test_big_prime_fast(self, run):
         code, env = run_json(run, "entropy-check", "--p", "7", "--n", "30")
@@ -670,22 +707,45 @@ class TestUsage:
         assert json.loads(proc.stdout)["result"]["ambient"] == "27"
 
 
+# str values holding the brackets, separators and newlines that the writer
+# of flat-row lists re-indents around
+TEXT = st.text() | st.sampled_from(["},", "{", "]", "[", ":", '"', "\\n", "\n", "},\n    {", "],\n      [", '{"a": 1}'])
+SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | TEXT
+DICT_ROWS = st.dictionaries(TEXT, SCALARS, min_size=1, max_size=4)
+LIST_ROWS = st.lists(SCALARS, min_size=1, max_size=4) | st.lists(SCALARS, min_size=1, max_size=4).map(tuple)
+# rows that are not flat (empty, or with floats) and rows keyed by what json
+# coerces to str keys (ints, floats, bools and None)
+ODD_ROWS = (
+    st.sampled_from([{}, [], ()])
+    | st.lists(st.floats(), min_size=1, max_size=3)
+    | st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), SCALARS, min_size=1, max_size=3)
+)
+# lists of dict rows, of list rows, and of mixed rows (odd rows included)
+ROW_LISTS = (
+    st.lists(DICT_ROWS, min_size=1, max_size=5)
+    | st.lists(ODD_ROWS, min_size=1, max_size=3)
+    | st.lists(LIST_ROWS, min_size=1, max_size=5).map(tuple)
+    | st.lists(DICT_ROWS | LIST_ROWS | ODD_ROWS, min_size=1, max_size=5)
+)
+
 # JSON trees as the CLI could meet them, plus what only `json` writes: floats,
-# non-str keys, ints past 2^64, escapes, tuples and empty containers
+# non-str keys, ints past 2^64, escapes, tuples and empty containers; lists of
+# flat rows occur alone and nested under containers that are not flat
 JSON_TREES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(2**200), 2**200)
-    | st.floats()
-    | st.text(),
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | st.floats() | TEXT | ROW_LISTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.lists(st.integers(), max_size=6)
-    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4)
     | st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none(), inner, max_size=3),
     max_leaves=24,
 )
+
+ROWS_EXAMPLE = {
+    "rows": [{"d": 0, "s": "},\n    {", "t": True}, {"d": 1, "s": "\\n]", "t": None}],
+    "grid": [[1, "],\n      ["], (2, '"')],
+    "mixed": [{"a": 1}, [1], {}, [2.5]],
+}
 
 
 class TestJsonWriter:
@@ -693,11 +753,20 @@ class TestJsonWriter:
     @given(JSON_TREES)
     @example({"\u00e9\n\"\x00\ud83d": ["\u2028\x1f", 2**70, -(2**65), True, False, None, 1.5, [], {}, ()]})
     @example([[[1, 2], 3], {"a": {"b": [(), [{}]]}}, [True, 1, 0]])
+    @example(ROWS_EXAMPLE)
     def test_equals_indented_json_dumps(self, obj):
         assert cli._dumps(obj) == json.dumps(obj, indent=2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_TREES)
+    @example(ROWS_EXAMPLE)
+    def test_same_bytes_without_c_encoder(self, obj):
+        """Interpreters without json's C encoder (PyPy) write by recursion."""
+        with mock.patch.object(cli, "c_make_encoder", None):
+            assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
     def test_unserializable_value_raises_as_json_does(self):
-        for obj in ({"a": [object()]}, [{1j: 1}], {"x": {1, 2}}):
+        for obj in ({"a": [object()]}, [{1j: 1}], {"x": {1, 2}}, [{"a": object()}], [[1, {2}]]):
             with pytest.raises(TypeError):
                 cli._dumps(obj)
 

@@ -1,3 +1,6 @@
+import random
+from itertools import accumulate
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -90,10 +93,34 @@ class TestLayerRecurrence:
                 with pytest.raises(ValueError):
                     dim_L(n, d, field)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 12), st.randoms(use_true_random=False))
+    @example(0, 2, random.Random(0))
+    @example(40, 12, random.Random(1))
+    def test_any_read_order(self, n, m, rnd):
+        """Entries read descending, at random, then as the full table, each
+        order from an empty cache, equal the convolution; a read builds the
+        table only up to the entry it asks for."""
+        ref = layer_counts_convolution(n, m)
+        cum = list(accumulate(ref))
+        top = m * n
+        field = PrimeField(m + 1) if m + 1 in (3, 5, 7, 11, 13) else None
+        for order in (range(top, -1, -1), rnd.sample(range(top + 1), top + 1), range(top + 1)):
+            monomials._prefix_table.cache_clear()
+            built = 0
+            for k in order:
+                assert extended_binomial(n, k, m) == ref[k]
+                if field:
+                    assert dim_L(n, k, field) == cum[k]
+                built = max(built, k + 1)
+                assert len(monomials._prefix_table(n, m)[0]) == built
+            if field and n:
+                assert verify_duality(n, field)
+
     def test_cache_stays_bounded(self):
         for n in range(200, 300):
             dim_L(n, n, F3)
-        info = monomials._cumulative_counts.cache_info()
+        info = monomials._prefix_table.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
 

@@ -10,6 +10,7 @@ from capbound.errors import HypothesisViolation
 from capbound.gf import PrimeField, point_coords
 from capbound.polyspace import (
     ReducedPoly,
+    _coordinate_products,
     evaluate,
     evaluate_all,
     gram_matrix,
@@ -235,6 +236,24 @@ class TestIndicator:
             evaluate_all(indicator_poly(point_coords(i, 2, F3), F3)) for i in range(9)
         ]
         assert np.array_equal(np.array(rows), np.eye(9, dtype=np.int64))
+
+
+class TestCoordinateProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 251, 65521]), st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(65521, 9, True, 0)
+    @example(3, 9, True, 0)
+    def test_matches_per_pass_reduction(self, p, n, near_top, seed):
+        """Grouped passes equal one reduction per pass, also with every table
+        entry near p - 1, where a missed reduction overflows int64 at p = 65521."""
+        rng = np.random.default_rng(seed)
+        size = min(p, 5)
+        low = max(0, p - 3) if near_top else 0
+        table = rng.integers(low, p, size=(size, size))
+        coords = rng.integers(0, size, size=(7, n))
+        exps = rng.integers(0, size, size=(11, n))
+        got = _coordinate_products(coords, list(map(tuple, exps.tolist())), table, PrimeField(p)).array
+        assert np.array_equal(got, oracles.coordinate_products_per_pass(coords, exps, table, p))
 
 
 class TestZeroSet:
