@@ -51,7 +51,6 @@ from .proof import (
     check_diagonal_size_bound,
     check_gram_rank_bound,
     diagonal_certificate,
-    low_degree_kernel,
     prove_size_bound,
     select_unit_witness,
     verify_transcript,
@@ -98,7 +97,6 @@ __all__ = [
     "indicator_poly",
     "interpolate",
     "is_progression_free",
-    "low_degree_kernel",
     "low_third_dimension",
     "main_bound",
     "max_progression_free",

@@ -47,6 +47,7 @@ __all__ = ["main", "run"]
 
 
 _SCALARS = frozenset((str, int, bool, type(None)))
+BOUND_N_MAX = 1000  # `bound` writes one row of two Decimal exponentials per n
 
 
 def _dumps(obj, pad: str = "\n") -> str:
@@ -119,6 +120,8 @@ def _read_input(path: str) -> str:
 
 def cmd_bound(args) -> int:
     field = PrimeField(args.p)
+    if not 1 <= args.n_max <= BOUND_N_MAX:
+        raise ValueError(f"--n-max {args.n_max} is outside [1, {BOUND_N_MAX}]")
     with localcontext() as ctx:
         ctx.prec = precision_digits()
         c = exponent_c(field)

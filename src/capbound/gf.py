@@ -206,6 +206,13 @@ class FpMatrix:
         self._a = np.mod(a, field.p)
 
     @classmethod
+    def _trusted(cls, a: np.ndarray, field: PrimeField) -> "FpMatrix":
+        """Wrap `a`, a 2-d int64 array already reduced mod p, without a copy."""
+        mat = cls.__new__(cls)
+        mat.field, mat._a = field, a
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FpMatrix":
         return cls(np.zeros((rows, cols), dtype=np.int64), field)
 
@@ -236,21 +243,21 @@ class FpMatrix:
         return [[int(x) for x in row] for row in self._a]
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self._a.T, self.field)
+        return FpMatrix._trusted(self._a.T, self.field)
 
     def matmul(self, other: "FpMatrix") -> "FpMatrix":
         if self.field != other.field:
             raise ValueError("mixed moduli")
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        return FpMatrix((self._a @ other._a) % self.field.p, self.field)
+        return FpMatrix._trusted((self._a @ other._a) % self.field.p, self.field)
 
     __matmul__ = matmul
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         a = self._a.copy()
         pivots = _row_reduce(a, self.field.p)
-        return FpMatrix(a, self.field), tuple(pivots)
+        return FpMatrix._trusted(a, self.field), tuple(pivots)
 
     def rank(self) -> int:
         return len(_row_reduce(self._a.copy(), self.field.p))
@@ -273,6 +280,20 @@ class FpMatrix:
         basis[np.arange(free.size), free] = 1
         basis[:, pivots] = -a[: len(pivots), free].T % self.field.p
         return basis.tolist()
+
+    def unit_kernel_vector(self) -> tuple[np.ndarray, np.ndarray]:
+        """(free, v): the columns without a pivot in right-to-left elimination (a
+        bool mask) and the kernel vector equal to 1 on them. By matroid duality
+        these are the leftmost pivots of the RREF of any kernel basis, and v is
+        the sum of that RREF's rows; at pivot row r, v = -(row r summed over free)."""
+        p = self.field.p
+        a = self._a[:, ::-1].copy()
+        pivots = _row_reduce(a, p)
+        free = np.ones(self.cols, dtype=bool)
+        free[pivots] = False
+        v = free.astype(np.int64)
+        v[pivots] = -a[: len(pivots), free].sum(axis=1) % p
+        return free[::-1], v[::-1]
 
     def solve(self, rhs: Sequence[int]) -> list[int] | None:
         """One solution of M x = rhs (free coordinates zero), or None."""

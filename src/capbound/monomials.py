@@ -15,6 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, islice
 
+import numpy as np
+
 from .gf import PrimeField
 
 __all__ = [
@@ -39,14 +41,19 @@ def graded_lex_key(alpha: Monomial) -> tuple[int, Monomial]:
     return (sum(alpha), alpha)
 
 
-def _exponent_vectors(n: int, cap: int, d: int):
-    """All vectors in {0..cap}^n with coordinate sum <= d (unordered)."""
-    if n == 0:
-        yield ()
-        return
-    for e in range(min(cap, d) + 1):
-        for rest in _exponent_vectors(n - 1, cap, d - e):
-            yield (e,) + rest
+@lru_cache(maxsize=2)  # `prove` reads one (n, cap, d) per ambient
+def _exponent_array(n: int, cap: int, d: int) -> np.ndarray:
+    """All vectors in {0..cap}^n with coordinate sum <= d >= 0, one row each, in
+    lexicographic order, built a coordinate at a time: each prefix is repeated
+    once per value the next coordinate can take without passing d. Read-only."""
+    exps, room = np.zeros((1, 0), dtype=np.int64), np.array([d], dtype=np.int64)
+    for _ in range(n):
+        counts = np.minimum(room, cap) + 1
+        rows = np.repeat(np.arange(counts.size), counts)
+        e = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        exps, room = np.column_stack((exps[rows], e)), room[rows] - e
+    exps.flags.writeable = False
+    return exps
 
 
 def enumerate_monomials(n: int, field: PrimeField, d: int) -> list[Monomial]:
@@ -54,7 +61,7 @@ def enumerate_monomials(n: int, field: PrimeField, d: int) -> list[Monomial]:
     cap = field.p - 1
     if not 0 <= d <= cap * n:
         raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
-    return sorted(_exponent_vectors(n, cap, d), key=graded_lex_key)
+    return sorted(map(tuple, _exponent_array(n, cap, d).tolist()), key=graded_lex_key)
 
 
 def _layer_counts(n: int, m: int):

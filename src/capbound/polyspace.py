@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "evaluate",
     "evaluate_all",
     "interpolate",
+    "coefficient_tensor",
     "indicator_poly",
     "indicator_coefficients",
     "zero_set",
@@ -35,6 +36,7 @@ __all__ = [
     "support_split_rank_bound",
     "split_violation",
     "gram_matrix",
+    "pair_values",
     "poly_to_vector",
     "poly_from_vector",
 ]
@@ -173,32 +175,18 @@ class ReducedPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable, field: PrimeField, n: int) -> "ReducedPoly":
-        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once.
-
-        Each check is one pass over all terms; the first term that fails it
-        is looked up only to word the error."""
-        terms = [(tuple(alpha), c) for alpha, c in data]
-        alphas, cs = [a for a, _ in terms], [c for _, c in terms]
-        exps = list(chain.from_iterable(alphas))
-        if not set(map(type, exps)) | set(map(type, cs)) <= {int}:
-            alpha, c = next((a, c) for a, c in zip(alphas, cs) if {*map(type, a), type(c)} - {int})
-            raise ValueError(f"term {[list(alpha), c]!r} must hold ints")
-        coeffs = dict(zip(alphas, cs))
-        if len(coeffs) < len(alphas):
-            seen: set[Monomial] = set()
-            twice = next(a for a in alphas if a in seen or seen.add(a))
-            raise ValueError(f"monomial {twice} is listed twice")
-        cap = field.p - 1
-        if cs and not 1 <= min(cs) <= max(cs) <= cap:
-            alpha, c = next((a, c) for a, c in zip(alphas, cs) if not 1 <= c <= cap)
-            raise ValueError(f"coefficient {c} of {alpha} is outside [1, {cap}]")
-        if set(map(len, alphas)) - {n}:
-            alpha = next(a for a in alphas if len(a) != n)
-            raise ValueError(f"monomial {alpha} has arity {len(alpha)}, expected {n}")
-        if exps and not 0 <= min(exps) <= max(exps) <= cap:
-            alpha = next(a for a in alphas if not 0 <= min(a) <= max(a) <= cap)
-            raise ValueError(f"monomial {alpha} has an exponent outside [0, {cap}]")
-        return cls._trusted(field, n, coeffs)
+        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once."""
+        coeffs: dict[Monomial, int] = {}
+        for alpha, c in data:
+            alpha = tuple(alpha)
+            if {*map(type, alpha), type(c)} - {int}:
+                raise ValueError(f"term {[list(alpha), c]!r} must hold ints")
+            if not 1 <= c < field.p:
+                raise ValueError(f"coefficient {c} of {alpha} is outside [1, {field.p - 1}]")
+            if alpha in coeffs:
+                raise ValueError(f"monomial {alpha} is listed twice")
+            coeffs[alpha] = c
+        return cls(field, n, coeffs)  # checks arity and exponent range
 
     @classmethod
     def _trusted(cls, field: PrimeField, n: int, coeffs: dict[Monomial, int]) -> "ReducedPoly":
@@ -267,7 +255,12 @@ def evaluate_all(f: ReducedPoly) -> list[int]:
 
 
 def interpolate(values: Sequence[int], field: PrimeField, n: int) -> ReducedPoly:
-    """The unique capped-exponent polynomial with the given value table.
+    """The unique capped-exponent polynomial with the given value table."""
+    return _from_tensor(coefficient_tensor(values, field, n), field)
+
+
+def coefficient_tensor(values: Sequence[int], field: PrimeField, n: int) -> np.ndarray:
+    """Coefficients, at [alpha] the one of x^alpha, of the polynomial with value table `values`.
 
     This is the linear combination sum_a values[a] * indicator(a); the
     indicator coefficients factor per coordinate, so the sum is evaluated
@@ -281,7 +274,7 @@ def interpolate(values: Sequence[int], field: PrimeField, n: int) -> ReducedPoly
     rows = _indicator_rows(p)
     for _ in range(n):
         tensor = np.tensordot(tensor, rows, axes=([0], [0])) % p
-    return _from_tensor(tensor, field)
+    return tensor
 
 
 def indicator_poly(point: Sequence[int], field: PrimeField) -> ReducedPoly:
@@ -327,7 +320,7 @@ def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, f
         for i in range(lo, min(lo + k - 1, n)):
             block *= table[coords[:, i, None], exps[None, :, i]]
         block %= p
-    return FpMatrix(block, field)
+    return FpMatrix._trusted(block, field)
 
 
 def zero_set(f: ReducedPoly) -> PointSet:
@@ -394,30 +387,40 @@ def support_split_rank_bound(C: FpMatrix, d: int, n: int, field: PrimeField) -> 
     return 2 * dim_L(n, d, field)
 
 
-def split_violation(f: ReducedPoly, d: int) -> Monomial | None:
+def split_violation(terms: np.ndarray, d: int) -> Monomial | None:
     """A term of f whose shift-grid cells break the support split at d, or None.
 
-    Cell (alpha, beta) of `shift_coefficient_matrix(f)` is c * prod_i
-    C(gamma_i, alpha_i) for the term c x^gamma with gamma = alpha + beta,
-    and no such binomial vanishes mod p since gamma_i < p (Lucas). So the
-    grid has a nonzero cell with |alpha| > d and |beta| > d exactly when f
-    has a term of degree >= 2d + 2; the first one in graded-lex order is
-    returned, and the p^n x p^n grid is never built.
+    `terms` holds the exponents of f's terms in lexicographic row order, as
+    `np.argwhere` reads them from f's coefficient tensor. Cell (alpha, beta)
+    of `shift_coefficient_matrix(f)` is c * prod_i C(gamma_i, alpha_i) for
+    the term c x^gamma with gamma = alpha + beta, and no such binomial
+    vanishes mod p since gamma_i < p (Lucas). So the grid has a nonzero cell
+    with |alpha| > d and |beta| > d exactly when f has a term of degree
+    >= 2d + 2; the first one in graded-lex order is returned, and the p^n x
+    p^n grid is never built.
     """
-    return next((alpha for alpha, _ in f.terms() if sum(alpha) >= 2 * d + 2), None)
+    degrees = terms.sum(axis=1)
+    bad = degrees >= 2 * d + 2
+    if not bad.any():
+        return None
+    return tuple(terms[np.argmax(bad & (degrees == degrees[bad].min()))].tolist())
 
 
-def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet, values=None) -> FpMatrix:
-    """Matrix of f(a + b) over a in A (rows), b in B (columns), index order.
-
-    `values` is f's value table over F_p^n when the caller already has it."""
+def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet) -> FpMatrix:
+    """Matrix of f(a + b) over a in A (rows), b in B (columns), index order."""
     if A.field != f.field or B.field != f.field or A.n != f.n or B.n != f.n:
         raise ValueError("polynomial and point sets live in different spaces")
-    values = np.asarray(evaluate_all(f) if values is None else values, dtype=np.int64)
-    gram = np.zeros((len(A), len(B)), dtype=np.int64)
-    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], 1, 1, f.field.p):
-        gram[r : r + block.shape[0], c : c + block.shape[1]] = values[block]
-    return FpMatrix(gram, f.field)
+    return FpMatrix._trusted(pair_values(np.array(evaluate_all(f)), A, B), f.field)
+
+
+def pair_values(table, A: PointSet, B: PointSet) -> np.ndarray:
+    """table[a + b] over a in A (rows), b in B (columns), index order, for a
+    table over F_p^n."""
+    table = np.asarray(table, dtype=np.int64)
+    out = np.zeros((len(A), len(B)), dtype=np.int64)
+    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], 1, 1, A.field.p):
+        out[r : r + block.shape[0], c : c + block.shape[1]] = table[block]
+    return out
 
 
 def poly_to_vector(f: ReducedPoly) -> np.ndarray:

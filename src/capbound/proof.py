@@ -4,10 +4,13 @@ Given a progression-free A in F_p^n (with 3 | n), the pipeline builds the
 pair-sum set B and the doubles set C, the space K of functions vanishing
 off C, the low-degree slice L of degree <= (2/3)(p-1)n, their intersection
 V, a subset C' of C realizing dim V independent evaluations, a witness
-polynomial f in V with f = 1 on C', and the diagonal Gram certificate over
-A' = {a : 2a in C'}. Every claimed (in)equality is checked with exact
-values and recorded; the transcript serializes to JSON and can be
-re-checked from that form alone, without re-deriving V or f.
+f in V with f = 1 on C', and the diagonal Gram certificate over
+A' = {a : 2a in C'}. C' and f come from one elimination of the transposed
+indicator block. f vanishes off C, so the transcript records it as its
+values on C. Every claimed (in)equality is checked with exact values and
+recorded; the transcript serializes to JSON and can be re-checked from that
+form alone, without re-deriving V: f's coefficients come from one
+interpolation pass over its value table.
 
 One function, `_certificate_checks`, writes the rows and the conclusion
 from the input's pair sums and doubles and the certificate: `prove` calls
@@ -21,8 +24,10 @@ at the configured precision.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dataclass_field, fields
 from decimal import Decimal, localcontext
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -30,15 +35,16 @@ import numpy as np
 from .bounds import MAX_PRECISION, exponent_c, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import FpMatrix, PrimeField
-from .monomials import dim_L, enumerate_monomials, monomial_index
+from .monomials import _exponent_array, dim_L, monomial_index
 from .polyspace import (
     ReducedPoly,
     _coordinate_products,
     _vandermonde,
-    evaluate_all,
+    coefficient_tensor,
     gram_matrix,
     indicator_coefficients,
     interpolate,
+    pair_values,
     shift_coefficient_matrix,
     split_violation,
     support_split_rank_bound,
@@ -46,13 +52,12 @@ from .polyspace import (
 from .sets import PointSet, _index_of, _members, is_progression_free, pair_sums
 
 __all__ = [
-    "PIPELINE_CEILING",
+    "WORK_BOUND",
     "TRANSCRIPT_FORMAT",
     "ProofCheck",
     "ProofTranscript",
     "RankCheck",
     "DiagonalCheck",
-    "low_degree_kernel",
     "select_unit_witness",
     "diagonal_certificate",
     "prove_size_bound",
@@ -61,8 +66,8 @@ __all__ = [
     "verify_transcript",
 ]
 
-PIPELINE_CEILING = 2048
-TRANSCRIPT_FORMAT = "capbound.transcript/1"
+WORK_BOUND = 2**22  # entries of the |C| x h block that `prove` builds and eliminates
+TRANSCRIPT_FORMAT = "capbound.transcript/2"
 _DIMENSION_KEYS = (
     "ambient", "vanishing_off_doubles", "low_degree", "low_third", "low_third_minus", "intersection"
 )
@@ -80,32 +85,19 @@ class ProofCheck:
     note: str = ""
 
     def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
+        return {k: v for k, v in vars(self).items() if k != "note" or v}
+
+
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 def _check(name: str, lhs, relation: str, rhs, note: str = "") -> ProofCheck:
+    """The row `lhs relation rhs`; ints and Decimals compare exactly with each other."""
     lv = lhs if isinstance(lhs, (int, Decimal)) else int(lhs)
     rv = rhs if isinstance(rhs, (int, Decimal)) else int(rhs)
-    if isinstance(lv, Decimal) or isinstance(rv, Decimal):
-        lv, rv = Decimal(lv), Decimal(rv)
-    if relation == "<=":
-        holds = lv <= rv
-    elif relation == ">=":
-        holds = lv >= rv
-    elif relation == "==":
-        holds = lv == rv
-    else:
+    if relation not in _RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    return ProofCheck(name, relation, str(lhs), str(rhs), bool(holds), note)
+    return ProofCheck(name, relation, str(lhs), str(rhs), bool(_RELATIONS[relation](lv, rv)), note)
 
 
 @dataclass
@@ -121,10 +113,10 @@ class ProofTranscript:
     pair_sum_count: int
     dims: dict[str, int]
     degree_cap: int
+    split_degree: int
     selected_doubles: list[int]
     selected_points: list[int]
-    witness: ReducedPoly | None
-    witness_values_off_selection: dict[int, int]
+    witness_values: list[int] | None
     matrix_rank: int | None
     checks: list[ProofCheck]
     conclusion: dict
@@ -133,6 +125,20 @@ class ProofTranscript:
     @property
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
+
+    def value_table(self) -> np.ndarray | None:
+        """The witness's value table over F_p^n: `witness_values` on the doubles, 0 elsewhere."""
+        if self.witness_values is None:
+            return None
+        table = np.zeros(self.p**self.n, dtype=np.int64)
+        table[self.doubles] = self.witness_values
+        return table
+
+    @cached_property
+    def witness(self) -> ReducedPoly | None:
+        """The witness f as a polynomial, interpolated from its value table."""
+        table = self.value_table()
+        return None if table is None else interpolate(table, self.input_points.field, self.n)
 
     def to_json(self) -> dict:
         return {
@@ -146,12 +152,10 @@ class ProofTranscript:
             "pair_sum_count": self.pair_sum_count,
             "dims": {k: str(v) for k, v in self.dims.items()},
             "degree_cap": self.degree_cap,
+            "split_degree": self.split_degree,
             "selected_doubles": list(self.selected_doubles),
             "selected_points": list(self.selected_points),
-            "witness": None if self.witness is None else self.witness.to_json_terms(),
-            "witness_values_off_selection": {
-                str(k): v for k, v in self.witness_values_off_selection.items()
-            },
+            "witness_values": None if self.witness_values is None else list(self.witness_values),
             "matrix_rank": self.matrix_rank,
             "checks": [c.to_json() for c in self.checks],
             "conclusion": self.conclusion,
@@ -170,11 +174,6 @@ class ProofTranscript:
             _known_keys("transcript field 'input'", input_data, ("p", "n", "points"))
             input_points = PointSet.from_json(input_data)
             field, n = input_points.field, input_points.n
-            terms = _field(data, "witness", list, optional=True)
-            witness = None if terms is None else ReducedPoly.from_json_terms(terms, field, n)
-            off_key = "witness_values_off_selection"
-            recorded_off = _field(data, off_key, dict).items()
-            off_selection = {_decimal(off_key, k): v for k, v in recorded_off}
             dims = {k: _decimal("dims", v) for k, v in _field(data, "dims", dict).items()}
         except TypeError as exc:
             raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from None
@@ -186,12 +185,13 @@ class ProofTranscript:
         if not 1 <= precision <= MAX_PRECISION:
             raise ValueError(f"transcript precision {precision} is outside [1, {MAX_PRECISION}]")
         total = field.p**n
-        _indices(off_key, list(off_selection), total)
-        _indices(off_key, list(off_selection.values()), field.p)
         doubles, selected_doubles, selected_points = (
             _indices(key, _field(data, key, list), total)
             for key in ("doubles", "selected_doubles", "selected_points")
         )
+        values = _field(data, "witness_values", list, optional=True)
+        if values is not None and len(_indices("witness_values", values, field.p)) != len(doubles):
+            raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
         rows = _field(data, "checks", list)
         checks = [
             ProofCheck(
@@ -218,10 +218,10 @@ class ProofTranscript:
             pair_sum_count=_field(data, "pair_sum_count", int),
             dims=dims,
             degree_cap=_field(data, "degree_cap", int),
+            split_degree=_field(data, "split_degree", int),
             selected_doubles=selected_doubles,
             selected_points=selected_points,
-            witness=witness,
-            witness_values_off_selection=off_selection,
+            witness_values=values,
             matrix_rank=_field(data, "matrix_rank", int, optional=True),
             checks=checks,
             conclusion=conclusion,
@@ -275,72 +275,42 @@ def _decimal(key: str, text) -> int:
     return int(text)
 
 
-def low_degree_kernel(points: PointSet) -> list[list[int]]:
-    """Value vectors on `points` of a basis of V, for V = K & L; needs 3 | n.
+def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
+    """The selection C' of `points` and the witness's values lam on `points`; needs 3 | n.
 
-    K is the space of functions vanishing off `points` and L the slice of
+    V = K & L for K the functions vanishing off `points` and L the slice of
     degree <= (2/3)(p-1)n. A member of K with values lam on `points` has
     coefficient sum_c lam_c M[c, alpha] at x^alpha, with M from
-    `indicator_coefficients`, so it lies in L exactly when lam is in the
-    left kernel of M restricted to the monomials of degree above the cap.
-    By complementation alpha -> (p-1, ..., p-1) - alpha these are the
-    complements of the h = dim(degree <= (p-1)n/3 - 1) low monomials,
-    which gives a |points| x h block instead of any p^n-sized one.
+    `indicator_coefficients`, so it lies in L exactly when M^T lam = 0 over
+    the h monomials above the cap: by complementation alpha -> (p-1, ...,
+    p-1) - alpha, those of degree <= (p-1)n/3 - 1. C' is the set of leftmost
+    pivot columns of the RREF of a basis of that kernel, so |C'| = dim V, and
+    lam is 1 on C': the sum of that RREF's rows. Both come from one
+    elimination of the h x |points| block (`FpMatrix.unit_kernel_vector`);
+    an empty C' means V = 0 (lam is then 0).
     """
+    if not points.size:
+        return points, []
     field, n = points.field, points.n
     if n <= 0 or n % 3 != 0:
         raise ValueError("degree cut requires 3 | n")
-    low = enumerate_monomials(n, field, (field.p - 1) * n // 3 - 1)
-    high = [tuple(field.p - 1 - e for e in alpha) for alpha in low]
-    return indicator_coefficients(points, high).transpose().kernel_basis()
+    low = _exponent_array(n, field.p - 1, (field.p - 1) * n // 3 - 1)
+    free, lam = indicator_coefficients(points, field.p - 1 - low).transpose().unit_kernel_vector()
+    return PointSet.from_indices(field, n, _members(points)[0][free]), lam.tolist()
 
 
-def select_unit_witness(
-    span_values: list[list[int]], points: PointSet
-) -> tuple[PointSet, ReducedPoly, dict[int, int]]:
-    """Pick pivot points of a span of functions on `points` and a witness.
+def diagonal_certificate(values, selected: PointSet) -> FpMatrix:
+    """Gram matrix [f(a + b)] over `selected`; must be diagonal with nonzero diagonal.
 
-    `span_values` holds the value vectors on `points` (index order) of a
-    basis of the span, whose members vanish off `points`. The pivot
-    columns of its reduced row echelon form are the selected subset: the
-    leftmost pivots, so they depend only on the span, and there are dim
-    span of them. The sum of the reduced rows is the unique member equal
-    to 1 on every selected point; it is interpolated as the witness. Its
-    values on the unselected points are free; they are returned for the
-    record.
+    `values` is f's value table over F_p^n. This is exactly where
+    progression-freeness is consumed: an off-diagonal nonzero entry means
+    f(a + b) != 0 for distinct a, b, i.e. a + b escaped the zero set that
+    the construction promised. A diagonal matrix with nonzero diagonal has
+    rank |selected|, so its rank is not computed.
     """
-    if not span_values:
-        raise ValueError("span basis is empty; nothing to select")
-    field, n = points.field, points.n
-    idxs = points.indices()
-    reduced, pivots = FpMatrix(span_values, field).rref()
-    if len(pivots) != len(span_values):
-        raise HypothesisViolation(
-            "span values are linearly dependent",
-            evidence={"rank": len(pivots), "dim": len(span_values)},
-        )
-    lam = [int(v) for v in reduced.array.sum(axis=0) % field.p]
-    values = np.zeros(field.p**n, dtype=np.int64)
-    values[idxs] = lam
-    selected = PointSet.from_indices(field, n, [idxs[j] for j in pivots])
-    off_selection = {i: v for i, v in zip(idxs, lam) if i not in selected}
-    return selected, interpolate(values, field, n), off_selection
-
-
-def diagonal_certificate(f: ReducedPoly, selected: PointSet, values=None) -> FpMatrix:
-    """Gram matrix of f over `selected`; must be diagonal with nonzero diagonal.
-
-    This is exactly where progression-freeness is consumed: an off-diagonal
-    nonzero entry means f(a + b) != 0 for distinct a, b, i.e. a + b escaped
-    the zero set that the construction promised. Returns the matrix after
-    asserting rank = |selected|, so its rank is |selected| for the caller.
-    `values` is f's value table over F_p^n when the caller already has it.
-    """
-    mat = gram_matrix(f, selected, selected, values)
-    arr = mat.array
-    off = np.array(arr)
-    np.fill_diagonal(off, 0)
-    idxs = selected.indices()
+    arr = pair_values(values, selected, selected)
+    diag = np.diagonal(arr)
+    off = arr - np.diag(diag)
     if off.any():
         i, j = map(int, np.argwhere(off)[0])
         raise HypothesisViolation(
@@ -351,16 +321,13 @@ def diagonal_certificate(f: ReducedPoly, selected: PointSet, values=None) -> FpM
                 "value": int(off[i, j]),
             },
         )
-    diag = np.diagonal(arr)
-    if len(idxs) and not diag.all():
+    if not diag.all():
         k = int(np.argmin(diag != 0))
         raise HypothesisViolation(
             "hypothesis violated: zero diagonal entry in Gram matrix",
             evidence={"point": list(selected.points()[k])},
         )
-    if mat.rank() != selected.size:
-        raise AssertionError("diagonal matrix with nonzero diagonal must have full rank")
-    return mat
+    return FpMatrix._trusted(arr, selected.field)
 
 
 @dataclass(frozen=True)
@@ -429,14 +396,15 @@ def check_diagonal_size_bound(f: ReducedPoly, A: PointSet, d: int) -> DiagonalCh
     )
 
 
-def _split_check(f: ReducedPoly, size: int, d: int) -> ProofCheck:
-    """size <= 2 dim(degree <= d), the rank bound of f's split shift grid.
+def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> ProofCheck:
+    """size <= 2 dim(degree <= d), the rank bound of the split shift grid of f,
+    whose terms' exponents are the rows of `terms`.
 
     When a term of f breaks the support split the bound is not established
     and the row fails, naming that term, instead of raising.
     """
-    bound = 2 * dim_L(f.n, d, f.field)
-    term = split_violation(f, d)
+    bound = 2 * dim_L(terms.shape[1], d, field)
+    term = split_violation(terms, d)
     if term is None:
         note = "diagonal Gram rank against the support split"
         return _check("selected_size_bound", size, "<=", bound, note=note)
@@ -457,8 +425,13 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     p = field.p
     if n <= 0 or n % 3 != 0:
         raise ValueError("the size-bound argument requires 3 | n")
-    if p**n > PIPELINE_CEILING:
-        raise ValueError(f"p^n = {p**n} exceeds the pipeline ceiling {PIPELINE_CEILING}")
+    low_third = (p - 1) * n // 3
+    h = dim_L(n, low_third - 1, field)
+    if A.size * h > WORK_BOUND:  # |C| = |A|: doubling is injective for odd p
+        raise ValueError(
+            f"the |C| x h block would have |C| = {A.size} times h = {h} entries, "
+            f"above the work bound {WORK_BOUND}"
+        )
 
     pf, triple = is_progression_free(A)
     if not pf and not _skip_progression_check:
@@ -467,39 +440,33 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         )
     sums, doubles = pair_sums(A)
     dims = _dimension_table(field, n, doubles.size)
-    intersection = low_degree_kernel(doubles)
-    dims["intersection"] = len(intersection)
-
-    selected_doubles, witness, off_selection = PointSet.empty(field, n), None, {}
-    selected_points, table, rank = [], None, None
-    if intersection:
-        selected_doubles, witness, off_selection = select_unit_witness(intersection, doubles)
-        table = np.array(evaluate_all(witness))
-        selected_points = _halves_of(A, selected_doubles)
-        a_prime = PointSet.from_indices(field, n, selected_points)
-        diagonal_certificate(witness, a_prime, table)
-        rank = a_prime.size
-
+    selected, lam = select_unit_witness(doubles)
+    dims["intersection"] = selected.size
     transcript = ProofTranscript(
         p=p,
         n=n,
-        branch="main" if intersection else "zero_intersection",
+        branch="main" if selected.size else "zero_intersection",
         input_points=A,
         input_size=A.size,
         doubles=doubles.indices(),
         pair_sum_count=sums.size,
         dims=dims,
-        degree_cap=2 * ((p - 1) * n // 3),
-        selected_doubles=selected_doubles.indices(),
-        selected_points=selected_points,
-        witness=witness,
-        witness_values_off_selection=off_selection,
-        matrix_rank=rank,
+        degree_cap=2 * low_third,
+        split_degree=low_third,
+        selected_doubles=selected.indices(),
+        selected_points=_halves_of(A, selected),
+        witness_values=lam if selected.size else None,
+        matrix_rank=None,
         checks=[],
         conclusion={},
     )
+    table = transcript.value_table()
+    if table is not None:
+        a_prime = PointSet.from_indices(field, n, transcript.selected_points)
+        diagonal_certificate(table, a_prime)
+        transcript.matrix_rank = a_prime.size
     transcript.checks, transcript.conclusion = _certificate_checks(
-        transcript, pf, sums, doubles, table, rank
+        transcript, pf, sums, doubles, table, transcript.matrix_rank
     )
     return transcript
 
@@ -517,8 +484,10 @@ def _certificate_checks(
     `pf`, `sums` and `doubles` are derived from the input set. The rest is
     the certificate recorded in `t`: its size, dimensions, selection,
     witness and precision, with `table` the witness's value table over
-    F_p^n and `rank` the rank of its Gram matrix over the selected points
-    (-1 when that matrix is not diagonal). `prove_size_bound` passes what it
+    F_p^n (None on the zero branch) and `rank` the rank of its Gram matrix
+    over the selected points (-1 when that matrix is not diagonal). The
+    witness's degree and split are read from its coefficients, one
+    interpolation pass over `table`. `prove_size_bound` passes what it
     derived and `verify_transcript` what it parsed, so both write the same
     rows. The asymptotic bound is evaluated at the larger of the recorded
     and the configured precision.
@@ -553,21 +522,22 @@ def _certificate_checks(
     ]
 
     exact = {"size": str(size)}
-    if t.witness is None:
+    if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
         exact_bound, note = h, "zero-dimensional intersection branch"
     else:
-        witness, selected, a_prime = t.witness, t.selected_doubles, len(t.selected_points)
+        selected, a_prime = t.selected_doubles, len(t.selected_points)
+        terms = np.argwhere(coefficient_tensor(table, field, n)).reshape(-1, n)
         vanishes_off_doubles = not table[~doubles._table()].any()
         checks += [
             _check("selection_size", len(selected), "==", dims["intersection"]),
-            _check("witness_degree", witness.degree or 0, "<=", 2 * low_third),
+            _check("witness_degree", int(terms.sum(axis=1).max(initial=0)), "<=", 2 * low_third),
             _check("witness_vanishes_off_doubles", int(vanishes_off_doubles), "==", 1),
             _check("witness_unit_on_selected", int((table[selected] == 1).all()), "==", 1),
             _check("pair_sums_in_zero_set", int(not table[sums._table()].any()), "==", 1),
             _check("selected_points_count", a_prime, "==", len(selected)),
             _check("gram_rank_equals_selection", rank, "==", a_prime),
-            _split_check(witness, a_prime, low_third),
+            _split_check(terms, a_prime, low_third, field),
         ]
         exact_bound, note = h + len(selected), "|A| = |C| <= dim(low third minus one) + |C'|"
         exact.update(low_third_minus=str(h), selected=str(len(selected)))
@@ -611,37 +581,36 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
     Recomputes the input's progression check, pair sums and doubles and the
-    recorded witness's values and Gram rank, then runs `_certificate_checks`,
-    the row builder of `prove_size_bound`: the report starts with the
-    transcript's rows, recomputed (no kernel, no pivot selection; dim V is
-    the recorded one, certified by the selection and the diagonal
-    certificate). Record rows follow: the recorded sets, dimensions, branch,
-    selection, off-selection values and rank match their recomputation, and
-    `recorded_claims` compares the recorded rows and conclusion with the
-    recomputed ones, the asymptotic digits at the recorded precision.
-    Returns (every row holds, rows).
+    Gram matrix of the recorded witness values, then runs
+    `_certificate_checks`, the row builder of `prove_size_bound`: the report
+    starts with the transcript's rows, recomputed (no kernel, no pivot
+    selection; dim V is the recorded one, certified by the selection and the
+    diagonal certificate). Record rows follow: the recorded sets, dimensions
+    (with the degree cap and split degree), branch, selection and rank match
+    their recomputation, and `recorded_claims` compares the recorded rows and
+    conclusion with the recomputed ones, the asymptotic digits at the
+    recorded precision. Returns (every row holds, rows).
     """
     t = ProofTranscript.from_json(data)
     field, n = t.input_points.field, t.n
     pf, _ = is_progression_free(t.input_points)
     sums, doubles = pair_sums(t.input_points)
     selected = set(t.selected_doubles)
-    table, rank, off_selection = None, None, {}
-    if t.witness is not None:
-        table = np.array(evaluate_all(t.witness))
-        off_selection = {i: int(table[i]) for i in doubles if i not in selected}
+    table, rank = t.value_table(), None
+    if table is not None:
         try:
             a_prime = PointSet.from_indices(field, n, t.selected_points)
-            diagonal_certificate(t.witness, a_prime, table)
+            diagonal_certificate(table, a_prime)
             rank = a_prime.size
         except HypothesisViolation:
             rank = -1
     rows, conclusion = _certificate_checks(t, pf, sums, doubles, table, rank)
 
+    low_third = (field.p - 1) * n // 3
     expected = _dimension_table(field, n, doubles.size)
-    dims_ok = t.degree_cap == 2 * ((field.p - 1) * n // 3)
+    dims_ok = (t.degree_cap, t.split_degree) == (2 * low_third, low_third)
     dims_ok = dims_ok and all(t.dims[k] == v for k, v in expected.items())
-    if t.witness is None:
+    if table is None:
         shape_ok = t.branch == "zero_intersection" and t.dims["intersection"] == 0
         shape_ok = shape_ok and not selected and t.matrix_rank is None
     else:
@@ -651,12 +620,11 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
         "recorded_dimensions": dims_ok,
         "branch_shape": shape_ok,
         "selected_points_match": _halves_of(t.input_points, selected) == t.selected_points,
-        "witness_values_off_selection": off_selection == t.witness_values_off_selection,
     }
-    if t.witness is not None:
+    if table is not None:
         records["gram_diagonal"] = rank != -1
     checks = rows + [_check(name, int(ok), "==", 1) for name, ok in records.items()]
-    if t.witness is not None:
+    if table is not None:
         recorded_rank = -1 if t.matrix_rank is None else t.matrix_rank
         checks.append(_check("matrix_rank_recorded", rank, "==", recorded_rank))
     if precision_digits() > t.precision:  # the rows were evaluated above the recorded precision

@@ -10,7 +10,7 @@ coordinate tuples listed in index order and encode points themselves.
 Layer counts come from the window convolution that the library's
 recurrence replaced, and the search's block masks from the per-pair tuple
 formula that its row table replaced. The input readers are the
-per-point and per-term loops that the flat-pass readers replaced.
+per-point and per-term loops; the library reads points in flat passes.
 Row reduction is the per-pivot elimination (every updated row reduced mod
 p at each pivot, then a separate back-substitution) that the library's
 lazy Gauss-Jordan pass replaced, and the kernel basis is filled entry by
@@ -18,7 +18,11 @@ entry from its echelon form, as before the library's array assignment.
 Interpolation reads the coefficient tensor term by term through the
 validating `ReducedPoly` constructor, as before the library's flat read.
 Coordinate products are reduced mod p after every coordinate's pass, as
-before the library grouped several passes per reduction.
+before the library grouped several passes per reduction. The unit
+selection is the two-step path that the library's single right-to-left
+elimination replaced: a kernel basis, then the RREF of that basis, in
+plain ints. The transcript witness spec computes the coefficients of
+sum_c lam_c 1_c entry by entry from the recorded values, with no transform.
 """
 
 from __future__ import annotations
@@ -335,3 +339,103 @@ def coordinate_products_per_pass(coords: np.ndarray, exps: np.ndarray, table: np
     for i in range(coords.shape[1]):
         block = block * table[coords[:, i, None], exps[None, :, i]] % p
     return block
+
+
+def _coords(index: int, p: int, n: int) -> tuple[int, ...]:
+    return tuple(index // p**i % p for i in range(n))
+
+
+def _indicator_coefficient(s: int, e: int, p: int) -> int:
+    """Coefficient of x^e in 1 - (x - s)^(p-1), the univariate indicator of s."""
+    return (int(e == 0) - math.comb(p - 1, e) * pow(-s, p - 1 - e, p)) % p
+
+
+def _rref_rows(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of rows of ints in [0, p): (nonzero rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def left_kernel_basis(indices: list[int], p: int, n: int) -> list[list[int]]:
+    """Values on the points `indices` of a basis of the functions that vanish
+    elsewhere and have degree <= (2/3)(p-1)n: the vectors lam with
+    sum_c lam_c M[c, alpha] = 0 for every monomial alpha above that cap, where
+    M[c, alpha] is the coefficient of x^alpha in the indicator of c; entry by
+    entry, one basis vector per free column of the RREF of M^T."""
+    d = (p - 1) * n // 3 - 1
+    high = [tuple(p - 1 - e for e in a) for a in product(range(p), repeat=n) if sum(a) <= d]
+    coords = [_coords(i, p, n) for i in indices]
+    block_t = [
+        [math.prod(_indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) % p for c in coords]
+        for alpha in high
+    ]
+    reduced, pivots = _rref_rows(block_t, p)
+    basis = []
+    for free in (j for j in range(len(indices)) if j not in pivots):
+        v = [0] * len(indices)
+        v[free] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[free] % p
+        basis.append(v)
+    return basis
+
+
+def unit_selection(indices: list[int], p: int, n: int) -> tuple[list[int], list[int]]:
+    """(C', lam) for the support `indices` (increasing) by the two-step path:
+    a basis of the left kernel of the indicator block, then the leftmost
+    pivot columns of its RREF as C' and the sum of the reduced rows, the
+    kernel vector equal to 1 on C', as lam (all 0 when the kernel is 0)."""
+    basis = left_kernel_basis(indices, p, n)
+    if not basis:
+        return [], [0] * len(indices)
+    reduced, pivots = _rref_rows(basis, p)
+    return [indices[j] for j in pivots], [sum(col) % p for col in zip(*reduced)]
+
+
+def witness_coefficients(values: list[int], doubles: list[int], p: int, n: int) -> dict[tuple[int, ...], int]:
+    """Nonzero coefficients of f = sum_c values_c 1_c over the points `doubles`,
+    entry by entry: at x^alpha, sum_c values_c prod_i u(c_i, alpha_i), with
+    u(s, e) the coefficient of x^e in the univariate indicator of s."""
+    coords = [_coords(i, p, n) for i in doubles]
+    out = {}
+    for alpha in product(range(p), repeat=n):
+        terms = (v * math.prod(_indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) for v, c in zip(values, coords))
+        if coef := sum(terms) % p:
+            out[alpha] = coef
+    return out
+
+
+def transcript_witness_spec(t: dict) -> dict | None:
+    """The witness claims of a capbound.transcript/2 object `t`, from the spec.
+
+    None when `witness_values` is not a list of one int in [0, p) per
+    recorded double. Otherwise `degree` is deg f for f = sum_c lam_c 1_c,
+    `in_L` says that the recorded `degree_cap` is (2/3)(p-1)n and that f has
+    no coefficient above it, and `unit` that lam = 1 on every selected
+    double (each of which must be a double)."""
+    p, n, values, doubles = t["p"], t["n"], t["witness_values"], t["doubles"]
+    if type(values) is not list or len(values) != len(doubles):
+        return None
+    if any(type(v) is not int or not 0 <= v < p for v in values):
+        return None
+    coeffs = witness_coefficients(values, doubles, p, n)
+    degree = max(map(sum, coeffs), default=0)
+    cap = t["degree_cap"]
+    in_l = cap == 2 * ((p - 1) * n // 3) and all(sum(a) <= cap for a in coeffs)
+    at = dict(zip(doubles, values))
+    unit = all(at.get(s) == 1 for s in t["selected_doubles"])
+    return {"degree": degree, "in_L": in_l, "unit": unit}

@@ -1,12 +1,15 @@
 import json
+import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField, point_coords, row_space_intersection
+from capbound.gf import FpMatrix, PrimeField, row_space_intersection
 from capbound.monomials import dim_L, enumerate_monomials
 from capbound.polyspace import (
     ReducedPoly,
@@ -25,7 +28,6 @@ from capbound.proof import (
     check_diagonal_size_bound,
     check_gram_rank_bound,
     diagonal_certificate,
-    low_degree_kernel,
     prove_size_bound,
     select_unit_witness,
     verify_transcript,
@@ -48,18 +50,19 @@ def extend_by_zero(values, points):
 
 
 def kernel_polys(points):
-    """The members of V given by `low_degree_kernel`, as polynomials."""
-    return [
-        interpolate(extend_by_zero(v, points), points.field, points.n)
-        for v in low_degree_kernel(points)
-    ]
+    """A basis of V from the entry-by-entry kernel of `oracles`, as polynomials;
+    the tests below hold it to the definitions of K and L, and `select_unit_witness`
+    to its dimension."""
+    basis = oracles.left_kernel_basis(points.indices(), points.field.p, points.n)
+    assert select_unit_witness(points)[0].size == len(basis)
+    return [interpolate(extend_by_zero(v, points), points.field, points.n) for v in basis]
 
 
 class TestSpaceBuilders:
     def test_empty_support(self):
         empty = PointSet.empty(F3, 3)
         assert indicator_coefficients(empty, all_monomials(F3, 3)).rows == 0
-        assert low_degree_kernel(empty) == []
+        assert select_unit_witness(empty) == (empty, [])
 
     def test_univariate_indicator(self):
         ps = PointSet.from_points(F3, 1, [(0,)])
@@ -84,7 +87,7 @@ class TestSpaceBuilders:
         assert len(V) == 23 == dim_L(3, 4, F3) == 27 - dim_L(3, 1, F3)
         assert all(f.degree <= 4 for f in V)
         with pytest.raises(ValueError, match="3 \\| n"):
-            low_degree_kernel(PointSet.empty(F3, 4))
+            select_unit_witness(PointSet.full(F3, 4))
 
 
 class TestIntersection:
@@ -106,34 +109,37 @@ class TestIntersection:
 
 class TestSelection:
     def test_single_indicator(self):
-        c = PointSet.from_points(F3, 1, [(1,)])
-        selected, witness, off = select_unit_witness([[1]], c)
-        assert selected == c
-        assert witness == indicator_poly((1,), F3)
-        assert off == {}
-
-    def test_empty_span_rejected(self):
-        with pytest.raises(ValueError):
-            select_unit_witness([], PointSet.full(F3, 1))
-
-    def test_dependent_values_rejected(self):
-        with pytest.raises(HypothesisViolation, match="dependent"):
-            select_unit_witness([[1, 2, 0], [2, 1, 0]], PointSet.full(F3, 1))
+        # an indicator has the top monomial (p-1, ..., p-1), so it is not in L
+        c = PointSet.from_points(F3, 3, [(1, 0, 2)])
+        selected, lam = select_unit_witness(c)
+        assert selected.size == 0 and lam == [0]
 
     def test_witness_is_unit_on_selection(self, cap9_search):
         _, doubles = pair_sums(cap9_search.witness)
-        V = low_degree_kernel(doubles)
-        selected, witness, off = select_unit_witness(V, doubles)
+        V = oracles.left_kernel_basis(doubles.indices(), 3, 3)
+        selected, lam = select_unit_witness(doubles)
         assert selected.size == len(V)
+        witness = interpolate(extend_by_zero(lam, doubles), F3, 3)
         table = evaluate_all(witness)
         for i in selected:
             assert table[i] == 1
-        assert set(off) == set(doubles.indices()) - set(selected.indices())
-        assert all(table[i] == v for i, v in off.items())
-        # witness vanishes off the doubles and respects the degree cut
+        # witness lies in V: a combination of the basis, of degree <= 4
+        assert FpMatrix(V + [lam], F3).rank() == len(V)
         assert witness.degree <= 4
         complement = zero_set(witness).complement()
         assert (complement - doubles).size == 0
+
+    @pytest.mark.parametrize("p, n, most", [(3, 3, 27), (5, 3, 60), (7, 3, 90), (3, 6, 110)])
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(0, 110), seed=st.integers(0, 2**32))
+    def test_matches_two_step_oracle(self, p, n, most, size, seed):
+        """One right-to-left elimination selects the C' and lam of the kernel
+        basis's RREF; supports above h = 4, 20, 56, 78 points have V != 0."""
+        idxs = sorted(random.Random(seed).sample(range(p**n), min(size, most)))
+        selected, lam = select_unit_witness(PointSet.from_indices(PrimeField(p), n, idxs))
+        ref_selected, ref_lam = oracles.unit_selection(idxs, p, n)
+        assert selected.indices() == ref_selected
+        assert lam == (ref_lam if idxs else [])
 
 
 def zassenhaus_reference(points):
@@ -160,15 +166,14 @@ def zassenhaus_reference(points):
 
 def assert_matches_reference(points, dim_v=None):
     ref_dim, ref_selected, ref_witness = zassenhaus_reference(points)
-    V = low_degree_kernel(points)
-    assert len(V) == ref_dim
     if dim_v is not None:
         assert ref_dim == dim_v
-    if not V:
+    selected, lam = select_unit_witness(points)
+    assert selected.size == ref_dim
+    if not ref_dim:
         return
-    selected, witness, _ = select_unit_witness(V, points)
     assert selected.indices() == ref_selected
-    assert witness == ref_witness
+    assert interpolate(extend_by_zero(lam, points), points.field, points.n) == ref_witness
 
 
 class TestZassenhausCrossCheck:
@@ -215,27 +220,28 @@ class TestSplitCheck:
                     raised = False
                 except HypothesisViolation:
                     raised = True
-                assert raised == (split_violation(f, d) is not None), (f, d)
+                terms = np.array(sorted(f._coeffs), dtype=np.int64).reshape(-1, n)
+                assert raised == (split_violation(terms, d) is not None), (f, d)
 
 
 class TestDiagonalCertificate:
     def test_singleton(self):
         pt = PointSet.from_points(F3, 1, [(1,)])
         f = indicator_poly((2,), F3)  # f(1+1) = 1
-        mat = diagonal_certificate(f, pt)
+        mat = diagonal_certificate(evaluate_all(f), pt)
         assert mat.to_lists() == [[1]]
 
     def test_rejects_offdiagonal(self):
         f = ReducedPoly.constant(F3, 1, 1)
         pts = PointSet.from_points(F3, 1, [(0,), (1,)])
         with pytest.raises(HypothesisViolation, match="not diagonal"):
-            diagonal_certificate(f, pts)
+            diagonal_certificate(evaluate_all(f), pts)
 
     def test_rejects_zero_diagonal(self):
         f = ReducedPoly.zero(F3, 1)
         pt = PointSet.from_points(F3, 1, [(0,)])
         with pytest.raises(HypothesisViolation, match="zero diagonal"):
-            diagonal_certificate(f, pt)
+            diagonal_certificate(evaluate_all(f), pt)
 
 
 class TestRankBoundCheck:
@@ -338,7 +344,7 @@ class TestPipeline:
     def test_unit_diagonal(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
         a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-        gram = diagonal_certificate(transcript.witness, a_prime)
+        gram = diagonal_certificate(transcript.value_table(), a_prime)
         arr = gram.array
         assert (np.diagonal(arr) == 1).all()
         assert (arr - np.diag(np.diagonal(arr)) == 0).all()
@@ -380,9 +386,15 @@ class TestLargeAmbient:
         ok, _ = verify_transcript(transcript.to_json())
         assert ok
 
-    def test_ceiling_rejected(self):
-        with pytest.raises(ValueError, match="ceiling"):
-            prove_size_bound(PointSet.empty(PrimeField(3), 9))
+    def test_ceiling_rejected(self, cap9_search):
+        # the product of four 9-caps in F_3^12: a 6561 x 29406 block, about 1.9e8 entries
+        cap = cap9_search.witness.points()
+        pairs = [a + b for a in cap for b in cap]
+        product = PointSet.from_points(F3, 12, [a + b for a in pairs for b in pairs])
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="6561 times h = 29406 entries, above the work bound 4194304"):
+            prove_size_bound(product)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTranscriptSerialization:
@@ -413,20 +425,20 @@ class TestTranscriptSerialization:
         assert not ok
 
         tampered = json.loads(json.dumps(payload))
-        tampered["witness"] = [[[0, 0, 0], 1]]
+        tampered["witness_values"] = [1] + [0] * 8
         ok, _ = verify_transcript(tampered)
         assert not ok
 
     @settings(max_examples=40, deadline=None)
-    @given(point=st.integers(0, 26), scale=st.integers(0, 2))
-    def test_witness_rows_match_entrywise_tests(self, cap9_search, point, scale):
-        """The witness rows equal the per-entry tests over the value table when
-        the recorded witness moves by `scale` times the indicator of one point."""
+    @given(double=st.integers(0, 8), scale=st.integers(0, 2))
+    def test_witness_rows_match_entrywise_tests(self, cap9_search, double, scale):
+        """The witness rows equal the per-entry tests over the value table of the
+        interpolated witness when one recorded value moves by `scale`."""
         payload = prove_size_bound(cap9_search.witness).to_json()
-        f = ReducedPoly.from_json_terms(payload["witness"], F3, 3)
-        f = f + indicator_poly(point_coords(point, 3, F3), F3).scale(scale)
-        payload["witness"] = f.to_json_terms()
+        payload["witness_values"][double] = (payload["witness_values"][double] + scale) % 3
         _, rows = verify_transcript(payload)
+        doubles_set = PointSet.from_indices(F3, 3, payload["doubles"])
+        f = interpolate(extend_by_zero(payload["witness_values"], doubles_set), F3, 3)
         table, doubles = evaluate_all(f), set(payload["doubles"])
         expected = {
             "witness_vanishes_off_doubles": all(
@@ -438,6 +450,7 @@ class TestTranscriptSerialization:
         assert {c.name: c.lhs for c in rows if c.name in expected} == {
             name: str(int(holds)) for name, holds in expected.items()
         }
+        assert next(c.lhs for c in rows if c.name == "witness_degree") == str(f.degree or 0)
 
     @pytest.mark.parametrize("kind", ["cap9", "product_cap", "zero_branch"])
     def test_verifier_rows_start_with_recorded_rows(self, cap9_search, kind):
@@ -461,7 +474,6 @@ class TestTranscriptSerialization:
             "recorded_dimensions",
             "branch_shape",
             "selected_points_match",
-            "witness_values_off_selection",
             *main_only,
             "recorded_claims",
         ]
