@@ -18,11 +18,8 @@ from .errors import CheckFailure, HypothesisViolation, ProgressionFound
 from .gf import (
     FpMatrix,
     PrimeField,
-    field_arith,
-    point_add,
     point_coords,
     point_index,
-    point_scale,
     row_space_intersection,
 )
 from .monomials import (
@@ -88,7 +85,6 @@ __all__ = [
     "exact_tail_identity",
     "exponent_c",
     "extended_binomial",
-    "field_arith",
     "graded_lex_key",
     "gram_matrix",
     "greedy_progression_free",
@@ -101,10 +97,8 @@ __all__ = [
     "main_bound",
     "max_progression_free",
     "pair_sums",
-    "point_add",
     "point_coords",
     "point_index",
-    "point_scale",
     "prove_size_bound",
     "row_space_intersection",
     "select_unit_witness",

@@ -16,11 +16,8 @@ import numpy as np
 __all__ = [
     "MAX_MODULUS",
     "PrimeField",
-    "field_arith",
     "point_index",
     "point_coords",
-    "point_add",
-    "point_scale",
     "FpMatrix",
     "row_space_intersection",
 ]
@@ -100,28 +97,6 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-_BINARY_OPS = {"add", "sub", "mul"}
-_UNARY_OPS = {"inv", "neg"}
-
-
-def field_arith(op: str, a: int, b: int | None = None, *, field: PrimeField) -> int:
-    """Dispatch one validated field operation by name.
-
-    `op` is one of add/sub/mul/inv/neg; binary ops require `b`.
-    """
-    field.validate(a)
-    if op in _BINARY_OPS:
-        if b is None:
-            raise ValueError(f"operation {op!r} needs a second operand")
-        field.validate(b)
-        return getattr(field, op)(a, b)
-    if op in _UNARY_OPS:
-        if b is not None:
-            raise ValueError(f"operation {op!r} takes a single operand")
-        return getattr(field, op)(a)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def point_index(coords: Sequence[int], field: PrimeField) -> int:
     """Base-p encoding of a point: index = sum(coords[i] * p^i)."""
     idx = 0
@@ -140,16 +115,6 @@ def point_coords(index: int, n: int, field: PrimeField) -> tuple[int, ...]:
         index, c = divmod(index, field.p)
         out.append(c)
     return tuple(out)
-
-
-def point_add(a: Sequence[int], b: Sequence[int], field: PrimeField) -> tuple[int, ...]:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return tuple((x + y) % field.p for x, y in zip(a, b))
-
-
-def point_scale(a: Sequence[int], k: int, field: PrimeField) -> tuple[int, ...]:
-    return tuple((k * x) % field.p for x in a)
 
 
 def _row_reduce(a: np.ndarray, p: int) -> list[int]:

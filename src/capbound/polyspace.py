@@ -418,7 +418,7 @@ def pair_values(table, A: PointSet, B: PointSet) -> np.ndarray:
     table over F_p^n."""
     table = np.asarray(table, dtype=np.int64)
     out = np.zeros((len(A), len(B)), dtype=np.int64)
-    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], 1, 1, A.field.p):
+    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], A.field.p):
         out[r : r + block.shape[0], c : c + block.shape[1]] = table[block]
     return out
 

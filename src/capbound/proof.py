@@ -32,7 +32,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .bounds import MAX_PRECISION, exponent_c, precision_digits
+from .bounds import MAX_PRECISION, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import FpMatrix, PrimeField
 from .monomials import _exponent_array, dim_L, monomial_index
@@ -259,10 +259,10 @@ def _known_keys(where: str, data: dict, known) -> None:
 
 def _indices(key: str, values: list, total: int) -> list[int]:
     """`values`, required to be ints in [0, total), else ValueError naming the field."""
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if set(map(type, values)) - {int} and not all(type(v) is not bool and isinstance(v, int) for v in values):
         raise ValueError(f"transcript field {key!r} must hold ints")
-    bad = next((v for v in values if not 0 <= v < total), None)
-    if bad is not None:
+    if values and not 0 <= min(values) <= max(values) < total:
+        bad = next(v for v in values if not 0 <= v < total)
         raise ValueError(f"transcript field {key!r} holds {bad}, outside [0, {total})")
     return values
 
@@ -433,12 +433,13 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
             f"above the work bound {WORK_BOUND}"
         )
 
-    pf, triple = is_progression_free(A)
+    sums, doubles = pair_sums(A)
+    pf = not (sums & doubles).size
     if not pf and not _skip_progression_check:
+        _, triple = is_progression_free(A)
         raise ProgressionFound(
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
-    sums, doubles = pair_sums(A)
     dims = _dimension_table(field, n, doubles.size)
     selected, lam = select_unit_witness(doubles)
     dims["intersection"] = selected.size
@@ -551,8 +552,9 @@ def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[Proo
     """The row size <= 3 p^(cn) and the asymptotic conclusion, at `digits` digits."""
     with localcontext() as ctx:
         ctx.prec = digits
-        c_exp = exponent_c(field, digits)
-        p_cn = (c_exp * n * Decimal(field.p).ln()).exp()
+        ln_p = Decimal(field.p).ln()
+        c_exp = 1 - 1 / (18 * ln_p)  # `bounds.exponent_c`, sharing its ln p
+        p_cn = (c_exp * n * ln_p).exp()
         bound = 3 * p_cn
     row = _check("size_bound_asymptotic", Decimal(size), "<=", bound)
     return row, {"c": str(c_exp), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
@@ -580,8 +582,8 @@ def _halves_of(A: PointSet, doubled) -> list[int]:
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
-    Recomputes the input's progression check, pair sums and doubles and the
-    Gram matrix of the recorded witness values, then runs
+    Recomputes the input's pair sums and doubles, whose intersection is the
+    progression check, and the Gram matrix of the recorded witness values, then runs
     `_certificate_checks`, the row builder of `prove_size_bound`: the report
     starts with the transcript's rows, recomputed (no kernel, no pivot
     selection; dim V is the recorded one, certified by the selection and the
@@ -593,8 +595,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """
     t = ProofTranscript.from_json(data)
     field, n = t.input_points.field, t.n
-    pf, _ = is_progression_free(t.input_points)
     sums, doubles = pair_sums(t.input_points)
+    pf = not (sums & doubles).size
     selected = set(t.selected_doubles)
     table, rank = t.value_table(), None
     if table is not None:

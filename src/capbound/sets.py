@@ -2,20 +2,20 @@
 
 A PointSet is an immutable membership bitmap (one Python int) over the
 base-p point encoding, plus its ambient (p, n) of at most 2^24 points.
-Progression-freeness means no distinct a, b, c in the set with
-a + b = 2c; since p is odd the midpoint c = (a + b)/2 of any pair is
-unique, which keeps every check quadratic.
+Progression-freeness means no distinct a, b, c in the set with a + b = 2c.
+Since p is odd, that holds exactly when the sums a + b of distinct members
+miss the doubles 2c, which keeps every check quadratic.
 
-Pair work runs in one numpy index kernel: `_pair_indices` maps two
-coordinate blocks (from `_members`) to the indices of alpha*u + beta*v
-for every pair, in blocks of bounded size, which are looked up in bool
-tables over F_p^n.
+Pair work runs in one carry-free key kernel (`_key_tables`): each point is
+reduced once and keyed per group of digits in base 2p, so the index of a sum
+mod p costs one key sum and one table lookup per group. `_pair_indices`
+sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 
-The exact search keeps Python-int masks. Its row table (`_BlockRows`)
-is built from the same kernel, one row per point j it reaches, so that
-including j ORs one precomputed mask per chosen point: about 1 us per node
-on F_3^4 and F_5^3. One loop, `_explore`, runs the depth-first walk and
-the breadth-first split for worker processes; a node budget caps both.
+The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
+built from the same kernel, one row per point j it reaches, so including j
+ORs one precomputed mask per chosen point: about 1 us per node on F_3^4 and
+F_5^3. One loop, `_explore`, runs the depth-first walk and the breadth-first
+split for worker processes; a node budget caps both.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ProgressionFound
-from .gf import PrimeField, point_coords
+from .gf import PrimeField
 
 __all__ = [
     "PointSet",
@@ -50,7 +50,8 @@ __all__ = [
 
 EXACT_SEARCH_CEILING = 3**6
 _AMBIENT_CEILING = 1 << 24  # most points an ambient F_p^n may have
-_PAIR_CHUNK = 1 << 16  # most int64 entries of one temporary in `_pair_indices`
+_PAIR_CHUNK = 1 << 14  # most entries of one block of `_pair_indices`, so that its temporaries stay in cache
+_KEY_TABLE_CEILING = 1 << 12  # most entries of one digit-group table, unless 2p exceeds it
 
 
 def _ambient_size(field: PrimeField, n: int) -> int:
@@ -259,64 +260,97 @@ def _index_of(coords: np.ndarray, p: int) -> np.ndarray:
     return coords @ p ** np.arange(coords.shape[-1], dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=16)
+def _key_tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, tables) of the carry-free pair kernel on F_p^n, read-only.
+
+    The digits fall into G groups of at most k, the most with (2p)^k <=
+    _KEY_TABLE_CEILING (at least 1). Row g of `weights` keys a reduced point
+    as sum_i d_i (2p)^i over group g; digits of a sum of two reduced points
+    stay below 2p, so keys add without carries, and tables[g][key] =
+    sum_i (d_i mod p) p^(i + kg) is group g's share of the sum's index mod p."""
+    k = max([1] + [k for k in range(1, n + 1) if (2 * p) ** k <= _KEY_TABLE_CEILING])
+    groups = max(1, -(-n // k))
+    k = max(1, -(-n // groups))  # as many groups, none longer than needed
+    digit = np.arange(n, dtype=np.int64)
+    weights = np.where(digit // k == np.arange(groups)[:, None], (2 * p) ** (digit % k), 0)
+    sums = np.arange((2 * p) ** k)[:, None] // (2 * p) ** np.arange(k) % (2 * p)
+    tables = (sums % p @ p ** np.arange(k)) * p ** (k * np.arange(groups))[:, None]
+    weights.flags.writeable = tables.flags.writeable = False
+    return weights, tables
+
+
+def _key_sums(a: np.ndarray, b: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Indices of the sums of the points keyed by `a` and `b`, broadcast in
+    each group: one key addition and one table lookup per group."""
+    out = tables[0].take(a[0] + b[0])
+    for table, x, y in zip(tables[1:], a[1:], b[1:]):
+        out += table.take(x + y)
+    return out
+
+
 def _pair_indices(
-    u: np.ndarray, v: np.ndarray, alpha: int, beta: int, p: int
+    u: np.ndarray, v: np.ndarray, p: int, upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Indices of alpha*x + beta*y mod p for every row x of `u` and row y of `v`.
+    """Indices of x + y mod p for every row x of `u` and row y of `v`, all reduced.
 
     Yields (row, col, block) with block[i, j] the index for u[row + i] and
-    v[col + j], in row-major order of the pairs. Each block is sized so
-    that its coordinate temporary holds at most _PAIR_CHUNK int64 entries.
-    """
-    n = u.shape[1]
-    cols = max(1, min(len(v), _PAIR_CHUNK // max(n, 1)))
-    rows = max(1, _PAIR_CHUNK // (cols * max(n, 1)))
+    v[col + j], in row-major order of the pairs, at most _PAIR_CHUNK pairs a
+    block. `upper` (for v = u) sweeps the pairs i < j: a row band's blocks
+    start at the column after its first row, a diagonal entry holds p^n,
+    one past every index, and an entry j < i repeats the pair (j, i), which
+    the same block holds earlier in row-major order."""
+    weights, tables = _key_tables(p, u.shape[1])
+    ku = (weights @ u.T)[:, :, None]
+    kv = ku.transpose(0, 2, 1) if upper else (weights @ v.T)[:, None, :]
+    cols = max(1, min(len(v), _PAIR_CHUNK))
+    rows = max(1, _PAIR_CHUNK // cols)  # 1 when a row needs several column blocks
     for r in range(0, len(u), rows):
-        au = alpha * u[r : r + rows, None, :]
-        for c in range(0, len(v), cols):
-            coords = au + beta * v[None, c : c + cols, :]
-            yield r, c, _index_of(np.remainder(coords, p, out=coords), p)
+        for c in range(r + 1 if upper else 0, len(v), cols):
+            block = _key_sums(ku[:, r : r + rows], kv[:, :, c : c + cols], tables)
+            if upper and c < r + len(block):
+                np.fill_diagonal(block[c - r :], p ** u.shape[1])
+            yield r, c, block
 
 
-def _col_minus_row(r: int, c: int, block: np.ndarray) -> np.ndarray:
-    """j - i over a block of `_pair_indices`: > 0 above the diagonal, 0 on it."""
-    return np.arange(c, c + block.shape[1]) - np.arange(r, r + block.shape[0])[:, None]
+def _members_and_doubles(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the members a of `ps`, and a bool table over [0, p^n] of
+    the doubles 2a; entry p^n, the diagonal of an `upper` sweep, is False."""
+    p, coords = ps.field.p, _members(ps)[1]
+    doubles = np.zeros(p**ps.n + 1, dtype=bool)
+    doubles[_index_of(2 * coords % p, p)] = True
+    return coords, doubles
 
 
 def is_progression_free(ps: PointSet) -> tuple[bool, tuple | None]:
     """Check for distinct a, b, c with a + b = 2c; returns one witness triple.
 
-    For every pair a < b of members, in index order, the unique midpoint
-    (a + b)/2 is looked up in the membership table; for odd p it differs
-    from a and b. The first pair whose midpoint is a member gives the
-    witness, so the check is O(|A|^2) index operations.
-    """
-    field = ps.field
-    member = ps._table()
-    _, coords = _members(ps)
-    for r, c, block in _pair_indices(coords, coords, field.inv2, field.inv2, field.p):
-        hit = member[block] & (_col_minus_row(r, c, block) > 0)
+    `pair_sums`' sweep over the pairs a < b, looked up in a table of the
+    doubles: for odd p, a + b = 2c with a != b forces c to differ from a and
+    b. The first hit in index order of the pairs gives (a, b, (a + b)/2)."""
+    field, p = ps.field, ps.field.p
+    coords, doubles = _members_and_doubles(ps)
+    for r, c, block in _pair_indices(coords, coords, p, upper=True):
+        hit = doubles.take(block)
         if hit.any():
             i, j = np.unravel_index(np.argmax(hit), hit.shape)
-            mid = point_coords(int(block[i, j]), ps.n, field)
-            return False, (tuple(coords[r + i].tolist()), tuple(coords[c + j].tolist()), mid)
+            a, b = coords[r + i], coords[c + j]
+            return False, (tuple(a.tolist()), tuple(b.tolist()), tuple(((a + b) * field.inv2 % p).tolist()))
     return True, None
 
 
 def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
-    """Sums of distinct pairs, and doubles of single points.
+    """Sums of distinct pairs, from one sweep over the pairs a < b, and doubles.
 
     Doubling x -> 2x is injective for odd p, so the doubles set always has
-    exactly |A| elements; for progression-free A the two sets are disjoint.
-    """
+    exactly |A| elements; the two sets are disjoint exactly when A is
+    progression-free, so the verdict alone is read off their intersection."""
     field, n, p = ps.field, ps.n, ps.field.p
-    _, coords = _members(ps)
-    sums = np.zeros(p**n, dtype=bool)
-    for r, c, block in _pair_indices(coords, coords, 1, 1, p):
-        sums[block[_col_minus_row(r, c, block) > 0]] = True
-    doubles = np.zeros_like(sums)
-    doubles[_index_of(2 * coords % p, p)] = True
-    return PointSet._from_table(field, n, sums), PointSet._from_table(field, n, doubles)
+    coords, doubles = _members_and_doubles(ps)
+    sums = np.zeros(p**n + 1, dtype=bool)
+    for _, _, block in _pair_indices(coords, coords, p, upper=True):
+        sums[block] = True
+    return PointSet._from_table(field, n, sums[:-1]), PointSet._from_table(field, n, doubles[:-1])
 
 
 @dataclass
@@ -341,16 +375,16 @@ class _BlockRows(dict):
     """Row j, built on first lookup: entry a < j masks the indices that
     {j, a} forbids as later additions, (j + a)/2, 2a - j and 2j - a. The
     search only includes j above every chosen a, so a row holds the prefix
-    a < j, one index-kernel pass per form, and the include step is
+    a < j, one key-kernel pass for the three forms, and the include step is
     `extra |= row[a]` per chosen a."""
 
     def __init__(self, p: int, n: int) -> None:
         super().__init__()
-        self._p, self._coords = p, _coords_of(np.arange(p**n), p, n)
+        self._z, self._a = _form_keys(_coords_of(np.arange(p**n), p, n), p)
+        self._tables = _key_tables(p, n)[1]
 
     def __missing__(self, j: int) -> list[int]:
-        p, c = self._p, self._coords
-        x, y, z = (_index_of((a * c[j] + b * c[:j]) % p, p).tolist() for a, b in _completion_forms(p))
+        x, y, z = _key_sums(self._z[:, :, j, None], self._a[:, :, :j], self._tables).tolist()
         row = self[j] = [1 << u | 1 << v | 1 << w for u, v, w in zip(x, y, z)]
         return row
 
@@ -359,10 +393,12 @@ class _BlockRows(dict):
 _block_rows = functools.lru_cache(maxsize=1)(_BlockRows)
 
 
-def _completion_forms(p: int) -> tuple[tuple[int, int], ...]:
-    """(alpha, beta) of alpha*z + beta*a completing a progression with z and a:
-    (z + a)/2, 2z - a and 2a - z."""
-    return ((p + 1) // 2, (p + 1) // 2), (2, p - 1), (p - 1, 2)
+def _form_keys(coords: np.ndarray, p: int) -> np.ndarray:
+    """Keys (2, G, 3, m) of alpha*z and beta*a over the rows of `coords`, for the forms
+    alpha*z + beta*a completing a progression with z and a: (z + a)/2, 2z - a, 2a - z."""
+    weights, _ = _key_tables(p, coords.shape[1])
+    forms = np.array((((p + 1) // 2, (p + 1) // 2), (2, p - 1), (p - 1, 2)))
+    return (forms.T[:, :, None, None] * coords % p @ weights.T).transpose(0, 3, 1, 2)
 
 
 def _explore(p: int, n: int, todo: list, best: int, budget: int | None, target: int | None = None):
@@ -493,15 +529,18 @@ def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> P
     total = _ambient_size(field, n)
     order = list(range(total))
     random.Random(order_seed).shuffle(order)
+    _, tables = _key_tables(p, n)
     blocked = np.zeros(total, dtype=bool)
     chosen: list[int] = []
+    a_keys = np.empty((len(tables), 3, 64), dtype=np.int64)  # of each chosen a, per form
     for idx in order:
         if blocked[idx]:
             continue
-        z, a = _coords_of([idx], p, n), _coords_of(chosen, p, n)
-        for form in _completion_forms(p):
-            for _, _, block in _pair_indices(z, a, *form, p):
-                blocked[block] = True
+        z_keys, keys = _form_keys(_coords_of([idx], p, n), p)
+        blocked[_key_sums(z_keys, a_keys[:, :, : len(chosen)], tables)] = True
+        if len(chosen) == a_keys.shape[2]:
+            a_keys = np.concatenate([a_keys, np.empty_like(a_keys)], axis=2)
+        a_keys[:, :, len(chosen)] = keys[:, :, 0]
         chosen.append(idx)
     result = PointSet.from_indices(field, n, chosen)
     ok, triple = is_progression_free(result)

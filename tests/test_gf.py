@@ -8,11 +8,8 @@ from capbound.gf import (
     FpMatrix,
     PrimeField,
     _row_reduce,
-    field_arith,
-    point_add,
     point_coords,
     point_index,
-    point_scale,
     row_space_intersection,
 )
 from capbound.monomials import enumerate_monomials
@@ -69,18 +66,6 @@ class TestPrimeField:
         with pytest.raises(ZeroDivisionError, match="not invertible"):
             F5.inv(0)
 
-    def test_dispatch(self):
-        assert field_arith("add", 2, 2, field=F3) == 1
-        assert field_arith("neg", 1, field=F3) == 2
-        with pytest.raises(ValueError):
-            field_arith("mul", 1, field=F3)
-        with pytest.raises(ValueError):
-            field_arith("neg", 1, 2, field=F3)
-        with pytest.raises(ValueError):
-            field_arith("mul", 5, 1, field=F3)
-        with pytest.raises(ValueError):
-            field_arith("frobnicate", 1, 1, field=F3)
-
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(SMALL_PRIMES), st.data())
     def test_inverse_property(self, p, data):
@@ -119,16 +104,12 @@ class TestPoints:
         with pytest.raises(ValueError):
             point_coords(9, 2, F3)
 
-    def test_vector_ops(self):
-        assert point_add((1, 2), (2, 2), F3) == (0, 1)
-        assert point_scale((1, 2), 2, F3) == (2, 1)
-
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_doubling_is_bijection(self, p, n):
         field = PrimeField(p)
         images = {
-            point_index(point_scale(point_coords(i, n, field), 2, field), field)
+            point_index(tuple(2 * x % p for x in point_coords(i, n, field)), field)
             for i in range(p**n)
         }
         assert len(images) == p**n

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from capbound import proof
+from capbound.bounds import exponent_c
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField, row_space_intersection
+from capbound.gf import FpMatrix, PrimeField, point_coords, row_space_intersection
 from capbound.monomials import dim_L, enumerate_monomials
 from capbound.polyspace import (
     ReducedPoly,
@@ -25,6 +27,7 @@ from capbound.polyspace import (
     zero_set,
 )
 from capbound.proof import (
+    _asymptotic,
     check_diagonal_size_bound,
     check_gram_rank_bound,
     diagonal_certificate,
@@ -356,6 +359,30 @@ class TestPipeline:
         assert not is_progression_free(bad)[0]
         with pytest.raises(HypothesisViolation, match="not diagonal"):
             prove_size_bound(bad, _skip_progression_check=True)
+
+    def test_verdict_read_off_pair_sums(self, cap9_search, monkeypatch):
+        # the midpoint sweep runs only to name the witness of a failing input
+        def refuse(_):
+            raise AssertionError("midpoint sweep on the certificate path")
+
+        cap = cap9_search.witness
+        with monkeypatch.context() as mp:
+            mp.setattr(proof, "is_progression_free", refuse)
+            transcript = prove_size_bound(cap)
+            assert transcript.all_hold
+            assert verify_transcript(json.loads(json.dumps(transcript.to_json())))[0]
+        extra = next(i for i in range(27) if i not in cap)
+        bad = PointSet(F3, 3, cap.mask | (1 << extra))
+        with pytest.raises(ProgressionFound) as info:
+            prove_size_bound(bad)
+        in_index_order = sorted(cap.points() + [point_coords(extra, 3, F3)], key=lambda c: c[::-1])
+        assert info.value.evidence == [list(c) for c in oracles.first_progression(in_index_order, 3)]
+
+    @pytest.mark.parametrize("digits", [1, 30, 100])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 251])
+    def test_asymptotic_c_is_exponent_c(self, p, digits):
+        _, conclusion = _asymptotic(PrimeField(p), 3, 1, digits)
+        assert conclusion["c"] == str(exponent_c(PrimeField(p), digits))
 
 
 class TestLargeAmbient:

@@ -11,7 +11,7 @@ import oracles
 from capbound import sets
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField, point_coords
-from capbound.polyspace import ReducedPoly, evaluate, gram_matrix
+from capbound.polyspace import DENSE_MATRIX_CEILING, ReducedPoly, evaluate, gram_matrix
 from capbound.proof import _halves_of, check_diagonal_size_bound
 from capbound.sets import (
     PointSet,
@@ -403,11 +403,14 @@ class TestCapEquivalence:
 
 
 AMBIENTS = [(3, 2), (3, 3), (3, 4), (3, 5), (5, 3), (7, 2), (11, 2)]
+# one-digit key groups (k = 1) and three key groups; too large for the
+# oracle greedy scan
+KEY_AMBIENTS = [(251, 2), (3, 9)]
 
 
 @st.composite
 def index_sets(draw):
-    p, n = draw(st.sampled_from(AMBIENTS))
+    p, n = draw(st.sampled_from(AMBIENTS + KEY_AMBIENTS))
     idxs = sorted(draw(st.sets(st.integers(0, p**n - 1), max_size=40)))
     doubled = draw(st.sets(st.integers(0, p**n - 1), max_size=20))
     monomials = st.tuples(*[st.integers(0, p - 1)] * n)
@@ -436,6 +439,7 @@ class TestKernelAgainstTupleLoops:
             assert triple == oracles.first_progression(pts, p)
             sums, doubles = pair_sums(ps)
             assert (set(sums), set(doubles)) == oracles.pair_sum_indices(pts, p)
+            assert ok is ((sums & doubles).size == 0)  # the verdict `prove` reads off B & C
             if p == 3:
                 assert ok is not oracles.has_line(pts)
             expected_halves = oracles.halves(pts, doubled, p)
@@ -456,7 +460,7 @@ class TestKernelAgainstTupleLoops:
                     check_diagonal_size_bound(f, ps, (p - 1) * n)
                 a, b, value = bad[0]
                 assert info.value.evidence == {"a": list(a), "b": list(b), "value": value}
-            else:
+            elif p**n <= DENSE_MATRIX_CEILING:  # the bound itself needs the dense shift grid
                 assert check_diagonal_size_bound(f, ps, (p - 1) * n).set_size == len(pts)
 
     @pytest.mark.parametrize("chunk", [sets._PAIR_CHUNK, 7], ids=["module_block", "block_7"])
@@ -471,7 +475,7 @@ class TestKernelAgainstTupleLoops:
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
         ps = PointSet.from_points(F3, 9, product)
-        assert len(product) ** 2 * 9 > 10 * sets._PAIR_CHUNK
+        assert len(product) ** 2 > 10 * sets._PAIR_CHUNK
         assert is_progression_free(ps) == (True, None)
         last, before_last = ps.points()[-1], ps.points()[-2]
         mid = tuple((x + y) * 2 % 3 for x, y in zip(last, before_last))
@@ -480,3 +484,27 @@ class TestKernelAgainstTupleLoops:
         assert not ok and mid in triple
         in_index_order = sorted(product + [mid], key=lambda c: c[::-1])
         assert triple == oracles.first_progression(in_index_order, 3)
+
+    @pytest.mark.parametrize(
+        "p, n", [(3, 1), (3, 6), (3, 9), (5, 4), (11, 3), (251, 2), (2053, 2)]
+    )
+    def test_key_sums_against_coordinate_sums(self, p, n):
+        """One key sum and one lookup per digit group give the index of a + b
+        and of the completion forms alpha*a + beta*b mod p, from tables of at
+        most 2^12 entries, or 2p entries when 2p exceeds that (p = 2053)."""
+        _, tables = sets._key_tables(p, n)
+        assert tables.shape[1] <= max(sets._KEY_TABLE_CEILING, 2 * p)
+        rng = np.random.default_rng(p * 31 + n)
+        u, v = rng.integers(0, p, size=(2, 20, n))
+
+        def index(coords):
+            return sum(int(x) % p * p**i for i, x in enumerate(coords))
+
+        got = np.zeros((len(u), len(v)), dtype=np.int64)
+        for r, c, block in sets._pair_indices(u, v, p):
+            got[r : r + block.shape[0], c : c + block.shape[1]] = block
+        assert got.tolist() == [[index(a + b) for b in v] for a in u]
+        (z_keys, _), (_, a_keys) = sets._form_keys(u, p), sets._form_keys(v, p)
+        forms = [((p + 1) // 2, (p + 1) // 2), (2, p - 1), (p - 1, 2)]
+        got = sets._key_sums(z_keys[:, :, :, None], a_keys[:, :, None, :], tables)
+        assert got.tolist() == [[[index(x * a + y * b) for b in v] for a in u] for x, y in forms]
