@@ -4,11 +4,10 @@ Exit codes are stable across commands: 0 = all checks pass, 1 = a
 mathematical check failed (evidence included in the output), 2 = usage or
 parse error. JSON output is schema-stable per command and serializes every
 unbounded integer as a decimal string; `--format` overrides the default
-(table on a terminal, JSON when redirected). JSON output equals
-`json.dumps(envelope, indent=2)` byte for byte; `_dumps` writes each list of
-flat rows in one C-encoder call, and nothing through the pure-Python encoder
-that `indent` selects. All randomized behavior is seed-controlled, so
-identical invocations produce identical outputs.
+(table on a terminal, JSON when redirected). JSON output is
+`json.dumps(envelope)` and a newline: compact, on one line. All randomized
+behavior is seed-controlled, so identical invocations produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import os
 import sys
 import time
 from decimal import Decimal, localcontext
-from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .bounds import (
     exponent_c,
@@ -35,7 +32,6 @@ from .gf import PrimeField
 from .monomials import _cumulative_counts
 from .proof import prove_size_bound, verify_transcript
 from .sets import (
-    EXACT_SEARCH_CEILING,
     SearchResult,
     greedy_progression_free,
     is_progression_free,
@@ -46,49 +42,12 @@ from .sets import (
 __all__ = ["main", "run"]
 
 
-_SCALARS = frozenset((str, int, bool, type(None)))
 BOUND_N_MAX = 1000  # `bound` writes one row of two Decimal exponentials per n
-
-
-def _dumps(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte; `pad` is the newline and indent
-    of the enclosing level. A list of flat rows (all non-empty dicts, or all
-    non-empty lists and tuples, of _SCALARS values; dict keys are coerced as json
-    does) is one call of json's C encoder with the rows' field indent in its item
-    separator; no string holds a raw newline, so one `str.replace` re-indents the
-    row boundaries. Other dicts with str keys, lists and tuples recurse (all do
-    without the C encoder, as on PyPy), and `json` writes the rest."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    inner = pad + "  "
-    if (kind is list or kind is tuple) and obj:
-        kinds = set(map(type, obj))
-        dicts = kinds == {dict}
-        rows = c_make_encoder and (dicts or kinds <= {list, tuple}) and all(obj)
-        if rows and set(map(type, chain.from_iterable(map(dict.values, obj) if dicts else obj))) <= _SCALARS:
-            (o, c), field = ("{}" if dicts else "[]"), inner + "  "
-            encoder_args = (None, None, encode_basestring_ascii, None, ": ", "," + field, False, False, True)
-            body = "".join(c_make_encoder(*encoder_args)(obj, 0))[2:-2]  # slice first: 2 copies live
-            body = body.replace(f"{c},{field}{o}", f"{inner}{c},{inner}{o}{field}")
-            return f"[{inner}{o}{field}{body}{inner}{c}{pad}]"
-        items = map(int.__repr__, obj) if kinds == {int} else (_dumps(v, inner) for v in obj)
-        return f"[{inner}{(',' + inner).join(items)}{pad}]"
-    if kind is dict and obj and set(map(type, obj)) == {str}:
-        items = (f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items())
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    return json.dumps(obj, indent=2).replace("\n", pad)
 
 
 def _emit(envelope: dict, rows: list[dict], columns: list[str], table_head: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(_dumps(envelope))
+        print(json.dumps(envelope))
     elif fmt == "csv":
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=columns, extrasaction="ignore")
@@ -238,7 +197,6 @@ def _search(args) -> SearchResult:
         args.n,
         node_budget=args.budget,
         workers=args.threads,
-        ceiling=args.ceiling,
     )
 
 
@@ -388,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
     s.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
     s.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    s.add_argument("--ceiling", type=int, default=EXACT_SEARCH_CEILING)
     _add_format(s)
     s.set_defaults(handler=cmd_search)
 
@@ -401,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes explored")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    pr.add_argument("--ceiling", type=int, default=EXACT_SEARCH_CEILING)
     _add_format(pr)
     pr.set_defaults(handler=cmd_prove)
 
@@ -432,11 +388,11 @@ def main(argv=None) -> int:
             "error": str(exc),
             "witness": exc.evidence,
         }
-        print(_dumps(envelope))
+        print(json.dumps(envelope))
         return 1
     except CheckFailure as exc:
         envelope = {"command": args.command, "error": str(exc), "evidence": exc.evidence}
-        print(_dumps(envelope))
+        print(json.dumps(envelope))
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,9 +41,8 @@ def _is_prime(m: int) -> bool:
 class PrimeField:
     """GF(p) for an odd prime p with 3 <= p < 2^16.
 
-    Elements are plain ints in [0, p-1]; instances only carry the modulus.
-    Arithmetic methods assume reduced operands (that is the caller's
-    contract); only inversion of zero raises.
+    Elements are plain ints in [0, p-1]; instances only carry the modulus
+    and the inverse of 2.
     """
 
     __slots__ = ("p", "inv2")
@@ -66,26 +65,6 @@ class PrimeField:
         if not 0 <= a < self.p:
             raise ValueError(f"element {a} out of range [0, {self.p - 1}]")
         return int(a)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("not invertible")
-        return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -201,9 +180,6 @@ class FpMatrix:
     def entry(self, i: int, j: int) -> int:
         return int(self._a[i, j])
 
-    def row(self, i: int) -> list[int]:
-        return [int(x) for x in self._a[i]]
-
     def to_lists(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self._a]
 
@@ -219,11 +195,6 @@ class FpMatrix:
 
     __matmul__ = matmul
 
-    def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
-        a = self._a.copy()
-        pivots = _row_reduce(a, self.field.p)
-        return FpMatrix._trusted(a, self.field), tuple(pivots)
-
     def rank(self) -> int:
         return len(_row_reduce(self._a.copy(), self.field.p))
 
@@ -235,16 +206,6 @@ class FpMatrix:
         rank-many independent column set stays independent).
         """
         return _row_reduce(self._a.copy(), self.field.p)
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Basis of {v : M v = 0}; always cols - rank(M) vectors."""
-        a = self._a.copy()
-        pivots = _row_reduce(a, self.field.p)
-        free = np.delete(np.arange(self.cols), pivots)
-        basis = np.zeros((free.size, self.cols), dtype=np.int64)
-        basis[np.arange(free.size), free] = 1
-        basis[:, pivots] = -a[: len(pivots), free].T % self.field.p
-        return basis.tolist()
 
     def unit_kernel_vector(self) -> tuple[np.ndarray, np.ndarray]:
         """(free, v): the columns without a pivot in right-to-left elimination (a

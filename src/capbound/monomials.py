@@ -21,7 +21,6 @@ from .gf import PrimeField
 
 __all__ = [
     "Monomial",
-    "monomial_degree",
     "graded_lex_key",
     "enumerate_monomials",
     "extended_binomial",
@@ -31,10 +30,6 @@ __all__ = [
 ]
 
 Monomial = tuple[int, ...]
-
-
-def monomial_degree(alpha: Monomial) -> int:
-    return sum(alpha)
 
 
 def graded_lex_key(alpha: Monomial) -> tuple[int, Monomial]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -142,51 +142,6 @@ class ReducedPoly:
             factors = [str(c)] + [f"x{i + 1}^{e}" for i, e in enumerate(alpha) if e]
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str, field: PrimeField, n: int) -> "ReducedPoly":
-        coeffs: dict[Monomial, int] = {}
-        text = text.strip()
-        if text in ("", "0"):
-            return cls.zero(field, n)
-        for raw_term in text.split("+"):
-            factors = [f.strip() for f in raw_term.strip().split("*")]
-            coeff = 1
-            exps = [0] * n
-            seen_coeff = False
-            for factor in factors:
-                if not factor.startswith("x"):
-                    if seen_coeff:
-                        raise ValueError(f"two coefficients in term {raw_term!r}")
-                    coeff = int(factor)
-                    seen_coeff = True
-                    continue
-                var, _, exp = factor.partition("^")
-                i = int(var[1:]) - 1
-                if not 0 <= i < n:
-                    raise ValueError(f"variable {var!r} out of range for n={n}")
-                exps[i] += int(exp) if exp else 1
-            alpha = tuple(exps)
-            coeffs[alpha] = (coeffs.get(alpha, 0) + coeff) % field.p
-        return cls(field, n, coeffs)
-
-    def to_json_terms(self) -> list:
-        return [[list(alpha), c] for alpha, c in self.terms()]
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable, field: PrimeField, n: int) -> "ReducedPoly":
-        """Inverse of `to_json_terms`: int exponents and coefficients, each monomial once."""
-        coeffs: dict[Monomial, int] = {}
-        for alpha, c in data:
-            alpha = tuple(alpha)
-            if {*map(type, alpha), type(c)} - {int}:
-                raise ValueError(f"term {[list(alpha), c]!r} must hold ints")
-            if not 1 <= c < field.p:
-                raise ValueError(f"coefficient {c} of {alpha} is outside [1, {field.p - 1}]")
-            if alpha in coeffs:
-                raise ValueError(f"monomial {alpha} is listed twice")
-            coeffs[alpha] = c
-        return cls(field, n, coeffs)  # checks arity and exponent range
 
     @classmethod
     def _trusted(cls, field: PrimeField, n: int, coeffs: dict[Monomial, int]) -> "ReducedPoly":

@@ -9,12 +9,11 @@ tuple loops that the library's numpy index kernel replaced; they take
 coordinate tuples listed in index order and encode points themselves.
 Layer counts come from the window convolution that the library's
 recurrence replaced, and the search's block masks from the per-pair tuple
-formula that its row table replaced. The input readers are the
-per-point and per-term loops; the library reads points in flat passes.
+formula that its row table replaced. The input reader is the
+per-point loop; the library reads points in flat passes.
 Row reduction is the per-pivot elimination (every updated row reduced mod
 p at each pivot, then a separate back-substitution) that the library's
-lazy Gauss-Jordan pass replaced, and the kernel basis is filled entry by
-entry from its echelon form, as before the library's array assignment.
+lazy Gauss-Jordan pass replaced.
 Interpolation reads the coefficient tensor term by term through the
 validating `ReducedPoly` constructor, as before the library's flat read.
 Coordinate products are reduced mod p after every coordinate's pass, as
@@ -94,23 +93,6 @@ def point_indices(points, p: int, n: int) -> list[int]:
         if _index(coords, p) in out:
             raise ValueError("duplicate")
         out.append(_index(coords, p))
-    return out
-
-
-def json_term_coeffs(terms, p: int, n: int) -> dict[tuple[int, ...], int]:
-    """Coefficients of serialized [exponents, coefficient] terms, one term at a
-    time. A non-int entry, the wrong arity, an exponent outside [0, p-1], a
-    coefficient outside [1, p-1] or a monomial listed twice raises ValueError."""
-    out: dict[tuple[int, ...], int] = {}
-    for alpha, c in terms:
-        alpha = tuple(alpha)
-        if any(type(x) is not int for x in (*alpha, c)):
-            raise ValueError("not an int")
-        if len(alpha) != n or not all(0 <= e < p for e in alpha) or not 0 < c < p:
-            raise ValueError("out of range")
-        if alpha in out:
-            raise ValueError("listed twice")
-        out[alpha] = c
     return out
 
 
@@ -312,24 +294,6 @@ def interpolate_term_loop(values, field: PrimeField, n: int) -> ReducedPoly:
         for alpha in np.argwhere(tensor)
     }
     return ReducedPoly(field, n, coeffs)
-
-
-def kernel_basis_loop(a: np.ndarray, p: int) -> list[list[int]]:
-    """Basis of {v : a v = 0}, one vector per free column of the RREF, filled
-    entry by entry: 1 at the free column, minus the pivot rows' entries there
-    at the pivot columns."""
-    a = a.copy()
-    pivots = row_reduce_per_pivot(a, p)
-    basis = []
-    for free in range(a.shape[1]):
-        if free in pivots:
-            continue
-        v = [0] * a.shape[1]
-        v[free] = 1
-        for j, pc in enumerate(pivots):
-            v[pc] = int(-a[j, free]) % p
-        basis.append(v)
-    return basis
 
 
 def coordinate_products_per_pass(coords: np.ndarray, exps: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:

@@ -19,8 +19,6 @@ from oracles import brute_force_rank, rows_independent
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-F7 = PrimeField(7)
-SMALL_PRIMES = [3, 5, 7, 11, 13]
 ELIMINATION_PRIMES = [3, 5, 7, 11, 65521]
 
 
@@ -55,34 +53,6 @@ class TestPrimeField:
         # trial division up to the square root of a 61-bit prime would not finish
         with pytest.raises(ValueError, match="too large"):
             PrimeField(2**61 - 1)
-
-    def test_basic_ops(self):
-        assert F3.mul(2, 2) == 1
-        assert F5.inv(2) == 3 and F5.mul(2, F5.inv(2)) == 1
-        assert F3.neg(0) == 0
-        assert F7.sub(2, 5) == 4
-
-    def test_inv_zero_raises(self):
-        with pytest.raises(ZeroDivisionError, match="not invertible"):
-            F5.inv(0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SMALL_PRIMES), st.data())
-    def test_inverse_property(self, p, data):
-        field = PrimeField(p)
-        a = data.draw(st.integers(1, p - 1))
-        assert field.mul(a, field.inv(a)) == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SMALL_PRIMES), st.data())
-    def test_ring_identities(self, p, data):
-        field = PrimeField(p)
-        a = data.draw(st.integers(0, p - 1))
-        b = data.draw(st.integers(0, p - 1))
-        c = data.draw(st.integers(0, p - 1))
-        assert field.add(a, b) == field.add(b, a)
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-        assert field.add(a, field.neg(a)) == 0
 
 
 class TestPoints:
@@ -129,28 +99,6 @@ class TestFpMatrix:
             entries = rng.integers(0, 3, size=(rows, cols))
             mat = FpMatrix(entries, F3)
             assert mat.rank() == brute_force_rank(entries.tolist(), 3)
-
-    def test_kernel_examples(self):
-        assert FpMatrix.identity(3, F3).kernel_basis() == []
-        assert len(FpMatrix.zeros(2, 3, F3).kernel_basis()) == 3
-        basis = FpMatrix([[1, 1, 1]], F3).kernel_basis()
-        assert len(basis) == 2
-        for v in basis:
-            assert sum(v) % 3 == 0
-
-    def test_kernel_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            rows = int(rng.integers(1, 6))
-            cols = int(rng.integers(1, 6))
-            mat = FpMatrix(rng.integers(0, 5, size=(rows, cols)), F5)
-            basis = mat.kernel_basis()
-            assert len(basis) == cols - mat.rank()
-            arr = mat.array
-            for v in basis:
-                assert not ((arr @ np.array(v)) % 5).any()
-            if basis:
-                assert rows_independent(basis, 5)
 
     def test_pivot_columns_examples(self):
         assert FpMatrix.identity(4, F3).pivot_columns() == [0, 1, 2, 3]
@@ -203,7 +151,6 @@ class TestRowReduce:
     def test_matches_per_pivot_elimination(self, case):
         p, a = case
         self.assert_matches_oracle(a, p)
-        assert FpMatrix(a, PrimeField(p)).kernel_basis() == oracles.kernel_basis_loop(a, p)
 
     def test_entry_growth_at_largest_modulus(self):
         # dense, so every row is updated at every pivot: an entry takes up to
@@ -243,12 +190,10 @@ class TestRowSpaceIntersection:
 
     @staticmethod
     def _random_subspace(rng, dim, ambient, p):
-        field = PrimeField(p)
         while True:
-            mat = FpMatrix(rng.integers(0, p, size=(dim, ambient)), field)
-            reduced, pivots = mat.rref()
-            if len(pivots) == dim:
-                return reduced.to_lists()[:dim]
+            a = rng.integers(0, p, size=(dim, ambient))
+            if len(_row_reduce(a, p)) == dim:
+                return a.tolist()
 
     def test_random_subspace_dimension_bound(self):
         rng = np.random.default_rng(101)

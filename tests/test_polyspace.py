@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,8 +24,6 @@ from capbound.sets import PointSet
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-# scalars a serialized witness term may hold, valid or not
-JSON_ENTRY = st.integers(-1, 6) | st.sampled_from([True, False, 1.0, "1", None, 2**70])
 
 
 def random_poly(rng, field, n, max_terms=6):
@@ -51,6 +47,8 @@ class TestReducedPoly:
             ReducedPoly(F3, 2, {(3, 0): 1})
         with pytest.raises(ValueError):
             ReducedPoly(F3, 2, {(0, 0, 0): 1})
+        with pytest.raises(ValueError, match="exponent outside"):
+            ReducedPoly(F3, 2, {(0, -1): 1})
 
     def test_degree_sentinel(self):
         assert ReducedPoly.zero(F3, 2).degree is None
@@ -68,61 +66,7 @@ class TestReducedPoly:
         f = ReducedPoly(F3, 2, {(0, 0): 1, (2, 1): 2})
         text = f.to_text()
         assert text == "1 + 2*x1^2*x2^1"
-        assert ReducedPoly.from_text(text, F3, 2) == f
-        assert ReducedPoly.from_text("0", F3, 2).is_zero
         assert ReducedPoly.zero(F3, 2).to_text() == "0"
-        # lenient parse: bare variables and implicit coefficient
-        assert ReducedPoly.from_text("x1*x2 + 2", F3, 2) == ReducedPoly(
-            F3, 2, {(1, 1): 1, (0, 0): 2}
-        )
-
-    def test_json_round_trip(self):
-        f = ReducedPoly(F5, 2, {(4, 0): 3, (1, 2): 1})
-        payload = json.loads(json.dumps(f.to_json_terms()))
-        assert ReducedPoly.from_json_terms(payload, F5, 2) == f
-
-    @pytest.mark.parametrize(
-        "terms, message",
-        [
-            ([[[1, 0], 1], [[1, 0], 2]], "listed twice"),
-            ([[[1, 0], 5]], "outside \\[1, 4\\]"),
-            ([[[1, 0], 0]], "outside"),
-            ([[[1.0, 0], 1]], "must hold ints"),
-            ([[[1, 0], True]], "must hold ints"),
-            ([[[1, 0, 0], 1]], "arity 3, expected 2"),
-            ([[[5, 0], 1]], "exponent outside \\[0, 4\\]"),
-            ([[[0, -1], 1]], "exponent outside"),
-        ],
-    )
-    def test_json_terms_are_canonical(self, terms, message):
-        with pytest.raises(ValueError, match=message):
-            ReducedPoly.from_json_terms(terms, F5, 2)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.integers(0, 4), min_size=2, max_size=2)
-                | st.lists(JSON_ENTRY, min_size=2, max_size=2)
-                | st.lists(JSON_ENTRY, max_size=3),
-                st.integers(1, 4) | JSON_ENTRY,
-            ).map(list),
-            max_size=8,
-        )
-    )
-    @example([[[5, 0], 1]])
-    @example([[[0, 1], 5]])
-    def test_json_terms_match_term_loop(self, terms):
-        """The flat-pass reader accepts exactly what the per-term loop accepts,
-        and reads the same coefficients."""
-        try:
-            expected = oracles.json_term_coeffs(terms, 5, 2)
-        except ValueError:
-            with pytest.raises(ValueError):
-                ReducedPoly.from_json_terms(terms, F5, 2)
-            return
-        f, g = ReducedPoly.from_json_terms(terms, F5, 2), ReducedPoly(F5, 2, expected)
-        assert f == g and f.degree == g.degree
 
     def test_vector_round_trip(self):
         f = ReducedPoly(F3, 2, {(1, 2): 2, (0, 0): 1})
@@ -203,7 +147,7 @@ class TestInterpolation:
         )
         f, g = interpolate(values, field, n), oracles.interpolate_term_loop(values, field, n)
         assert f._coeffs == g._coeffs and f.degree == g.degree
-        assert f.to_json_terms() == g.to_json_terms()
+        assert f.terms() == g.terms()
         assert {type(x) for alpha, c in f._coeffs.items() for x in (*alpha, c)} <= {int}
 
 
