@@ -7,6 +7,11 @@ the headline base 3^c = 2.84 (base-2 or base-10 would give 2.71 or 2.45).
 Real comparisons never decide anything close: exact big-integer dimensions
 are compared against bounds in log space with at least 30 significant
 digits (CAPSET_PRECISION overrides) and a 1e-9 guard margin.
+
+c, c n ln p and p^(cn) are evaluated in one place, `_p_cn`, which computes
+ln p once for a whole list of n; `exponent_c`, `verify_entropy_lemma`,
+`main_bound`, the `bound` command and the transcript's asymptotic row all
+read it.
 """
 
 from __future__ import annotations
@@ -66,12 +71,28 @@ def _to_decimal(x) -> Decimal:
     raise ValueError(f"expected a number, got {x!r}")
 
 
+def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
+    """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)).
+
+    Every value is evaluated to `digits` significant digits (default
+    `precision_digits()`), with ln p computed once for all of `ns`.
+    """
+    with localcontext() as ctx:
+        ctx.prec = precision_digits() if digits is None else digits
+        ln_p = Decimal(field.p).ln()
+        c = 1 - 1 / (18 * ln_p)
+        rows = []
+        for n in ns:
+            log_bound = c * n * ln_p
+            p_cn = log_bound.exp()
+            rows.append((log_bound, p_cn, 3 * p_cn))
+        return c, rows
+
+
 def exponent_c(field: PrimeField, digits: int | None = None) -> Decimal:
     """The exponent c(p) = 1 - 1/(18 ln p), strictly inside (0, 1), to `digits`
     significant digits (default `precision_digits()`)."""
-    with localcontext() as ctx:
-        ctx.prec = precision_digits() if digits is None else digits
-        return 1 - 1 / (18 * Decimal(field.p).ln())
+    return _p_cn(field, digits=digits)[0]
 
 
 def hoeffding_bound(t, widths) -> Decimal:
@@ -105,7 +126,6 @@ class BoundReport:
     p: int
     n: int
     c: Decimal
-    hoeffding: Decimal
     exact_dim: int
     bound_value: Decimal
     margin: Decimal
@@ -122,24 +142,15 @@ def verify_entropy_lemma(field: PrimeField, n: int) -> BoundReport:
     """
     if n <= 0 or n % 3 != 0:
         raise ValueError("lemma requires 3 | n")
-    d = (field.p - 1) * n // 3
-    exact = dim_L(n, d, field)
+    exact = dim_L(n, (field.p - 1) * n // 3, field)
+    digits = precision_digits()
+    c, [(log_bound, p_cn, _)] = _p_cn(field, [n], digits)
     with localcontext() as ctx:
-        ctx.prec = precision_digits()
-        lnp = Decimal(field.p).ln()
-        c = 1 - 1 / (18 * lnp)
-        log_bound = c * n * lnp
+        ctx.prec = digits
         margin = log_bound - Decimal(exact).ln()
-        return BoundReport(
-            p=field.p,
-            n=n,
-            c=c,
-            hoeffding=(-Decimal(n) / 18).exp(),
-            exact_dim=exact,
-            bound_value=log_bound.exp(),
-            margin=margin,
-            holds=margin > GUARD_MARGIN,
-        )
+    return BoundReport(
+        p=field.p, n=n, c=c, exact_dim=exact, bound_value=p_cn, margin=margin, holds=margin > GUARD_MARGIN
+    )
 
 
 def low_third_dimension(field: PrimeField, n: int) -> tuple[int, int]:
@@ -177,8 +188,5 @@ def main_bound(field: PrimeField, n: int) -> Decimal:
     """The concrete size bound 3 * p^(c n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    with localcontext() as ctx:
-        ctx.prec = precision_digits()
-        lnp = Decimal(field.p).ln()
-        c = 1 - 1 / (18 * lnp)
-        return 3 * (c * n * lnp).exp()
+    _, [(_, _, bound)] = _p_cn(field, [n])
+    return bound

@@ -20,13 +20,8 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal, localcontext
 
-from .bounds import (
-    exponent_c,
-    precision_digits,
-    verify_entropy_lemma,
-)
+from .bounds import _p_cn, verify_entropy_lemma
 from .errors import CheckFailure, ProgressionFound
 from .gf import PrimeField
 from .monomials import _cumulative_counts
@@ -81,15 +76,9 @@ def cmd_bound(args) -> int:
     field = PrimeField(args.p)
     if not 1 <= args.n_max <= BOUND_N_MAX:
         raise ValueError(f"--n-max {args.n_max} is outside [1, {BOUND_N_MAX}]")
-    with localcontext() as ctx:
-        ctx.prec = precision_digits()
-        c = exponent_c(field)
-        lnp = Decimal(field.p).ln()
-        base = (c * lnp).exp()
-        rows = []
-        for n in range(1, args.n_max + 1):
-            p_cn = (c * n * lnp).exp()
-            rows.append({"n": n, "p_cn": str(p_cn), "three_p_cn": str(3 * p_cn)})
+    c, values = _p_cn(field, range(1, args.n_max + 1))
+    base = values[0][1]  # p^c, the row of n = 1
+    rows = [{"n": n, "p_cn": str(p_cn), "three_p_cn": str(bound)} for n, (_, p_cn, bound) in enumerate(values, 1)]
     envelope = {
         "command": "bound",
         "params": {"p": args.p, "n_max": args.n_max},
@@ -138,25 +127,22 @@ def cmd_entropy_check(args) -> int:
     if not ns:
         raise ValueError("--n names no n")
     _require_printable(field.p, max(ns))
-    rows = []
-    all_hold = True
-    for n in ns:
-        rep = verify_entropy_lemma(field, n)
-        all_hold = all_hold and rep.holds
-        rows.append(
-            {
-                "n": n,
-                "d": (field.p - 1) * n // 3,
-                "exact_dim": str(rep.exact_dim),
-                "bound_p_cn": str(rep.bound_value),
-                "margin": str(rep.margin),
-                "holds": rep.holds,
-            }
-        )
+    reports = [verify_entropy_lemma(field, n) for n in ns]
+    rows = [
+        {
+            "n": rep.n,
+            "d": (field.p - 1) * rep.n // 3,
+            "exact_dim": str(rep.exact_dim),
+            "bound_p_cn": str(rep.bound_value),
+            "margin": str(rep.margin),
+            "holds": rep.holds,
+        }
+        for rep in reports
+    ]
     envelope = {
         "command": "entropy-check",
         "params": {"p": args.p, "n": ns},
-        "result": {"c": str(exponent_c(field)), "rows": rows},
+        "result": {"c": str(reports[0].c), "rows": rows},
     }
     head = [f"low-third dimension bound over GF({args.p})"]
     _emit(
@@ -166,7 +152,7 @@ def cmd_entropy_check(args) -> int:
         head,
         _pick_format(args.format),
     )
-    return 0 if all_hold else 1
+    return 0 if all(rep.holds for rep in reports) else 1
 
 
 _POOL_BUDGET = 50_000  # above this budget a pool wins; every exhaustive run measured did not
@@ -204,14 +190,7 @@ def cmd_search(args) -> int:
     result = _search(args)
     envelope = {
         "command": "search",
-        "params": {
-            "p": args.p,
-            "n": args.n,
-            "mode": args.mode,
-            "budget": args.budget,
-            "seed": args.seed,
-            "threads": args.threads,
-        },
+        "params": {key: getattr(args, key) for key in ("p", "n", "mode", "budget", "seed", "threads")},
         "result": {
             "best_size": result.best_size,
             "optimal": result.optimal,
@@ -306,7 +285,15 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=["table", "json", "csv"], default=None)
 
 
-_THREADS_HELP = "exact mode: processes, at most the CPU count (default 1; all CPUs above a 50000 budget)"
+def _add_search_options(sub, default: int | None = None) -> None:
+    """The options of a search; --p and --n are required, or default to `default` when it is given."""
+    sub.add_argument("--p", type=int, required=default is None, default=default)
+    sub.add_argument("--n", type=int, required=default is None, default=default)
+    sub.add_argument("--mode", choices=["exact", "greedy"], default="exact")
+    sub.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
+    sub.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
+    threads_help = "exact mode: processes, at most the CPU count (default 1; all CPUs above a 50000 budget)"
+    sub.add_argument("--threads", type=int, default=None, help=threads_help)
 
 
 @functools.cache
@@ -340,24 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(handler=cmd_entropy_check)
 
     s = subs.add_parser("search", help="maximum or greedy progression-free set")
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    s.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
-    s.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
-    s.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+    _add_search_options(s)
     _add_format(s)
     s.set_defaults(handler=cmd_search)
 
     pr = subs.add_parser("prove", help="run the size-bound argument, emit a transcript")
     pr.add_argument("--input", type=str, default=None, help="point-set file (JSON or text, - for stdin)")
     pr.add_argument("--search", action="store_true", help="prove on a searched witness")
-    pr.add_argument("--p", type=int, default=3)
-    pr.add_argument("--n", type=int, default=3)
-    pr.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    pr.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes explored")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+    _add_search_options(pr, default=3)
     _add_format(pr)
     pr.set_defaults(handler=cmd_prove)
 

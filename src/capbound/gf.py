@@ -156,14 +156,6 @@ class FpMatrix:
         mat.field, mat._a = field, a
         return mat
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: PrimeField) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), field)
-
-    @classmethod
-    def identity(cls, n: int, field: PrimeField) -> "FpMatrix":
-        return cls(np.eye(n, dtype=np.int64), field)
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]
@@ -176,12 +168,6 @@ class FpMatrix:
     def array(self) -> np.ndarray:
         """Copy of the underlying entry array (instances stay immutable)."""
         return self._a.copy()
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
-    def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix._trusted(self._a.T, self.field)

@@ -98,9 +98,6 @@ class ReducedPoly:
     def terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self._coeffs.items(), key=lambda kv: graded_lex_key(kv[0]))
 
-    def support_size(self) -> int:
-        return len(self._coeffs)
-
     def add(self, other: "ReducedPoly") -> "ReducedPoly":
         if other.field != self.field or other.n != self.n:
             raise ValueError("polynomials live in different spaces")

@@ -17,22 +17,27 @@ from the input's pair sums and doubles and the certificate: `prove` calls
 it on what it derived, `verify_transcript` on what it parsed, then adds
 rows comparing the record with the recomputation.
 
+Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
+list the JSON keys of a transcript and of a check row with their kinds;
+`to_json`, `from_json` and its unknown-key checks (`_read`) read them.
+`_split_degree` gives the cut s = (p-1)n/3 (D2 = 2s) and refuses 3 ∤ n.
+
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
-at the configured precision.
+at the configured precision by `bounds._p_cn`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dataclass_field, fields
-from decimal import Decimal, localcontext
+from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
-from .bounds import MAX_PRECISION, precision_digits
+from .bounds import MAX_PRECISION, _p_cn, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import FpMatrix, PrimeField
 from .monomials import _exponent_array, dim_L, monomial_index
@@ -85,7 +90,7 @@ class ProofCheck:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "note" or v}
+        return {key: getattr(self, key) for key in _ROW_FIELDS if key != "note" or self.note}
 
 
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
@@ -141,120 +146,104 @@ class ProofTranscript:
         return None if table is None else interpolate(table, self.input_points.field, self.n)
 
     def to_json(self) -> dict:
-        return {
-            "format": TRANSCRIPT_FORMAT,
-            "p": self.p,
-            "n": self.n,
-            "branch": self.branch,
-            "input": self.input_points.to_json(),
-            "input_size": self.input_size,
-            "doubles": list(self.doubles),
-            "pair_sum_count": self.pair_sum_count,
-            "dims": {k: str(v) for k, v in self.dims.items()},
-            "degree_cap": self.degree_cap,
-            "split_degree": self.split_degree,
-            "selected_doubles": list(self.selected_doubles),
-            "selected_points": list(self.selected_points),
-            "witness_values": None if self.witness_values is None else list(self.witness_values),
-            "matrix_rank": self.matrix_rank,
-            "checks": [c.to_json() for c in self.checks],
-            "conclusion": self.conclusion,
-            "precision": self.precision,
-        }
+        """The transcript as a JSON object whose keys are those of `_FIELDS`, in its order."""
+        out = {key: getattr(self, key, None) for key in _FIELDS}
+        out.update(
+            format=TRANSCRIPT_FORMAT,
+            input=self.input_points.to_json(),
+            dims={k: str(v) for k, v in self.dims.items()},
+            checks=[c.to_json() for c in self.checks],
+        )
+        return {key: list(v) if isinstance(v, list) else v for key, v in out.items()}
 
     @classmethod
     def from_json(cls, data: dict) -> "ProofTranscript":
-        """Parse a serialized transcript; a missing, ill-typed or unknown field is a ValueError."""
-        fmt = _field(data, "format", str)
-        if fmt != TRANSCRIPT_FORMAT:
-            raise ValueError(f"unrecognized transcript format {fmt!r}")
-        _known_keys("transcript", data, _TRANSCRIPT_KEYS)
+        """Parse a serialized transcript; a missing, ill-typed or unknown field is a ValueError.
+
+        The format is read first, so that another format is refused by name,
+        then the keys, then 'input', so that a truncated transcript reports
+        it missing, then every other field.
+        """
+        if isinstance(data, dict) and data.get("format") != TRANSCRIPT_FORMAT:
+            raise ValueError(f"unrecognized transcript format {data.get('format')!r}")
+        f = _read("transcript", data, {"input": dict, **_FIELDS})  # 'input' keeps its place at the front
+        _read("transcript field 'input'", f["input"], dict.fromkeys(("p", "n", "points")))
         try:
-            input_data = _field(data, "input", dict)
-            _known_keys("transcript field 'input'", input_data, ("p", "n", "points"))
-            input_points = PointSet.from_json(input_data)
-            field, n = input_points.field, input_points.n
-            dims = {k: _decimal("dims", v) for k, v in _field(data, "dims", dict).items()}
+            input_points = PointSet.from_json(f["input"])
+            dims = {k: _decimal("dims", v) for k, v in f["dims"].items()}
         except TypeError as exc:
             raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from None
-        if (_field(data, "p", int), _field(data, "n", int)) != (field.p, n):
+        field, n = input_points.field, input_points.n
+        if (f["p"], f["n"]) != (field.p, n):
             raise ValueError("transcript p and n disagree with its input set")
         if sorted(dims) != sorted(_DIMENSION_KEYS):
             raise ValueError(f"transcript field 'dims' must have the keys {_DIMENSION_KEYS}")
-        precision = _field(data, "precision", int)
-        if not 1 <= precision <= MAX_PRECISION:
-            raise ValueError(f"transcript precision {precision} is outside [1, {MAX_PRECISION}]")
-        total = field.p**n
-        doubles, selected_doubles, selected_points = (
-            _indices(key, _field(data, key, list), total)
-            for key in ("doubles", "selected_doubles", "selected_points")
-        )
-        values = _field(data, "witness_values", list, optional=True)
-        if values is not None and len(_indices("witness_values", values, field.p)) != len(doubles):
+        if not 1 <= f["precision"] <= MAX_PRECISION:
+            raise ValueError(f"transcript precision {f['precision']} is outside [1, {MAX_PRECISION}]")
+        for key in ("doubles", "selected_doubles", "selected_points"):
+            _indices(key, f[key], field.p**n)
+        values = f["witness_values"]
+        if values is not None and len(_indices("witness_values", values, field.p)) != len(f["doubles"]):
             raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
-        rows = _field(data, "checks", list)
-        checks = [
-            ProofCheck(
-                name=_field(c, "name", str),
-                relation=_field(c, "relation", str),
-                lhs=_field(c, "lhs", str),
-                rhs=_field(c, "rhs", str),
-                holds=_field(c, "holds", bool),
-                note=_field(c, "note", str, optional=True) or "",
-            )
-            for c in rows
-        ]
-        for c in rows:
-            _known_keys("transcript check row", c, _ROW_KEYS)
-        conclusion = _field(data, "conclusion", dict)
-        _known_keys("transcript field 'conclusion'", conclusion, ("exact", "asymptotic"))
-        return cls(
-            p=field.p,
-            n=n,
-            branch=_field(data, "branch", str),
-            input_points=input_points,
-            input_size=_field(data, "input_size", int),
-            doubles=doubles,
-            pair_sum_count=_field(data, "pair_sum_count", int),
-            dims=dims,
-            degree_cap=_field(data, "degree_cap", int),
-            split_degree=_field(data, "split_degree", int),
-            selected_doubles=selected_doubles,
-            selected_points=selected_points,
-            witness_values=values,
-            matrix_rank=_field(data, "matrix_rank", int, optional=True),
-            checks=checks,
-            conclusion=conclusion,
-            precision=precision,
-        )
+        checks = []
+        for row in f["checks"]:
+            row = _read("transcript check row", row, _ROW_FIELDS)
+            checks.append(ProofCheck(**{**row, "note": row["note"] or ""}))
+        _read("transcript field 'conclusion'", f["conclusion"], dict.fromkeys(("exact", "asymptotic")))
+        del f["format"], f["input"]
+        f.update(dims=dims, checks=checks)
+        return cls(input_points=input_points, **f)
 
 
-# keys of a serialized transcript and of one of its check rows
-_TRANSCRIPT_KEYS = {"format", "input"} | (
-    {f.name for f in fields(ProofTranscript)} - {"input_points"}
-)
-_ROW_KEYS = {f.name for f in fields(ProofCheck)}
+# The JSON keys of a serialized transcript and of one of its check rows, in
+# output order, each with the kind of its value (see `_read`).
+_FIELDS = {
+    "format": str,
+    "p": int,
+    "n": int,
+    "branch": str,
+    "input": dict,
+    "input_size": int,
+    "doubles": list,
+    "pair_sum_count": int,
+    "dims": dict,
+    "degree_cap": int,
+    "split_degree": int,
+    "selected_doubles": list,
+    "selected_points": list,
+    "witness_values": (list, None),
+    "matrix_rank": (int, None),
+    "checks": list,
+    "conclusion": dict,
+    "precision": int,
+}
+_ROW_FIELDS = {"name": str, "relation": str, "lhs": str, "rhs": str, "holds": bool, "note": (str, None)}
 
 
-def _field(data, key: str, kind: type, optional: bool = False):
-    """data[key], required to be a `kind` (bool is not an int), else ValueError."""
+def _read(where: str, data, table: dict) -> dict:
+    """`data`'s value at each key of `table`, checked against the key's kind.
+
+    A kind is a type (bool is not an int), a pair (type, None) whose value
+    may also be null or absent, or None, which takes anything. The error
+    names a non-object `data`, else its first key outside `table`, else the
+    first key in table order whose value is missing or of another kind.
+    """
     if not isinstance(data, dict):
-        raise ValueError(f"expected an object holding {key!r}, got {type(data).__name__}")
-    value = data.get(key)
-    if value is None and optional:
-        return None
-    if key not in data:
-        raise ValueError(f"transcript field {key!r} is missing")
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"transcript field {key!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _known_keys(where: str, data: dict, known) -> None:
-    """ValueError naming the first key of `data` that is not in `known`."""
-    unknown = next((k for k in data if k not in known), None)
+        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+    unknown = next((k for k in data if k not in table), None)
     if unknown is not None:
         raise ValueError(f"{where} has unknown key {unknown!r}")
+    values = {}
+    for key, kind in table.items():
+        value = values[key] = data.get(key)
+        if kind is None or (value is None and type(kind) is tuple):
+            continue
+        if key not in data:
+            raise ValueError(f"transcript field {key!r} is missing")
+        kind = kind[0] if type(kind) is tuple else kind
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"transcript field {key!r} must be {kind.__name__}, got {value!r}")
+    return values
 
 
 def _indices(key: str, values: list, total: int) -> list[int]:
@@ -292,9 +281,7 @@ def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
     if not points.size:
         return points, []
     field, n = points.field, points.n
-    if n <= 0 or n % 3 != 0:
-        raise ValueError("degree cut requires 3 | n")
-    low = _exponent_array(n, field.p - 1, (field.p - 1) * n // 3 - 1)
+    low = _exponent_array(n, field.p - 1, _split_degree(field.p, n) - 1)
     free, lam = indicator_coefficients(points, field.p - 1 - low).transpose().unit_kernel_vector()
     return PointSet.from_indices(field, n, _members(points)[0][free]), lam.tolist()
 
@@ -423,10 +410,8 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     """
     field, n = A.field, A.n
     p = field.p
-    if n <= 0 or n % 3 != 0:
-        raise ValueError("the size-bound argument requires 3 | n")
-    low_third = (p - 1) * n // 3
-    h = dim_L(n, low_third - 1, field)
+    s = _split_degree(p, n)
+    h = dim_L(n, s - 1, field)
     if A.size * h > WORK_BOUND:  # |C| = |A|: doubling is injective for odd p
         raise ValueError(
             f"the |C| x h block would have |C| = {A.size} times h = {h} entries, "
@@ -440,7 +425,7 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         raise ProgressionFound(
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
-    dims = _dimension_table(field, n, doubles.size)
+    dims = _dimension_table(field, n, s, doubles.size)
     selected, lam = select_unit_witness(doubles)
     dims["intersection"] = selected.size
     transcript = ProofTranscript(
@@ -452,8 +437,8 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         doubles=doubles.indices(),
         pair_sum_count=sums.size,
         dims=dims,
-        degree_cap=2 * low_third,
-        split_degree=low_third,
+        degree_cap=2 * s,
+        split_degree=s,
         selected_doubles=selected.indices(),
         selected_points=_halves_of(A, selected),
         witness_values=lam if selected.size else None,
@@ -467,13 +452,14 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         diagonal_certificate(table, a_prime)
         transcript.matrix_rank = a_prime.size
     transcript.checks, transcript.conclusion = _certificate_checks(
-        transcript, pf, sums, doubles, table, transcript.matrix_rank
+        transcript, s, pf, sums, doubles, table, transcript.matrix_rank
     )
     return transcript
 
 
 def _certificate_checks(
     t: ProofTranscript,
+    s: int,
     pf: bool,
     sums: PointSet,
     doubles: PointSet,
@@ -482,19 +468,18 @@ def _certificate_checks(
 ) -> tuple[list[ProofCheck], dict]:
     """Every row of a transcript and its conclusion, in transcript order.
 
-    `pf`, `sums` and `doubles` are derived from the input set. The rest is
-    the certificate recorded in `t`: its size, dimensions, selection,
-    witness and precision, with `table` the witness's value table over
-    F_p^n (None on the zero branch) and `rank` the rank of its Gram matrix
-    over the selected points (-1 when that matrix is not diagonal). The
-    witness's degree and split are read from its coefficients, one
-    interpolation pass over `table`. `prove_size_bound` passes what it
-    derived and `verify_transcript` what it parsed, so both write the same
-    rows. The asymptotic bound is evaluated at the larger of the recorded
-    and the configured precision.
+    `s` is the split degree of the cut, and `pf`, `sums` and `doubles` are
+    derived from the input set. The rest is the certificate recorded in
+    `t`: its size, dimensions, selection, witness and precision, with
+    `table` the witness's value table over F_p^n (None on the zero branch)
+    and `rank` the rank of its Gram matrix over the selected points (-1
+    when that matrix is not diagonal). The witness's degree and split are
+    read from its coefficients, one interpolation pass over `table`.
+    `prove_size_bound` passes what it derived and `verify_transcript` what
+    it parsed, so both write the same rows. The asymptotic bound is
+    evaluated at the larger of the recorded and the configured precision.
     """
     field, n = t.input_points.field, t.n
-    low_third = (field.p - 1) * n // 3
     size, dims = t.input_size, t.dims
     ambient, dim_low, h = dims["ambient"], dims["low_degree"], dims["low_third_minus"]
     checks = [
@@ -532,13 +517,13 @@ def _certificate_checks(
         vanishes_off_doubles = not table[~doubles._table()].any()
         checks += [
             _check("selection_size", len(selected), "==", dims["intersection"]),
-            _check("witness_degree", int(terms.sum(axis=1).max(initial=0)), "<=", 2 * low_third),
+            _check("witness_degree", int(terms.sum(axis=1).max(initial=0)), "<=", 2 * s),
             _check("witness_vanishes_off_doubles", int(vanishes_off_doubles), "==", 1),
             _check("witness_unit_on_selected", int((table[selected] == 1).all()), "==", 1),
             _check("pair_sums_in_zero_set", int(not table[sums._table()].any()), "==", 1),
             _check("selected_points_count", a_prime, "==", len(selected)),
             _check("gram_rank_equals_selection", rank, "==", a_prime),
-            _split_check(terms, a_prime, low_third, field),
+            _split_check(terms, a_prime, s, field),
         ]
         exact_bound, note = h + len(selected), "|A| = |C| <= dim(low third minus one) + |C'|"
         exact.update(low_third_minus=str(h), selected=str(len(selected)))
@@ -550,25 +535,31 @@ def _certificate_checks(
 
 def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[ProofCheck, dict]:
     """The row size <= 3 p^(cn) and the asymptotic conclusion, at `digits` digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ln_p = Decimal(field.p).ln()
-        c_exp = 1 - 1 / (18 * ln_p)  # `bounds.exponent_c`, sharing its ln p
-        p_cn = (c_exp * n * ln_p).exp()
-        bound = 3 * p_cn
+    c, [(_, p_cn, bound)] = _p_cn(field, [n], digits)
     row = _check("size_bound_asymptotic", Decimal(size), "<=", bound)
-    return row, {"c": str(c_exp), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
+    return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
 
-def _dimension_table(field: PrimeField, n: int, doubles_size: int) -> dict[str, int]:
-    """The recorded dimensions other than dim V, in transcript order."""
-    low_third = (field.p - 1) * n // 3
+def _split_degree(p: int, n: int, *, floor: bool = False) -> int:
+    """s = (p-1)n/3, the split degree of the paper's degree cut, whose cap is D2 = 2s.
+
+    Refuses 3 ∤ n unless `floor` is set: s is then rounded down, and
+    `verify_transcript` checks a record with such an n row by row rather
+    than refusing it.
+    """
+    if not floor and (n <= 0 or n % 3 != 0):
+        raise ValueError("the degree cut (p-1)n/3 requires 3 | n")
+    return (p - 1) * n // 3
+
+
+def _dimension_table(field: PrimeField, n: int, s: int, doubles_size: int) -> dict[str, int]:
+    """The recorded dimensions other than dim V at split degree s, in transcript order."""
     return {
         "ambient": field.p**n,
         "vanishing_off_doubles": doubles_size,
-        "low_degree": dim_L(n, 2 * low_third, field),
-        "low_third": dim_L(n, low_third, field),
-        "low_third_minus": dim_L(n, low_third - 1, field) if low_third >= 1 else 0,
+        "low_degree": dim_L(n, 2 * s, field),
+        "low_third": dim_L(n, s, field),
+        "low_third_minus": dim_L(n, s - 1, field) if s >= 1 else 0,
     }
 
 
@@ -606,11 +597,11 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
             rank = a_prime.size
         except HypothesisViolation:
             rank = -1
-    rows, conclusion = _certificate_checks(t, pf, sums, doubles, table, rank)
+    s = _split_degree(field.p, n, floor=True)
+    rows, conclusion = _certificate_checks(t, s, pf, sums, doubles, table, rank)
 
-    low_third = (field.p - 1) * n // 3
-    expected = _dimension_table(field, n, doubles.size)
-    dims_ok = (t.degree_cap, t.split_degree) == (2 * low_third, low_third)
+    expected = _dimension_table(field, n, s, doubles.size)
+    dims_ok = (t.degree_cap, t.split_degree) == (2 * s, s)
     dims_ok = dims_ok and all(t.dims[k] == v for k, v in expected.items())
     if table is None:
         shape_ok = t.branch == "zero_intersection" and t.dims["intersection"] == 0

@@ -117,13 +117,17 @@ def assert_written_by_json_dumps(out: str) -> None:
     assert out == json.dumps(json.loads(out)) + "\n"
 
 
-# sha256 of the parsed JSON output, keys sorted, taken from output whose
-# bytes matched those of the window convolution that the layer recurrence
-# replaced; the recurrence must reproduce these values.
+# sha256 of the parsed JSON output, keys sorted. The `dims` and
+# `entropy-check` values were taken from output whose bytes matched those of
+# the window convolution that the layer recurrence replaced, and the `bound`
+# values from output written before c and p^(cn) had one evaluator; both
+# rewrites must reproduce them.
 PINNED_OUTPUTS = {
     ("dims", "--p", "3", "--n", "301"): "e2f75cd2e0ef72e27db0aa7cd3c300af7a60f4f73f9626de93307096272c99a0",
     ("dims", "--p", "11", "--n", "61"): "cdccab0dec369b1b33d47031d208efbb6c5018c995ab8981fd3c2091e67f4d53",
     ("entropy-check", "--p", "5", "--n", "3,6,255"): "50766508353df6fea666f63603d8d63d673b1fd62a139d4cd83a022a3a633c68",
+    ("bound", "--p", "3", "--n-max", "1000"): "d48dc64a1a8c76faf0f6b77ae01861deda107238ec11384fc2fb76019628f81b",
+    ("bound", "--p", "65521", "--n-max", "50"): "ae1b3fa5cce9d9167d943ed98953d566a8b75252cbab4047dffe21b547efb1eb",
 }
 
 

@@ -87,8 +87,8 @@ class TestPoints:
 
 class TestFpMatrix:
     def test_rank_examples(self):
-        assert FpMatrix.identity(3, F3).rank() == 3
-        assert FpMatrix.zeros(2, 3, F3).rank() == 0
+        assert FpMatrix(np.eye(3, dtype=np.int64), F3).rank() == 3
+        assert FpMatrix(np.zeros((2, 3), dtype=np.int64), F3).rank() == 0
         assert FpMatrix([[1, 2], [2, 4]], F3).rank() == 1
 
     def test_rank_against_brute_force(self):
@@ -101,8 +101,8 @@ class TestFpMatrix:
             assert mat.rank() == brute_force_rank(entries.tolist(), 3)
 
     def test_pivot_columns_examples(self):
-        assert FpMatrix.identity(4, F3).pivot_columns() == [0, 1, 2, 3]
-        assert FpMatrix.zeros(3, 3, F3).pivot_columns() == []
+        assert FpMatrix(np.eye(4, dtype=np.int64), F3).pivot_columns() == [0, 1, 2, 3]
+        assert FpMatrix(np.zeros((3, 3), dtype=np.int64), F3).pivot_columns() == []
         assert FpMatrix([[1, 2, 0], [2, 4, 1]], F3).pivot_columns() == [0, 2]
 
     def test_pivot_columns_stable_under_row_permutation(self):
@@ -129,8 +129,8 @@ class TestFpMatrix:
     def test_matmul_and_transpose(self):
         a = FpMatrix([[1, 2], [0, 1]], F3)
         b = FpMatrix([[1, 0], [1, 1]], F3)
-        assert a.matmul(b).to_lists() == [[0, 2], [1, 1]]
-        assert a.transpose().to_lists() == [[1, 0], [2, 1]]
+        assert a.matmul(b).array.tolist() == [[0, 2], [1, 1]]
+        assert a.transpose().array.tolist() == [[1, 0], [2, 1]]
         with pytest.raises(ValueError):
             a.matmul(FpMatrix([[1]], F3))
 

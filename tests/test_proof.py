@@ -70,7 +70,7 @@ class TestSpaceBuilders:
     def test_univariate_indicator(self):
         ps = PointSet.from_points(F3, 1, [(0,)])
         block = indicator_coefficients(ps, all_monomials(F3, 1))
-        assert block.to_lists() == [[1, 0, 2]]  # 1 + 2x^2
+        assert block.array.tolist() == [[1, 0, 2]]  # 1 + 2x^2
 
     def test_dimension_matches_set_size(self):
         rng = np.random.default_rng(4)
@@ -81,7 +81,7 @@ class TestSpaceBuilders:
             block = indicator_coefficients(ps, monos)
             assert block.rank() == ps.size
             # row c holds the coefficients of indicator_poly(c) in graded-lex order
-            for row, c in zip(block.to_lists(), ps.points()):
+            for row, c in zip(block.array.tolist(), ps.points()):
                 assert row == list(poly_to_vector(indicator_poly(c, F3)))
 
     def test_low_degree_basis(self):
@@ -161,7 +161,7 @@ def zassenhaus_reference(points):
     tables = [evaluate_all(poly_from_vector(v, field, n)) for v in V]
     eval_mat = FpMatrix([[t[i] for i in idxs] for t in tables], field)
     pivots = eval_mat.pivot_columns()
-    square = FpMatrix([[eval_mat.entry(i, j) for j in pivots] for i in range(len(V))], field)
+    square = FpMatrix(eval_mat.array[:, pivots], field)
     lam = square.transpose().solve([1] * len(pivots))
     combo = sum(c * np.array(v, dtype=np.int64) for c, v in zip(lam, V)) % p
     return len(V), [idxs[j] for j in pivots], poly_from_vector(combo, field, n)
@@ -232,7 +232,7 @@ class TestDiagonalCertificate:
         pt = PointSet.from_points(F3, 1, [(1,)])
         f = indicator_poly((2,), F3)  # f(1+1) = 1
         mat = diagonal_certificate(evaluate_all(f), pt)
-        assert mat.to_lists() == [[1]]
+        assert mat.array.tolist() == [[1]]
 
     def test_rejects_offdiagonal(self):
         f = ReducedPoly.constant(F3, 1, 1)
@@ -504,6 +504,19 @@ class TestTranscriptSerialization:
             *main_only,
             "recorded_claims",
         ]
+
+    @pytest.mark.parametrize("branch", ["main", "zero_intersection"])
+    def test_from_json_inverts_to_json(self, cap9_search, branch):
+        """On the 9-cap (main branch) and greedy seed 0 in F_5^3 (zero branch),
+        with the keys of the field tables and no others."""
+        A = cap9_search.witness if branch == "main" else greedy_progression_free(PrimeField(5), 3, order_seed=0)
+        transcript = prove_size_bound(A)
+        assert transcript.branch == branch
+        payload = transcript.to_json()
+        assert list(payload) == list(proof._FIELDS)
+        assert all(set(row) <= set(proof._ROW_FIELDS) for row in payload["checks"])
+        for data in (payload, json.loads(json.dumps(payload))):
+            assert proof.ProofTranscript.from_json(data) == transcript
 
     def test_serialized_fields_stable(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)

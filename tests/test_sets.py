@@ -448,7 +448,7 @@ class TestKernelAgainstTupleLoops:
             gram = [
                 [evaluate(f, tuple((x + y) % p for x, y in zip(a, b))) for b in pts] for a in pts
             ]
-            assert gram_matrix(f, ps, ps).to_lists() == gram
+            assert gram_matrix(f, ps, ps).array.tolist() == gram
             bad = [
                 (a, b, gram[i][j])
                 for i, a in enumerate(pts)
