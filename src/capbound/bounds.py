@@ -33,7 +33,6 @@ __all__ = [
     "exponent_c",
     "hoeffding_bound",
     "verify_entropy_lemma",
-    "low_third_dimension",
     "exact_tail_identity",
     "main_bound",
 ]
@@ -151,14 +150,6 @@ def verify_entropy_lemma(field: PrimeField, n: int) -> BoundReport:
     return BoundReport(
         p=field.p, n=n, c=c, exact_dim=exact, bound_value=p_cn, margin=margin, holds=margin > GUARD_MARGIN
     )
-
-
-def low_third_dimension(field: PrimeField, n: int) -> tuple[int, int]:
-    """Informational (d, dim) at d = floor((p-1)n/3), no divisibility demand."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = (field.p - 1) * n // 3
-    return d, dim_L(n, d, field)
 
 
 def exact_tail_identity(

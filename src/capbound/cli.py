@@ -30,6 +30,7 @@ from .sets import (
     SearchResult,
     greedy_progression_free,
     is_progression_free,
+    load_json,
     max_progression_free,
     parse_point_set,
 )
@@ -266,7 +267,7 @@ def cmd_verify_set(args) -> int:
 
 
 def cmd_verify_transcript(args) -> int:
-    data = json.loads(_read_input(args.input))
+    data = load_json(_read_input(args.input))
     if isinstance(data, dict) and "result" in data and "command" in data:
         data = data["result"]
     ok, checks = verify_transcript(data)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over GF(p): field elements, points of F_p^n, dense matrices.
+"""Exact arithmetic over GF(p): field elements and dense matrices.
 
 Field elements are plain ints in [0, p-1]. Matrices keep their entries in
 int64 numpy arrays so row operations vectorize. Elimination reduces mod p
@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "MAX_MODULUS",
     "PrimeField",
-    "point_index",
-    "point_coords",
     "FpMatrix",
     "row_space_intersection",
 ]
@@ -74,26 +72,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-
-def point_index(coords: Sequence[int], field: PrimeField) -> int:
-    """Base-p encoding of a point: index = sum(coords[i] * p^i)."""
-    idx = 0
-    for c in reversed(coords):
-        field.validate(c)
-        idx = idx * field.p + c
-    return idx
-
-
-def point_coords(index: int, n: int, field: PrimeField) -> tuple[int, ...]:
-    """Inverse of `point_index`; exact round-trip for 0 <= index < p^n."""
-    if not 0 <= index < field.p**n:
-        raise ValueError(f"index {index} out of range [0, {field.p**n})")
-    out = []
-    for _ in range(n):
-        index, c = divmod(index, field.p)
-        out.append(c)
-    return tuple(out)
 
 
 def _row_reduce(a: np.ndarray, p: int) -> list[int]:
@@ -172,15 +150,6 @@ class FpMatrix:
     def transpose(self) -> "FpMatrix":
         return FpMatrix._trusted(self._a.T, self.field)
 
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.field != other.field:
-            raise ValueError("mixed moduli")
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return FpMatrix._trusted((self._a @ other._a) % self.field.p, self.field)
-
-    __matmul__ = matmul
-
     def rank(self) -> int:
         return len(_row_reduce(self._a.copy(), self.field.p))
 
@@ -222,14 +191,6 @@ class FpMatrix:
         for j, pc in enumerate(pivots):
             x[pc] = int(aug[j, self.cols])
         return x
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and other.field == self.field
-            and other._a.shape == self._a.shape
-            and bool(np.array_equal(other._a, self._a))
-        )
 
     def __repr__(self) -> str:
         return f"FpMatrix({self.rows}x{self.cols} over GF({self.field.p}))"

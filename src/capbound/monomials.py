@@ -23,9 +23,7 @@ __all__ = [
     "Monomial",
     "graded_lex_key",
     "enumerate_monomials",
-    "extended_binomial",
     "dim_L",
-    "verify_duality",
     "monomial_index",
 ]
 
@@ -93,39 +91,12 @@ def _cumulative_counts(n: int, m: int, d: int) -> list[int]:
     return cum
 
 
-def extended_binomial(n: int, k: int, m: int) -> int:
-    """Number of vectors in {0,...,m}^n with coordinate sum k (0 off-range)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if k < 0 or k > m * n:
-        return 0
-    cum = _cumulative_counts(n, m, k)
-    return cum[k] - cum[k - 1] if k else cum[0]
-
-
 def dim_L(n: int, d: int, field: PrimeField) -> int:
     """Exact dimension of the degree-<=d slice of the capped-exponent space."""
     cap = field.p - 1
     if not 0 <= d <= cap * n:
         raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
     return _cumulative_counts(n, cap, d)[d]
-
-
-def verify_duality(n: int, field: PrimeField) -> bool:
-    """Check dim(d) + dim((p-1)n - d - 1) = p^n exactly for every d.
-
-    This is the complementation map alpha -> (p-1-alpha) on monomials, which
-    pairs the degree-<=d slice with the complement of the degree-<=(p-1)n-d-1
-    slice.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = field.p**n
-    top = (field.p - 1) * n
-    cum = _cumulative_counts(n, field.p - 1, top)
-    return all(cum[d] + cum[top - d - 1] == total for d in range(top))
 
 
 @lru_cache(maxsize=32)

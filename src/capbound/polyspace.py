@@ -5,7 +5,11 @@ points), which is what makes evaluation, interpolation and indicator
 polynomials exact inverses of each other here. Coefficients are stored
 sparsely; whole-space value tables and coefficient grids use dense numpy
 tensors, contracted one coordinate at a time, because both the evaluation
-and the interpolation kernel factor per coordinate.
+and the interpolation kernel factor per coordinate, through two p x p
+tables: the Vandermonde table and the indicator coefficients read off it,
+both with entries below p. The p^n x p^n shift grid and coefficient vectors
+need p^n <= DENSE_MATRIX_CEILING; the certificate path builds neither.
+Per-point evaluation and zero sets are in `capbound.reference`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,11 @@ from .sets import PointSet, _members, _pair_indices
 __all__ = [
     "DENSE_MATRIX_CEILING",
     "ReducedPoly",
-    "evaluate",
     "evaluate_all",
     "interpolate",
     "coefficient_tensor",
     "indicator_poly",
     "indicator_coefficients",
-    "zero_set",
     "shift_coefficient_matrix",
     "support_split_rank_bound",
     "split_violation",
@@ -150,42 +152,25 @@ class ReducedPoly:
 
 @lru_cache(maxsize=32)
 def _vandermonde(p: int) -> np.ndarray:
-    """V[v, e] = v^e mod p for v, e in [0, p-1]."""
-    v = np.empty((p, p), dtype=np.int64)
-    for a in range(p):
-        for e in range(p):
-            v[a, e] = pow(a, e, p)
+    """V[v, e] = v^e mod p for v, e in [0, p-1], one column pass per exponent."""
+    v, x = np.ones((p, p), dtype=np.int64), np.arange(p)
+    for e in range(1, p):
+        v[:, e] = v[:, e - 1] * x % p
     return v
 
 
 @lru_cache(maxsize=32)
 def _indicator_rows(p: int) -> np.ndarray:
-    """U[s, e] = coefficient of x^e in 1 - (x - s)^(p-1).
+    """U[s, e] = coefficient of x^e in 1 - (x - s)^(p-1), that is [e = 0] - s^(p-1-e) mod p.
 
+    C(p-1, j) = (-1)^j mod p and p - 1 is even, so the binomial expansion
+    leaves one power of s per coefficient, read off the Vandermonde table.
     Row s is the coefficient vector of the univariate point indicator of s;
     the full indicator of a point is the per-coordinate tensor product.
     """
-    u = np.zeros((p, p), dtype=np.int64)
-    for s in range(p):
-        u[s, 0] = 1
-        for j in range(p):
-            u[s, j] -= math.comb(p - 1, j) * pow(-s, p - 1 - j, p)
-    return np.mod(u, p)
-
-
-def evaluate(f: ReducedPoly, point: Sequence[int]) -> int:
-    """Value of f at one point, by direct power products per term."""
-    if len(point) != f.n:
-        raise ValueError(f"point has dimension {len(point)}, expected {f.n}")
-    p = f.field.p
-    total = 0
-    for alpha, c in f._coeffs.items():
-        v = c
-        for x, e in zip(point, alpha):
-            if e:
-                v = v * pow(x, e, p) % p
-        total += v
-    return total % p
+    u = -_vandermonde(p)[:, ::-1]
+    u[:, 0] += 1
+    return u % p
 
 
 def evaluate_all(f: ReducedPoly) -> list[int]:
@@ -273,11 +258,6 @@ def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, f
             block *= table[coords[:, i, None], exps[None, :, i]]
         block %= p
     return FpMatrix._trusted(block, field)
-
-
-def zero_set(f: ReducedPoly) -> PointSet:
-    """All points where f vanishes, as a PointSet."""
-    return PointSet._from_table(f.field, f.n, np.array(evaluate_all(f)) == 0)
 
 
 def _require_dense_ok(field: PrimeField, n: int) -> int:

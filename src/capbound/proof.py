@@ -25,6 +25,14 @@ list the JSON keys of a transcript and of a check row with their kinds;
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
 at the configured precision by `bounds._p_cn`.
+
+This module holds only what `prove` and `verify-transcript` run; the dense
+p^n x p^n rank arguments that the diagonal certificate and the support
+split replace are in `capbound.reference`. Two bounds refuse work before
+it is allocated: `WORK_BOUND` on the |C| x h block that `prove`
+eliminates, and `VALUE_TABLE_BOUND` on p^(n+1), the cost of interpolating
+the witness's value table, which both commands build in
+`ProofTranscript.value_table`.
 """
 
 from __future__ import annotations
@@ -40,38 +48,31 @@ import numpy as np
 from .bounds import MAX_PRECISION, _p_cn, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import FpMatrix, PrimeField
-from .monomials import _exponent_array, dim_L, monomial_index
+from .monomials import _exponent_array, dim_L
 from .polyspace import (
     ReducedPoly,
-    _coordinate_products,
-    _vandermonde,
     coefficient_tensor,
-    gram_matrix,
     indicator_coefficients,
     interpolate,
     pair_values,
-    shift_coefficient_matrix,
     split_violation,
-    support_split_rank_bound,
 )
 from .sets import PointSet, _index_of, _members, is_progression_free, pair_sums
 
 __all__ = [
     "WORK_BOUND",
+    "VALUE_TABLE_BOUND",
     "TRANSCRIPT_FORMAT",
     "ProofCheck",
     "ProofTranscript",
-    "RankCheck",
-    "DiagonalCheck",
     "select_unit_witness",
     "diagonal_certificate",
     "prove_size_bound",
-    "check_gram_rank_bound",
-    "check_diagonal_size_bound",
     "verify_transcript",
 ]
 
 WORK_BOUND = 2**22  # entries of the |C| x h block that `prove` builds and eliminates
+VALUE_TABLE_BOUND = 2**21  # p^(n+1), the products of one interpolation pass over a value table
 TRANSCRIPT_FORMAT = "capbound.transcript/2"
 _DIMENSION_KEYS = (
     "ambient", "vanishing_off_doubles", "low_degree", "low_third", "low_third_minus", "intersection"
@@ -132,9 +133,19 @@ class ProofTranscript:
         return all(c.holds for c in self.checks)
 
     def value_table(self) -> np.ndarray | None:
-        """The witness's value table over F_p^n: `witness_values` on the doubles, 0 elsewhere."""
+        """The witness's value table over F_p^n: `witness_values` on the doubles, 0 elsewhere.
+
+        An ambient with p^(n+1) > VALUE_TABLE_BOUND is refused (ValueError)
+        before anything is allocated: `prove` and `verify_transcript` read
+        the witness's coefficients from this table.
+        """
         if self.witness_values is None:
             return None
+        if self.p ** (self.n + 1) > VALUE_TABLE_BOUND:
+            raise ValueError(
+                f"the witness's value table over F_{self.p}^{self.n} needs p^(n+1) = {self.p ** (self.n + 1)} "
+                f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
+            )
         table = np.zeros(self.p**self.n, dtype=np.int64)
         table[self.doubles] = self.witness_values
         return table
@@ -315,72 +326,6 @@ def diagonal_certificate(values, selected: PointSet) -> FpMatrix:
             evidence={"point": list(selected.points()[k])},
         )
     return FpMatrix._trusted(arr, selected.field)
-
-
-@dataclass(frozen=True)
-class RankCheck:
-    """Evidence that the pairwise-evaluation rank is bounded by the grid rank."""
-
-    rank_gram: int
-    rank_shift: int
-    factorization_ok: bool
-    holds: bool
-
-
-def check_gram_rank_bound(f: ReducedPoly, A: PointSet, B: PointSet) -> RankCheck:
-    """Verify rank of [f(a+b)] <= rank of the shift grid, with factorization.
-
-    The factorization M = Ma^T C Mb, where Ma and Mb tabulate monomial
-    powers at the points of A and B, is checked entrywise.
-    """
-    field, n = f.field, f.n
-    monos, _ = monomial_index(field.p, n)
-    C = shift_coefficient_matrix(f)
-    M = gram_matrix(f, A, B)
-    Ma, Mb = (_coordinate_products(_members(ps)[1], monos, _vandermonde(field.p), field) for ps in (A, B))
-    product = Ma.matmul(C).matmul(Mb.transpose())
-    factorization_ok = product == M
-    rg, rc = M.rank(), C.rank()
-    return RankCheck(
-        rank_gram=rg, rank_shift=rc, factorization_ok=factorization_ok, holds=rg <= rc
-    )
-
-
-@dataclass(frozen=True)
-class DiagonalCheck:
-    """Evidence for the size bound via the diagonal Gram argument."""
-
-    set_size: int
-    split_bound: int
-    rank_shift: int
-    holds: bool
-
-
-def check_diagonal_size_bound(f: ReducedPoly, A: PointSet, d: int) -> DiagonalCheck:
-    """Confirm |A| <= 2 * dim(degree <= d) for f of degree <= 2d that is
-    nonzero exactly on the doubled diagonal of A.
-
-    The hypothesis f(a+b) = 0 iff a != b is verified first, on the Gram
-    matrix of f over A (the first failing pair in row order is named); the
-    bound comes through the support split of the shift grid.
-    """
-    if f.degree is not None and f.degree > 2 * d:
-        raise ValueError(f"degree {f.degree} exceeds 2d = {2 * d}")
-    field, n = f.field, f.n
-    gram = gram_matrix(f, A, A).array
-    bad = (gram == 0) == np.eye(len(gram), dtype=bool)
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        points = A.points()
-        raise HypothesisViolation(
-            "hypothesis violated: f(a+b) = 0 iff a != b fails",
-            evidence={"a": list(points[i]), "b": list(points[j]), "value": int(gram[i, j])},
-        )
-    C = shift_coefficient_matrix(f)
-    bound = support_split_rank_bound(C, d, n, field)
-    return DiagonalCheck(
-        set_size=A.size, split_bound=bound, rank_shift=C.rank(), holds=A.size <= bound
-    )
 
 
 def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> ProofCheck:
@@ -585,11 +530,11 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     recorded precision. Returns (every row holds, rows).
     """
     t = ProofTranscript.from_json(data)
+    table, rank = t.value_table(), None
     field, n = t.input_points.field, t.n
     sums, doubles = pair_sums(t.input_points)
     pf = not (sums & doubles).size
     selected = set(t.selected_doubles)
-    table, rank = t.value_table(), None
     if table is not None:
         try:
             a_prime = PointSet.from_indices(field, n, t.selected_points)

@@ -45,6 +45,7 @@ __all__ = [
     "max_progression_free",
     "greedy_progression_free",
     "parse_point_set",
+    "load_json",
     "EXACT_SEARCH_CEILING",
 ]
 
@@ -224,10 +225,11 @@ class PointSet:
             if not line:
                 continue
             if header is None:
-                parts = [part.split("=", 1) for part in line.split()]
-                fields = {kv[0]: kv[1] for kv in parts if len(kv) == 2}
-                if "p" not in fields or "n" not in fields:
-                    raise ValueError("header line must declare p=<prime> n=<dim>")
+                pairs = [part.split("=", 1) for part in line.split() if "=" in part]
+                names = [name for name, _ in pairs]
+                if names.count("p") != 1 or names.count("n") != 1:
+                    raise ValueError(f"header line must declare p=<prime> n=<dim>, each once, got {line!r}")
+                fields = dict(pairs)
                 header = (PrimeField(int(fields["p"])), int(fields["n"]))
                 continue
             points.append(tuple(int(t) for t in line.split()))
@@ -240,8 +242,25 @@ def parse_point_set(text: str) -> PointSet:
     """Accept either the JSON or the plain-text serialization; repeated points are rejected."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return PointSet.from_json(json.loads(text))
+        return PointSet.from_json(load_json(text))
     return PointSet.from_text(text)
+
+
+def load_json(text: str):
+    """`json.loads(text)`; an object that repeats a key, or nesting too deep
+    for the decoder (a RecursionError), is a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply to read") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"JSON object repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _members(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ progression-free sizes come from exhaustive subset enumeration over
 coordinate tuples with no pruning heuristics, and dimensions are counted
 by direct enumeration. The point-set references below are the per-pair
 tuple loops that the library's numpy index kernel replaced; they take
-coordinate tuples listed in index order and encode points themselves.
+coordinate tuples listed in index order, and encode and decode points
+themselves.
 Layer counts come from the window convolution that the library's
 recurrence replaced, and the search's block masks from the per-pair tuple
 formula that its row table replaced. The input reader is the
@@ -32,7 +33,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from capbound.gf import PrimeField, point_coords
+from capbound.gf import PrimeField
 from capbound.polyspace import ReducedPoly
 
 
@@ -73,6 +74,11 @@ def has_progression(points: set[tuple[int, ...]], p: int) -> bool:
             if c in points and c != a and c != b:
                 return True
     return False
+
+
+def point_coords(index: int, p: int, n: int) -> tuple[int, ...]:
+    """Coordinates of the point with base-p index `index`, digit by digit."""
+    return tuple(index // p**i % p for i in range(n))
 
 
 def _index(coords, p: int) -> int:
@@ -134,7 +140,7 @@ def pair_block_mask(x: int, a: int, p: int, n: int) -> int:
     """Bits of the three points that complete a progression with points x and a:
     (x + a)/2, 2a - x and 2x - a."""
     field = PrimeField(p)
-    cx, ca = point_coords(x, n, field), point_coords(a, n, field)
+    cx, ca = point_coords(x, p, n), point_coords(a, p, n)
     mid = tuple((u + v) * field.inv2 % p for u, v in zip(cx, ca))
     past_a = tuple((2 * v - u) % p for u, v in zip(cx, ca))
     past_x = tuple((2 * u - v) % p for u, v in zip(cx, ca))
@@ -156,7 +162,7 @@ def greedy_indices(p: int, n: int, order_seed: int) -> list[int]:
     chosen: list[tuple[int, ...]] = []
     present: set[tuple[int, ...]] = set()
     for idx in order:
-        z = point_coords(idx, n, field)
+        z = point_coords(idx, p, n)
         if not any(
             tuple((u + v) * field.inv2 % p for u, v in zip(z, a)) in present
             or tuple((2 * u - v) % p for u, v in zip(z, a)) in present
@@ -169,11 +175,10 @@ def greedy_indices(p: int, n: int, order_seed: int) -> list[int]:
 
 def max_pf_all_subsets(p: int, n: int) -> int:
     """Literal iteration over all 2^(p^n) subsets; only for p^n <= 12."""
-    field = PrimeField(p)
     total = p**n
     if total > 12:
         raise ValueError("literal subset enumeration is only feasible for p^n <= 12")
-    pts = [point_coords(i, n, field) for i in range(total)]
+    pts = [point_coords(i, p, n) for i in range(total)]
     best = 0
     for mask in range(1 << total):
         chosen = {pts[i] for i in range(total) if mask >> i & 1}
@@ -191,7 +196,7 @@ def max_pf_recursive(p: int, n: int) -> tuple[int, int]:
     """
     field = PrimeField(p)
     total = p**n
-    pts = [point_coords(i, n, field) for i in range(total)]
+    pts = [point_coords(i, p, n) for i in range(total)]
     inv2 = field.inv2
     best = 0
     visited = 0
@@ -305,11 +310,7 @@ def coordinate_products_per_pass(coords: np.ndarray, exps: np.ndarray, table: np
     return block
 
 
-def _coords(index: int, p: int, n: int) -> tuple[int, ...]:
-    return tuple(index // p**i % p for i in range(n))
-
-
-def _indicator_coefficient(s: int, e: int, p: int) -> int:
+def indicator_coefficient(s: int, e: int, p: int) -> int:
     """Coefficient of x^e in 1 - (x - s)^(p-1), the univariate indicator of s."""
     return (int(e == 0) - math.comb(p - 1, e) * pow(-s, p - 1 - e, p)) % p
 
@@ -342,9 +343,9 @@ def left_kernel_basis(indices: list[int], p: int, n: int) -> list[list[int]]:
     entry, one basis vector per free column of the RREF of M^T."""
     d = (p - 1) * n // 3 - 1
     high = [tuple(p - 1 - e for e in a) for a in product(range(p), repeat=n) if sum(a) <= d]
-    coords = [_coords(i, p, n) for i in indices]
+    coords = [point_coords(i, p, n) for i in indices]
     block_t = [
-        [math.prod(_indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) % p for c in coords]
+        [math.prod(indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) % p for c in coords]
         for alpha in high
     ]
     reduced, pivots = _rref_rows(block_t, p)
@@ -374,10 +375,10 @@ def witness_coefficients(values: list[int], doubles: list[int], p: int, n: int) 
     """Nonzero coefficients of f = sum_c values_c 1_c over the points `doubles`,
     entry by entry: at x^alpha, sum_c values_c prod_i u(c_i, alpha_i), with
     u(s, e) the coefficient of x^e in the univariate indicator of s."""
-    coords = [_coords(i, p, n) for i in doubles]
+    coords = [point_coords(i, p, n) for i in doubles]
     out = {}
     for alpha in product(range(p), repeat=n):
-        terms = (v * math.prod(_indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) for v, c in zip(values, coords))
+        terms = (v * math.prod(indicator_coefficient(s, e, p) for s, e in zip(c, alpha)) for v, c in zip(values, coords))
         if coef := sum(terms) % p:
             out[alpha] = coef
     return out

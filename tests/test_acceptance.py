@@ -15,9 +15,10 @@ from capbound.bounds import GUARD_MARGIN, main_bound, verify_entropy_lemma
 from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
-from capbound.monomials import dim_L, verify_duality
+from capbound.monomials import dim_L
 from capbound.polyspace import evaluate_all, gram_matrix, interpolate
-from capbound.proof import check_gram_rank_bound, prove_size_bound
+from capbound.proof import prove_size_bound
+from capbound.reference import check_gram_rank_bound, verify_duality
 from capbound.sets import (
     PointSet,
     greedy_progression_free,

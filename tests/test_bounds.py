@@ -10,7 +10,6 @@ from capbound.bounds import (
     exact_tail_identity,
     exponent_c,
     hoeffding_bound,
-    low_third_dimension,
     main_bound,
     precision_digits,
     verify_entropy_lemma,
@@ -104,10 +103,6 @@ class TestEntropyLemma:
             for n in range(3, 31, 3):
                 rep = verify_entropy_lemma(field, n)
                 assert rep.holds and rep.margin > GUARD_MARGIN
-
-    def test_informational_mode(self):
-        d, dim = low_third_dimension(F3, 4)
-        assert d == 2 and dim == dim_L(4, 2, F3)
 
 
 class TestExactTail:

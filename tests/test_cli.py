@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import io
@@ -18,7 +19,7 @@ from capbound import cli, monomials
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
-from capbound.proof import prove_size_bound
+from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
 from capbound.sets import PointSet
 
 
@@ -386,6 +387,18 @@ class TestProveAndVerify:
         assert env["result"]["dims"]["intersection"] == "125"
         code, out, _ = verify_from_stdin(env)
         assert code == 0 and json.loads(out)["result"]["valid"] is True
+
+    def test_prove_and_verify_in_f67(self, run, tmp_path):
+        """F_67^3: from p = 67 on, the unreduced binomial form of the
+        indicator table does not fit in int64."""
+        set_file = tmp_path / "pair.txt"
+        set_file.write_text("p=67 n=3\n0 0 0\n1 2 3\n")
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["conclusion"]["exact"]["holds"] is True
+        transcript_file = tmp_path / "transcript.json"
+        transcript_file.write_text(json.dumps(env))
+        code, env = run_json(run, "verify-transcript", "--input", str(transcript_file))
+        assert code == 0 and env["result"]["valid"] is True
 
     def test_verify_tampered_transcript(self, run, tmp_path):
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
@@ -765,6 +778,98 @@ class TestVerifySet:
         code, out, err = run("verify-set", "--input", str(f))
         assert code == 2 and out == ""
         assert "duplicate point (0,)" in err
+
+
+class TestInputRefusals:
+    """Input that no reading makes sense of is a usage error: exit 2, one
+    `error:` line naming the fault, no output and no traceback."""
+
+    @staticmethod
+    def refused(run, tmp_path, command, text, message):
+        f = tmp_path / "input"
+        f.write_text(text)
+        code, out, err = run(command, "--input", str(f), "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("verify-transcript", "[" * 200_000),
+            ("verify-set", '{"p": ' + "[" * 200_000),
+            ("prove", '{"points": ' + "[" * 200_000),
+        ],
+        ids=["verify-transcript", "verify-set", "prove"],
+    )
+    def test_deep_json(self, run, tmp_path, command, text):
+        self.refused(run, tmp_path, command, text, "nested too deeply")
+
+    def test_transcript_repeating_a_key(self, run, tmp_path):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        text = json.dumps(env["result"])
+        self.refused(run, tmp_path, "verify-transcript", '{"p": 3, ' + text[1:], "repeats the key 'p'")
+        row = json.dumps(env["result"]["checks"][0])
+        repeated = text.replace(row, row[:-1] + ', "holds": true}', 1)
+        self.refused(run, tmp_path, "verify-transcript", repeated, "repeats the key 'holds'")
+
+    @pytest.mark.parametrize("command", ["verify-set", "prove"])
+    def test_point_set_repeating_a_key(self, run, tmp_path, command):
+        text = '{"p": 3, "n": 1, "n": 2, "points": [[0, 0]]}'
+        self.refused(run, tmp_path, command, text, "repeats the key 'n'")
+
+    @pytest.mark.parametrize("header", ["p=3 n=2 n=3", "p=3 p=5 n=1", "n=1 p=3 p=3"])
+    @pytest.mark.parametrize("command", ["verify-set", "prove"])
+    def test_header_repeating_p_or_n(self, run, tmp_path, command, header):
+        self.refused(run, tmp_path, command, header + "\n0\n", "each once")
+
+    @pytest.mark.parametrize("p, n", [(3, 12), (3, 13), (1447, 1), (1451, 1)])
+    def test_value_table_bound(self, run, tmp_path, p, n):
+        """A one-point transcript made to take the main branch: its witness's
+        value table is interpolated while p^(n+1) <= VALUE_TABLE_BOUND, and
+        the record then fails its checks (exit 1); above that, it is refused
+        by name before the table is allocated."""
+        set_file = tmp_path / "point.txt"
+        set_file.write_text("p=3 n=3\n0 0 0\n")
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["branch"] == "zero_intersection"
+        t = env["result"]
+        t.update(p=p, n=n, input={"p": p, "n": n, "points": [[0] * n]}, branch="main")
+        t.update(doubles=[0], selected_doubles=[0], selected_points=[0], witness_values=[1])
+        if p ** (n + 1) <= VALUE_TABLE_BOUND:
+            f = tmp_path / "crafted.json"
+            f.write_text(json.dumps(t))
+            code, env = run_json(run, "verify-transcript", "--input", str(f))
+            assert code == 1 and env["result"]["valid"] is False
+        else:
+            self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"value-table bound {VALUE_TABLE_BOUND}")
+
+
+class TestModuleStructure:
+    def test_cli_does_not_load_the_references(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, capbound, capbound.cli; print(sorted(sys.modules))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        loaded = ast.literal_eval(proc.stdout)
+        assert "capbound.proof" in loaded and "capbound.reference" not in loaded
+
+    def test_oracles_import_only_the_field_and_polynomials(self):
+        """tests/oracles.py reaches production code only through PrimeField
+        and ReducedPoly, so that a fault elsewhere cannot hide in its answers."""
+        with open(oracles.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "capbound" for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "capbound":
+                names += [a.name for a in node.names]
+        assert sorted(names) == ["PrimeField", "ReducedPoly"]
 
 
 class TestUsage:

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 import oracles
 from capbound.errors import HypothesisViolation
-from capbound.gf import PrimeField, point_coords
+from capbound.gf import PrimeField
 from capbound.polyspace import (
     ReducedPoly,
     _coordinate_products,
-    evaluate,
+    _indicator_rows,
+    _vandermonde,
     evaluate_all,
     gram_matrix,
     indicator_poly,
@@ -18,8 +19,8 @@ from capbound.polyspace import (
     poly_to_vector,
     shift_coefficient_matrix,
     support_split_rank_bound,
-    zero_set,
 )
+from capbound.reference import evaluate, zero_set
 from capbound.sets import PointSet
 
 F3 = PrimeField(3)
@@ -77,7 +78,7 @@ class TestEvaluation:
     def test_constant(self):
         one = ReducedPoly.constant(F3, 2, 1)
         for idx in range(9):
-            assert evaluate(one, point_coords(idx, 2, F3)) == 1
+            assert evaluate(one, oracles.point_coords(idx, 3, 2)) == 1
 
     def test_univariate_example(self):
         f = ReducedPoly(F3, 1, {(0,): 1, (2,): 2})  # 1 - x^2
@@ -98,7 +99,7 @@ class TestEvaluation:
             f = random_poly(rng, field, n)
             table = evaluate_all(f)
             for idx in range(field.p**n):
-                assert table[idx] == evaluate(f, point_coords(idx, n, field))
+                assert table[idx] == evaluate(f, oracles.point_coords(idx, field.p, n))
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
@@ -159,10 +160,19 @@ class TestIndicator:
     def test_kronecker_property(self):
         for field, n in [(F3, 2), (F5, 1)]:
             for idx in range(field.p**n):
-                a = point_coords(idx, n, field)
+                a = oracles.point_coords(idx, field.p, n)
                 table = evaluate_all(indicator_poly(a, field))
                 expected = [1 if j == idx else 0 for j in range(field.p**n)]
                 assert table == expected
+
+    @pytest.mark.parametrize("p", [3, 67, 251])
+    def test_tables_match_definitions(self, p):
+        """The Vandermonde table is v^e mod p, and the indicator table read off
+        it is the binomial expansion of 1 - (x - s)^(p-1), reduced mod p. From
+        p = 67 on, the unreduced binomial terms do not fit in int64."""
+        assert _vandermonde(p).tolist() == [[pow(v, e, p) for e in range(p)] for v in range(p)]
+        expected = [[oracles.indicator_coefficient(s, e, p) for e in range(p)] for s in range(p)]
+        assert _indicator_rows(p).tolist() == expected
 
     def test_degree_full(self):
         assert indicator_poly((1, 2), F3).degree == 4
@@ -171,13 +181,13 @@ class TestIndicator:
     def test_partition_of_unity(self):
         total = ReducedPoly.zero(F3, 2)
         for idx in range(9):
-            total = total + indicator_poly(point_coords(idx, 2, F3), F3)
+            total = total + indicator_poly(oracles.point_coords(idx, 3, 2), F3)
         assert total == ReducedPoly.constant(F3, 2, 1)
 
     def test_family_is_independent(self):
         # evaluation matrix of the indicator family is the identity
         rows = [
-            evaluate_all(indicator_poly(point_coords(i, 2, F3), F3)) for i in range(9)
+            evaluate_all(indicator_poly(oracles.point_coords(i, 3, 2), F3)) for i in range(9)
         ]
         assert np.array_equal(np.array(rows), np.eye(9, dtype=np.int64))
 

@@ -11,7 +11,7 @@ import oracles
 from capbound import proof
 from capbound.bounds import exponent_c
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField, point_coords, row_space_intersection
+from capbound.gf import FpMatrix, PrimeField, row_space_intersection
 from capbound.monomials import dim_L, enumerate_monomials
 from capbound.polyspace import (
     ReducedPoly,
@@ -24,17 +24,15 @@ from capbound.polyspace import (
     shift_coefficient_matrix,
     split_violation,
     support_split_rank_bound,
-    zero_set,
 )
 from capbound.proof import (
     _asymptotic,
-    check_diagonal_size_bound,
-    check_gram_rank_bound,
     diagonal_certificate,
     prove_size_bound,
     select_unit_witness,
     verify_transcript,
 )
+from capbound.reference import check_diagonal_size_bound, check_gram_rank_bound, zero_set
 from capbound.sets import PointSet, greedy_progression_free, is_progression_free, pair_sums
 
 F3 = PrimeField(3)
@@ -375,7 +373,7 @@ class TestPipeline:
         bad = PointSet(F3, 3, cap.mask | (1 << extra))
         with pytest.raises(ProgressionFound) as info:
             prove_size_bound(bad)
-        in_index_order = sorted(cap.points() + [point_coords(extra, 3, F3)], key=lambda c: c[::-1])
+        in_index_order = sorted(cap.points() + [oracles.point_coords(extra, 3, 3)], key=lambda c: c[::-1])
         assert info.value.evidence == [list(c) for c in oracles.first_progression(in_index_order, 3)]
 
     @pytest.mark.parametrize("digits", [1, 30, 100])

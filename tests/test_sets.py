@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from capbound import sets
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import PrimeField, point_coords
-from capbound.polyspace import DENSE_MATRIX_CEILING, ReducedPoly, evaluate, gram_matrix
-from capbound.proof import _halves_of, check_diagonal_size_bound
+from capbound.gf import PrimeField
+from capbound.polyspace import DENSE_MATRIX_CEILING, ReducedPoly, gram_matrix
+from capbound.proof import _halves_of
+from capbound.reference import check_diagonal_size_bound, evaluate
 from capbound.sets import (
     PointSet,
     SearchResult,
@@ -429,7 +430,7 @@ class TestKernelAgainstTupleLoops:
     def test_set_functions(self, chunk, case):
         field, n, idxs, doubled, f = case
         p = field.p
-        pts = [point_coords(i, n, field) for i in idxs]
+        pts = [oracles.point_coords(i, p, n) for i in idxs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sets, "_PAIR_CHUNK", chunk)
             ps = PointSet.from_indices(field, n, idxs)
