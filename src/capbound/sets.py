@@ -12,10 +12,10 @@ mod p costs one key sum and one table lookup per group. `_pair_indices`
 sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 
 The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
-built from the same kernel, one row per point j it reaches, so including j
-ORs one precomputed mask per chosen point: about 1 us per node on F_3^4 and
-F_5^3. One loop, `_explore`, runs the depth-first walk and the breadth-first
-split for worker processes; a node budget caps both.
+built from the same kernel, one row per point j it reaches. The depth-first
+`_walk` memoises the blocking mask of each chosen prefix, so including j
+costs about one OR; `_split`, the breadth-first split into worker
+subtrees, ORs one row entry per chosen point. A node budget caps both.
 """
 
 from __future__ import annotations
@@ -394,8 +394,8 @@ class _BlockRows(dict):
     """Row j, built on first lookup: entry a < j masks the indices that
     {j, a} forbids as later additions, (j + a)/2, 2a - j and 2j - a. The
     search only includes j above every chosen a, so a row holds the prefix
-    a < j, one key-kernel pass for the three forms, and the include step is
-    `extra |= row[a]` per chosen a."""
+    a < j, one key-kernel pass for the three forms, and j's blocking mask
+    is the OR of row[a] over the chosen a, which `_walk` memoises by prefix."""
 
     def __init__(self, p: int, n: int) -> None:
         super().__init__()
@@ -420,46 +420,73 @@ def _form_keys(coords: np.ndarray, p: int) -> np.ndarray:
     return (forms.T[:, :, None, None] * coords % p @ weights.T).transpose(0, 3, 1, 2)
 
 
-def _explore(p: int, n: int, todo: list, best: int, budget: int | None, target: int | None = None):
-    """Include/exclude branch and bound from the states in `todo`.
-
-    A state is (chosen, avail): the chosen indices in increasing order and
-    the mask of later indices that keep chosen progression-free if added.
-    A node is pruned when |chosen| + |avail| <= best; else j = min avail gives
-    the include child, visited first, and the exclude child. Depth first if
-    `target` is None, else breadth first until `target` states are pending;
-    at most `budget` nodes are expanded. The incumbent only grows, so the
-    final best does not depend on how subtrees are scheduled. Returns
-    (pending states, best, best_chosen or None, nodes).
-    """
+def _split(p: int, n: int, root: tuple, best: int, budget: int | None, target: int):
+    """`_walk`'s branch and bound and result from `root`, breadth first until
+    `target` states are pending, ORing one row entry per chosen point."""
     rows = _block_rows(p, n)
-    todo = deque(todo)
-    wide = target is not None
-    pop = todo.popleft if wide else todo.pop
+    todo = deque([root])
     limit = math.inf if budget is None else budget
-    best_chosen: list[int] | None = None
-    nodes = 0
+    best_chosen, nodes = None, 0
     while todo and nodes < limit:
-        chosen, avail = pop()
+        chosen, avail = todo.popleft()
         nodes += 1
         if len(chosen) + avail.bit_count() <= best:
             continue
         j = (avail & -avail).bit_length() - 1
-        row = rows[j]
-        extra = 0
+        row, extra = rows[j], 0
         for a in chosen:
             extra |= row[a]
         avail ^= 1 << j
         picked = chosen + [j]
         if len(picked) > best:
             best, best_chosen = len(picked), picked
-        if wide:
-            todo += ((picked, avail & ~extra), (chosen, avail))
-            if len(todo) >= target:
-                break
-        else:
-            todo += ((chosen, avail), (picked, avail & ~extra))
+        todo += ((picked, avail & ~extra), (chosen, avail))
+        if len(todo) >= target:
+            break
     return list(todo), best, best_chosen, nodes
+
+
+def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
+    """Include/exclude branch and bound from `root`, depth first, for at most
+    `budget` nodes: (pending states, best, best_chosen or None, nodes).
+
+    A state is (chosen, avail): chosen indices, increasing, and the mask of
+    later indices still addable. A node with |chosen| + |avail| <= best is
+    pruned; else j = min avail is included, first, and excluded. Chosen sets
+    share one `path`: a pending (depth, avail) has chosen = path[:depth], as
+    the nodes popped while it waits write `path` only from depth on.
+    levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0 is all
+    0): including j at depth d ORs only the levels above the deepest holding
+    j, and appending at depth d starts a fresh level d + 1. The memo, at most
+    depth * p^n masks, is dropped on return."""
+    rows = _block_rows(p, n)
+    chosen, avail = root
+    path = chosen + [0] * (p**n - len(chosen))
+    levels = [dict.fromkeys(range(p**n), 0)] + [{} for _ in path]
+    stack = [(len(chosen), avail)]
+    limit = math.inf if budget is None else budget
+    best_chosen, nodes = None, 0
+    while stack and nodes < limit:
+        depth, avail = stack.pop()
+        nodes += 1
+        if depth + avail.bit_count() <= best:
+            continue
+        j = (avail & -avail).bit_length() - 1
+        if (extra := levels[depth].get(j)) is None:
+            k = depth - 1
+            while (extra := levels[k].get(j)) is None:
+                k -= 1
+            row = rows[j]
+            for i in range(k, depth):
+                extra |= row[path[i]]
+                levels[i + 1][j] = extra
+        avail ^= 1 << j
+        path[depth] = j
+        levels[depth + 1] = {}
+        if depth >= best:
+            best, best_chosen = depth + 1, path[: depth + 1]
+        stack += ((depth, avail), (depth + 1, avail & ~extra))
+    return [(path[:d], a) for d, a in stack], best, best_chosen, nodes
 
 
 _MAX_WORKERS = 256  # most workers an exact search may split for (4 subtrees each)
@@ -478,8 +505,8 @@ def max_progression_free(
     progression-free sets are progression-free (midpoints are affine
     invariant), so the search fixes 0 as a member. With `workers` > 1 the
     root is split breadth-first into 4 * workers subtrees, run in at most
-    min(workers, CPU count) processes; each inherits the greedy incumbent,
-    and the final size is a maximum over an exhaustive partition, hence
+    min(workers, CPU count) processes that inherit the incumbent after the
+    split; the final size is a maximum over an exhaustive partition, hence
     scheduling-independent. `workers` must lie in [1, _MAX_WORKERS].
 
     `node_budget` caps `nodes_explored`: the split spends its nodes first
@@ -500,23 +527,21 @@ def max_progression_free(
         raise ValueError(f"threads must be in [1, {_MAX_WORKERS}], got {workers}")
     t0 = time.perf_counter()
     seed_set = greedy_progression_free(field, n, order_seed=0)
-    target = 4 * workers if workers > 1 else None
-    tasks, best, best_chosen, nodes = _explore(
-        field.p, n, [([0], (1 << total) - 2)], seed_set.size, node_budget, target
-    )
+    search = _walk if workers == 1 else functools.partial(_split, target=4 * workers)
+    tasks, best, best_chosen, nodes = search(field.p, n, ([0], (1 << total) - 2), seed_set.size, node_budget)
     exhausted = not tasks
-    if target and tasks:
+    if workers > 1 and tasks:
         shares = [None] * len(tasks)
         if node_budget is not None:
             q, r = divmod(node_budget - nodes, len(tasks))
             shares = [q + (i < r) for i in range(len(tasks))]
-        runs = [([state], share) for state, share in zip(tasks, shares) if share != 0]
+        runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
         exhausted = len(runs) == len(tasks)
         if runs:
             roots, budgets = zip(*runs)
             with ProcessPoolExecutor(min(workers, len(runs), os.cpu_count() or 1)) as pool:
                 for pending, size, chosen, task_nodes in pool.map(
-                    _explore, repeat(field.p), repeat(n), roots, repeat(best), budgets
+                    _walk, repeat(field.p), repeat(n), roots, repeat(best), budgets
                 ):
                     nodes += task_nodes
                     exhausted = exhausted and not pending

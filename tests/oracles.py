@@ -23,10 +23,14 @@ selection is the two-step path that the library's single right-to-left
 elimination replaced: a kernel basis, then the RREF of that basis, in
 plain ints. The transcript witness spec computes the coefficients of
 sum_c lam_c 1_c entry by entry from the recorded values, with no transform.
+The exact search's branch and bound is restated over explicit chosen
+lists, ORing a block mask per chosen point at every inclusion, as before
+the library kept one chosen path and memoised the masks of its prefixes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import combinations, product
@@ -145,6 +149,40 @@ def pair_block_mask(x: int, a: int, p: int, n: int) -> int:
     past_a = tuple((2 * v - u) % p for u, v in zip(cx, ca))
     past_x = tuple((2 * u - v) % p for u, v in zip(cx, ca))
     return 1 << _index(mid, p) | 1 << _index(past_a, p) | 1 << _index(past_x, p)
+
+
+@functools.cache
+def _cached_block_mask(x: int, a: int, p: int, n: int) -> int:
+    return pair_block_mask(x, a, p, n)
+
+
+def branch_and_bound(p: int, n: int, chosen: list[int], avail: int, best: int, budget: int):
+    """Include/exclude depth-first search from one state (chosen, avail), over
+    explicit chosen lists, for at most `budget` expanded nodes.
+
+    A node with |chosen| + |avail| <= best is pruned; otherwise j = min avail
+    is included first (its blocks, `pair_block_mask` against every chosen a,
+    leave avail) and excluded second. Returns (pending (chosen, avail) states,
+    best, the first largest chosen list found above the start's best or None,
+    nodes expanded)."""
+    stack = [(list(chosen), avail)]
+    best_chosen = None
+    nodes = 0
+    while stack and nodes < budget:
+        chosen, avail = stack.pop()
+        nodes += 1
+        if len(chosen) + bin(avail).count("1") <= best:
+            continue
+        j = next(i for i in range(p**n) if avail >> i & 1)
+        blocked = 0
+        for a in chosen:
+            blocked |= _cached_block_mask(j, a, p, n)
+        avail &= ~(1 << j)
+        if len(chosen) + 1 > best:
+            best, best_chosen = len(chosen) + 1, chosen + [j]
+        stack.append((chosen, avail))
+        stack.append((chosen + [j], avail & ~blocked))
+    return stack, best, best_chosen, nodes
 
 
 def halves(points: list[tuple[int, ...]], doubled, p: int) -> list[int]:

@@ -341,6 +341,45 @@ class TestWorkers:
         assert seen == []  # the split spends the whole budget; no task is left a share
 
 
+WALK_AMBIENTS = [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]
+
+
+@st.composite
+def walk_starts(draw):
+    """(p, n, state, best, budget): the search's root with the greedy
+    incumbent, or one subtree of `_split` at 4, 8 or 16 targets with the
+    incumbent the split reached, and a budget of 0, 1 or up to 20,000 nodes."""
+    p, n = draw(st.sampled_from(WALK_AMBIENTS))
+    state = ([0], (1 << p**n) - 2)
+    best = greedy_progression_free(PrimeField(p), n).size
+    target = draw(st.sampled_from([None, 4, 8, 16]))
+    if target is not None:
+        tasks, best, _, _ = sets._split(p, n, state, best, None, target)
+        state = draw(st.sampled_from(tasks or [state]))
+    budget = draw(st.sampled_from([0, 1]) | st.integers(2, 20_000))
+    return p, n, state, best, budget
+
+
+class TestWalk:
+    """The memoised depth-first walk against the plain branch and bound over
+    explicit chosen lists (tests/oracles.py): the same nodes, incumbent and
+    witness, and pending states whose chosen sets path[:depth] rebuilds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_starts())
+    @example(case=(3, 3, ([0], (1 << 27) - 2), 8, 0))
+    @example(case=(3, 3, ([0], (1 << 27) - 2), 8, 1))
+    @example(case=(3, 3, ([0], (1 << 27) - 2), 8, 10_000))
+    @example(case=(3, 4, ([0], (1 << 81) - 2), 16, 20_000))
+    def test_walk_matches_branch_and_bound(self, case):
+        p, n, (chosen, avail), best, budget = case
+        pending, size, witness, nodes = sets._walk(p, n, (chosen, avail), best, budget)
+        expected = oracles.branch_and_bound(p, n, chosen, avail, best, budget)
+        assert (size, witness, nodes) == expected[1:]
+        assert sorted(pending) == sorted(expected[0])
+        assert not pending or nodes == budget
+
+
 ROW_AMBIENTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 2)]
 
 
