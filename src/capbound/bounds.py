@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .gf import PrimeField
+from .field import PrimeField
 from .monomials import dim_L
 
 __all__ = [

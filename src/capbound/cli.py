@@ -23,17 +23,11 @@ import time
 
 from .bounds import _p_cn, verify_entropy_lemma
 from .errors import CheckFailure, ProgressionFound
-from .gf import PrimeField
+from .field import PrimeField
 from .monomials import _cumulative_counts
-from .proof import prove_size_bound, verify_transcript
-from .sets import (
-    SearchResult,
-    greedy_progression_free,
-    is_progression_free,
-    load_json,
-    max_progression_free,
-    parse_point_set,
-)
+
+# `proof` and `sets` (and with them numpy) are imported inside the commands
+# that run them, so `bound`, `dims` and `entropy-check` start without them.
 
 __all__ = ["main", "run"]
 
@@ -92,7 +86,7 @@ def cmd_bound(args) -> int:
 
 def _require_printable(p: int, n: int) -> None:
     """Refuse an n whose p^n has more digits than str(int) may write (p >= 3)."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7: no limit
     if limit and (n >= 3 * limit or p**n >= 10**limit):
         raise ValueError(f"p^n = {p}^{n} has more than {limit} decimal digits (sys.get_int_max_str_digits())")
 
@@ -166,6 +160,8 @@ def _default_threads(budget: int | None) -> int:
 
 def _search(args) -> SearchResult:
     """Run the search `args` names; a missing `args.threads` gets its default."""
+    from .sets import SearchResult, greedy_progression_free, max_progression_free
+
     field = PrimeField(args.p)
     if args.threads is None:
         args.threads = _default_threads(args.budget)
@@ -213,6 +209,8 @@ def cmd_search(args) -> int:
 
 
 def _load_set_for_prove(args):
+    from .sets import parse_point_set
+
     if args.input:
         return parse_point_set(_read_input(args.input))
     if not args.search:
@@ -221,6 +219,8 @@ def _load_set_for_prove(args):
 
 
 def cmd_prove(args) -> int:
+    from .proof import prove_size_bound
+
     points = _load_set_for_prove(args)
     transcript = prove_size_bound(points)
     payload = transcript.to_json()
@@ -244,6 +244,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify_set(args) -> int:
+    from .sets import is_progression_free, parse_point_set
+
     points = parse_point_set(_read_input(args.input))
     ok, triple = is_progression_free(points)
     result = {
@@ -267,6 +269,9 @@ def cmd_verify_set(args) -> int:
 
 
 def cmd_verify_transcript(args) -> int:
+    from .proof import verify_transcript
+    from .sets import load_json
+
     data = load_json(_read_input(args.input))
     if isinstance(data, dict) and "result" in data and "command" in data:
         data = data["result"]

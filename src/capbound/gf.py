@@ -1,10 +1,11 @@
-"""Exact arithmetic over GF(p): field elements and dense matrices.
+"""Exact linear algebra over GF(p): dense matrices and elimination.
 
-Field elements are plain ints in [0, p-1]. Matrices keep their entries in
-int64 numpy arrays so row operations vectorize. Elimination reduces mod p
-lazily: after k pivots an entry has |entry| < p + k(p-1)^2, which for
-p < 2^16 stays inside int64 while k < 2^31, so all linear algebra here is
-exact.
+The field itself, `PrimeField`, lives in the numpy-free `field` module and
+is re-exported here with `MAX_MODULUS`. Field elements are plain ints in
+[0, p-1]. Matrices keep their entries in int64 numpy arrays so row
+operations vectorize. Elimination reduces mod p lazily: after k pivots an
+entry has |entry| < p + k(p-1)^2, which for p < 2^16 stays inside int64
+while k < 2^31, so all linear algebra here is exact.
 """
 
 from __future__ import annotations
@@ -13,65 +14,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .field import MAX_MODULUS, PrimeField
+
 __all__ = [
     "MAX_MODULUS",
     "PrimeField",
     "FpMatrix",
     "row_space_intersection",
 ]
-
-MAX_MODULUS = 1 << 16
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
-class PrimeField:
-    """GF(p) for an odd prime p with 3 <= p < 2^16.
-
-    Elements are plain ints in [0, p-1]; instances only carry the modulus
-    and the inverse of 2.
-    """
-
-    __slots__ = ("p", "inv2")
-
-    def __init__(self, p: int) -> None:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"modulus must be an int, got {p!r}")
-        if p >= MAX_MODULUS:
-            raise ValueError(f"modulus {p} is too large, need p < 2^16")
-        if not _is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p == 2:
-            raise ValueError("p = 2 is rejected: an odd prime is required")
-        self.p = p
-        self.inv2 = pow(2, -1, p)
-
-    def validate(self, a: int) -> int:
-        if not isinstance(a, (int, np.integer)) or isinstance(a, bool):
-            raise ValueError(f"field element must be an int, got {a!r}")
-        if not 0 <= a < self.p:
-            raise ValueError(f"element {a} out of range [0, {self.p - 1}]")
-        return int(a)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"GF({self.p})"
 
 
 def _row_reduce(a: np.ndarray, p: int) -> list[int]:

@@ -15,9 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, islice
 
-import numpy as np
-
-from .gf import PrimeField
+from .field import PrimeField
 
 __all__ = [
     "Monomial",
@@ -39,6 +37,8 @@ def _exponent_array(n: int, cap: int, d: int) -> np.ndarray:
     """All vectors in {0..cap}^n with coordinate sum <= d >= 0, one row each, in
     lexicographic order, built a coordinate at a time: each prefix is repeated
     once per value the next coordinate can take without passing d. Read-only."""
+    import numpy as np  # the module's only numpy user; dimensions need none
+
     exps, room = np.zeros((1, 0), dtype=np.int64), np.array([d], dtype=np.int64)
     for _ in range(n):
         counts = np.minimum(room, cap) + 1

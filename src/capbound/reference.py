@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisViolation
-from .gf import PrimeField
+from .field import PrimeField
 from .monomials import _cumulative_counts, monomial_index
 from .polyspace import (
     ReducedPoly,

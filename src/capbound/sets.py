@@ -27,7 +27,6 @@ import os
 import random
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ProgressionFound
-from .gf import PrimeField
+from .field import PrimeField
 
 __all__ = [
     "PointSet",
@@ -538,6 +537,8 @@ def max_progression_free(
         runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
         exhausted = len(runs) == len(tasks)
         if runs:
+            from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool runs
+
             roots, budgets = zip(*runs)
             with ProcessPoolExecutor(min(workers, len(runs), os.cpu_count() or 1)) as pool:
                 for pending, size, chosen, task_nodes in pool.map(

@@ -108,6 +108,12 @@ class TestDims:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_no_digit_limit_before_python_3_10_7(self, run, monkeypatch):
+        """Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits, and no limit."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run("dims", "--p", "3", "--n", "4", "--format", "json")[0] == 0
+        assert run("entropy-check", "--p", "3", "--n", "6", "--format", "json")[0] == 0
+
 
 def _sha256_json(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -844,19 +850,56 @@ class TestInputRefusals:
             self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"value-table bound {VALUE_TABLE_BOUND}")
 
 
+def _modules_after(code: str) -> tuple[int, set[str]]:
+    """Exit code and the modules loaded after running `code` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        timeout=60,
+    )
+    return proc.returncode, set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
 class TestModuleStructure:
     def test_cli_does_not_load_the_references(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, capbound, capbound.cli; print(sorted(sys.modules))"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
-            timeout=60,
-        )
-        assert proc.returncode == 0
-        loaded = ast.literal_eval(proc.stdout)
+        argv = ["prove", "--search", "--p", "3", "--n", "3", "--threads", "1", "--format", "json"]
+        code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
+        assert code == 0
         assert "capbound.proof" in loaded and "capbound.reference" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--p", "3", "--n", "4"],
+            ["entropy-check", "--p", "5", "--n", "3,6"],
+            ["bound", "--p", "7", "--n-max", "3"],
+            ["--help"],
+        ],
+    )
+    def test_integer_commands_load_no_numpy(self, argv):
+        """`dims`, `entropy-check`, `bound` and `--help` run on big integers and
+        Decimals; neither numpy nor the certificate and search modules load."""
+        code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
+        assert code == 0
+        assert not loaded & {
+            "numpy",
+            "capbound.gf",
+            "capbound.sets",
+            "capbound.polyspace",
+            "capbound.proof",
+            "concurrent.futures.process",
+        }
+
+    def test_package_import_is_lazy(self):
+        code, loaded = _modules_after("import capbound")
+        assert code == 0 and {m for m in loaded if m.startswith("capbound.")} == set()
+        for name in capbound.__all__:
+            assert getattr(capbound, name) is getattr(sys.modules[f"capbound.{capbound._EXPORTS[name]}"], name)
+        with pytest.raises(AttributeError):
+            capbound.no_such_name
 
     def test_oracles_import_only_the_field_and_polynomials(self):
         """tests/oracles.py reaches production code only through PrimeField

@@ -42,6 +42,13 @@ class TestPrimeField:
             with pytest.raises(ValueError):
                 PrimeField(bad)
 
+    def test_validate_takes_numpy_ints_not_bools(self):
+        # `field` imports no numpy: an element is any numbers.Integral but bool
+        assert [F5.validate(a) for a in (3, np.int64(4), np.uint8(0))] == [3, 4, 0]
+        for bad in (True, np.bool_(False), 2.0, "1", 5, -1):
+            with pytest.raises(ValueError):
+                F5.validate(bad)
+
     def test_large_modulus_rejected_before_primality(self):
         # trial division up to the square root of a 61-bit prime would not finish
         with pytest.raises(ValueError, match="too large"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import time
@@ -328,7 +329,7 @@ class TestWorkers:
                 seen.append(len(args))
                 return (fn(*a) for a in args)
 
-        monkeypatch.setattr(sets, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
         for workers in (3, sets._MAX_WORKERS):
             seen.clear()
