@@ -11,7 +11,7 @@ digits (CAPSET_PRECISION overrides) and a 1e-9 guard margin.
 c, c n ln p and p^(cn) are evaluated in one place, `_p_cn`, which computes
 ln p once for a whole list of n; `exponent_c`, `verify_entropy_lemma`,
 `main_bound`, the `bound` command and the transcript's asymptotic row all
-read it.
+read it. The degree cut (p-1)n/3 is written once too, in `_split_degree`.
 """
 
 from __future__ import annotations
@@ -131,17 +131,24 @@ class BoundReport:
     holds: bool
 
 
+def _split_degree(p: int, n: int, *, floor: bool = False) -> int:
+    """The degree cut (p-1)n/3, the certificate's split degree s, whose cap is D2 = 2s.
+
+    Refuses n < 1 and 3 ∤ (p-1)n unless `floor` rounds the cut down, as
+    `verify_transcript` does to check a record with any n row by row."""
+    if not floor and (n < 1 or (p - 1) * n % 3):
+        raise ValueError("the degree cut (p-1)n/3 needs n >= 1 and 3 | (p-1)n, so 3 | n unless p = 1 mod 3")
+    return (p - 1) * n // 3
+
+
 def verify_entropy_lemma(field: PrimeField, n: int) -> BoundReport:
     """Check ln(dim of the degree-<=(p-1)n/3 slice) <= c * n * ln p exactly.
 
-    Requires n to be a positive multiple of 3 (the degree cut (p-1)n/3 must
-    be an integer for the statement as made). `holds` demands a margin
-    above the 1e-9 guard; the bound is loose enough that no valid case sits
-    anywhere near it.
+    Requires n >= 1 with an integral degree cut (see `_split_degree`).
+    `holds` demands a margin above the 1e-9 guard; the bound is loose
+    enough that no valid case sits anywhere near it.
     """
-    if n <= 0 or n % 3 != 0:
-        raise ValueError("lemma requires 3 | n")
-    exact = dim_L(n, (field.p - 1) * n // 3, field)
+    exact = dim_L(n, _split_degree(field.p, n), field)
     digits = precision_digits()
     c, [(log_bound, p_cn, _)] = _p_cn(field, [n], digits)
     with localcontext() as ctx:

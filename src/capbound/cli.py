@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from .bounds import _p_cn, verify_entropy_lemma
+from .bounds import _p_cn, _split_degree, verify_entropy_lemma
 from .errors import CheckFailure, ProgressionFound
 from .field import PrimeField
 from .monomials import _cumulative_counts
@@ -93,6 +93,8 @@ def _require_printable(p: int, n: int) -> None:
 
 def cmd_dims(args) -> int:
     field = PrimeField(args.p)
+    if args.n < 0:
+        raise ValueError(f"n must be nonnegative, got {args.n}")
     top = (field.p - 1) * args.n
     d_min = args.d_min if args.d_min is not None else 0
     d_max = args.d_max if args.d_max is not None else top
@@ -126,7 +128,7 @@ def cmd_entropy_check(args) -> int:
     rows = [
         {
             "n": rep.n,
-            "d": (field.p - 1) * rep.n // 3,
+            "d": _split_degree(field.p, rep.n),
             "exact_dim": str(rep.exact_dim),
             "bound_p_cn": str(rep.bound_value),
             "margin": str(rep.margin),
@@ -154,17 +156,20 @@ _POOL_BUDGET = 50_000  # above this budget a pool wins; every exhaustive run mea
 
 
 def _default_threads(budget: int | None) -> int:
-    """Worker processes for an exact search run without --threads."""
-    return (os.cpu_count() or 1) if budget is not None and budget > _POOL_BUDGET else 1
+    """Worker processes for an exact search run without --threads, at most `sets._MAX_WORKERS`."""
+    from .sets import _MAX_WORKERS
+
+    return min(os.cpu_count() or 1, _MAX_WORKERS) if budget is not None and budget > _POOL_BUDGET else 1
 
 
 def _search(args) -> SearchResult:
     """Run the search `args` names; a missing `args.threads` gets its default."""
-    from .sets import SearchResult, greedy_progression_free, max_progression_free
+    from .sets import SearchResult, _check_search_options, greedy_progression_free, max_progression_free
 
     field = PrimeField(args.p)
     if args.threads is None:
         args.threads = _default_threads(args.budget)
+    _check_search_options(args.budget, args.threads)  # greedy ignores both, but echoes them
     if args.mode == "greedy":
         t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = subs.add_parser("entropy-check", help="exact low-third dimension bound per n")
     e.add_argument("--p", type=int, required=True)
-    e.add_argument("--n", type=str, required=True, help="comma-separated multiples of 3")
+    e.add_argument("--n", type=str, required=True, help="comma-separated n >= 1 with 3 | (p-1)n")
     _add_format(e)
     e.set_defaults(handler=cmd_entropy_check)
 

@@ -1,6 +1,6 @@
 """Machine-checked size-bound transcripts for progression-free sets.
 
-Given a progression-free A in F_p^n (with 3 | n), the pipeline builds the
+Given a progression-free A in F_p^n (3 | (p-1)n), the pipeline builds the
 pair-sum set B and the doubles set C, the space K of functions vanishing
 off C, the low-degree slice L of degree <= (2/3)(p-1)n, their intersection
 V, a subset C' of C realizing dim V independent evaluations, a witness
@@ -20,7 +20,8 @@ rows comparing the record with the recomputation.
 Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
 list the JSON keys of a transcript and of a check row with their kinds;
 `to_json`, `from_json` and its unknown-key checks (`_read`) read them.
-`_split_degree` gives the cut s = (p-1)n/3 (D2 = 2s) and refuses 3 ∤ n.
+`_DIMENSION_KEYS` names the recorded dimensions, and `_gram_rank` checks the
+Gram matrix. The cut s = (p-1)n/3 (D2 = 2s) is `bounds._split_degree`.
 
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
@@ -45,7 +46,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .bounds import MAX_PRECISION, _p_cn, precision_digits
+from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import FpMatrix, PrimeField
 from .monomials import _exponent_array, dim_L
@@ -276,7 +277,7 @@ def _decimal(key: str, text) -> int:
 
 
 def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
-    """The selection C' of `points` and the witness's values lam on `points`; needs 3 | n.
+    """The selection C' of `points` and the witness's values lam on `points`; needs an integral cut.
 
     V = K & L for K the functions vanishing off `points` and L the slice of
     degree <= (2/3)(p-1)n. A member of K with values lam on `points` has
@@ -347,34 +348,32 @@ def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> Pro
 def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> ProofTranscript:
     """Run the whole size-bound argument on a concrete set and record it.
 
-    Requires 3 | n and a progression-free input (checked first unless the
+    Requires 3 | (p-1)n and a progression-free input (checked first unless the
     test hook `_skip_progression_check` forces the pipeline onward, in
     which case the diagonal certificate is where the damage surfaces).
     This derives the certificate; `_certificate_checks` then writes the
     rows and the conclusion from it, exactly as `verify_transcript` does.
     """
     field, n = A.field, A.n
-    p = field.p
-    s = _split_degree(p, n)
-    h = dim_L(n, s - 1, field)
-    if A.size * h > WORK_BOUND:  # |C| = |A|: doubling is injective for odd p
+    s = _split_degree(field.p, n)
+    dims = _dimension_table(field, n, s, A.size)  # |C| = |A|: doubling is injective for odd p
+    h = dims["low_third_minus"]
+    if A.size * h > WORK_BOUND:
         raise ValueError(
             f"the |C| x h block would have |C| = {A.size} times h = {h} entries, "
             f"above the work bound {WORK_BOUND}"
         )
 
     sums, doubles = pair_sums(A)
-    pf = not (sums & doubles).size
-    if not pf and not _skip_progression_check:
+    if (sums & doubles).size and not _skip_progression_check:
         _, triple = is_progression_free(A)
         raise ProgressionFound(
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
-    dims = _dimension_table(field, n, s, doubles.size)
     selected, lam = select_unit_witness(doubles)
     dims["intersection"] = selected.size
     transcript = ProofTranscript(
-        p=p,
+        p=field.p,
         n=n,
         branch="main" if selected.size else "zero_intersection",
         input_points=A,
@@ -393,19 +392,24 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     )
     table = transcript.value_table()
     if table is not None:
-        a_prime = PointSet.from_indices(field, n, transcript.selected_points)
-        diagonal_certificate(table, a_prime)
-        transcript.matrix_rank = a_prime.size
+        transcript.matrix_rank = _gram_rank(transcript, table)
     transcript.checks, transcript.conclusion = _certificate_checks(
-        transcript, s, pf, sums, doubles, table, transcript.matrix_rank
+        transcript, s, sums, doubles, table, transcript.matrix_rank
     )
     return transcript
+
+
+def _gram_rank(t: ProofTranscript, table: np.ndarray) -> int:
+    """|A'|, the rank of the Gram matrix of the witness (value table `table`) over
+    A' = `t.selected_points`, once `diagonal_certificate` has found it diagonal."""
+    a_prime = PointSet.from_indices(t.input_points.field, t.n, t.selected_points)
+    diagonal_certificate(table, a_prime)
+    return a_prime.size
 
 
 def _certificate_checks(
     t: ProofTranscript,
     s: int,
-    pf: bool,
     sums: PointSet,
     doubles: PointSet,
     table: np.ndarray | None,
@@ -413,8 +417,9 @@ def _certificate_checks(
 ) -> tuple[list[ProofCheck], dict]:
     """Every row of a transcript and its conclusion, in transcript order.
 
-    `s` is the split degree of the cut, and `pf`, `sums` and `doubles` are
-    derived from the input set. The rest is the certificate recorded in
+    `s` is the split degree of the cut, and `sums` and `doubles` are
+    derived from the input set; their overlap is empty exactly when the
+    input is progression-free. The rest is the certificate recorded in
     `t`: its size, dimensions, selection, witness and precision, with
     `table` the witness's value table over F_p^n (None on the zero branch)
     and `rank` the rank of its Gram matrix over the selected points (-1
@@ -427,15 +432,10 @@ def _certificate_checks(
     field, n = t.input_points.field, t.n
     size, dims = t.input_size, t.dims
     ambient, dim_low, h = dims["ambient"], dims["low_degree"], dims["low_third_minus"]
+    overlap = (sums & doubles).size
     checks = [
-        _check("progression_free", int(pf), "==", 1, note="verified on input"),
-        _check(
-            "pair_sums_disjoint_from_doubles",
-            (sums & doubles).size,
-            "==",
-            0,
-            note="B and C share no point",
-        ),
+        _check("progression_free", int(not overlap), "==", 1, note="verified on input"),
+        _check("pair_sums_disjoint_from_doubles", overlap, "==", 0, note="B and C share no point"),
         _check("doubling_injective", doubles.size, "==", size),
         _check(
             "low_degree_dim_lower_bound",
@@ -485,27 +485,11 @@ def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[Proo
     return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
 
-def _split_degree(p: int, n: int, *, floor: bool = False) -> int:
-    """s = (p-1)n/3, the split degree of the paper's degree cut, whose cap is D2 = 2s.
-
-    Refuses 3 ∤ n unless `floor` is set: s is then rounded down, and
-    `verify_transcript` checks a record with such an n row by row rather
-    than refusing it.
-    """
-    if not floor and (n <= 0 or n % 3 != 0):
-        raise ValueError("the degree cut (p-1)n/3 requires 3 | n")
-    return (p - 1) * n // 3
-
-
 def _dimension_table(field: PrimeField, n: int, s: int, doubles_size: int) -> dict[str, int]:
-    """The recorded dimensions other than dim V at split degree s, in transcript order."""
-    return {
-        "ambient": field.p**n,
-        "vanishing_off_doubles": doubles_size,
-        "low_degree": dim_L(n, 2 * s, field),
-        "low_third": dim_L(n, s, field),
-        "low_third_minus": dim_L(n, s - 1, field) if s >= 1 else 0,
-    }
+    """The recorded dimensions but dim V, the last of `_DIMENSION_KEYS`: p^n, |C|
+    and those of the slices of degree <= 2s, s and s - 1, for split degree s."""
+    slices = [dim_L(n, d, field) if d >= 0 else 0 for d in (2 * s, s, s - 1)]
+    return dict(zip(_DIMENSION_KEYS, (field.p**n, doubles_size, *slices)))
 
 
 def _halves_of(A: PointSet, doubled) -> list[int]:
@@ -518,8 +502,8 @@ def _halves_of(A: PointSet, doubled) -> list[int]:
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
-    Recomputes the input's pair sums and doubles, whose intersection is the
-    progression check, and the Gram matrix of the recorded witness values, then runs
+    Recomputes the input's pair sums and doubles and the Gram matrix of the
+    recorded witness values (`_gram_rank`, -1 when it is not diagonal), then runs
     `_certificate_checks`, the row builder of `prove_size_bound`: the report
     starts with the transcript's rows, recomputed (no kernel, no pivot
     selection; dim V is the recorded one, certified by the selection and the
@@ -533,17 +517,14 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     table, rank = t.value_table(), None
     field, n = t.input_points.field, t.n
     sums, doubles = pair_sums(t.input_points)
-    pf = not (sums & doubles).size
     selected = set(t.selected_doubles)
     if table is not None:
         try:
-            a_prime = PointSet.from_indices(field, n, t.selected_points)
-            diagonal_certificate(table, a_prime)
-            rank = a_prime.size
+            rank = _gram_rank(t, table)
         except HypothesisViolation:
             rank = -1
     s = _split_degree(field.p, n, floor=True)
-    rows, conclusion = _certificate_checks(t, s, pf, sums, doubles, table, rank)
+    rows, conclusion = _certificate_checks(t, s, sums, doubles, table, rank)
 
     expected = _dimension_table(field, n, s, doubles.size)
     dims_ok = (t.degree_cap, t.split_degree) == (2 * s, s)

@@ -491,6 +491,14 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
 _MAX_WORKERS = 256  # most workers an exact search may split for (4 subtrees each)
 
 
+def _check_search_options(node_budget: int | None, workers: int) -> None:
+    """Refuse a negative node budget and a worker count outside [1, _MAX_WORKERS]."""
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"threads must be in [1, {_MAX_WORKERS}], got {workers}")
+
+
 def max_progression_free(
     field: PrimeField,
     n: int,
@@ -514,16 +522,13 @@ def max_progression_free(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    _check_search_options(node_budget, workers)
     total = field.p**n
     if total > EXACT_SEARCH_CEILING:
         raise ValueError(
             f"p^n = {total} exceeds the exact-search ceiling {EXACT_SEARCH_CEILING}; "
             "use the greedy search for spaces this large"
         )
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise ValueError(f"threads must be in [1, {_MAX_WORKERS}], got {workers}")
     t0 = time.perf_counter()
     seed_set = greedy_progression_free(field, n, order_seed=0)
     search = _walk if workers == 1 else functools.partial(_split, target=4 * workers)

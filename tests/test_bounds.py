@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -94,7 +95,7 @@ class TestEntropyLemma:
 
     def test_rejects_non_multiples(self):
         for n in (1, 2, 4, -3, 0):
-            with pytest.raises(ValueError, match="3 | n"):
+            with pytest.raises(ValueError, match=re.escape("3 | n")):
                 verify_entropy_lemma(F3, n)
 
     def test_guard_margin_is_comfortable(self):

@@ -85,6 +85,11 @@ class TestDims:
         code, _, err = run("dims", "--p", "3", "--n", "2", "--d-max", "9")
         assert code == 2
 
+    def test_negative_n_is_named(self, run):
+        code, out, err = run("dims", "--p", "3", "--n", "-1")
+        assert (code, out) == (2, "") and "n must be nonnegative, got -1" in err
+        assert run("dims", "--p", "3", "--n", "0", "--format", "json")[0] == 0
+
     def test_huge_n_refused_before_any_table(self, run):
         monomials._prefix_table.cache_clear()
         code, out, err = run("dims", "--p", "3", "--n", "9100")
@@ -282,6 +287,13 @@ class TestEntropyCheck:
         code, env = run_json(run, "entropy-check", "--p", "7", "--n", "30")
         assert code == 0 and env["result"]["rows"][0]["holds"]
 
+    def test_every_n_when_p_is_1_mod_3(self, run):
+        """For p = 1 mod 3 the cut (p-1)n/3 is an integer at every n."""
+        code, env = run_json(run, "entropy-check", "--p", "7", "--n", "1,2,4,5")
+        rows = env["result"]["rows"]
+        assert code == 0 and [r["d"] for r in rows] == [2, 4, 8, 10]
+        assert all(r["holds"] and 0.79 < float(r["margin"]) < 1.55 for r in rows)
+
 
 class TestSearch:
     def test_exact_small(self, run):
@@ -295,13 +307,26 @@ class TestSearch:
         code, _, err = run("search", "--p", "3", "--n", "7", "--mode", "exact", "--threads", "1")
         assert code == 2 and "greedy" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-2", "257"])
     @pytest.mark.parametrize(
-        "command", [["search"], ["prove", "--search"]], ids=["search", "prove"]
+        "option",
+        [["--threads", "0"], ["--threads", "-2"], ["--threads", "257"], ["--budget", "-5"]],
+        ids=["0", "-2", "257", "budget"],
     )
-    def test_threads_out_of_range_is_usage_error(self, run, command, threads):
-        code, out, err = run(*command, "--p", "3", "--n", "3", "--threads", threads)
-        assert code == 2 and "threads" in err and out == ""
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["search"],
+            ["prove", "--search"],
+            ["search", "--mode", "greedy"],
+            ["prove", "--search", "--mode", "greedy"],
+        ],
+        ids=["search", "prove", "search-greedy", "prove-greedy"],
+    )
+    def test_threads_out_of_range_is_usage_error(self, run, command, option):
+        """Both modes refuse a thread count outside [1, 256] and a negative
+        budget, although greedy mode reads neither."""
+        code, out, err = run(*command, "--p", "3", "--n", "3", *option)
+        assert code == 2 and option[0].removeprefix("--") in err and out == ""
 
     def test_threads_reported_as_resolved(self, run):
         code, env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "exact")
@@ -319,6 +344,15 @@ class TestSearch:
         assert cli._default_threads(50_001) == 8
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._default_threads(300_000) == 1
+
+    def test_default_threads_capped_for_many_cpus(self, run, monkeypatch):
+        """On a host with more CPUs than a search splits for, a budget above
+        cli._POOL_BUDGET without --threads is not refused (greedy mode, so
+        that no process starts)."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1024)
+        assert cli._default_threads(50_001) == 256
+        code, env = run_json(run, "search", "--p", "3", "--n", "2", "--mode", "greedy", "--budget", "50001")
+        assert code == 0 and env["params"]["threads"] == 256
 
     def test_budget_caps_nodes_explored(self, run):
         for threads in ("1", "4"):
@@ -391,6 +425,20 @@ class TestProveAndVerify:
             code, env = run_json(run, "prove", "--input", "-")
         assert code == 0 and env["result"]["branch"] == "main"
         assert env["result"]["dims"]["intersection"] == "125"
+        code, out, _ = verify_from_stdin(env)
+        assert code == 0 and json.loads(out)["result"]["valid"] is True
+
+    @pytest.mark.parametrize(
+        "p, n, size, dim_v",
+        [(7, 1, 3, "1"), (7, 2, 9, "0"), (13, 2, 19, "0"), (7, 4, 89, "0")],
+    )
+    def test_certifies_every_n_when_p_is_1_mod_3(self, run, p, n, size, dim_v):
+        """3 ∤ n, but the cut (p-1)n/3 is an integer: F_7^1 takes the main
+        branch and the 89-point greedy set of F_7^4 the zero branch."""
+        code, env = run_json(run, "prove", "--search", "--p", str(p), "--n", str(n), "--mode", "greedy")
+        result = env["result"]
+        assert code == 0 and (result["input_size"], result["dims"]["intersection"]) == (size, dim_v)
+        assert result["split_degree"] == (p - 1) * n // 3
         code, out, _ = verify_from_stdin(env)
         assert code == 0 and json.loads(out)["result"]["valid"] is True
 
@@ -877,6 +925,7 @@ class TestModuleStructure:
             ["entropy-check", "--p", "5", "--n", "3,6"],
             ["bound", "--p", "7", "--n-max", "3"],
             ["--help"],
+            ["entropy-check", "--p", "7", "--n", "1,2,4"],
         ],
     )
     def test_integer_commands_load_no_numpy(self, argv):

@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+import re
 import time
 
 import numpy as np
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capbound import proof
-from capbound.bounds import exponent_c
+from capbound import bounds, proof
+from capbound.bounds import exponent_c, verify_entropy_lemma
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import FpMatrix, PrimeField, row_space_intersection
 from capbound.monomials import dim_L, enumerate_monomials
@@ -310,8 +312,33 @@ class TestDiagonalSizeBound:
 
 class TestPipeline:
     def test_requires_multiple_of_three(self):
-        with pytest.raises(ValueError, match="3 | n"):
+        with pytest.raises(ValueError, match=re.escape("3 | n")):
             prove_size_bound(PointSet.empty(F3, 2))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_cut_must_be_an_integer(self, p, n):
+        """`prove` and the entropy lemma take exactly the n with 3 | (p-1)n:
+        every n >= 1 when p = 1 mod 3, the multiples of 3 otherwise."""
+        field = PrimeField(p)
+        if (p - 1) * n % 3:
+            with pytest.raises(ValueError, match=re.escape("3 | n")):
+                prove_size_bound(PointSet.empty(field, n))
+            with pytest.raises(ValueError, match=re.escape("3 | n")):
+                verify_entropy_lemma(field, n)
+        else:
+            assert prove_size_bound(PointSet.empty(field, n)).all_hold
+            assert verify_entropy_lemma(field, n).holds
+
+    @pytest.mark.parametrize("p, n", [(3, 4), (5, 2)])
+    def test_verify_floors_a_non_integral_cut(self, monkeypatch, p, n):
+        """A transcript forged at the rounded-down cut of 3 ∤ (p-1)n is
+        checked, not refused, and fails the complementation-duality row."""
+        monkeypatch.setattr(proof, "_split_degree", functools.partial(bounds._split_degree, floor=True))
+        forged = prove_size_bound(greedy_progression_free(PrimeField(p), n, order_seed=0)).to_json()
+        monkeypatch.undo()
+        ok, checks = verify_transcript(forged)
+        assert not ok and "low_degree_dim_lower_bound" in {c.name for c in checks if not c.holds}
 
     def test_rejects_progressions_with_witness(self):
         line = PointSet.from_points(F3, 3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)])
