@@ -169,7 +169,7 @@ def _search(args) -> SearchResult:
     field = PrimeField(args.p)
     if args.threads is None:
         args.threads = _default_threads(args.budget)
-    _check_search_options(args.budget, args.threads)  # greedy ignores both, but echoes them
+    _check_search_options(args.n, args.budget, args.threads)  # greedy ignores the last two, but echoes them
     if args.mode == "greedy":
         t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
@@ -220,6 +220,7 @@ def _load_set_for_prove(args):
         return parse_point_set(_read_input(args.input))
     if not args.search:
         raise ValueError("provide an input file or --search")
+    _split_degree(args.p, args.n)  # the cut needs only p and n: refuse it before searching
     return _search(args).witness
 
 

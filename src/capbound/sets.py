@@ -14,8 +14,10 @@ sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
 built from the same kernel, one row per point j it reaches. The depth-first
 `_walk` memoises the blocking mask of each chosen prefix, so including j
-costs about one OR; `_split`, the breadth-first split into worker
-subtrees, ORs one row entry per chosen point. A node budget caps both.
+costs about one OR, and goes on in place with one pending state per depth.
+`_split`, the breadth-first split into subtrees that the caller and its
+forked children claim one at a time, ORs one row entry per chosen point. A
+node budget caps both.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -452,25 +454,33 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
     A state is (chosen, avail): chosen indices, increasing, and the mask of
     later indices still addable. A node with |chosen| + |avail| <= best is
     pruned; else j = min avail is included, first, and excluded. Chosen sets
-    share one `path`: a pending (depth, avail) has chosen = path[:depth], as
-    the nodes popped while it waits write `path` only from depth on.
+    share one `path`, and the walk keeps three invariants. Pending states are
+    one per depth: excluded[d], stored only on a descent from d, is the exclude
+    continuation with chosen = path[:d], and a pruned node resumes the deepest.
+    An include child that fails the bound is counted where it is made, never
+    stored, and the walk goes on with its exclude sibling; one the budget
+    cuts is descended to, so that it is pending as the current state.
     levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0 is all
     0): including j at depth d ORs only the levels above the deepest holding
-    j, and appending at depth d starts a fresh level d + 1. The memo, at most
-    depth * p^n masks, is dropped on return."""
+    j, and only a descent from d uses level d + 1, so the descent starts it
+    afresh. The memo, at most depth * p^n masks, is dropped on return."""
     rows = _block_rows(p, n)
     chosen, avail = root
+    start = depth = len(chosen)
     path = chosen + [0] * (p**n - len(chosen))
     levels = [dict.fromkeys(range(p**n), 0)] + [{} for _ in path]
-    stack = [(len(chosen), avail)]
+    excluded = [0] * len(path)
     limit = math.inf if budget is None else budget
     best_chosen, nodes = None, 0
-    while stack and nodes < limit:
-        depth, avail = stack.pop()
+    while nodes < limit:
         nodes += 1
         if depth + avail.bit_count() <= best:
+            if depth == start:
+                return [], best, best_chosen, nodes
+            depth, avail = depth - 1, excluded[depth - 1]
             continue
-        j = (avail & -avail).bit_length() - 1
+        low = avail & -avail
+        j = low.bit_length() - 1
         if (extra := levels[depth].get(j)) is None:
             k = depth - 1
             while (extra := levels[k].get(j)) is None:
@@ -479,24 +489,81 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
             for i in range(k, depth):
                 extra |= row[path[i]]
                 levels[i + 1][j] = extra
-        avail ^= 1 << j
+        avail ^= low
         path[depth] = j
-        levels[depth + 1] = {}
         if depth >= best:
             best, best_chosen = depth + 1, path[: depth + 1]
-        stack += ((depth, avail), (depth + 1, avail & ~extra))
-    return [(path[:d], a) for d, a in stack], best, best_chosen, nodes
+        include = avail & ~extra
+        if depth + 1 + include.bit_count() > best or nodes == limit:
+            excluded[depth] = avail
+            depth += 1
+            levels[depth] = {}
+            avail = include
+        else:
+            nodes += 1
+    pending = [(path[:d], excluded[d]) for d in range(start, depth)]
+    return pending + [(path[:depth], avail)], best, best_chosen, nodes
 
 
 _MAX_WORKERS = 256  # most workers an exact search may split for (4 subtrees each)
 
 
-def _check_search_options(node_budget: int | None, workers: int) -> None:
-    """Refuse a negative node budget and a worker count outside [1, _MAX_WORKERS]."""
+def _check_search_options(n: int, node_budget: int | None, workers: int) -> None:
+    """Refuse n < 1, a negative node budget and a worker count outside [1, _MAX_WORKERS]."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if not 1 <= workers <= _MAX_WORKERS:
         raise ValueError(f"threads must be in [1, {_MAX_WORKERS}], got {workers}")
+
+
+def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> list[tuple]:
+    """`_walk` from `best` on each (root, budget) of `runs`, in their order, by
+    the caller and procs - 1 forked children, which claim runs, last first,
+    from a shared counter. A child sends its results down its own pipe: its
+    error, or its exit unsent (EOFError), raises here. Without `fork` the
+    caller walks all."""
+    import multiprocessing  # only when a search splits
+
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if forks else None)  # a child inherits imports and row table
+    counter, children = ctx.Value("i", len(runs)), []  # counts down: the last subtrees are the largest
+
+    def walk_claimed() -> dict:
+        done = {}
+        while True:
+            with counter.get_lock():
+                counter.value -= 1
+                i = counter.value
+            if i < 0:
+                return done
+            done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
+
+    def child(writer) -> None:
+        try:
+            writer.send(walk_claimed())
+        except Exception as exc:  # raised again in the caller
+            writer.send(exc)
+
+    try:
+        for _ in range(procs - 1 if forks else 0):
+            reader, writer = ctx.Pipe(duplex=False)
+            children.append((ctx.Process(target=child, args=(writer,), daemon=True), reader))
+            children[-1][0].start()
+            writer.close()  # the child's copy is then the only one, so its exit reads as EOF
+        results = walk_claimed()
+        for _, reader in children:
+            done = reader.recv()
+            if isinstance(done, Exception):
+                raise done
+            results.update(done)
+    finally:
+        for process, reader in children:
+            process.terminate()  # a child that has sent its results has nothing left to do
+            process.join()
+            reader.close()
+    return [results[i] for i in range(len(runs))]
 
 
 def max_progression_free(
@@ -511,18 +578,17 @@ def max_progression_free(
     bound size + |remaining unblocked| <= incumbent. Translates of
     progression-free sets are progression-free (midpoints are affine
     invariant), so the search fixes 0 as a member. With `workers` > 1 the
-    root is split breadth-first into 4 * workers subtrees, run in at most
-    min(workers, CPU count) processes that inherit the incumbent after the
-    split; the final size is a maximum over an exhaustive partition, hence
-    scheduling-independent. `workers` must lie in [1, _MAX_WORKERS].
+    root is split breadth-first into 4 * workers subtrees, walked from the
+    split's incumbent by at most min(workers, CPU count) processes: the
+    caller and the children it forks, each claiming the next subtree, last
+    first, when it is done. Results merge in subtree order, so the output is
+    independent of scheduling. `workers` must lie in [1, _MAX_WORKERS].
 
     `node_budget` caps `nodes_explored`: the split spends its nodes first
     and the subtrees share the rest. A spent budget yields optimal=False,
     not an error.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _check_search_options(node_budget, workers)
+    _check_search_options(n, node_budget, workers)
     total = field.p**n
     if total > EXACT_SEARCH_CEILING:
         raise ValueError(
@@ -541,18 +607,12 @@ def max_progression_free(
             shares = [q + (i < r) for i in range(len(tasks))]
         runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
         exhausted = len(runs) == len(tasks)
-        if runs:
-            from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when a pool runs
-
-            roots, budgets = zip(*runs)
-            with ProcessPoolExecutor(min(workers, len(runs), os.cpu_count() or 1)) as pool:
-                for pending, size, chosen, task_nodes in pool.map(
-                    _walk, repeat(field.p), repeat(n), roots, repeat(best), budgets
-                ):
-                    nodes += task_nodes
-                    exhausted = exhausted and not pending
-                    if size > best:
-                        best, best_chosen = size, chosen
+        procs = min(workers, len(runs), os.cpu_count() or 1)  # no child when no run is left
+        for pending, size, chosen, task_nodes in _walk_subtrees(field.p, n, best, runs, procs):
+            nodes += task_nodes
+            exhausted = exhausted and not pending
+            if size > best:
+                best, best_chosen = size, chosen
 
     witness = (
         PointSet.from_indices(field, n, best_chosen) if best_chosen is not None else seed_set

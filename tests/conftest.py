@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import re
 import sys
@@ -26,6 +27,13 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "acceptance(criterion): acceptance-criterion test"
     )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Every search has ended its worker processes when it returns."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

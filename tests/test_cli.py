@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
-from capbound import cli, monomials
+from capbound import cli, monomials, sets
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
@@ -328,6 +328,16 @@ class TestSearch:
         code, out, err = run(*command, "--p", "3", "--n", "3", *option)
         assert code == 2 and option[0].removeprefix("--") in err and out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [["search"], ["search", "--mode", "greedy"], ["prove", "--search"]],
+        ids=["search", "search-greedy", "prove"],
+    )
+    def test_n_below_one_is_usage_error(self, run, command):
+        """Both search modes, and prove on a searched set, refuse n = 0."""
+        code, out, err = run(*command, "--p", "3", "--n", "0")
+        assert code == 2 and out == "" and "n" in err
+
     def test_threads_reported_as_resolved(self, run):
         code, env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "exact")
         assert code == 0 and env["params"]["threads"] == 1
@@ -371,6 +381,16 @@ class TestSearch:
 
 
 class TestProveAndVerify:
+    def test_prove_search_refuses_the_cut_before_searching(self, run, monkeypatch):
+        """The degree cut needs only --p and --n, so an n it refuses starts no search."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the cut was refused")
+
+        monkeypatch.setattr(sets, "max_progression_free", no_search)
+        code, out, err = run("prove", "--search", "--p", "3", "--n", "4")
+        assert code == 2 and out == "" and "degree cut" in err
+
     def test_prove_from_search(self, run):
         code, env = run_json(
             run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1"

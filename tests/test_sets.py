@@ -1,7 +1,11 @@
-import concurrent.futures
+import contextlib
 import functools
 import json
+import multiprocessing
+import os
+import signal
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +34,22 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 # coordinates a point file or a caller may give, valid or not
 COORDINATE = st.integers(-1, 3) | st.sampled_from([True, 1.0, "1", 2**70, np.int64(2), np.bool_(True)])
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the caller if the block runs `seconds` longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestPointSet:
@@ -310,36 +330,104 @@ class TestWorkers:
                 max_progression_free(F3, 2, workers=k)
 
     def test_pool_capped_by_cpus_and_tasks(self, monkeypatch):
-        """A pool gets at most min(workers, tasks, CPUs) processes and at most
-        4 * workers + 1 subtrees; a recording stand-in runs the tasks inline."""
-        seen = []
+        """A split search runs in at most min(workers, subtrees, CPUs)
+        processes, the caller and the children it forks, over more than one and
+        at most 4 * workers + 1 subtrees; a split that spends the budget forks
+        no child."""
+        subtrees, children = [], []
+        split, start = sets._split, multiprocessing.process.BaseProcess.start
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def recording_split(*args, **kwargs):
+            result = split(*args, **kwargs)
+            subtrees.append(len(result[0]))
+            return result
 
-            def __enter__(self):
-                return self
+        def recording_start(process):
+            children.append(process)
+            start(process)
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                args = list(zip(*iterables))
-                seen.append(len(args))
-                return (fn(*a) for a in args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sets, "_split", recording_split)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
         for workers in (3, sets._MAX_WORKERS):
-            seen.clear()
+            subtrees.clear()
+            children.clear()
             res = max_progression_free(F3, 3, workers=workers)
-            processes, tasks = seen
-            assert processes == 2 and 1 < tasks <= 4 * workers + 1
+            [tasks] = subtrees
+            assert len(children) + 1 == min(workers, tasks, 2) and 1 < tasks <= 4 * workers + 1
             assert res.best_size == 9 and res.optimal
-        seen.clear()
+        children.clear()
         max_progression_free(F3, 3, node_budget=200, workers=sets._MAX_WORKERS)
-        assert seen == []  # the split spends the whole budget; no task is left a share
+        assert children == []  # the split spends the whole budget; no subtree is left a share
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="children are forked")
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failing_child_fails_the_search(self, monkeypatch, failure):
+        """A child whose walk raises, or that exits without sending its results,
+        makes the search raise in the caller instead of hanging it."""
+        caller, walk = os.getpid(), sets._walk
+
+        def walk_failing_in_children(*args):
+            if os.getpid() == caller:
+                time.sleep(0.05)  # leaves subtrees for the child to claim
+                return walk(*args)
+            if failure == "exit":
+                os._exit(3)
+            raise ArithmeticError("walk failed in a child")
+
+        monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
+        monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
+        expected = ArithmeticError if failure == "raise" else EOFError
+        with _deadline(60), pytest.raises(expected):
+            max_progression_free(F3, 3, workers=2)
+        assert multiprocessing.active_children() == []
+
+
+def _reference_search(p: int, n: int, budget: int | None, workers: int) -> tuple:
+    """(best size, witness indices, optimal, nodes) of a split search, in one
+    process: `_split`, `_walk` on each subtree left a share of the budget from
+    the split's incumbent, then the merge in subtree order."""
+    seed = greedy_progression_free(PrimeField(p), n)
+    tasks, best, chosen, nodes = sets._split(p, n, ([0], (1 << p**n) - 2), seed.size, budget, 4 * workers)
+    q, r = divmod(budget - nodes, len(tasks)) if budget is not None and tasks else (None, 0)
+    shares = [None if q is None else q + (i < r) for i in range(len(tasks))]
+    walks = [sets._walk(p, n, task, best, share) for task, share in zip(tasks, shares) if share != 0]
+    optimal = len(walks) == len(tasks)
+    for pending, size, found, walked in walks:
+        nodes += walked
+        optimal = optimal and not pending
+        if size > best:
+            best, chosen = size, found
+    return best, seed.indices() if chosen is None else chosen, optimal, nodes
+
+
+@st.composite
+def split_searches(draw):
+    """(p, n, budget, workers): a small ambient, exhaustive or with a budget
+    of 0, 1 or up to 20,000 nodes, or F_3^4 with a budget, at 2 to 4 workers."""
+    p, n = draw(st.sampled_from([(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]))
+    drawn = st.sampled_from([0, 1]) | st.integers(2, 20_000)
+    budget = draw(drawn if (p, n) == (3, 4) else st.none() | drawn)
+    return p, n, budget, draw(st.sampled_from([2, 3, 4]))
+
+
+class TestSplitSearch:
+    """The search in forked processes against the same split walked in one
+    process. CPUs are reported as 4, so up to four processes share the
+    subtree counter on any host."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=split_searches())
+    @example(case=(7, 2, None, 2))
+    @example(case=(3, 3, None, 4))
+    @example(case=(3, 4, 20_000, 3))
+    def test_matches_split_walked_in_one_process(self, case):
+        p, n, budget, workers = case
+        with mock.patch.object(sets.os, "cpu_count", lambda: 4), _deadline(120):
+            res = max_progression_free(PrimeField(p), n, node_budget=budget, workers=workers)
+        expected = _reference_search(p, n, budget, workers)
+        assert (res.best_size, res.witness.indices(), res.optimal, res.nodes_explored) == expected
+        assert multiprocessing.active_children() == []
 
 
 WALK_AMBIENTS = [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]
