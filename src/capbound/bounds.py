@@ -16,7 +16,6 @@ read it. The degree cut (p-1)n/3 is written once too, in `_split_degree`.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -71,28 +70,22 @@ def _to_decimal(x) -> Decimal:
     raise ValueError(f"expected a number, got {x!r}")
 
 
-def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, tuple[tuple[Decimal, ...], ...]]:
+def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
     """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)).
 
     Every value is evaluated to `digits` significant digits (default
-    `precision_digits()`, read on each call), with ln p computed once for all
-    of `ns`; the results are memoised, so they are immutable.
+    `precision_digits()`), with ln p computed once for all of `ns`.
     """
-    return _p_cn_rows(field.p, tuple(ns), precision_digits() if digits is None else digits)
-
-
-@functools.lru_cache(maxsize=64)
-def _p_cn_rows(p: int, ns: tuple[int, ...], digits: int) -> tuple[Decimal, tuple[tuple[Decimal, ...], ...]]:
     with localcontext() as ctx:
-        ctx.prec = digits
-        ln_p = Decimal(p).ln()
+        ctx.prec = precision_digits() if digits is None else digits
+        ln_p = Decimal(field.p).ln()
         c = 1 - 1 / (18 * ln_p)
         rows = []
         for n in ns:
             log_bound = c * n * ln_p
             p_cn = log_bound.exp()
             rows.append((log_bound, p_cn, 3 * p_cn))
-        return c, tuple(rows)
+        return c, rows
 
 
 def exponent_c(field: PrimeField, digits: int | None = None) -> Decimal:

@@ -152,7 +152,7 @@ def cmd_entropy_check(args) -> int:
     return 0 if all(rep.holds for rep in reports) else 1
 
 
-_POOL_BUDGET = 50_000  # above this budget a pool wins; every exhaustive run measured did not
+_POOL_BUDGET = 50_000  # more than one process only above this budget; moving it changes default-thread output
 
 
 def _default_threads(budget: int | None) -> int:

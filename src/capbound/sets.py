@@ -14,10 +14,9 @@ sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
 built from the same kernel, one row per point j it reaches. The depth-first
 `_walk` memoises the blocking mask of each chosen prefix, so including j
-costs about one OR, and goes on in place with one pending state per depth.
-`_split`, the breadth-first split into subtrees that the caller and its
-forked children claim one at a time, ORs one row entry per chosen point. A
-node budget caps both.
+costs about one OR, and goes on in place with one pending state per depth;
+`_split`, the breadth-first split into subtrees for `_walk_subtrees`, ORs
+one row entry per chosen point. A node budget caps both.
 """
 
 from __future__ import annotations
@@ -454,16 +453,15 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
     A state is (chosen, avail): chosen indices, increasing, and the mask of
     later indices still addable. A node with |chosen| + |avail| <= best is
     pruned; else j = min avail is included, first, and excluded. Chosen sets
-    share one `path`, and the walk keeps three invariants. Pending states are
-    one per depth: excluded[d], stored only on a descent from d, is the exclude
-    continuation with chosen = path[:d], and a pruned node resumes the deepest.
-    An include child that fails the bound is counted where it is made, never
-    stored, and the walk goes on with its exclude sibling; one the budget
-    cuts is descended to, so that it is pending as the current state.
+    share one `path`. Pending states are one per depth: excluded[d], stored
+    only on a descent from d, continues with chosen = path[:d], and a pruned
+    node resumes the deepest. An include child that fails the bound is
+    counted where it is made and the walk goes on with its exclude sibling;
+    one the budget cuts is descended to, to be pending as the current state.
     levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0 is all
     0): including j at depth d ORs only the levels above the deepest holding
-    j, and only a descent from d uses level d + 1, so the descent starts it
-    afresh. The memo, at most depth * p^n masks, is dropped on return."""
+    j; only a descent from d uses level d + 1, so it starts that level afresh.
+    The memo, at most depth * p^n masks, is dropped on return."""
     rows = _block_rows(p, n)
     chosen, avail = root
     start = depth = len(chosen)
@@ -479,8 +477,7 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
                 return [], best, best_chosen, nodes
             depth, avail = depth - 1, excluded[depth - 1]
             continue
-        low = avail & -avail
-        j = low.bit_length() - 1
+        j = (avail & -avail).bit_length() - 1
         if (extra := levels[depth].get(j)) is None:
             k = depth - 1
             while (extra := levels[k].get(j)) is None:
@@ -489,16 +486,15 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
             for i in range(k, depth):
                 extra |= row[path[i]]
                 levels[i + 1][j] = extra
-        avail ^= low
+        avail ^= 1 << j
         path[depth] = j
         if depth >= best:
             best, best_chosen = depth + 1, path[: depth + 1]
         include = avail & ~extra
         if depth + 1 + include.bit_count() > best or nodes == limit:
-            excluded[depth] = avail
+            excluded[depth], avail = avail, include
             depth += 1
             levels[depth] = {}
-            avail = include
         else:
             nodes += 1
     pending = [(path[:d], excluded[d]) for d in range(start, depth)]
@@ -519,50 +515,44 @@ def _check_search_options(n: int, node_budget: int | None, workers: int) -> None
 
 
 def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> list[tuple]:
-    """`_walk` from `best` on each (root, budget) of `runs`, in their order, by
-    the caller and procs - 1 forked children, which claim runs, last first,
-    from a shared counter. A child sends its results down its own pipe: its
-    error, or its exit unsent (EOFError), raises here. Without `fork` the
-    caller walks all."""
-    import multiprocessing  # only when a search splits
+    """`_walk` from `best` on each (root, budget) of `runs`, in their order. With
+    `fork`, the caller and procs - 1 forked children claim runs from a shared
+    counter; a child's error, or its exit with results unsent (EOFError), raises here."""
+    if procs <= 1 or not hasattr(os, "fork"):
+        return [_walk(p, n, root, best, budget) for root, budget in runs]
+    import multiprocessing  # only when a search forks
 
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if forks else None)  # a child inherits imports and row table
+    ctx = multiprocessing.get_context("fork")  # a child inherits imports and row table
     counter, children = ctx.Value("i", len(runs)), []  # counts down: the last subtrees are the largest
 
-    def walk_claimed() -> dict:
+    def walk_claimed() -> dict | Exception:
         done = {}
-        while True:
-            with counter.get_lock():
-                counter.value -= 1
-                i = counter.value
-            if i < 0:
-                return done
-            done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
-
-    def child(writer) -> None:
         try:
-            writer.send(walk_claimed())
-        except Exception as exc:  # raised again in the caller
-            writer.send(exc)
+            while True:
+                with counter.get_lock():
+                    i = counter.value = counter.value - 1
+                if i < 0:
+                    return done
+                done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
+        except Exception as exc:  # a child's is sent, then raised in the caller
+            return exc
 
     try:
-        for _ in range(procs - 1 if forks else 0):
+        for _ in range(procs - 1):
             reader, writer = ctx.Pipe(duplex=False)
-            children.append((ctx.Process(target=child, args=(writer,), daemon=True), reader))
-            children[-1][0].start()
+            process = ctx.Process(target=lambda w: w.send(walk_claimed()), args=(writer,), daemon=True)
+            children.append((process, reader))
+            process.start()
             writer.close()  # the child's copy is then the only one, so its exit reads as EOF
-        results = walk_claimed()
-        for _, reader in children:
-            done = reader.recv()
+        results = {}
+        for done in [walk_claimed(), *(reader.recv() for _, reader in children)]:
             if isinstance(done, Exception):
                 raise done
             results.update(done)
     finally:
-        for process, reader in children:
+        for process, _ in children:
             process.terminate()  # a child that has sent its results has nothing left to do
             process.join()
-            reader.close()
     return [results[i] for i in range(len(runs))]
 
 
@@ -579,10 +569,9 @@ def max_progression_free(
     progression-free sets are progression-free (midpoints are affine
     invariant), so the search fixes 0 as a member. With `workers` > 1 the
     root is split breadth-first into 4 * workers subtrees, walked from the
-    split's incumbent by at most min(workers, CPU count) processes: the
-    caller and the children it forks, each claiming the next subtree, last
-    first, when it is done. Results merge in subtree order, so the output is
-    independent of scheduling. `workers` must lie in [1, _MAX_WORKERS].
+    split's incumbent by at most min(workers, CPU count) processes, the
+    caller among them; results merge in subtree order, so the output does
+    not depend on scheduling. `workers` must lie in [1, _MAX_WORKERS].
 
     `node_budget` caps `nodes_explored`: the split spends its nodes first
     and the subtrees share the rest. A spent budget yields optimal=False,

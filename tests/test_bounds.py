@@ -8,7 +8,6 @@ import pytest
 from capbound.bounds import (
     GUARD_MARGIN,
     MAX_PRECISION,
-    _p_cn,
     exact_tail_identity,
     exponent_c,
     hoeffding_bound,
@@ -165,17 +164,6 @@ class TestMainBound:
         assert len(str(c).replace("0.", "")) >= 45
         monkeypatch.setenv("CAPSET_PRECISION", "junk")
         assert precision_digits() == 30
-
-    def test_memoised_values_follow_the_precision(self, monkeypatch):
-        """`_p_cn` is memoised on the resolved digits: a changed
-        CAPSET_PRECISION takes effect, and the rows it returns are immutable."""
-        monkeypatch.setenv("CAPSET_PRECISION", "30")
-        c30, rows30 = _p_cn(F3, [3, 6])
-        assert _p_cn(F3, (3, 6)) == (c30, rows30) and _p_cn(F3, [3], 30)[1] == rows30[:1]
-        monkeypatch.setenv("CAPSET_PRECISION", "50")
-        c50, rows50 = _p_cn(F3, range(3, 7, 3))
-        assert len(str(c50)) > len(str(c30)) and rows50[1][2] == main_bound(F3, 6) != rows30[1][2]
-        assert isinstance(rows50, tuple) and all(isinstance(row, tuple) for row in rows50)
 
     def test_precision_env_bounded(self, monkeypatch):
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))

@@ -329,14 +329,19 @@ class TestSearch:
         assert code == 2 and option[0].removeprefix("--") in err and out == ""
 
     @pytest.mark.parametrize(
-        "command",
-        [["search"], ["search", "--mode", "greedy"], ["prove", "--search"]],
+        "command, refusal",
+        [
+            (["search"], "n must be positive"),
+            (["search", "--mode", "greedy"], "n must be positive"),
+            (["prove", "--search"], "needs n >= 1"),
+        ],
         ids=["search", "search-greedy", "prove"],
     )
-    def test_n_below_one_is_usage_error(self, run, command):
-        """Both search modes, and prove on a searched set, refuse n = 0."""
+    def test_n_below_one_is_usage_error(self, run, command, refusal):
+        """Both search modes refuse n = 0 with one message; prove on a searched
+        set refuses it by the degree cut, before any search."""
         code, out, err = run(*command, "--p", "3", "--n", "0")
-        assert code == 2 and out == "" and "n" in err
+        assert code == 2 and out == "" and refusal in err
 
     def test_threads_reported_as_resolved(self, run):
         code, env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "exact")
