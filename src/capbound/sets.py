@@ -545,7 +545,7 @@ def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> 
             process.start()
             writer.close()  # the child's copy is then the only one, so its exit reads as EOF
         results = {}
-        for done in [walk_claimed(), *(reader.recv() for _, reader in children)]:
+        for done in chain([walk_claimed()], (reader.recv() for _, reader in children)):
             if isinstance(done, Exception):
                 raise done
             results.update(done)

@@ -361,15 +361,18 @@ class TestWorkers:
         assert children == []  # the split spends the whole budget; no subtree is left a share
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="children are forked")
-    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    @pytest.mark.parametrize("failure", ["raise", "exit", "caller"])
     def test_failing_child_fails_the_search(self, monkeypatch, failure):
         """A child whose walk raises, or that exits without sending its results,
-        makes the search raise in the caller instead of hanging it."""
+        makes the search raise in the caller instead of hanging it; so does a
+        walk that raises in the caller."""
         caller, walk = os.getpid(), sets._walk
 
         def walk_failing_in_children(*args):
             if os.getpid() == caller:
                 time.sleep(0.05)  # leaves subtrees for the child to claim
+                if failure == "caller":
+                    raise ArithmeticError("walk failed in the caller")
                 return walk(*args)
             if failure == "exit":
                 os._exit(3)
@@ -377,7 +380,7 @@ class TestWorkers:
 
         monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
-        expected = ArithmeticError if failure == "raise" else EOFError
+        expected = EOFError if failure == "exit" else ArithmeticError
         with _deadline(60), pytest.raises(expected):
             max_progression_free(F3, 3, workers=2)
         assert multiprocessing.active_children() == []
