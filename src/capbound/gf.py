@@ -4,8 +4,9 @@ The field itself, `PrimeField`, lives in the numpy-free `field` module and
 is re-exported here with `MAX_MODULUS`. Field elements are plain ints in
 [0, p-1]. Matrices keep their entries in int64 numpy arrays so row
 operations vectorize. Elimination reduces mod p lazily: after k pivots an
-entry has |entry| < p + k(p-1)^2, which for p < 2^16 stays inside int64
-while k < 2^31, so all linear algebra here is exact.
+entry has |entry| < p + k(p-1)^2, and it runs in the narrowest of int16,
+int32 and int64 that holds that bound (int64 does for p < 2^16 while
+k < 2^31), so all linear algebra here is exact.
 """
 
 from __future__ import annotations
@@ -25,43 +26,50 @@ __all__ = [
 
 
 def _row_reduce(a: np.ndarray, p: int) -> list[int]:
-    """In-place reduced row echelon form mod p; returns pivot column indices.
+    """In-place reduced row echelon form mod p of `a`, whose entries are in
+    [0, p); returns pivot column indices.
 
-    One Gauss-Jordan pass, reducing lazily: per pivot only its column and
-    its scaled row are taken mod p, and the row is subtracted from the rows
-    nonzero in that column; the array is taken mod p once, at the end. Each
-    pivot moves an entry by at most (p-1)^2, so after k pivots |entry| <
-    p + k(p-1)^2, inside int64 for p < 2^16 while k < 2^31 (k <= min(rows,
-    cols)). Pivots are the first nonzero entry in column order; the RREF is
-    unique, so the result is deterministic.
+    One Gauss-Jordan pass with lazy reduction: per pivot only its column and
+    its scaled row are taken mod p, and one rank-1 update subtracts the row,
+    from the pivot column on, from the rows nonzero in that column when they
+    are under half (a gathered row costs more than a sliced one), else from
+    every row. Each pivot lowers an entry by at most (p-1)^2, so after k <=
+    min(rows, cols) pivots |entry| < p + k(p-1)^2. The pass runs on a copy in
+    the narrowest of int16, int32 and int64 that holds this bound (int64 does
+    for p < 2^16 while k < 2^31), then writes the result back into `a`. The
+    bound needs the pivot row taken mod p at every pivot, even when it leads
+    with 1: its other entries carry earlier pivots' updates. Pivots are the
+    first nonzero entry in column order; the RREF is unique, so the result is
+    deterministic.
     """
-    rows, cols = a.shape
+    bound = p + min(a.shape) * (p - 1) ** 2
+    w = a.astype(np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64, copy=False)
+    rows, cols = w.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        col = a[:, c]
+        col = w[:, c]
         col %= p
         nz = col.nonzero()[0]
         k = nz.searchsorted(r)
         if k == nz.size:
             continue
         i = int(nz[k])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        row = a[r, c:]
-        row %= p
+        row = w[i, c:] % p
         inv = pow(int(row[0]), -1, p)
         if inv != 1:
             row *= inv
             row %= p
-        others = nz[nz != i]
-        if others.size:
-            a[others, c:] -= col[others, None] * row
+        sel = nz if 2 * nz.size < rows else slice(None)
+        w[sel, c:] -= col[sel, None] * row
+        if i != r:  # rows r and i are zero left of c
+            w[i, c:] = w[r, c:]
+        w[r, c:] = row
         pivots.append(c)
         r += 1
-    a %= p
+    np.remainder(w, p, out=a)
     return pivots
 
 

@@ -506,9 +506,11 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     recorded witness values (`_gram_rank`, -1 when it is not diagonal), then runs
     `_certificate_checks`, the row builder of `prove_size_bound`: the report
     starts with the transcript's rows, recomputed (no kernel, no pivot
-    selection; dim V is the recorded one, certified by the selection and the
-    diagonal certificate). Record rows follow: the recorded sets, dimensions
-    (with the degree cap and split degree), branch, selection and rank match
+    selection). dim V is the recorded one and is not re-derived: only the
+    `intersection_dim_lower_bound` row, `selection_size` (= |C'|) on the main
+    branch and the branch shape (0) on the zero branch bind it. Record rows
+    follow: the recorded sets, dimensions but dim V (with the degree cap and
+    split degree), branch, selection and rank match
     their recomputation, and `recorded_claims` compares the recorded rows and
     conclusion with the recomputed ones, the asymptotic digits at the
     recorded precision. Returns (every row holds, rows).

@@ -350,8 +350,9 @@ class TestSearch:
         assert code == 0 and env["params"]["threads"] == 3 and env["result"]["optimal"]
 
     def test_default_threads_follow_the_budget(self, monkeypatch):
-        """One process unless a budget above cli._POOL_BUDGET makes a pool
-        pay off; exhaustive F_3^3 and F_7^2 both ran faster in one."""
+        """One process unless the budget is above cli._POOL_BUDGET. The
+        constant stays where it is because the worker count it picks sets
+        the output of a search run without --threads."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         assert cli._POOL_BUDGET == 50_000
         for budget in (None, 0, 50_000):

@@ -12,7 +12,9 @@ from oracles import brute_force_rank, rows_independent
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-ELIMINATION_PRIMES = [3, 5, 7, 11, 65521]
+# 61 puts shapes up to 10 x 10 on both sides of the int16/int32 switch of
+# `_row_reduce`'s working dtype, and 4093 puts them in int32
+ELIMINATION_PRIMES = [3, 5, 7, 11, 61, 4093, 65521]
 
 
 @st.composite
@@ -162,6 +164,42 @@ class TestRowReduce:
         block = indicator_coefficients(doubles, high).transpose().array
         assert block.shape == (78, 81)
         assert len(self.assert_matches_oracle(block, 3)) == 81 - 25
+
+    @pytest.mark.parametrize("p,size,limit", [(61, 9, 2**15), (13, 227, 2**15), (4093, 128, 2**31)])
+    def test_dense_on_both_sides_of_each_dtype_switch(self, p, size, limit):
+        """The working dtype is int16 while p + min(rows, cols)(p-1)^2 < 2^15,
+        then int32 while it is below 2^31, then int64: `size` is the last
+        square side below `limit`, so size and size + 1 straddle a switch."""
+        assert p + size * (p - 1) ** 2 < limit <= p + (size + 1) * (p - 1) ** 2
+        rng = np.random.default_rng(p)
+        for n in (size, size + 1):
+            self.assert_matches_oracle(rng.integers(0, p, size=(n, n)), p)
+
+    @pytest.mark.parametrize("p,limit", [(61, 2**15), (13, 2**15), (4093, 2**31)])
+    def test_worst_case_growth_past_each_switch(self, p, limit):
+        """A staircase whose last row takes -(p-1)^2 at each of k pivots in its
+        last two columns, for the first k that takes them below -limit: the
+        dtype chosen for it must be wider than the one `limit` bounds. The
+        last column keeps the RREF from being the identity, so a wrapped
+        entry shows."""
+        k = limit // (p - 1) ** 2 + 1
+        a = np.zeros((k + 1, k + 2), dtype=np.int64)
+        a[:k, :k] = np.eye(k, dtype=np.int64)
+        a[:k, k:] = a[k, :k] = p - 1
+        a[k, k + 1] = 1
+        assert len(self.assert_matches_oracle(a, p)) == k + 1
+
+    def test_product_of_three_caps_indicator_block(self):
+        """The 1507 x 729 block of the product of three 9-caps in F_3^9: a
+        pivot column has a few percent of its rows nonzero, so most pivots
+        update only those rows."""
+        cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
+        product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
+        _, doubles = pair_sums(PointSet.from_points(F3, 9, product))
+        high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(9, F3, 5)]
+        block = indicator_coefficients(doubles, high).transpose().array
+        assert block.shape == (1507, 729)
+        assert len(self.assert_matches_oracle(block, 3)) == 729 - 125
 
 
 class TestRowSpaceIntersection:
