@@ -34,13 +34,13 @@ def _row_reduce(a: np.ndarray, p: int) -> list[int]:
     from the pivot column on, from the rows nonzero in that column when they
     are under half (a gathered row costs more than a sliced one), else from
     every row. Each pivot lowers an entry by at most (p-1)^2, so after k <=
-    min(rows, cols) pivots |entry| < p + k(p-1)^2. The pass runs on a copy in
-    the narrowest of int16, int32 and int64 that holds this bound (int64 does
-    for p < 2^16 while k < 2^31), then writes the result back into `a`. The
-    bound needs the pivot row taken mod p at every pivot, even when it leads
-    with 1: its other entries carry earlier pivots' updates. Pivots are the
-    first nonzero entry in column order; the RREF is unique, so the result is
-    deterministic.
+    min(rows, cols) pivots |entry| < p + k(p-1)^2. The pass runs in the
+    narrowest of int16, int32 and int64 that holds this bound (int64 does for
+    p < 2^16 while k < 2^31), on a copy unless that is `a`'s dtype, and the
+    result is written back into `a`. The bound needs the pivot row taken mod
+    p at every pivot, even when it leads with 1: its other entries carry
+    earlier pivots' updates. Pivots are the first nonzero entry in column
+    order; the RREF is unique, so the result is deterministic.
     """
     bound = p + min(a.shape) * (p - 1) ** 2
     w = a.astype(np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64, copy=False)
