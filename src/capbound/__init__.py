@@ -6,9 +6,11 @@ precision. See the README for the CLI and the transcript format.
 
 The package re-exports its entry points, each imported from its module on
 first access, so `import capbound` loads no submodule (and no numpy). The
-stages of the certificate and the dense matrix helpers are imported from
-their modules, and the references that tests compare against from
-`capbound.reference`, which neither this package nor the CLI imports.
+stages of the certificate are imported from their modules. The polynomial
+view (`ReducedPoly`, `evaluate_all`, `interpolate`, re-exported here) and
+the dense references that tests compare against live in
+`capbound.reference`. No module of the package, the CLI included, imports
+it: it loads only when one of its names is read.
 """
 
 import importlib
@@ -26,9 +28,9 @@ _EXPORTS = {
     "ProgressionFound": "errors",
     "PrimeField": "field",
     "dim_L": "monomials",
-    "ReducedPoly": "polyspace",
-    "evaluate_all": "polyspace",
-    "interpolate": "polyspace",
+    "ReducedPoly": "reference",
+    "evaluate_all": "reference",
+    "interpolate": "reference",
     "ProofCheck": "proof",
     "ProofTranscript": "proof",
     "prove_size_bound": "proof",

@@ -1,9 +1,9 @@
-"""Monomial bases with capped exponents and their exact dimensions.
+"""Monomials with capped exponents: exponent arrays and exact dimensions.
 
-A monomial is a plain tuple of exponents, each in [0, p-1]. The canonical
-order everywhere in this package is graded lexicographic: first by total
-degree, then tuple-lexicographic, so matrix row/column indices are
-reproducible across runs.
+A monomial is a plain tuple of exponents, each in [0, p-1]. `prove` reads
+the monomials of bounded degree as one exponent array in lexicographic
+order, `_exponent_array`; the graded-lex lists and index maps of the dense
+references are in `capbound.reference`.
 
 Dimensions come from one prefix-sum table of layer counts per (n, p-1), built
 by a linear recurrence as far as a caller reads, entries 0..d in O((p-1) d)
@@ -17,19 +17,9 @@ from itertools import accumulate, islice
 
 from .field import PrimeField
 
-__all__ = [
-    "Monomial",
-    "graded_lex_key",
-    "enumerate_monomials",
-    "dim_L",
-    "monomial_index",
-]
+__all__ = ["Monomial", "dim_L"]
 
 Monomial = tuple[int, ...]
-
-
-def graded_lex_key(alpha: Monomial) -> tuple[int, Monomial]:
-    return (sum(alpha), alpha)
 
 
 @lru_cache(maxsize=2)  # `prove` reads one (n, cap, d) per ambient
@@ -47,14 +37,6 @@ def _exponent_array(n: int, cap: int, d: int) -> np.ndarray:
         exps, room = np.column_stack((exps[rows], e)), room[rows] - e
     exps.flags.writeable = False
     return exps
-
-
-def enumerate_monomials(n: int, field: PrimeField, d: int) -> list[Monomial]:
-    """All monomials with exponents <= p-1 and degree <= d, graded-lex sorted."""
-    cap = field.p - 1
-    if not 0 <= d <= cap * n:
-        raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
-    return sorted(map(tuple, _exponent_array(n, cap, d).tolist()), key=graded_lex_key)
 
 
 def _layer_counts(n: int, m: int):
@@ -97,11 +79,3 @@ def dim_L(n: int, d: int, field: PrimeField) -> int:
     if not 0 <= d <= cap * n:
         raise ValueError(f"degree bound {d} out of range [0, {cap * n}]")
     return _cumulative_counts(n, cap, d)[d]
-
-
-@lru_cache(maxsize=32)
-def monomial_index(p: int, n: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
-    """Full graded-lex monomial list for GF(p) in n variables, plus its index map."""
-    field = PrimeField(p)
-    monos = tuple(enumerate_monomials(n, field, (p - 1) * n))
-    return monos, {m: i for i, m in enumerate(monos)}

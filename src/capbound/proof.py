@@ -27,13 +27,14 @@ Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
 at the configured precision by `bounds._p_cn`.
 
-This module holds only what `prove` and `verify-transcript` run; the dense
-p^n x p^n rank arguments that the diagonal certificate and the support
-split replace are in `capbound.reference`. Two bounds refuse work before
-it is allocated: `WORK_BOUND` on the |C| x h block that `prove`
-eliminates, and `VALUE_TABLE_BOUND` on p^(n+1), the cost of interpolating
-the witness's value table, which both commands build in
-`ProofTranscript.value_table`.
+This module holds only what `prove` and `verify-transcript` run, on plain
+numpy arrays. `capbound.reference` has the witness as a polynomial
+(`interpolate(t.value_table(), field, n)` for a transcript `t`) and the
+dense p^n x p^n rank arguments that the diagonal certificate and the
+support split replace. Two bounds refuse work before it is allocated:
+`WORK_BOUND` on the |C| x h block that `prove` eliminates, and
+`VALUE_TABLE_BOUND` on p^(n+1), the cost of interpolating the witness's
+value table, which both commands build in `ProofTranscript.value_table`.
 """
 
 from __future__ import annotations
@@ -41,23 +42,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal
-from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
 
 from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
-from .gf import FpMatrix, PrimeField
+from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
-from .polyspace import (
-    ReducedPoly,
-    coefficient_tensor,
-    indicator_coefficients,
-    interpolate,
-    pair_values,
-    split_violation,
-)
+from .polyspace import coefficient_tensor, indicator_coefficients, pair_values, split_violation
 from .sets import PointSet, _index_of, _members, is_progression_free, pair_sums
 
 __all__ = [
@@ -150,12 +143,6 @@ class ProofTranscript:
         table = np.zeros(self.p**self.n, dtype=np.int64)
         table[self.doubles] = self.witness_values
         return table
-
-    @cached_property
-    def witness(self) -> ReducedPoly | None:
-        """The witness f as a polynomial, interpolated from its value table."""
-        table = self.value_table()
-        return None if table is None else interpolate(table, self.input_points.field, self.n)
 
     def to_json(self) -> dict:
         """The transcript as a JSON object whose keys are those of `_FIELDS`, in its order."""
@@ -287,18 +274,18 @@ def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
     p-1) - alpha, those of degree <= (p-1)n/3 - 1. C' is the set of leftmost
     pivot columns of the RREF of a basis of that kernel, so |C'| = dim V, and
     lam is 1 on C': the sum of that RREF's rows. Both come from one
-    elimination of the h x |points| block (`FpMatrix.unit_kernel_vector`);
-    an empty C' means V = 0 (lam is then 0).
+    elimination of the transposed |points| x h block
+    (`gf.unit_kernel_vector`); an empty C' means V = 0 (lam is then 0).
     """
     if not points.size:
         return points, []
     field, n = points.field, points.n
     low = _exponent_array(n, field.p - 1, _split_degree(field.p, n) - 1)
-    free, lam = indicator_coefficients(points, field.p - 1 - low).transpose().unit_kernel_vector()
+    free, lam = unit_kernel_vector(indicator_coefficients(points, field.p - 1 - low), field.p)
     return PointSet.from_indices(field, n, _members(points)[0][free]), lam.tolist()
 
 
-def diagonal_certificate(values, selected: PointSet) -> FpMatrix:
+def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
     """Gram matrix [f(a + b)] over `selected`; must be diagonal with nonzero diagonal.
 
     `values` is f's value table over F_p^n. This is exactly where
@@ -326,7 +313,7 @@ def diagonal_certificate(values, selected: PointSet) -> FpMatrix:
             "hypothesis violated: zero diagonal entry in Gram matrix",
             evidence={"point": list(selected.points()[k])},
         )
-    return FpMatrix._trusted(arr, selected.field)
+    return arr
 
 
 def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> ProofCheck:

@@ -15,8 +15,8 @@ per-point loop; the library reads points in flat passes.
 Row reduction is the per-pivot elimination (every updated row reduced mod
 p at each pivot, then a separate back-substitution) that the library's
 lazy Gauss-Jordan pass replaced.
-Interpolation reads the coefficient tensor term by term through the
-validating `ReducedPoly` constructor, as before the library's flat read.
+Interpolation reads the coefficient tensor term by term into a plain
+{exponent tuple: coefficient} dict, as before the library's flat read.
 Coordinate products are reduced mod p after every coordinate's pass, as
 before the library grouped several passes per reduction. The unit
 selection is the two-step path that the library's single right-to-left
@@ -38,7 +38,6 @@ from itertools import combinations, product
 import numpy as np
 
 from capbound.gf import PrimeField
-from capbound.polyspace import ReducedPoly
 
 
 def rows_independent(rows, p: int) -> bool:
@@ -315,13 +314,15 @@ def row_reduce_per_pivot(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def interpolate_term_loop(values, field: PrimeField, n: int) -> ReducedPoly:
-    """The capped-exponent polynomial with value table `values`: the sum of
-    values[a] times the indicator of a, contracted one coordinate at a time
-    against the coefficients of 1 - (x - s)^(p-1), then read term by term."""
+def interpolate_term_loop(values, field: PrimeField, n: int) -> dict[tuple[int, ...], int]:
+    """The nonzero coefficients, by exponent tuple, of the capped-exponent
+    polynomial with value table `values`: the sum of values[a] times the
+    indicator of a, contracted one coordinate at a time against the
+    coefficients of 1 - (x - s)^(p-1), then read term by term."""
     p = field.p
     if n == 0:
-        return ReducedPoly.constant(field, 0, int(values[0]))
+        c = int(values[0]) % p
+        return {(): c} if c else {}
     rows = np.array(
         [
             [int(j == 0) - math.comb(p - 1, j) * pow(-s, p - 1 - j, p) for j in range(p)]
@@ -332,11 +333,10 @@ def interpolate_term_loop(values, field: PrimeField, n: int) -> ReducedPoly:
     tensor = np.array(values, dtype=np.int64).reshape((p,) * n, order="F") % p
     for _ in range(n):
         tensor = np.tensordot(tensor, rows, axes=([0], [0])) % p
-    coeffs = {
+    return {
         tuple(int(e) for e in alpha): int(tensor[tuple(alpha)])
         for alpha in np.argwhere(tensor)
     }
-    return ReducedPoly(field, n, coeffs)
 
 
 def coordinate_products_per_pass(coords: np.ndarray, exps: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:

@@ -16,9 +16,8 @@ from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
 from capbound.monomials import dim_L
-from capbound.polyspace import evaluate_all, gram_matrix, interpolate
 from capbound.proof import prove_size_bound
-from capbound.reference import check_gram_rank_bound, verify_duality
+from capbound.reference import check_gram_rank_bound, evaluate_all, gram_matrix, interpolate, verify_duality
 from capbound.sets import (
     PointSet,
     greedy_progression_free,
@@ -173,8 +172,7 @@ def test_criterion_7_end_to_end_transcript(capsys, cap9_search, tmp_path):
     assert int(payload["dims"]["intersection"]) >= 5
 
     a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-    gram = gram_matrix(transcript.witness, a_prime, a_prime)
-    arr = gram.array
+    arr = gram_matrix(interpolate(transcript.value_table(), F3, 3), a_prime, a_prime)
     assert (np.diagonal(arr) == 1).all(), "diagonal is not all ones"
     assert not (arr - np.diag(np.diagonal(arr))).any(), "off-diagonal entries"
     assert transcript.matrix_rank == a_prime.size == len(payload["selected_points"])

@@ -976,9 +976,9 @@ class TestModuleStructure:
         with pytest.raises(AttributeError):
             capbound.no_such_name
 
-    def test_oracles_import_only_the_field_and_polynomials(self):
-        """tests/oracles.py reaches production code only through PrimeField
-        and ReducedPoly, so that a fault elsewhere cannot hide in its answers."""
+    def test_oracles_import_only_the_field(self):
+        """tests/oracles.py reaches production code only through PrimeField,
+        so that a fault elsewhere cannot hide in its answers."""
         with open(oracles.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         names = []
@@ -987,7 +987,65 @@ class TestModuleStructure:
                 assert not any(a.name.split(".")[0] == "capbound" for a in node.names)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "capbound":
                 names += [a.name for a in node.names]
-        assert sorted(names) == ["PrimeField", "ReducedPoly"]
+        assert sorted(names) == ["PrimeField"]
+
+    def test_certificate_modules_hold_only_what_the_cli_runs(self, run, tmp_path):
+        """Every function and method defined in `gf`, `polyspace` and `proof` is
+        entered by in-process CLI calls: `prove` on the 9-cap and on the
+        81-point product cap (main branch) and on a greedy set in F_3^6 (zero
+        branch), `verify-transcript` on each transcript, and on the 9-cap's
+        transcript forged to an off-diagonal Gram matrix (exit 1). A function
+        is matched by its code object's first line, that of its first
+        decorator if it has one. The memoised tables of those modules are
+        emptied first, so that their builders run here."""
+        from capbound import gf, polyspace, proof
+
+        modules = (gf, polyspace, proof)
+        for value in [v for m in modules for v in vars(m).values()]:
+            getattr(value, "cache_clear", lambda: None)()
+        defined = set()
+        for m in modules:
+            with open(m.__file__, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            defined |= {
+                (m.__file__, (node.decorator_list or [node])[0].lineno, node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+        inputs = {"cap9": _point_text(3, 3, CAP9), "product_cap": TRANSCRIPT_INPUTS["product_cap"]}
+        for name, text in inputs.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        entered = set()
+
+        def hook(frame, event, arg):
+            if event == "call":
+                entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+        proved = {}
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            for name in inputs:
+                proved[name] = run("prove", "--input", str(tmp_path / f"{name}.txt"), "--format", "json")
+            proved["greedy"] = run("prove", "--search", "--p", "3", "--n", "6", "--mode", "greedy", "--format", "json")
+            verified = []
+            for name, (_, out, _) in proved.items():
+                (tmp_path / f"{name}.json").write_text(out)
+                verified.append(run_json(run, "verify-transcript", "--input", str(tmp_path / f"{name}.json")))
+            forged = json.loads(proved["cap9"][1])
+            forged["result"]["selected_points"] = [1, 2]  # (1,0,0) + (2,0,0) = 2 * (0,0,0), a double
+            (tmp_path / "forged.json").write_text(json.dumps(forged))
+            forged_code, forged_env = run_json(run, "verify-transcript", "--input", str(tmp_path / "forged.json"))
+        finally:
+            sys.setprofile(previous)
+        branches = [json.loads(out)["result"]["branch"] for _, out, _ in proved.values()]
+        assert [code for code, _, _ in proved.values()] == [0, 0, 0]
+        assert branches == ["main", "main", "zero_intersection"]
+        assert [code for code, _ in verified] == [0, 0, 0]
+        rows = {row["name"]: row for row in forged_env["result"]["checks"]}
+        assert forged_code == 1 and not rows["gram_diagonal"]["holds"]
+        missed = sorted(f"{os.path.basename(f)}:{line} {name}" for f, line, name in defined if (f, line) not in entered)
+        assert missed == []
 
 
 class TestUsage:

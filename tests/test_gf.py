@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capbound.gf import FpMatrix, PrimeField, _row_reduce, row_space_intersection
-from capbound.monomials import enumerate_monomials
+from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
 from capbound.polyspace import indicator_coefficients
+from capbound.reference import enumerate_monomials, rank, row_space_intersection
 from capbound.sets import PointSet, _coords_of, _index_of, pair_sums
 from oracles import brute_force_rank, rows_independent
 
@@ -84,11 +84,11 @@ class TestPoints:
         assert len(images) == p**n
 
 
-class TestFpMatrix:
+class TestRank:
     def test_rank_examples(self):
-        assert FpMatrix(np.eye(3, dtype=np.int64), F3).rank() == 3
-        assert FpMatrix(np.zeros((2, 3), dtype=np.int64), F3).rank() == 0
-        assert FpMatrix([[1, 2], [2, 4]], F3).rank() == 1
+        assert rank(np.eye(3, dtype=np.int64), 3) == 3
+        assert rank(np.zeros((2, 3), dtype=np.int64), 3) == 0
+        assert rank([[1, 2], [2, 4]], 3) == 1
 
     def test_rank_against_brute_force(self):
         rng = np.random.default_rng(20240311)
@@ -96,38 +96,7 @@ class TestFpMatrix:
             rows = int(rng.integers(1, 5))
             cols = int(rng.integers(1, 5))
             entries = rng.integers(0, 3, size=(rows, cols))
-            mat = FpMatrix(entries, F3)
-            assert mat.rank() == brute_force_rank(entries.tolist(), 3)
-
-    def test_pivot_columns_examples(self):
-        assert FpMatrix(np.eye(4, dtype=np.int64), F3).pivot_columns() == [0, 1, 2, 3]
-        assert FpMatrix(np.zeros((3, 3), dtype=np.int64), F3).pivot_columns() == []
-        assert FpMatrix([[1, 2, 0], [2, 4, 1]], F3).pivot_columns() == [0, 2]
-
-    def test_pivot_columns_stable_under_row_permutation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            entries = rng.integers(0, 3, size=(4, 5))
-            mat = FpMatrix(entries, F3)
-            perm = rng.permutation(4)
-            permuted = FpMatrix(entries[perm], F3)
-            cols = permuted.pivot_columns()
-            assert len(cols) == mat.rank()
-            restricted = [[int(entries[i, c]) for c in cols] for i in range(4)]
-            restricted_t = [list(col) for col in zip(*restricted)]
-            assert rows_independent(restricted_t, 3)
-
-    def test_solve(self):
-        mat = FpMatrix([[1, 1], [0, 1]], F5)
-        x = mat.solve([3, 4])
-        assert x is not None
-        assert ((mat.array @ np.array(x)) % 5).tolist() == [3, 4]
-        inconsistent = FpMatrix([[1, 1], [2, 2]], F5)
-        assert inconsistent.solve([1, 1]) is None
-
-    def test_transpose(self):
-        a = FpMatrix([[1, 2], [0, 1]], F3)
-        assert a.transpose().array.tolist() == [[1, 0], [2, 1]]
+            assert rank(entries, 3) == brute_force_rank(entries.tolist(), 3)
 
 
 class TestRowReduce:
@@ -147,6 +116,23 @@ class TestRowReduce:
         p, a = case
         self.assert_matches_oracle(a, p)
 
+    def test_pivot_columns_examples(self):
+        assert self.assert_matches_oracle(np.eye(4, dtype=np.int64), 3) == [0, 1, 2, 3]
+        assert self.assert_matches_oracle(np.zeros((3, 3), dtype=np.int64), 3) == []
+        assert self.assert_matches_oracle(np.array([[1, 2, 0], [2, 4, 1]]) % 3, 3) == [0, 2]
+
+    def test_pivot_columns_stable_under_row_permutation(self):
+        """The pivots are the leftmost columns of full column rank, so any row
+        order selects columns that stay independent."""
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            entries = rng.integers(0, 3, size=(4, 5))
+            cols = self.assert_matches_oracle(entries[rng.permutation(4)], 3)
+            assert len(cols) == rank(entries, 3)
+            restricted = [[int(entries[i, c]) for c in cols] for i in range(4)]
+            restricted_t = [list(col) for col in zip(*restricted)]
+            assert rows_independent(restricted_t, 3)
+
     def test_entry_growth_at_largest_modulus(self):
         # dense, so every row is updated at every pivot: an entry takes up to
         # 299 unreduced subtractions of up to (p-1)^2 before the final reduction
@@ -161,7 +147,7 @@ class TestRowReduce:
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         _, doubles = pair_sums(PointSet.from_points(F3, 6, [a + b for a in cap9 for b in cap9]))
         high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(6, F3, 3)]
-        block = indicator_coefficients(doubles, high).transpose().array
+        block = indicator_coefficients(doubles, high).T
         assert block.shape == (78, 81)
         assert len(self.assert_matches_oracle(block, 3)) == 81 - 25
 
@@ -197,9 +183,25 @@ class TestRowReduce:
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
         _, doubles = pair_sums(PointSet.from_points(F3, 9, product))
         high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(9, F3, 5)]
-        block = indicator_coefficients(doubles, high).transpose().array
+        block = indicator_coefficients(doubles, high).T
         assert block.shape == (1507, 729)
         assert len(self.assert_matches_oracle(block, 3)) == 729 - 125
+
+
+class TestUnitKernelVector:
+    @settings(max_examples=200, deadline=None)
+    @given(elimination_inputs())
+    def test_left_kernel_vector_one_on_free_rows(self, case):
+        """v is in the left kernel of the block, is 1 on the free rows, whose
+        count is the kernel's dimension, and the block is left as it was."""
+        p, block = case
+        before = block.copy()
+        free, v = unit_kernel_vector(block, p)
+        assert np.array_equal(block, before)
+        assert free.shape == v.shape == (block.shape[0],)
+        assert int(free.sum()) == block.shape[0] - rank(block, p)
+        assert (v[free] == 1).all() and (v >= 0).all() and (v < p).all()
+        assert not (v @ block % p).any()
 
 
 class TestRowSpaceIntersection:
@@ -233,9 +235,8 @@ class TestRowSpaceIntersection:
             b2 = self._random_subspace(rng, 7, 9, 3)
             inter = row_space_intersection(b1, b2, F3)
             assert len(inter) >= 5 + 7 - 9
-            stacked = FpMatrix(b1 + b2, F3)
             # dim(U & W) + dim(U + W) = dim U + dim W
-            assert len(inter) + stacked.rank() == 12
+            assert len(inter) + rank(b1 + b2, 3) == 12
             for v in inter:
-                assert FpMatrix(b1 + [v], F3).rank() == 5
-                assert FpMatrix(b2 + [v], F3).rank() == 7
+                assert rank(b1 + [v], 3) == 5
+                assert rank(b2 + [v], 3) == 7

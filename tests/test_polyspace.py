@@ -6,21 +6,22 @@ from hypothesis import strategies as st
 import oracles
 from capbound.errors import HypothesisViolation
 from capbound.gf import PrimeField
-from capbound.polyspace import (
+from capbound.polyspace import _coordinate_products, _indicator_rows, _vandermonde
+from capbound.reference import (
     ReducedPoly,
-    _coordinate_products,
-    _indicator_rows,
-    _vandermonde,
+    evaluate,
     evaluate_all,
     gram_matrix,
     indicator_poly,
     interpolate,
+    monomial_index,
     poly_from_vector,
     poly_to_vector,
+    rank,
     shift_coefficient_matrix,
     support_split_rank_bound,
+    zero_set,
 )
-from capbound.reference import evaluate, zero_set
 from capbound.sets import PointSet
 
 F3 = PrimeField(3)
@@ -147,8 +148,7 @@ class TestInterpolation:
             st.lists(st.integers(0, p - 1), min_size=size, max_size=size)
         )
         f, g = interpolate(values, field, n), oracles.interpolate_term_loop(values, field, n)
-        assert f._coeffs == g._coeffs and f.degree == g.degree
-        assert f.terms() == g.terms()
+        assert dict(f.terms()) == g and f.degree == max(map(sum, g), default=None)
         assert {type(x) for alpha, c in f._coeffs.items() for x in (*alpha, c)} <= {int}
 
 
@@ -206,7 +206,7 @@ class TestCoordinateProducts:
         table = rng.integers(low, p, size=(size, size))
         coords = rng.integers(0, size, size=(7, n))
         exps = rng.integers(0, size, size=(11, n))
-        got = _coordinate_products(coords, list(map(tuple, exps.tolist())), table, PrimeField(p)).array
+        got = _coordinate_products(coords, list(map(tuple, exps.tolist())), table, PrimeField(p))
         assert np.array_equal(got, oracles.coordinate_products_per_pass(coords, exps, table, p))
 
 
@@ -230,26 +230,23 @@ class TestZeroSet:
 class TestShiftMatrix:
     def test_constant(self):
         C = shift_coefficient_matrix(ReducedPoly.constant(F3, 1, 1))
-        arr = C.array
-        assert arr[0, 0] == 1 and arr.sum() == 1
-        assert C.rank() == 1
+        assert C[0, 0] == 1 and C.sum() == 1
+        assert rank(C, 3) == 1
 
     def test_square_example(self):
         # (x+y)^2 = x^2 + 2xy + y^2 over GF(3)
         C = shift_coefficient_matrix(ReducedPoly(F3, 1, {(2,): 1}))
-        assert C.array.tolist() == [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
-        assert C.rank() == 3
+        assert C.tolist() == [[0, 0, 1], [0, 2, 0], [1, 0, 0]]
+        assert rank(C, 3) == 3
 
     def test_degree_bookkeeping(self):
         rng = np.random.default_rng(3)
-        from capbound.monomials import monomial_index
-
         for _ in range(10):
             f = random_poly(rng, F3, 2)
             if f.is_zero:
                 continue
             monos, _ = monomial_index(3, 2)
-            arr = shift_coefficient_matrix(f).array
+            arr = shift_coefficient_matrix(f)
             degs = {sum(alpha) for alpha, _ in f.terms()}
             for i, j in zip(*np.nonzero(arr)):
                 assert sum(monos[i]) + sum(monos[j]) in degs
@@ -267,7 +264,7 @@ class TestSupportSplit:
     def test_square(self):
         C = shift_coefficient_matrix(ReducedPoly(F3, 1, {(2,): 1}))
         assert support_split_rank_bound(C, 1, 1, F3) == 4
-        assert C.rank() <= 4
+        assert rank(C, 3) <= 4
 
     def test_violation(self):
         # degree 2 polynomial with d = 0 violates the split hypothesis
@@ -279,12 +276,12 @@ class TestSupportSplit:
 class TestGramMatrix:
     def test_constant(self):
         M = gram_matrix(ReducedPoly.constant(F3, 1, 1), PointSet.full(F3, 1), PointSet.full(F3, 1))
-        assert M.array.tolist() == [[1, 1, 1]] * 3
-        assert M.rank() == 1
+        assert M.tolist() == [[1, 1, 1]] * 3
+        assert rank(M, 3) == 1
 
     def test_square_table(self):
         M = gram_matrix(ReducedPoly(F3, 1, {(2,): 1}), PointSet.full(F3, 1), PointSet.full(F3, 1))
-        assert M.array.tolist() == [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
+        assert M.tolist() == [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
 
     def test_rank_bounded_by_shift_rank(self):
         rng = np.random.default_rng(29)
@@ -296,7 +293,7 @@ class TestGramMatrix:
             b = PointSet.from_indices(F3, n, rng.choice(total, size=rng.integers(1, total + 1), replace=False))
             M = gram_matrix(f, a, b)
             C = shift_coefficient_matrix(f)
-            assert M.rank() <= C.rank()
+            assert rank(M, 3) <= rank(C, 3)
 
     def test_mismatched_spaces(self):
         with pytest.raises(ValueError):

@@ -13,20 +13,9 @@ import oracles
 from capbound import bounds, proof
 from capbound.bounds import exponent_c, verify_entropy_lemma
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import FpMatrix, PrimeField, row_space_intersection
-from capbound.monomials import dim_L, enumerate_monomials
-from capbound.polyspace import (
-    ReducedPoly,
-    evaluate_all,
-    indicator_coefficients,
-    indicator_poly,
-    interpolate,
-    poly_from_vector,
-    poly_to_vector,
-    shift_coefficient_matrix,
-    split_violation,
-    support_split_rank_bound,
-)
+from capbound.gf import PrimeField, _row_reduce
+from capbound.monomials import dim_L
+from capbound.polyspace import indicator_coefficients, split_violation
 from capbound.proof import (
     _asymptotic,
     diagonal_certificate,
@@ -34,7 +23,22 @@ from capbound.proof import (
     select_unit_witness,
     verify_transcript,
 )
-from capbound.reference import check_diagonal_size_bound, check_gram_rank_bound, zero_set
+from capbound.reference import (
+    ReducedPoly,
+    check_diagonal_size_bound,
+    check_gram_rank_bound,
+    enumerate_monomials,
+    evaluate_all,
+    indicator_poly,
+    interpolate,
+    poly_from_vector,
+    poly_to_vector,
+    rank,
+    row_space_intersection,
+    shift_coefficient_matrix,
+    support_split_rank_bound,
+    zero_set,
+)
 from capbound.sets import PointSet, greedy_progression_free, is_progression_free, pair_sums
 
 F3 = PrimeField(3)
@@ -64,13 +68,13 @@ def kernel_polys(points):
 class TestSpaceBuilders:
     def test_empty_support(self):
         empty = PointSet.empty(F3, 3)
-        assert indicator_coefficients(empty, all_monomials(F3, 3)).rows == 0
+        assert indicator_coefficients(empty, all_monomials(F3, 3)).shape[0] == 0
         assert select_unit_witness(empty) == (empty, [])
 
     def test_univariate_indicator(self):
         ps = PointSet.from_points(F3, 1, [(0,)])
         block = indicator_coefficients(ps, all_monomials(F3, 1))
-        assert block.array.tolist() == [[1, 0, 2]]  # 1 + 2x^2
+        assert block.tolist() == [[1, 0, 2]]  # 1 + 2x^2
 
     def test_dimension_matches_set_size(self):
         rng = np.random.default_rng(4)
@@ -79,9 +83,9 @@ class TestSpaceBuilders:
             idxs = rng.choice(9, size=int(rng.integers(1, 9)), replace=False)
             ps = PointSet.from_indices(F3, 2, idxs)
             block = indicator_coefficients(ps, monos)
-            assert block.rank() == ps.size
+            assert rank(block, 3) == ps.size
             # row c holds the coefficients of indicator_poly(c) in graded-lex order
-            for row, c in zip(block.array.tolist(), ps.points()):
+            for row, c in zip(block.tolist(), ps.points()):
                 assert row == list(poly_to_vector(indicator_poly(c, F3)))
 
     def test_low_degree_basis(self):
@@ -97,14 +101,14 @@ class TestIntersection:
     def test_full_support_gives_low_degree_space(self):
         V = kernel_polys(PointSet.full(F3, 3))
         L = [poly_to_vector(ReducedPoly.monomial(F3, 3, m)) for m in enumerate_monomials(3, F3, 4)]
-        assert FpMatrix([poly_to_vector(f) for f in V], F3).rank() == len(L)
-        assert FpMatrix(L + [poly_to_vector(f) for f in V], F3).rank() == len(L)
+        assert rank([poly_to_vector(f) for f in V], 3) == len(L)
+        assert rank(L + [poly_to_vector(f) for f in V], 3) == len(L)
 
     def test_members_lie_in_both_spans(self, cap9_search):
         _, doubles = pair_sums(cap9_search.witness)
         V = kernel_polys(doubles)
         assert len(V) >= doubles.size + dim_L(3, 4, F3) - 27
-        assert FpMatrix([poly_to_vector(f) for f in V], F3).rank() == len(V)
+        assert rank([poly_to_vector(f) for f in V], 3) == len(V)
         for f in V:
             assert f.degree is None or f.degree <= 4
             assert (zero_set(f).complement() - doubles).size == 0
@@ -127,7 +131,7 @@ class TestSelection:
         for i in selected:
             assert table[i] == 1
         # witness lies in V: a combination of the basis, of degree <= 4
-        assert FpMatrix(V + [lam], F3).rank() == len(V)
+        assert rank(V + [lam], 3) == len(V)
         assert witness.degree <= 4
         complement = zero_set(witness).complement()
         assert (complement - doubles).size == 0
@@ -147,7 +151,9 @@ class TestSelection:
 
 def zassenhaus_reference(points):
     """dim V, C' and the witness by the dense path: intersect K and L as
-    coefficient spans, then solve for the member equal to 1 on the pivots."""
+    coefficient spans, then solve for the member equal to 1 on the pivots,
+    both by eliminating a block: the basis's values on `points`, then the
+    transposed pivot columns beside a column of ones."""
     field, n, p = points.field, points.n, points.field.p
     K = [poly_to_vector(indicator_poly(c, field)) for c in points.points()]
     L = [
@@ -159,10 +165,11 @@ def zassenhaus_reference(points):
         return 0, [], None
     idxs = points.indices()
     tables = [evaluate_all(poly_from_vector(v, field, n)) for v in V]
-    eval_mat = FpMatrix([[t[i] for i in idxs] for t in tables], field)
-    pivots = eval_mat.pivot_columns()
-    square = FpMatrix(eval_mat.array[:, pivots], field)
-    lam = square.transpose().solve([1] * len(pivots))
+    eval_mat = np.array([[t[i] for i in idxs] for t in tables], dtype=np.int64)
+    pivots = _row_reduce(eval_mat.copy(), p)
+    aug = np.column_stack([eval_mat[:, pivots].T, np.ones(len(pivots), dtype=np.int64)])
+    assert _row_reduce(aug, p) == list(range(len(pivots)))  # the pivot columns are independent
+    lam = aug[:, -1].tolist()
     combo = sum(c * np.array(v, dtype=np.int64) for c, v in zip(lam, V)) % p
     return len(V), [idxs[j] for j in pivots], poly_from_vector(combo, field, n)
 
@@ -232,7 +239,7 @@ class TestDiagonalCertificate:
         pt = PointSet.from_points(F3, 1, [(1,)])
         f = indicator_poly((2,), F3)  # f(1+1) = 1
         mat = diagonal_certificate(evaluate_all(f), pt)
-        assert mat.array.tolist() == [[1]]
+        assert mat.tolist() == [[1]]
 
     def test_rejects_offdiagonal(self):
         f = ReducedPoly.constant(F3, 1, 1)
@@ -296,7 +303,7 @@ class TestDiagonalSizeBound:
     def test_pipeline_instance(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
         a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-        rec = check_diagonal_size_bound(transcript.witness, a_prime, 2)
+        rec = check_diagonal_size_bound(interpolate(transcript.value_table(), F3, 3), a_prime, 2)
         assert rec.holds and rec.split_bound == 20
 
     def test_hypothesis_violation(self):
@@ -372,8 +379,7 @@ class TestPipeline:
     def test_unit_diagonal(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
         a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-        gram = diagonal_certificate(transcript.value_table(), a_prime)
-        arr = gram.array
+        arr = diagonal_certificate(transcript.value_table(), a_prime)
         assert (np.diagonal(arr) == 1).all()
         assert (arr - np.diag(np.diagonal(arr)) == 0).all()
 

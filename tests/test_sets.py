@@ -16,9 +16,8 @@ import oracles
 from capbound import sets
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
-from capbound.polyspace import DENSE_MATRIX_CEILING, ReducedPoly, gram_matrix
 from capbound.proof import _halves_of
-from capbound.reference import check_diagonal_size_bound, evaluate
+from capbound.reference import DENSE_MATRIX_CEILING, ReducedPoly, check_diagonal_size_bound, evaluate, gram_matrix
 from capbound.sets import (
     PointSet,
     SearchResult,
@@ -580,7 +579,7 @@ class TestKernelAgainstTupleLoops:
             gram = [
                 [evaluate(f, tuple((x + y) % p for x, y in zip(a, b))) for b in pts] for a in pts
             ]
-            assert gram_matrix(f, ps, ps).array.tolist() == gram
+            assert gram_matrix(f, ps, ps).tolist() == gram
             bad = [
                 (a, b, gram[i][j])
                 for i, a in enumerate(pts)
