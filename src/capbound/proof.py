@@ -31,10 +31,10 @@ This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
 (`interpolate(t.value_table(), field, n)` for a transcript `t`) and the
 dense p^n x p^n rank arguments that the diagonal certificate and the
-support split replace. Two bounds refuse work before it is allocated:
-`WORK_BOUND` on the |C| x h block that `prove` eliminates, and
-`VALUE_TABLE_BOUND` on p^(n+1), the cost of interpolating the witness's
-value table, which both commands build in `ProofTranscript.value_table`.
+support split replace. Two bounds refuse work before it is allocated, in
+both commands: `WORK_BOUND` on the |C| x h block that `prove` eliminates
+(`_dimension_table`), and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
+interpolating the witness's value table (`ProofTranscript.value_table`).
 """
 
 from __future__ import annotations
@@ -181,6 +181,8 @@ class ProofTranscript:
             raise ValueError(f"transcript precision {f['precision']} is outside [1, {MAX_PRECISION}]")
         for key in ("doubles", "selected_doubles", "selected_points"):
             _indices(key, f[key], field.p**n)
+        if len(f["selected_points"]) > input_points.size:
+            raise ValueError("transcript field 'selected_points' lists more points than its input has")
         values = f["witness_values"]
         if values is not None and len(_indices("witness_values", values, field.p)) != len(f["doubles"]):
             raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
@@ -344,13 +346,6 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
     dims = _dimension_table(field, n, s, A.size)  # |C| = |A|: doubling is injective for odd p
-    h = dims["low_third_minus"]
-    if A.size * h > WORK_BOUND:
-        raise ValueError(
-            f"the |C| x h block would have |C| = {A.size} times h = {h} entries, "
-            f"above the work bound {WORK_BOUND}"
-        )
-
     sums, doubles = pair_sums(A)
     if (sums & doubles).size and not _skip_progression_check:
         _, triple = is_progression_free(A)
@@ -474,8 +469,14 @@ def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[Proo
 
 def _dimension_table(field: PrimeField, n: int, s: int, doubles_size: int) -> dict[str, int]:
     """The recorded dimensions but dim V, the last of `_DIMENSION_KEYS`: p^n, |C|
-    and those of the slices of degree <= 2s, s and s - 1, for split degree s."""
+    and those of the slices of degree <= 2s, s and s - 1, for split degree s.
+    A |C| x h block above `WORK_BOUND`, h the last slice's, is refused (ValueError)."""
     slices = [dim_L(n, d, field) if d >= 0 else 0 for d in (2 * s, s, s - 1)]
+    if doubles_size * slices[2] > WORK_BOUND:
+        raise ValueError(
+            f"the |C| x h block would have |C| = {doubles_size} times h = {slices[2]} entries, "
+            f"above the work bound {WORK_BOUND}"
+        )
     return dict(zip(_DIMENSION_KEYS, (field.p**n, doubles_size, *slices)))
 
 
@@ -501,10 +502,16 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     their recomputation, and `recorded_claims` compares the recorded rows and
     conclusion with the recomputed ones, the asymptotic digits at the
     recorded precision. Returns (every row holds, rows).
+
+    Refused (ValueError) before the pair sweep, as `prove` refuses them: an
+    input whose |C| x h block exceeds `WORK_BOUND`, a witness value table
+    above `VALUE_TABLE_BOUND`, and a selection A' larger than the input.
     """
     t = ProofTranscript.from_json(data)
     table, rank = t.value_table(), None
     field, n = t.input_points.field, t.n
+    s = _split_degree(field.p, n, floor=True)
+    expected = _dimension_table(field, n, s, t.input_points.size)  # |C| = |A| for odd p
     sums, doubles = pair_sums(t.input_points)
     selected = set(t.selected_doubles)
     if table is not None:
@@ -512,10 +519,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
             rank = _gram_rank(t, table)
         except HypothesisViolation:
             rank = -1
-    s = _split_degree(field.p, n, floor=True)
     rows, conclusion = _certificate_checks(t, s, sums, doubles, table, rank)
 
-    expected = _dimension_table(field, n, s, doubles.size)
     dims_ok = (t.degree_cap, t.split_degree) == (2 * s, s)
     dims_ok = dims_ok and all(t.dims[k] == v for k, v in expected.items())
     if table is None:

@@ -14,9 +14,9 @@ sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
 built from the same kernel, one row per point j it reaches. The depth-first
 `_walk` memoises the blocking mask of each chosen prefix, so including j
-costs about one OR, and goes on in place with one pending state per depth;
-`_split`, the breadth-first split into subtrees for `_walk_subtrees`, ORs
-one row entry per chosen point. A node budget caps both.
+costs about one OR, and goes on in place with one pending state per depth.
+`_split`, the breadth-first split into subtrees for `_walk_subtrees`,
+queues one-node `_walk` calls. A node budget caps both.
 """
 
 from __future__ import annotations
@@ -421,28 +421,16 @@ def _form_keys(coords: np.ndarray, p: int) -> np.ndarray:
 
 
 def _split(p: int, n: int, root: tuple, best: int, budget: int | None, target: int):
-    """`_walk`'s branch and bound and result from `root`, breadth first until
-    `target` states are pending, ORing one row entry per chosen point."""
-    rows = _block_rows(p, n)
+    """`_walk`'s result from `root`, breadth first by one-node walks until
+    `target` states are pending: a node's include child queues before its
+    exclude sibling, and a pruned node queues nothing."""
     todo = deque([root])
     limit = math.inf if budget is None else budget
     best_chosen, nodes = None, 0
-    while todo and nodes < limit:
-        chosen, avail = todo.popleft()
-        nodes += 1
-        if len(chosen) + avail.bit_count() <= best:
-            continue
-        j = (avail & -avail).bit_length() - 1
-        row, extra = rows[j], 0
-        for a in chosen:
-            extra |= row[a]
-        avail ^= 1 << j
-        picked = chosen + [j]
-        if len(picked) > best:
-            best, best_chosen = len(picked), picked
-        todo += ((picked, avail & ~extra), (chosen, avail))
-        if len(todo) >= target:
-            break
+    while todo and nodes < limit and len(todo) < target:
+        pending, best, chosen, _ = _walk(p, n, todo.popleft(), best, 1)
+        todo += reversed(pending)
+        best_chosen, nodes = chosen or best_chosen, nodes + 1
     return list(todo), best, best_chosen, nodes
 
 
@@ -567,9 +555,9 @@ def max_progression_free(
     Points are scanned in index order, branching include/exclude with the
     bound size + |remaining unblocked| <= incumbent. Translates of
     progression-free sets are progression-free (midpoints are affine
-    invariant), so the search fixes 0 as a member. With `workers` > 1 the
-    root is split breadth-first into 4 * workers subtrees, walked from the
-    split's incumbent by at most min(workers, CPU count) processes, the
+    invariant), so the search fixes 0 as a member. One worker walks the tree
+    as one subtree; more split it breadth-first into 4 * workers, walked from
+    the split's incumbent by at most min(workers, CPU count) processes, the
     caller among them; results merge in subtree order, so the output does
     not depend on scheduling. `workers` must lie in [1, _MAX_WORKERS].
 
@@ -586,22 +574,21 @@ def max_progression_free(
         )
     t0 = time.perf_counter()
     seed_set = greedy_progression_free(field, n, order_seed=0)
-    search = _walk if workers == 1 else functools.partial(_split, target=4 * workers)
-    tasks, best, best_chosen, nodes = search(field.p, n, ([0], (1 << total) - 2), seed_set.size, node_budget)
-    exhausted = not tasks
-    if workers > 1 and tasks:
-        shares = [None] * len(tasks)
-        if node_budget is not None:
-            q, r = divmod(node_budget - nodes, len(tasks))
-            shares = [q + (i < r) for i in range(len(tasks))]
-        runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
-        exhausted = len(runs) == len(tasks)
-        procs = min(workers, len(runs), os.cpu_count() or 1)  # no child when no run is left
-        for pending, size, chosen, task_nodes in _walk_subtrees(field.p, n, best, runs, procs):
-            nodes += task_nodes
-            exhausted = exhausted and not pending
-            if size > best:
-                best, best_chosen = size, chosen
+    tasks, best, best_chosen, nodes = [([0], (1 << total) - 2)], seed_set.size, None, 0
+    if workers > 1:
+        tasks, best, best_chosen, nodes = _split(field.p, n, tasks[0], best, node_budget, 4 * workers)
+    shares = [None] * len(tasks)
+    if node_budget is not None and tasks:
+        q, r = divmod(node_budget - nodes, len(tasks))
+        shares = [q + (i < r) for i in range(len(tasks))]
+    runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
+    exhausted = len(runs) == len(tasks)
+    procs = min(workers, len(runs), os.cpu_count() or 1)  # no child when no run is left
+    for pending, size, chosen, task_nodes in _walk_subtrees(field.p, n, best, runs, procs):
+        nodes += task_nodes
+        exhausted = exhausted and not pending
+        if size > best:
+            best, best_chosen = size, chosen
 
     witness = (
         PointSet.from_indices(field, n, best_chosen) if best_chosen is not None else seed_set

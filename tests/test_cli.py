@@ -19,7 +19,7 @@ from capbound import cli, monomials, sets
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
-from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
+from capbound.proof import VALUE_TABLE_BOUND, WORK_BOUND, prove_size_bound
 from capbound.sets import PointSet
 
 
@@ -922,6 +922,35 @@ class TestInputRefusals:
             assert code == 1 and env["result"]["valid"] is False
         else:
             self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"value-table bound {VALUE_TABLE_BOUND}")
+
+    def test_work_bound(self, run, tmp_path):
+        """A one-point transcript in F_3^9 whose input is made all 19,683
+        points: its |C| x h block is above WORK_BOUND, so `prove` would refuse
+        that input, and `verify-transcript` refuses it before its pair sweep."""
+        set_file = tmp_path / "point.txt"
+        set_file.write_text(_point_text(3, 9, [(0,) * 9]))
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["branch"] == "zero_intersection"
+        t = env["result"]
+        t["input"]["points"] = [list(c) for c in PointSet.full(PrimeField(3), 9).points()]
+        self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"above the work bound {WORK_BOUND}")
+
+    @pytest.mark.parametrize("n, selected", [(3, list(range(10))), (12, [0, 1])], ids=["cap9", "one_point_f3_12"])
+    def test_selection_larger_than_input(self, run, tmp_path, n, selected):
+        """A Gram selection A' listing more points than the input has, which
+        `prove` never writes, is refused before the Gram matrix is sized."""
+        if n == 3:
+            code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+            t = env["result"]
+        else:
+            set_file = tmp_path / "point.txt"
+            set_file.write_text(_point_text(3, n, [(0,) * n]))
+            code, env = run_json(run, "prove", "--input", str(set_file))
+            t = env["result"]
+            t.update(branch="main", doubles=[0], selected_doubles=[0], witness_values=[1])
+        assert code == 0
+        t["selected_points"] = selected
+        self.refused(run, tmp_path, "verify-transcript", json.dumps(t), "'selected_points' lists more points than its input")
 
 
 def _modules_after(code: str) -> tuple[int, set[str]]:

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -368,6 +369,8 @@ class TestWorkers:
         caller, walk = os.getpid(), sets._walk
 
         def walk_failing_in_children(*args):
+            if args[-1] == 1:  # a one-node step of the split, which runs before the launch
+                return walk(*args)
             if os.getpid() == caller:
                 time.sleep(0.05)  # leaves subtrees for the child to claim
                 if failure == "caller":
@@ -382,6 +385,18 @@ class TestWorkers:
         expected = EOFError if failure == "exit" else ArithmeticError
         with _deadline(60), pytest.raises(expected):
             max_progression_free(F3, 3, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("p, n", [(3, 3), (7, 2)])
+    def test_split_search_without_fork(self, monkeypatch, p, n, workers):
+        """Where `os.fork` is missing, the caller walks every subtree in
+        `_walk_subtrees`' plain loop: the same result, and no child."""
+        monkeypatch.delattr(sets.os, "fork")
+        monkeypatch.setattr(sets.os, "cpu_count", lambda: 4)
+        res = max_progression_free(PrimeField(p), n, workers=workers)
+        expected = _reference_search(p, n, None, workers)
+        assert (res.best_size, res.witness.indices(), res.optimal, res.nodes_explored) == expected
         assert multiprocessing.active_children() == []
 
 
@@ -469,6 +484,47 @@ class TestWalk:
         assert (size, witness, nodes) == expected[1:]
         assert sorted(pending) == sorted(expected[0])
         assert not pending or nodes == budget
+
+
+def _oracle_split(p: int, n: int, root: tuple, best: int, budget: int | None, target: int):
+    """Breadth first over one-node `oracles.branch_and_bound` calls until
+    `target` states are pending: the oldest state is expanded, and the stack
+    it returns is queued reversed, so the include child comes first."""
+    todo = deque([root])
+    best_chosen, nodes = None, 0
+    while todo and (budget is None or nodes < budget) and len(todo) < target:
+        stack, best, found, walked = oracles.branch_and_bound(p, n, *todo.popleft(), best, 1)
+        todo.extend(reversed(stack))
+        nodes += walked
+        best_chosen = best_chosen if found is None else found
+    return list(todo), best, best_chosen, nodes
+
+
+@st.composite
+def split_starts(draw):
+    """(p, n, budget, target): the search's root in a small ambient, with a
+    budget of none, 0, 1 or up to 20,000 nodes and 2 to 64 target states."""
+    p, n = draw(st.sampled_from(WALK_AMBIENTS))
+    budget = draw(st.none() | st.sampled_from([0, 1]) | st.integers(2, 20_000))
+    return p, n, budget, draw(st.integers(2, 64))
+
+
+class TestSplit:
+    """The breadth-first split against the plain branch and bound expanded
+    one node at a time: the same pending states in order, incumbent,
+    witness and nodes, from the greedy incumbent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=split_starts())
+    @example(case=(3, 3, None, 12))
+    @example(case=(7, 2, 0, 8))
+    @example(case=(3, 4, 1, 64))
+    @example(case=(5, 2, 20_000, 2))
+    def test_split_matches_branch_and_bound(self, case):
+        p, n, budget, target = case
+        root, best = ([0], (1 << p**n) - 2), greedy_progression_free(PrimeField(p), n).size
+        expected = _oracle_split(p, n, root, best, budget, target)
+        assert sets._split(p, n, root, best, budget, target) == expected
 
 
 ROW_AMBIENTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 2)]
