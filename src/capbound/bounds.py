@@ -131,12 +131,11 @@ class BoundReport:
     holds: bool
 
 
-def _split_degree(p: int, n: int, *, floor: bool = False) -> int:
+def _split_degree(p: int, n: int) -> int:
     """The degree cut (p-1)n/3, the certificate's split degree s, whose cap is D2 = 2s.
 
-    Refuses n < 1 and 3 ∤ (p-1)n unless `floor` rounds the cut down, as
-    `verify_transcript` does to check a record with any n row by row."""
-    if not floor and (n < 1 or (p - 1) * n % 3):
+    Refuses n < 1 and 3 ∤ (p-1)n."""
+    if n < 1 or (p - 1) * n % 3:
         raise ValueError("the degree cut (p-1)n/3 needs n >= 1 and 3 | (p-1)n, so 3 | n unless p = 1 mod 3")
     return (p - 1) * n // 3
 

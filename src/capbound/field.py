@@ -2,7 +2,7 @@
 
 The integer-only commands (`bound`, `dims`, `entropy-check`) need only the
 modulus, so this module imports nothing heavier than `numbers`; `gf`
-re-exports `PrimeField` and `MAX_MODULUS` next to its dense matrices.
+re-exports `PrimeField` and `MAX_MODULUS` next to its exact elimination.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ recorded; the transcript serializes to JSON and can be re-checked from that
 form alone, without re-deriving V: f's coefficients come from one
 interpolation pass over its value table.
 
-One function, `_certificate_checks`, writes the rows and the conclusion
-from the input's pair sums and doubles and the certificate: `prove` calls
-it on what it derived, `verify_transcript` on what it parsed, then adds
-rows comparing the record with the recomputation.
+One function, `_derive`, writes every field of a transcript from the
+input, the selection C' and the witness's values on C: `prove` calls it on
+what its elimination found, `verify_transcript` on the recorded C' and
+values, and then compares the whole record with that derivation in one
+row, `recorded_claims` (`_first_difference`).
 
 Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
 list the JSON keys of a transcript and of a check row with their kinds;
 `to_json`, `from_json` and its unknown-key checks (`_read`) read them.
-`_DIMENSION_KEYS` names the recorded dimensions, and `_gram_rank` checks the
-Gram matrix. The cut s = (p-1)n/3 (D2 = 2s) is `bounds._split_degree`.
+`_DIMENSION_KEYS` names the recorded dimensions. The cut s = (p-1)n/3
+(D2 = 2s) is `bounds._split_degree`.
 
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
@@ -34,13 +35,13 @@ dense p^n x p^n rank arguments that the diagonal certificate and the
 support split replace. Two bounds refuse work before it is allocated, in
 both commands: `WORK_BOUND` on the |C| x h block that `prove` eliminates
 (`_dimension_table`), and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
-interpolating the witness's value table (`ProofTranscript.value_table`).
+interpolating the witness's value table (`_refuse_value_table`).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from decimal import Decimal
 from itertools import zip_longest
 
@@ -120,7 +121,7 @@ class ProofTranscript:
     matrix_rank: int | None
     checks: list[ProofCheck]
     conclusion: dict
-    precision: int = dataclass_field(default_factory=precision_digits)
+    precision: int
 
     @property
     def all_hold(self) -> bool:
@@ -135,11 +136,7 @@ class ProofTranscript:
         """
         if self.witness_values is None:
             return None
-        if self.p ** (self.n + 1) > VALUE_TABLE_BOUND:
-            raise ValueError(
-                f"the witness's value table over F_{self.p}^{self.n} needs p^(n+1) = {self.p ** (self.n + 1)} "
-                f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
-            )
+        _refuse_value_table(self.p, self.n)
         table = np.zeros(self.p**self.n, dtype=np.int64)
         table[self.doubles] = self.witness_values
         return table
@@ -184,7 +181,7 @@ class ProofTranscript:
         if len(f["selected_points"]) > input_points.size:
             raise ValueError("transcript field 'selected_points' lists more points than its input has")
         values = f["witness_values"]
-        if values is not None and len(_indices("witness_values", values, field.p)) != len(f["doubles"]):
+        if values is not None and len(_indices("witness_values", values, field.p)) != input_points.size:
             raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
         checks = []
         for row in f["checks"]:
@@ -194,6 +191,16 @@ class ProofTranscript:
         del f["format"], f["input"]
         f.update(dims=dims, checks=checks)
         return cls(input_points=input_points, **f)
+
+
+def _refuse_value_table(p: int, n: int) -> None:
+    """Refuse (ValueError) a value table over F_p^n, which takes p^(n+1) products
+    to interpolate, above `VALUE_TABLE_BOUND`."""
+    if p ** (n + 1) > VALUE_TABLE_BOUND:
+        raise ValueError(
+            f"the witness's value table over F_{p}^{n} needs p^(n+1) = {p ** (n + 1)} "
+            f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
+        )
 
 
 # The JSON keys of a serialized transcript and of one of its check rows, in
@@ -340,12 +347,14 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     Requires 3 | (p-1)n and a progression-free input (checked first unless the
     test hook `_skip_progression_check` forces the pipeline onward, in
     which case the diagonal certificate is where the damage surfaces).
-    This derives the certificate; `_certificate_checks` then writes the
-    rows and the conclusion from it, exactly as `verify_transcript` does.
+    The steps here are the cut, the work bound, the pair sweep, the
+    progression refusal and the one elimination, which gives C' and the
+    witness; `_derive` writes every other field, exactly as for
+    `verify_transcript`.
     """
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
-    dims = _dimension_table(field, n, s, A.size)  # |C| = |A|: doubling is injective for odd p
+    _dimension_table(field, n, s, A.size)  # the work bound; |C| = |A|: doubling is injective for odd p
     sums, doubles = pair_sums(A)
     if (sums & doubles).size and not _skip_progression_check:
         _, triple = is_progression_free(A)
@@ -353,8 +362,33 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
     selected, lam = select_unit_witness(doubles)
+    t = _derive(A, s, sums, doubles, selected, lam, precision_digits())
+    if t.matrix_rank == -1:  # raises, naming the entry that breaks the diagonal
+        diagonal_certificate(t.value_table(), PointSet.from_indices(field, n, t.selected_points))
+    return t
+
+
+def _derive(
+    A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int], precision: int
+) -> ProofTranscript:
+    """The transcript of `A` whose selection is C' = `selected` and whose witness f
+    has the values `lam` on the doubles, every field derived from these alone.
+
+    `s` is the split degree of the cut, and `sums` and `doubles` are B and
+    C, derived from A; their overlap is empty exactly when A is
+    progression-free. dim V is recorded as |C'|; the branch is the main one
+    exactly when C' is not empty, and only then is `lam` read. The Gram
+    rank over A' = {a : 2a in C'} is |A'| when `diagonal_certificate` finds
+    the Gram matrix diagonal with nonzero diagonal, else -1. f's degree and
+    split are read from its coefficients, one interpolation pass over its
+    value table. The asymptotic bound is evaluated at `precision` digits.
+    `prove_size_bound` records this; `verify_transcript` compares the record
+    with it.
+    """
+    field, n = A.field, A.n
+    dims = _dimension_table(field, n, s, doubles.size)
     dims["intersection"] = selected.size
-    transcript = ProofTranscript(
+    t = ProofTranscript(
         p=field.p,
         n=n,
         branch="main" if selected.size else "zero_intersection",
@@ -371,49 +405,9 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         matrix_rank=None,
         checks=[],
         conclusion={},
+        precision=precision,
     )
-    table = transcript.value_table()
-    if table is not None:
-        transcript.matrix_rank = _gram_rank(transcript, table)
-    transcript.checks, transcript.conclusion = _certificate_checks(
-        transcript, s, sums, doubles, table, transcript.matrix_rank
-    )
-    return transcript
-
-
-def _gram_rank(t: ProofTranscript, table: np.ndarray) -> int:
-    """|A'|, the rank of the Gram matrix of the witness (value table `table`) over
-    A' = `t.selected_points`, once `diagonal_certificate` has found it diagonal."""
-    a_prime = PointSet.from_indices(t.input_points.field, t.n, t.selected_points)
-    diagonal_certificate(table, a_prime)
-    return a_prime.size
-
-
-def _certificate_checks(
-    t: ProofTranscript,
-    s: int,
-    sums: PointSet,
-    doubles: PointSet,
-    table: np.ndarray | None,
-    rank: int | None,
-) -> tuple[list[ProofCheck], dict]:
-    """Every row of a transcript and its conclusion, in transcript order.
-
-    `s` is the split degree of the cut, and `sums` and `doubles` are
-    derived from the input set; their overlap is empty exactly when the
-    input is progression-free. The rest is the certificate recorded in
-    `t`: its size, dimensions, selection, witness and precision, with
-    `table` the witness's value table over F_p^n (None on the zero branch)
-    and `rank` the rank of its Gram matrix over the selected points (-1
-    when that matrix is not diagonal). The witness's degree and split are
-    read from its coefficients, one interpolation pass over `table`.
-    `prove_size_bound` passes what it derived and `verify_transcript` what
-    it parsed, so both write the same rows. The asymptotic bound is
-    evaluated at the larger of the recorded and the configured precision.
-    """
-    field, n = t.input_points.field, t.n
-    size, dims = t.input_size, t.dims
-    ambient, dim_low, h = dims["ambient"], dims["low_degree"], dims["low_third_minus"]
+    size, ambient, dim_low, h = A.size, dims["ambient"], dims["low_degree"], dims["low_third_minus"]
     overlap = (sums & doubles).size
     checks = [
         _check("progression_free", int(not overlap), "==", 1, note="verified on input"),
@@ -435,29 +429,36 @@ def _certificate_checks(
     ]
 
     exact = {"size": str(size)}
+    table = t.value_table()
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
         exact_bound, note = h, "zero-dimensional intersection branch"
     else:
-        selected, a_prime = t.selected_doubles, len(t.selected_points)
+        a_prime = PointSet.from_indices(field, n, t.selected_points)
+        try:
+            diagonal_certificate(table, a_prime)
+            t.matrix_rank = a_prime.size
+        except HypothesisViolation:
+            t.matrix_rank = -1
         terms = np.argwhere(coefficient_tensor(table, field, n)).reshape(-1, n)
         vanishes_off_doubles = not table[~doubles._table()].any()
         checks += [
-            _check("selection_size", len(selected), "==", dims["intersection"]),
+            _check("selection_size", selected.size, "==", dims["intersection"]),
             _check("witness_degree", int(terms.sum(axis=1).max(initial=0)), "<=", 2 * s),
             _check("witness_vanishes_off_doubles", int(vanishes_off_doubles), "==", 1),
-            _check("witness_unit_on_selected", int((table[selected] == 1).all()), "==", 1),
+            _check("witness_unit_on_selected", int((table[t.selected_doubles] == 1).all()), "==", 1),
             _check("pair_sums_in_zero_set", int(not table[sums._table()].any()), "==", 1),
-            _check("selected_points_count", a_prime, "==", len(selected)),
-            _check("gram_rank_equals_selection", rank, "==", a_prime),
-            _split_check(terms, a_prime, s, field),
+            _check("selected_points_count", a_prime.size, "==", selected.size),
+            _check("gram_rank_equals_selection", t.matrix_rank, "==", a_prime.size),
+            _split_check(terms, a_prime.size, s, field),
         ]
-        exact_bound, note = h + len(selected), "|A| = |C| <= dim(low third minus one) + |C'|"
-        exact.update(low_third_minus=str(h), selected=str(len(selected)))
+        exact_bound, note = h + selected.size, "|A| = |C| <= dim(low third minus one) + |C'|"
+        exact.update(low_third_minus=str(h), selected=str(selected.size))
     checks.append(_check("size_bound_exact", size, "<=", exact_bound, note=note))
     exact.update(bound=str(exact_bound), holds=size <= exact_bound)
-    row, asymptotic = _asymptotic(field, n, size, max(t.precision, precision_digits()))
-    return checks + [row], {"exact": exact, "asymptotic": asymptotic}
+    row, asymptotic = _asymptotic(field, n, size, precision)
+    t.checks, t.conclusion = checks + [row], {"exact": exact, "asymptotic": asymptotic}
+    return t
 
 
 def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[ProofCheck, dict]:
@@ -490,79 +491,56 @@ def _halves_of(A: PointSet, doubled) -> list[int]:
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
-    Recomputes the input's pair sums and doubles and the Gram matrix of the
-    recorded witness values (`_gram_rank`, -1 when it is not diagonal), then runs
-    `_certificate_checks`, the row builder of `prove_size_bound`: the report
-    starts with the transcript's rows, recomputed (no kernel, no pivot
-    selection). dim V is the recorded one and is not re-derived: only the
-    `intersection_dim_lower_bound` row, `selection_size` (= |C'|) on the main
-    branch and the branch shape (0) on the zero branch bind it. Record rows
-    follow: the recorded sets, dimensions but dim V (with the degree cap and
-    split degree), branch, selection and rank match
-    their recomputation, and `recorded_claims` compares the recorded rows and
-    conclusion with the recomputed ones, the asymptotic digits at the
-    recorded precision. Returns (every row holds, rows).
+    Reads the recorded `input`, `selected_doubles` (C'), `witness_values`
+    (a null witness reads as 0) and `precision`, and runs `_derive`, the
+    derivation that `prove_size_bound` records, on them: no kernel, no pivot
+    selection. The report is the derived rows, the asymptotic one evaluated
+    at `CAPSET_PRECISION` when that is above the recorded precision, then
+    `recorded_claims`, which holds when every recorded field equals the
+    derived one and otherwise names the first that differs. dim V is
+    recorded as |C'| and is not re-derived: the `intersection_dim_lower_bound`
+    row (|C'| >= |C| + dim L - p^n) binds it. Returns (every row holds, rows).
 
-    Refused (ValueError) before the pair sweep, as `prove` refuses them: an
-    input whose |C| x h block exceeds `WORK_BOUND`, a witness value table
-    above `VALUE_TABLE_BOUND`, and a selection A' larger than the input.
+    Refused (ValueError), in this order and before the pair sweep, as `prove`
+    refuses them: a witness value table above `VALUE_TABLE_BOUND`, a cut
+    (p-1)n/3 that is not an integer, and an input whose |C| x h block
+    exceeds `WORK_BOUND`.
     """
     t = ProofTranscript.from_json(data)
-    table, rank = t.value_table(), None
-    field, n = t.input_points.field, t.n
-    s = _split_degree(field.p, n, floor=True)
-    expected = _dimension_table(field, n, s, t.input_points.size)  # |C| = |A| for odd p
-    sums, doubles = pair_sums(t.input_points)
-    selected = set(t.selected_doubles)
-    if table is not None:
-        try:
-            rank = _gram_rank(t, table)
-        except HypothesisViolation:
-            rank = -1
-    rows, conclusion = _certificate_checks(t, s, sums, doubles, table, rank)
-
-    dims_ok = (t.degree_cap, t.split_degree) == (2 * s, s)
-    dims_ok = dims_ok and all(t.dims[k] == v for k, v in expected.items())
-    if table is None:
-        shape_ok = t.branch == "zero_intersection" and t.dims["intersection"] == 0
-        shape_ok = shape_ok and not selected and t.matrix_rank is None
-    else:
-        shape_ok = t.branch == "main" and all(i in doubles for i in selected)
-    records = {
-        "recorded_sets": doubles.indices() == t.doubles and sums.size == t.pair_sum_count,
-        "recorded_dimensions": dims_ok,
-        "branch_shape": shape_ok,
-        "selected_points_match": _halves_of(t.input_points, selected) == t.selected_points,
-    }
-    if table is not None:
-        records["gram_diagonal"] = rank != -1
-    checks = rows + [_check(name, int(ok), "==", 1) for name, ok in records.items()]
-    if table is not None:
-        recorded_rank = -1 if t.matrix_rank is None else t.matrix_rank
-        checks.append(_check("matrix_rank_recorded", rank, "==", recorded_rank))
-    if precision_digits() > t.precision:  # the rows were evaluated above the recorded precision
-        row, asymptotic = _asymptotic(field, n, t.input_size, t.precision)
-        rows, conclusion = rows[:-1] + [row], {**conclusion, "asymptotic": asymptotic}
-    differs = _first_difference(t, rows, conclusion)
-    checks.append(_check("recorded_claims", int(differs is None), "==", 1, note=differs or ""))
+    A, field, n = t.input_points, t.input_points.field, t.n
+    if t.witness_values is not None:
+        _refuse_value_table(field.p, n)
+    s = _split_degree(field.p, n)
+    _dimension_table(field, n, s, A.size)  # the work bound; |C| = |A| for odd p
+    sums, doubles = pair_sums(A)
+    selected = PointSet.from_indices(field, n, t.selected_doubles)
+    derived = _derive(A, s, sums, doubles, selected, t.witness_values or [0] * A.size, t.precision)
+    rows = derived.checks
+    if precision_digits() > t.precision:
+        rows = rows[:-1] + [_asymptotic(field, n, A.size, precision_digits())[0]]
+    differs = _first_difference(*({key: getattr(x, key, None) for key in _FIELDS} for x in (t, derived)))
+    note = f"recorded {differs} differs" if differs else ""
+    checks = rows + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
     return all(c.holds for c in checks), checks
 
 
-def _first_difference(t: ProofTranscript, rows: list[ProofCheck], conclusion: dict) -> str | None:
-    """Where the recorded rows and conclusion first differ from the recomputed ones.
+def _first_difference(recorded: dict, derived: dict, path: str = "") -> str | None:
+    """The first key of `derived`, in its order, whose value in `recorded` differs, as a dotted path.
 
-    `rows` and `conclusion` hold the asymptotic bound at the recorded
-    precision, so its digits are compared too. Conclusion values must
-    match in JSON type as well as in value (true is not 1).
+    Check rows are compared one by one ("row i (name)") and objects key by
+    key, a missing key as null; a recorded object with a key of its own
+    differs as a whole. Every other value must match in JSON type as well
+    as in value (true is not 1).
     """
-    for i, (recorded, derived) in enumerate(zip_longest(t.checks, rows)):
-        if recorded != derived:
-            return f"recorded row {i} ({(derived or recorded).name}) differs"
-    for part, values in conclusion.items():
-        recorded = t.conclusion.get(part)
-        if not isinstance(recorded, dict) or recorded.keys() != values.keys():
-            return f"recorded conclusion.{part} differs"
-        for key, value in values.items():
-            if type(recorded[key]) is not type(value) or recorded[key] != value:
-                return f"recorded conclusion.{part}.{key} differs"
+    for key, value in derived.items():
+        mine, where = recorded.get(key), path + key
+        if key == "checks":
+            for i, (r, d) in enumerate(zip_longest(mine, value)):
+                if r != d:
+                    return f"row {i} ({(d or r).name})"
+        elif isinstance(value, dict) and isinstance(mine, dict) and mine.keys() <= value.keys():
+            if (inner := _first_difference(mine, value, where + ".")) is not None:
+                return inner
+        elif type(mine) is not type(value) or mine != value:
+            return where
     return None

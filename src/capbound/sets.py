@@ -434,6 +434,12 @@ def _split(p: int, n: int, root: tuple, best: int, budget: int | None, target: i
     return list(todo), best, best_chosen, nodes
 
 
+@functools.lru_cache(maxsize=1)
+def _zero_level(p: int, n: int) -> dict[int, int]:
+    """`_walk`'s level 0: every point of F_p^n blocks nothing yet. Read-only."""
+    return dict.fromkeys(range(p**n), 0)
+
+
 def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
     """Include/exclude branch and bound from `root`, depth first, for at most
     `budget` nodes: (pending states, best, best_chosen or None, nodes).
@@ -446,15 +452,16 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
     node resumes the deepest. An include child that fails the bound is
     counted where it is made and the walk goes on with its exclude sibling;
     one the budget cuts is descended to, to be pending as the current state.
-    levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0 is all
-    0): including j at depth d ORs only the levels above the deepest holding
-    j; only a descent from d uses level d + 1, so it starts that level afresh.
-    The memo, at most depth * p^n masks, is dropped on return."""
+    levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0, all
+    0, is shared read-only by every walk in F_p^n): including j at depth d
+    ORs only the levels above the deepest holding j; only a descent from d
+    uses level d + 1, so it makes that level afresh. The memo, at most
+    depth * p^n masks, is dropped on return."""
     rows = _block_rows(p, n)
     chosen, avail = root
     start = depth = len(chosen)
-    path = chosen + [0] * (p**n - len(chosen))
-    levels = [dict.fromkeys(range(p**n), 0)] + [{} for _ in path]
+    path = chosen + [0] * avail.bit_count()  # each include takes one point of avail
+    levels = [_zero_level(p, n)] + [{} for _ in chosen]
     excluded = [0] * len(path)
     limit = math.inf if budget is None else budget
     best_chosen, nodes = None, 0
@@ -482,7 +489,7 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
         if depth + 1 + include.bit_count() > best or nodes == limit:
             excluded[depth], avail = avail, include
             depth += 1
-            levels[depth] = {}
+            levels[depth:] = [{}]
         else:
             nodes += 1
     pending = [(path[:d], excluded[d]) for d in range(start, depth)]

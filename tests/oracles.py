@@ -26,6 +26,9 @@ sum_c lam_c 1_c entry by entry from the recorded values, with no transform.
 The exact search's branch and bound is restated over explicit chosen
 lists, ORing a block mask per chosen point at every inclusion, as before
 the library kept one chosen path and memoised the masks of its prefixes.
+The certificate checker tests a transcript's five facts on its recorded
+input, selection and witness values alone, reading the witness's degree
+off tensor contractions with the univariate indicator table.
 """
 
 from __future__ import annotations
@@ -442,3 +445,94 @@ def transcript_witness_spec(t: dict) -> dict | None:
     at = dict(zip(doubles, values))
     unit = all(at.get(s) == 1 for s in t["selected_doubles"])
     return {"degree": degree, "in_L": in_l, "unit": unit}
+
+
+def _recorded(t: dict, path: str):
+    """The value at a dotted `path` of the transcript `t` (KeyError or TypeError if absent)."""
+    for key in path.split("."):
+        t = t[key]
+    return t
+
+
+def check_certificate(data: dict) -> list[str] | None:
+    """The five facts of a capbound.transcript/2 certificate, checked with numpy
+    and `math` alone from its `input`, `selected_doubles` (C') and
+    `witness_values` (lam on the doubles C = 2A in index order; null or
+    absent reads as 0), at the cap D2 = 2s for the cut s = (p-1)n/3:
+
+    1. B & C is empty, for B = {a + b : a != b in A};
+    2. C' lies in C and lam != 0 on C';
+    3. every coefficient of f = sum_c lam_c 1_c above degree 2s vanishes,
+       read off n contractions of lam's table over F_p^n with the p x p
+       table of 1 - (x - c)^(p-1);
+    4. |C'| >= |C| - h, for h = dim(degree <= s - 1);
+    5. |A| = |C|.
+
+    By 4 and 5, |A| <= h + |C'|; by 1-3 the Gram matrix [f(a + b)] over
+    A' = {a : 2a in C'} is diagonal with diagonal lam on C', and its rank
+    |C'| is at most 2 dim(degree <= s). None (rejected) when the input
+    cannot be read, the cut is not an integer, a fact fails, or a recorded
+    value that the facts fix differs from it in value or JSON type;
+    otherwise the names of those recorded values, which it certifies.
+    """
+    try:
+        p, n, points = data["input"]["p"], data["input"]["n"], data["input"]["points"]
+        if type(p) is not int or type(n) is not int or (data["p"], data["n"]) != (p, n):
+            return None
+        if p < 3 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)) or n < 1 or (p - 1) * n % 3:
+            return None
+        if p**n > 2**20:
+            raise OverflowError(f"F_{p}^{n} is too large for the checker")
+        A = np.array(point_indices(points, p, n), dtype=np.int64)
+        selected, lam = data["selected_doubles"], data.get("witness_values")
+    except (KeyError, TypeError, ValueError):
+        return None
+    s, weights = (p - 1) * n // 3, p ** np.arange(n)
+    coords = A[:, None] // weights % p
+    C = np.unique(2 * coords % p @ weights)
+    first, second = np.triu_indices(len(A), 1)
+    B = np.unique((coords[first] + coords[second]) % p @ weights)
+    if type(selected) is not list or any(type(c) is not int for c in selected):
+        return None
+    lam = [0] * len(C) if lam is None else lam
+    if type(lam) is not list or len(lam) != len(C) or any(type(v) is not int or not 0 <= v < p for v in lam):
+        return None
+    table = np.zeros(p**n, dtype=np.int64)
+    table[C] = lam
+    on_selected = set(selected) <= set(C.tolist()) and all(table[c] for c in selected)
+    unit_coefficients = np.array([[indicator_coefficient(c, e, p) for e in range(p)] for c in range(p)])
+    coefficients = table.reshape((p,) * n)
+    for _ in range(n):  # each pass turns the first remaining value axis into a degree axis, last
+        coefficients = np.tensordot(coefficients, unit_coefficients, axes=([0], [0])) % p
+    degree = np.indices((p,) * n).sum(axis=0)
+    h, low_third = int((degree <= s - 1).sum()), int((degree <= s).sum())
+    facts = (
+        not np.isin(B, C).any(),
+        on_selected,
+        not coefficients[degree > 2 * s].any(),
+        len(set(selected)) >= len(C) - h,
+        len(C) == len(A),
+    )
+    if not all(facts):
+        return None
+    bound = h + len(set(selected))
+    certified = {
+        "input_size": len(A),
+        "doubles": C.tolist(),
+        "pair_sum_count": len(B),
+        "degree_cap": 2 * s,
+        "split_degree": s,
+        "dims.vanishing_off_doubles": str(len(C)),
+        "dims.low_third_minus": str(h),
+        "dims.low_third": str(low_third),
+        "selected_points": sorted(halves([point_coords(int(a), p, n) for a in A], set(selected), p)),
+        "conclusion.exact.size": str(len(A)),
+        "conclusion.exact.bound": str(bound),
+        "conclusion.exact.holds": len(A) <= bound,
+    }
+    try:
+        if any(repr(_recorded(data, key)) != repr(value) for key, value in certified.items()):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return list(certified)

@@ -217,15 +217,17 @@ TRANSCRIPT_INPUTS = {
 # `verify-transcript --input -` on that transcript, keys sorted. Taken from
 # the indented output whose bytes were pinned for the capbound.transcript/2
 # format after every transcript of the benchmark's prove inputs (seeds 0-5)
-# matched its /1 counterpart field by field.
+# matched its /1 counterpart field by field. The verify hashes were re-taken
+# when the report dropped its six record rows for `recorded_claims` alone;
+# they are those of the earlier reports with the six rows removed.
 PINNED_TRANSCRIPTS = {
     "product_cap": (
         "c8c09c844eb8fc614641353b585e4e076643ff139cba7b9dd9da29da9f55dd61",
-        "33121a5bdcfb37964e9a147508873fdf29d3f3d5eda880309cdb7491121c4aa8",
+        "6bd0d91b447d1e25ee0921906e502817195013c379b82e4b74e231f86262f0a7",
     ),
     "zero_branch": (
         "581fb2222bb7df5f301da6b06316cb8af5ca37afb8c6441ce3b43be5ed9865df",
-        "c77942fba7c7dd6fad11f51bbc64a9508f3a99d99c5d7137abb362b95103d694",
+        "f47e8d079eeaeedae537e2948e97f7122b47b059f0771cabefc9848707352ca1",
     ),
 }
 
@@ -658,6 +660,30 @@ class TestProveAndVerify:
         # f moves by a multiple of an indicator, which has the degree-6 term x1^2 x2^2 x3^2
         assert failed == ["witness_degree", "selected_size_bound", "recorded_claims"]
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("doubles", lambda t: t["doubles"].__setitem__(-1, next(i for i in range(27) if i not in t["doubles"]))),
+            ("pair_sum_count", lambda t: t.update(pair_sum_count=t["pair_sum_count"] + 1)),
+            ("dims.low_degree", lambda t: t["dims"].update(low_degree="24")),
+            ("degree_cap", lambda t: t.update(degree_cap=t["degree_cap"] + 1)),
+            ("branch", lambda t: t.update(branch="zero_intersection")),
+            ("selected_points", lambda t: t.update(selected_points=t["selected_points"][:-1])),
+            ("matrix_rank", lambda t: t.update(matrix_rank=t["matrix_rank"] + 1)),
+        ],
+    )
+    def test_verify_compares_derived_fields(self, run, tmp_path, field, edit):
+        """A field that verify derives rather than reads, forged alone, changes
+        no derived row: only `recorded_claims` fails, naming the field."""
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        edit(env["result"])
+        f = tmp_path / "forged.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        failed = [c for c in env2["result"]["checks"] if not c["holds"]]
+        assert code == 1 and [c["name"] for c in failed] == ["recorded_claims"]
+        assert failed[0]["note"] == f"recorded {field} differs"
+
     def test_verify_precision_bounded(self, run, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
@@ -812,6 +838,59 @@ class TestVerifyAgainstSpec:
         assert rows["witness_unit_on_selected"]["holds"] is spec["unit"]
         assert result["valid"] is (spec["in_L"] and spec["unit"])
         assert code == (0 if result["valid"] else 1)
+
+
+class TestIndependentChecker:
+    """`oracles.check_certificate` checks the certificate's five facts with
+    numpy alone; `verify-transcript` may refuse more, never less."""
+
+    @pytest.mark.parametrize("name", ["cap9", "product_cap", "f7_1", "greedy_f5_3"])
+    def test_accepts_what_prove_writes(self, transcripts, name):
+        inputs = {"f7_1": (7, 1, [(0,), (1,), (3,)]), "greedy_f5_3": (5, 3, GREEDY_F5_N3)}
+        if name in inputs:
+            p, n, points = inputs[name]
+            t = prove_size_bound(PointSet.from_points(PrimeField(p), n, points)).to_json()
+        else:
+            t = transcripts[name]
+        assert (t["branch"] == "zero_intersection") == (name == "greedy_f5_3")
+        if name == "f7_1":
+            assert t["witness_values"] != [1] * 3  # lam is 1 on C' alone
+        certified = oracles.check_certificate(t)
+        assert certified is not None and "conclusion.exact.bound" in certified
+
+    @pytest.mark.parametrize("fact", [1, 2, 3, 4])
+    def test_rejects_a_broken_fact(self, transcripts, fact):
+        """Each transcript breaks one fact and records every value the facts fix
+        as the checker derives it; verify fails it too."""
+        if fact == 1:  # a line, proved past the progression check on the zero branch
+            line = PointSet.from_points(PrimeField(3), 3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)])
+            t = prove_size_bound(line, _skip_progression_check=True).to_json()
+        else:
+            t = copy.deepcopy(transcripts["cap9"])
+        if fact == 2:  # a point of C' outside C, which has no half in A
+            t["selected_doubles"].append(next(i for i in range(27) if i not in t["doubles"]))
+            t["conclusion"]["exact"].update(bound="10")  # h + |C'| = 4 + 6
+        elif fact == 3:  # f moves by a multiple of an indicator, of degree 6 > 2s = 4
+            k = next(k for k, i in enumerate(t["doubles"]) if i not in t["selected_doubles"])
+            t["witness_values"][k] = (t["witness_values"][k] + 1) % 3
+        elif fact == 4:  # |C'| = 4 < |C| - h = 5
+            t["selected_doubles"].pop()
+            points = [tuple(c) for c in t["input"]["points"]]
+            t["selected_points"] = sorted(oracles.halves(points, set(t["selected_doubles"]), 3))
+            t["conclusion"]["exact"].update(bound="8", holds=False)
+        assert oracles.check_certificate(t) is None
+        assert verify_from_stdin(t)[0] == 1
+
+    @pytest.mark.parametrize("name", ["cap9", "product_cap"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verify_never_accepts_what_the_checker_rejects(self, transcripts, name, data):
+        t = copy.deepcopy(transcripts[name])
+        key = data.draw(st.sampled_from(["witness_values", "selected_doubles", "input"]), label="field")
+        t[key] = perturbed(data.draw, t[key], (key,))
+        code, _, _ = verify_from_stdin(t)
+        if oracles.check_certificate(t) is None:
+            assert code in (1, 2)
 
 
 class TestVerifySet:
@@ -1023,7 +1102,7 @@ class TestModuleStructure:
         entered by in-process CLI calls: `prove` on the 9-cap and on the
         81-point product cap (main branch) and on a greedy set in F_3^6 (zero
         branch), `verify-transcript` on each transcript, and on the 9-cap's
-        transcript forged to an off-diagonal Gram matrix (exit 1). A function
+        transcript forged to a zero on the Gram diagonal (exit 1). A function
         is matched by its code object's first line, that of its first
         decorator if it has one. The memoised tables of those modules are
         emptied first, so that their builders run here."""
@@ -1062,7 +1141,8 @@ class TestModuleStructure:
                 (tmp_path / f"{name}.json").write_text(out)
                 verified.append(run_json(run, "verify-transcript", "--input", str(tmp_path / f"{name}.json")))
             forged = json.loads(proved["cap9"][1])
-            forged["result"]["selected_points"] = [1, 2]  # (1,0,0) + (2,0,0) = 2 * (0,0,0), a double
+            t = forged["result"]  # a zero on a selected double: a zero on the Gram diagonal
+            t["witness_values"][t["doubles"].index(t["selected_doubles"][0])] = 0
             (tmp_path / "forged.json").write_text(json.dumps(forged))
             forged_code, forged_env = run_json(run, "verify-transcript", "--input", str(tmp_path / "forged.json"))
         finally:
@@ -1072,7 +1152,7 @@ class TestModuleStructure:
         assert branches == ["main", "main", "zero_intersection"]
         assert [code for code, _ in verified] == [0, 0, 0]
         rows = {row["name"]: row for row in forged_env["result"]["checks"]}
-        assert forged_code == 1 and not rows["gram_diagonal"]["holds"]
+        assert forged_code == 1 and not rows["gram_rank_equals_selection"]["holds"]
         missed = sorted(f"{os.path.basename(f)}:{line} {name}" for f, line, name in defined if (f, line) not in entered)
         assert missed == []
 

@@ -1,8 +1,9 @@
-import functools
+import io
 import json
 import random
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capbound import bounds, proof
+from capbound import proof
 from capbound.bounds import exponent_c, verify_entropy_lemma
+from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField, _row_reduce
 from capbound.monomials import dim_L
@@ -338,14 +340,24 @@ class TestPipeline:
             assert verify_entropy_lemma(field, n).holds
 
     @pytest.mark.parametrize("p, n", [(3, 4), (5, 2)])
-    def test_verify_floors_a_non_integral_cut(self, monkeypatch, p, n):
-        """A transcript forged at the rounded-down cut of 3 ∤ (p-1)n is
-        checked, not refused, and fails the complementation-duality row."""
-        monkeypatch.setattr(proof, "_split_degree", functools.partial(bounds._split_degree, floor=True))
-        forged = prove_size_bound(greedy_progression_free(PrimeField(p), n, order_seed=0)).to_json()
-        monkeypatch.undo()
-        ok, checks = verify_transcript(forged)
-        assert not ok and "low_degree_dim_lower_bound" in {c.name for c in checks if not c.holds}
+    def test_verify_refuses_a_non_integral_cut(self, tmp_path, p, n):
+        """A transcript forged for an ambient where 3 ∤ (p-1)n is refused
+        (exit 2) with the message `prove` gives for that ambient."""
+        field = PrimeField(p)
+        A = greedy_progression_free(field, n, order_seed=0)
+        with pytest.raises(ValueError) as refused:
+            prove_size_bound(A)
+        forged = prove_size_bound(PointSet.empty(field, 3)).to_json()
+        forged.update(n=n, input=A.to_json())
+        with pytest.raises(ValueError) as info:
+            verify_transcript(forged)
+        assert str(info.value) == str(refused.value)
+        f = tmp_path / "forged.json"
+        f.write_text(json.dumps(forged))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify-transcript", "--input", str(f), "--format", "json"])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {refused.value}\n")
 
     def test_rejects_progressions_with_witness(self):
         line = PointSet.from_points(F3, 3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)])
@@ -526,15 +538,7 @@ class TestTranscriptSerialization:
         assert ok
         assert rows[: len(transcript.checks)] == transcript.checks
         records = [c.name for c in rows[len(transcript.checks) :]]
-        main_only = ["gram_diagonal", "matrix_rank_recorded"] if kind != "zero_branch" else []
-        assert records == [
-            "recorded_sets",
-            "recorded_dimensions",
-            "branch_shape",
-            "selected_points_match",
-            *main_only,
-            "recorded_claims",
-        ]
+        assert records == ["recorded_claims"]
 
     @pytest.mark.parametrize("branch", ["main", "zero_intersection"])
     def test_from_json_inverts_to_json(self, cap9_search, branch):
