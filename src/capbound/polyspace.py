@@ -1,11 +1,12 @@
 """The polynomial side of the certificate, on value tables and coefficient arrays.
 
 A function F_p^n -> F_p is exactly one polynomial with every exponent
-capped at p-1 (x^p = x on points). The certificate reads three things of it, and
+capped at p-1 (x^p = x on points). The certificate reads two things of it, and
 this module holds exactly those: the coefficient tensor of f read off its
-value table, the |C| x h block of indicator coefficients whose left kernel
-is V, and the values f(a + b) over pairs of points. Each is a dense numpy
-array; the first two factor per coordinate, through two p x p tables with
+value table and the |C| x h block of indicator coefficients whose left
+kernel is V (its values f(a + b) over pairs are read by
+`proof.diagonal_certificate` without a matrix). Each is a dense numpy
+array, and each factors per coordinate, through two p x p tables with
 entries below p: the Vandermonde table and the indicator coefficients read
 off it. Nothing here is ambient-sized beyond a value table or coefficient
 tensor of p^n entries. The polynomial view (`ReducedPoly`, evaluation,
@@ -22,13 +23,12 @@ import numpy as np
 
 from .field import PrimeField
 from .monomials import Monomial
-from .sets import PointSet, _members, _pair_indices
+from .sets import PointSet, _members
 
 __all__ = [
     "coefficient_tensor",
     "indicator_coefficients",
     "split_violation",
-    "pair_values",
 ]
 
 
@@ -115,13 +115,3 @@ def split_violation(terms: np.ndarray, d: int) -> Monomial | None:
     if not bad.any():
         return None
     return tuple(terms[np.argmax(bad & (degrees == degrees[bad].min()))].tolist())
-
-
-def pair_values(table, A: PointSet, B: PointSet) -> np.ndarray:
-    """table[a + b] over a in A (rows), b in B (columns), index order, for a
-    table over F_p^n."""
-    table = np.asarray(table, dtype=np.int64)
-    out = np.zeros((len(A), len(B)), dtype=np.int64)
-    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], A.field.p):
-        out[r : r + block.shape[0], c : c + block.shape[1]] = table[block]
-    return out

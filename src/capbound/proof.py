@@ -32,10 +32,12 @@ This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
 (`interpolate(t.value_table(), field, n)` for a transcript `t`) and the
 dense p^n x p^n rank arguments that the diagonal certificate and the
-support split replace. Two bounds refuse work before it is allocated, in
-both commands: `WORK_BOUND` on the |C| x h block that `prove` eliminates
-(`_dimension_table`), and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
-interpolating the witness's value table (`_refuse_value_table`).
+support split replace. Each work bound is checked once, before its work is
+allocated, where it is allocated: `WORK_BOUND` on the |C| x h block that
+`prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
+sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
+interpolating the witness's value table (`ProofTranscript.value_table`).
+The Gram matrix over A' is read in a pair sweep and never built.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
-from .polyspace import coefficient_tensor, indicator_coefficients, pair_values, split_violation
-from .sets import PointSet, _index_of, _members, is_progression_free, pair_sums
+from .polyspace import coefficient_tensor, indicator_coefficients, split_violation
+from .sets import PointSet, _index_of, _members, _pair_indices, is_progression_free, pair_sums
 
 __all__ = [
     "WORK_BOUND",
@@ -136,7 +138,11 @@ class ProofTranscript:
         """
         if self.witness_values is None:
             return None
-        _refuse_value_table(self.p, self.n)
+        if self.p ** (self.n + 1) > VALUE_TABLE_BOUND:
+            raise ValueError(
+                f"the witness's value table over F_{self.p}^{self.n} needs p^(n+1) = {self.p ** (self.n + 1)} "
+                f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
+            )
         table = np.zeros(self.p**self.n, dtype=np.int64)
         table[self.doubles] = self.witness_values
         return table
@@ -191,16 +197,6 @@ class ProofTranscript:
         del f["format"], f["input"]
         f.update(dims=dims, checks=checks)
         return cls(input_points=input_points, **f)
-
-
-def _refuse_value_table(p: int, n: int) -> None:
-    """Refuse (ValueError) a value table over F_p^n, which takes p^(n+1) products
-    to interpolate, above `VALUE_TABLE_BOUND`."""
-    if p ** (n + 1) > VALUE_TABLE_BOUND:
-        raise ValueError(
-            f"the witness's value table over F_{p}^{n} needs p^(n+1) = {p ** (n + 1)} "
-            f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
-        )
 
 
 # The JSON keys of a serialized transcript and of one of its check rows, in
@@ -284,45 +280,54 @@ def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
     pivot columns of the RREF of a basis of that kernel, so |C'| = dim V, and
     lam is 1 on C': the sum of that RREF's rows. Both come from one
     elimination of the transposed |points| x h block
-    (`gf.unit_kernel_vector`); an empty C' means V = 0 (lam is then 0).
+    (`gf.unit_kernel_vector`), refused (ValueError) above `WORK_BOUND`
+    entries before it is built; an empty C' means V = 0 (lam is then 0).
     """
     if not points.size:
         return points, []
     field, n = points.field, points.n
-    low = _exponent_array(n, field.p - 1, _split_degree(field.p, n) - 1)
+    s = _split_degree(field.p, n)
+    if points.size * (h := dim_L(n, s - 1, field)) > WORK_BOUND:
+        raise ValueError(
+            f"the |C| x h block would have |C| = {points.size} times h = {h} entries, "
+            f"above the work bound {WORK_BOUND}"
+        )
+    low = _exponent_array(n, field.p - 1, s - 1)
     free, lam = unit_kernel_vector(indicator_coefficients(points, field.p - 1 - low), field.p)
     return PointSet.from_indices(field, n, _members(points)[0][free]), lam.tolist()
 
 
 def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
-    """Gram matrix [f(a + b)] over `selected`; must be diagonal with nonzero diagonal.
+    """Diagonal [f(2a)] over `selected` of the Gram matrix [f(a + b)], which
+    must be diagonal with nonzero diagonal.
 
     `values` is f's value table over F_p^n. This is exactly where
     progression-freeness is consumed: an off-diagonal nonzero entry means
     f(a + b) != 0 for distinct a, b, i.e. a + b escaped the zero set that
-    the construction promised. A diagonal matrix with nonzero diagonal has
-    rank |selected|, so its rank is not computed.
+    the construction promised. The matrix is not built: its entries above
+    the diagonal are read in `pair_sums`' sweep over the pairs a < b, whose
+    bound A' within A already meets, and the first nonzero in row-major
+    order is named. A diagonal matrix with nonzero diagonal has rank
+    |selected|, so its rank is not computed.
     """
-    arr = pair_values(values, selected, selected)
-    diag = np.diagonal(arr)
-    off = arr - np.diag(diag)
-    if off.any():
-        i, j = map(int, np.argwhere(off)[0])
-        raise HypothesisViolation(
-            "hypothesis violated: Gram matrix is not diagonal",
-            evidence={
-                "row_point": list(selected.points()[i]),
-                "col_point": list(selected.points()[j]),
-                "value": int(off[i, j]),
-            },
-        )
+    p, coords = selected.field.p, _members(selected)[1]
+    table = np.append(np.asarray(values, dtype=np.int64), 0)  # entry p^n: the sweep's diagonal
+    for r, c, block in _pair_indices(coords, coords, p, upper=True):
+        hit = table.take(block)
+        if hit.any():
+            i, j = np.unravel_index(np.argmax(hit != 0), hit.shape)
+            a, b = coords[r + i].tolist(), coords[c + j].tolist()
+            raise HypothesisViolation(
+                "hypothesis violated: Gram matrix is not diagonal",
+                evidence={"row_point": a, "col_point": b, "value": int(hit[i, j])},
+            )
+    diag = table[_index_of(2 * coords % p, p)]
     if not diag.all():
-        k = int(np.argmin(diag != 0))
         raise HypothesisViolation(
             "hypothesis violated: zero diagonal entry in Gram matrix",
-            evidence={"point": list(selected.points()[k])},
+            evidence={"point": coords[np.argmin(diag != 0)].tolist()},
         )
-    return arr
+    return diag
 
 
 def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> ProofCheck:
@@ -347,14 +352,12 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
     Requires 3 | (p-1)n and a progression-free input (checked first unless the
     test hook `_skip_progression_check` forces the pipeline onward, in
     which case the diagonal certificate is where the damage surfaces).
-    The steps here are the cut, the work bound, the pair sweep, the
-    progression refusal and the one elimination, which gives C' and the
-    witness; `_derive` writes every other field, exactly as for
-    `verify_transcript`.
+    The steps here are the cut, the pair sweep, the progression refusal
+    and the one elimination, which gives C' and the witness; `_derive`
+    writes every other field, exactly as for `verify_transcript`.
     """
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
-    _dimension_table(field, n, s, A.size)  # the work bound; |C| = |A|: doubling is injective for odd p
     sums, doubles = pair_sums(A)
     if (sums & doubles).size and not _skip_progression_check:
         _, triple = is_progression_free(A)
@@ -386,8 +389,8 @@ def _derive(
     with it.
     """
     field, n = A.field, A.n
-    dims = _dimension_table(field, n, s, doubles.size)
-    dims["intersection"] = selected.size
+    slices = [dim_L(n, d, field) for d in (2 * s, s, s - 1)]
+    dims = dict(zip(_DIMENSION_KEYS, (field.p**n, doubles.size, *slices, selected.size)))
     t = ProofTranscript(
         p=field.p,
         n=n,
@@ -468,19 +471,6 @@ def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[Proo
     return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
 
-def _dimension_table(field: PrimeField, n: int, s: int, doubles_size: int) -> dict[str, int]:
-    """The recorded dimensions but dim V, the last of `_DIMENSION_KEYS`: p^n, |C|
-    and those of the slices of degree <= 2s, s and s - 1, for split degree s.
-    A |C| x h block above `WORK_BOUND`, h the last slice's, is refused (ValueError)."""
-    slices = [dim_L(n, d, field) if d >= 0 else 0 for d in (2 * s, s, s - 1)]
-    if doubles_size * slices[2] > WORK_BOUND:
-        raise ValueError(
-            f"the |C| x h block would have |C| = {doubles_size} times h = {slices[2]} entries, "
-            f"above the work bound {WORK_BOUND}"
-        )
-    return dict(zip(_DIMENSION_KEYS, (field.p**n, doubles_size, *slices)))
-
-
 def _halves_of(A: PointSet, doubled) -> list[int]:
     """Indices, in order, of the members a of A with 2a in `doubled`."""
     idx, coords = _members(A)
@@ -501,17 +491,13 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     recorded as |C'| and is not re-derived: the `intersection_dim_lower_bound`
     row (|C'| >= |C| + dim L - p^n) binds it. Returns (every row holds, rows).
 
-    Refused (ValueError), in this order and before the pair sweep, as `prove`
-    refuses them: a witness value table above `VALUE_TABLE_BOUND`, a cut
-    (p-1)n/3 that is not an integer, and an input whose |C| x h block
-    exceeds `WORK_BOUND`.
+    Refused (ValueError), in the order its work comes: a cut (p-1)n/3 that
+    is not an integer, then the bound of the pair sweep and, on the main
+    branch, that of the value table. It builds no |C| x h block.
     """
     t = ProofTranscript.from_json(data)
     A, field, n = t.input_points, t.input_points.field, t.n
-    if t.witness_values is not None:
-        _refuse_value_table(field.p, n)
     s = _split_degree(field.p, n)
-    _dimension_table(field, n, s, A.size)  # the work bound; |C| = |A| for odd p
     sums, doubles = pair_sums(A)
     selected = PointSet.from_indices(field, n, t.selected_doubles)
     derived = _derive(A, s, sums, doubles, selected, t.witness_values or [0] * A.size, t.precision)

@@ -34,8 +34,8 @@ from .errors import HypothesisViolation
 from .field import PrimeField
 from .gf import _row_reduce
 from .monomials import Monomial, _cumulative_counts, _exponent_array, dim_L
-from .polyspace import _coordinate_products, _indicator_rows, _vandermonde, coefficient_tensor, pair_values
-from .sets import PointSet, _members
+from .polyspace import _coordinate_products, _indicator_rows, _vandermonde, coefficient_tensor
+from .sets import PointSet, _members, _pair_indices
 
 __all__ = [
     "DENSE_MATRIX_CEILING",
@@ -332,7 +332,11 @@ def gram_matrix(f: ReducedPoly, A: PointSet, B: PointSet) -> np.ndarray:
     """Matrix of f(a + b) over a in A (rows), b in B (columns), index order."""
     if A.field != f.field or B.field != f.field or A.n != f.n or B.n != f.n:
         raise ValueError("polynomial and point sets live in different spaces")
-    return pair_values(np.array(evaluate_all(f)), A, B)
+    table = np.array(evaluate_all(f), dtype=np.int64)
+    out = np.zeros((len(A), len(B)), dtype=np.int64)
+    for r, c, block in _pair_indices(_members(A)[1], _members(B)[1], A.field.p):
+        out[r : r + block.shape[0], c : c + block.shape[1]] = table[block]
+    return out
 
 
 def poly_to_vector(f: ReducedPoly) -> np.ndarray:

@@ -47,10 +47,12 @@ __all__ = [
     "parse_point_set",
     "load_json",
     "EXACT_SEARCH_CEILING",
+    "PAIR_BOUND",
 ]
 
 EXACT_SEARCH_CEILING = 3**6
 _AMBIENT_CEILING = 1 << 24  # most points an ambient F_p^n may have
+PAIR_BOUND = 2**25  # pairs a < b of one `pair_sums` sweep: admits |A| <= 8192
 _PAIR_CHUNK = 1 << 14  # most entries of one block of `_pair_indices`, so that its temporaries stay in cache
 _KEY_TABLE_CEILING = 1 << 12  # most entries of one digit-group table, unless 2p exceeds it
 
@@ -86,14 +88,21 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, field: PrimeField, n: int, indices: Iterable[int]) -> "PointSet":
+        """Set of the given indices, which may repeat; the first outside [0, p^n) raises ValueError."""
         total = _ambient_size(field, n)
-        mask = 0
-        for i in indices:
-            i = int(i)
-            if not 0 <= i < total:
-                raise ValueError(f"point index {i} out of range [0, {total})")
-            mask |= 1 << i
-        return cls(field, n, mask)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        try:
+            idx = np.asarray(indices, dtype=np.int64)
+            in_range = not idx.size or 0 <= idx.min() <= idx.max() < total
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            bad = next(i for i in map(int, indices) if not 0 <= i < total)
+            raise ValueError(f"point index {bad} out of range [0, {total})")
+        table = np.zeros(total, dtype=bool)
+        table[idx] = True
+        return cls._from_table(field, n, table)
 
     @classmethod
     def from_points(
@@ -363,8 +372,14 @@ def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
 
     Doubling x -> 2x is injective for odd p, so the doubles set always has
     exactly |A| elements; the two sets are disjoint exactly when A is
-    progression-free, so the verdict alone is read off their intersection."""
+    progression-free, so the verdict alone is read off their intersection.
+    A set of more than `PAIR_BOUND` pairs is refused (ValueError) before any
+    table is allocated."""
     field, n, p = ps.field, ps.n, ps.field.p
+    if (pairs := ps.size * (ps.size - 1) // 2) > PAIR_BOUND:
+        raise ValueError(
+            f"the pair sweep over |A| = {ps.size} points would take {pairs} pairs, above the pair bound {PAIR_BOUND}"
+        )
     coords, doubles = _members_and_doubles(ps)
     sums = np.zeros(p**n + 1, dtype=bool)
     for _, _, block in _pair_indices(coords, coords, p, upper=True):

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -19,8 +21,8 @@ from capbound import cli, monomials, sets
 from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
-from capbound.proof import VALUE_TABLE_BOUND, WORK_BOUND, prove_size_bound
-from capbound.sets import PointSet
+from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
+from capbound.sets import PAIR_BOUND, PointSet
 
 
 @pytest.fixture()
@@ -440,6 +442,51 @@ class TestProveAndVerify:
         assert env["witness"] is not None
         a, b, c = [tuple(x) for x in env["witness"]]
         assert all((x + y) % 3 == 2 * z % 3 for x, y, z in zip(a, b, c))
+
+    def test_prove_names_a_progression_above_the_work_bound(self, run, tmp_path):
+        """All of F_3^8 x {0}^4 has 6561 points, too many for `prove`'s
+        |C| x h block, but its pair sweep comes first and finds a
+        progression: exit 1 with the triple, not a refusal."""
+        set_file = tmp_path / "slab.txt"
+        slab = [c + (0,) * 4 for c in PointSet.full(PrimeField(3), 8).points()]
+        set_file.write_text(_point_text(3, 12, slab))
+        code, out, _ = run("prove", "--input", str(set_file), "--format", "json")
+        assert code == 1
+        a, b, c = [tuple(x) for x in json.loads(out)["witness"]]
+        assert len({a, b, c}) == 3 and all((x + y) % 3 == 2 * z % 3 for x, y, z in zip(a, b, c))
+
+    @pytest.mark.parametrize("points", ["product_cap", "first_8192"])
+    def test_gram_check_builds_no_matrix(self, run, tmp_path, points):
+        """A one-point transcript in F_3^12 whose input is made the 6561-point
+        product of four 9-caps (progression-free, so every pair is read) or
+        the first 8192 points (which hold progressions), with C' forged to
+        all of their doubles and f to 1 on them. A' is then the whole input,
+        and its Gram matrix, 4.3e7 or 6.7e7 int64 entries, is checked in one
+        pair sweep without being built: the record fails (exit 1) at a traced
+        peak far below one such matrix."""
+        set_file = tmp_path / "point.txt"
+        set_file.write_text(_point_text(3, 12, [(0,) * 12]))
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0
+        if points == "product_cap":
+            pts = [a + b + c + d for a in CAP9 for b in CAP9 for c in CAP9 for d in CAP9]
+        else:
+            pts = PointSet.from_indices(PrimeField(3), 12, range(8192)).points()
+        t = env["result"]
+        t["input"]["points"] = [list(c) for c in pts]
+        t["selected_doubles"] = sorted(sum(2 * x % 3 * 3**i for i, x in enumerate(c)) for c in pts)
+        t["witness_values"] = [1] * len(pts)
+        (tmp_path / "forged.json").write_text(json.dumps(t))
+        tracemalloc.start()
+        try:
+            code, env = run_json(run, "verify-transcript", "--input", str(tmp_path / "forged.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and env["result"]["valid"] is False
+        rank_row = next(c for c in env["result"]["checks"] if c["name"] == "gram_rank_equals_selection")
+        assert rank_row["holds"] is (points == "product_cap")
+        assert peak < 2**26, peak  # one int64 Gram matrix over A' takes 344 MB or more
 
     def test_prove_parse_error(self, run, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -981,12 +1028,13 @@ class TestInputRefusals:
     def test_header_repeating_p_or_n(self, run, tmp_path, command, header):
         self.refused(run, tmp_path, command, header + "\n0\n", "each once")
 
-    @pytest.mark.parametrize("p, n", [(3, 12), (3, 13), (1447, 1), (1451, 1)])
+    @pytest.mark.parametrize("p, n", [(3, 12), (3, 13), (3, 15), (1447, 1), (1451, 1), (1453, 1)])
     def test_value_table_bound(self, run, tmp_path, p, n):
         """A one-point transcript made to take the main branch: its witness's
         value table is interpolated while p^(n+1) <= VALUE_TABLE_BOUND, and
         the record then fails its checks (exit 1); above that, it is refused
-        by name before the table is allocated."""
+        by name before the table is allocated. F_3^13 and F_1451^1 are above
+        it too, but their cut (p-1)n/3 is not an integer, which is refused first."""
         set_file = tmp_path / "point.txt"
         set_file.write_text("p=3 n=3\n0 0 0\n")
         code, env = run_json(run, "prove", "--input", str(set_file))
@@ -999,25 +1047,45 @@ class TestInputRefusals:
             f.write_text(json.dumps(t))
             code, env = run_json(run, "verify-transcript", "--input", str(f))
             assert code == 1 and env["result"]["valid"] is False
+        elif (p - 1) * n % 3:
+            self.refused(run, tmp_path, "verify-transcript", json.dumps(t), "the degree cut (p-1)n/3 needs")
         else:
             self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"value-table bound {VALUE_TABLE_BOUND}")
 
     def test_work_bound(self, run, tmp_path):
         """A one-point transcript in F_3^9 whose input is made all 19,683
-        points: its |C| x h block is above WORK_BOUND, so `prove` would refuse
-        that input, and `verify-transcript` refuses it before its pair sweep."""
+        points: its 1.9e8 pairs are above PAIR_BOUND, and `verify-transcript`
+        refuses it before its pair sweep."""
         set_file = tmp_path / "point.txt"
         set_file.write_text(_point_text(3, 9, [(0,) * 9]))
         code, env = run_json(run, "prove", "--input", str(set_file))
         assert code == 0 and env["result"]["branch"] == "zero_intersection"
         t = env["result"]
         t["input"]["points"] = [list(c) for c in PointSet.full(PrimeField(3), 9).points()]
-        self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"above the work bound {WORK_BOUND}")
+        self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"above the pair bound {PAIR_BOUND}")
+
+    def test_selection_forged_to_every_index(self, run, tmp_path):
+        """A one-point zero-branch transcript in F_7^7 whose `selected_doubles`
+        list all 823,543 indices takes the main branch, whose value table is
+        above VALUE_TABLE_BOUND. It is refused within 3 s (about 0.6 s on a
+        2-CPU host, where building C' bit by bit took 5.5 s): C' is built in
+        one pass over its indices."""
+        set_file = tmp_path / "point.txt"
+        set_file.write_text(_point_text(7, 7, [(0,) * 7]))
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["branch"] == "zero_intersection"
+        t = env["result"]
+        t["selected_doubles"] = list(range(7**7))
+        text = json.dumps(t)
+        start = time.perf_counter()
+        self.refused(run, tmp_path, "verify-transcript", text, f"value-table bound {VALUE_TABLE_BOUND}")
+        assert time.perf_counter() - start < 3.0
 
     @pytest.mark.parametrize("n, selected", [(3, list(range(10))), (12, [0, 1])], ids=["cap9", "one_point_f3_12"])
     def test_selection_larger_than_input(self, run, tmp_path, n, selected):
         """A Gram selection A' listing more points than the input has, which
-        `prove` never writes, is refused before the Gram matrix is sized."""
+        `prove` never writes, is refused when the transcript is read: A' is
+        derived from C', so this is a check of the record's consistency."""
         if n == 3:
             code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
             t = env["result"]

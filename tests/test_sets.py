@@ -3,6 +3,7 @@ import functools
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
 from collections import deque
@@ -68,6 +69,26 @@ class TestPointSet:
             PointSet.from_indices(F3, 2, [9])
         with pytest.raises(ValueError):
             PointSet(F3, 2, 1 << 9)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_from_indices_matches_bitwise_loop(self, data):
+        """The set has the mask that OR-ing in each index gives, repeats
+        allowed; the first index outside [0, p^n), in input order and
+        however large, is the one the error names."""
+        p, n = data.draw(st.sampled_from([(3, 1), (3, 4), (5, 2), (7, 3)]))
+        total = p**n
+        indices = data.draw(st.lists(st.integers(0, total - 1), max_size=40))
+        for bad in data.draw(st.lists(st.integers(-(2**70), 2**70).filter(lambda i: not 0 <= i < total), max_size=2)):
+            indices.insert(data.draw(st.integers(0, len(indices))), bad)
+        mask = 0
+        for i in indices:
+            if not 0 <= i < total:
+                with pytest.raises(ValueError, match=re.escape(f"point index {i} out of range [0, {total})")):
+                    PointSet.from_indices(PrimeField(p), n, iter(indices))
+                return
+            mask |= 1 << i
+        assert PointSet.from_indices(PrimeField(p), n, iter(indices)).mask == mask
 
     def test_set_algebra(self):
         a = PointSet.from_indices(F3, 1, [0, 1])
@@ -231,6 +252,13 @@ class TestPairSums:
         ps = PointSet.from_indices(F5, 2, range(0, 25, 3))
         _, C = pair_sums(ps)
         assert C.size == ps.size
+
+    def test_pair_bound(self):
+        """PAIR_BOUND = 2^25 pairs a < b admits 8192 points and refuses 8193."""
+        _, C = pair_sums(PointSet.from_indices(F3, 9, range(8192)))
+        assert C.size == 8192
+        with pytest.raises(ValueError, match="8193 points would take 33558528 pairs, above the pair bound 33554432"):
+            pair_sums(PointSet.from_indices(F3, 9, range(8193)))
 
 
 class TestMaxSearch:
