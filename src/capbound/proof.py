@@ -402,14 +402,16 @@ def _derive(
         dims=dims,
         degree_cap=2 * s,
         split_degree=s,
-        selected_doubles=selected.indices(),
-        selected_points=_halves_of(A, selected),
+        selected_doubles=[],  # listed below, once the value table's bound is passed
+        selected_points=[],
         witness_values=lam if selected.size else None,
         matrix_rank=None,
         checks=[],
         conclusion={},
         precision=precision,
     )
+    table = t.value_table()
+    t.selected_doubles, t.selected_points = selected.indices(), _halves_of(A, selected)
     size, ambient, dim_low, h = A.size, dims["ambient"], dims["low_degree"], dims["low_third_minus"]
     overlap = (sums & doubles).size
     checks = [
@@ -432,7 +434,6 @@ def _derive(
     ]
 
     exact = {"size": str(size)}
-    table = t.value_table()
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
         exact_bound, note = h, "zero-dimensional intersection branch"

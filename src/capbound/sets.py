@@ -11,10 +11,10 @@ reduced once and keyed per group of digits in base 2p, so the index of a sum
 mod p costs one key sum and one table lookup per group. `_pair_indices`
 sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
 
-The exact search keeps Python-int masks. Its row table (`_BlockRows`) is
-built from the same kernel, one row per point j it reaches. The depth-first
-`_walk` memoises the blocking mask of each chosen prefix, so including j
-costs about one OR, and goes on in place with one pending state per depth.
+The exact search keeps non-negative Python-int masks. Its row table of
+keep masks (`_BlockRows`) is built from the same kernel, one row per point
+j it reaches. The depth-first `_walk` memoises the keep mask of each chosen
+prefix, so including j costs about one AND, and goes on in place.
 `_split`, the breadth-first split into subtrees for `_walk_subtrees`,
 queues one-node `_walk` calls. A node budget caps both.
 """
@@ -406,20 +406,20 @@ class SearchResult:
 
 
 class _BlockRows(dict):
-    """Row j, built on first lookup: entry a < j masks the indices that
-    {j, a} forbids as later additions, (j + a)/2, 2a - j and 2j - a. The
-    search only includes j above every chosen a, so a row holds the prefix
-    a < j, one key-kernel pass for the three forms, and j's blocking mask
-    is the OR of row[a] over the chosen a, which `_walk` memoises by prefix."""
+    """Row j, built on first lookup: entry a < j is the keep mask of {j, a},
+    all p^n bits but the later additions it forbids, (j + a)/2, 2a - j and
+    2j - a. The search only includes j above every chosen a, so a row holds
+    the prefix a < j, one key-kernel pass for the three forms, and j's keep
+    mask is the AND of row[a] over the chosen a, which `_walk` memoises."""
 
     def __init__(self, p: int, n: int) -> None:
         super().__init__()
         self._z, self._a = _form_keys(_coords_of(np.arange(p**n), p, n), p)
-        self._tables = _key_tables(p, n)[1]
+        self._tables, self._full = _key_tables(p, n)[1], (1 << p**n) - 1
 
     def __missing__(self, j: int) -> list[int]:
         x, y, z = _key_sums(self._z[:, :, j, None], self._a[:, :, :j], self._tables).tolist()
-        row = self[j] = [1 << u | 1 << v | 1 << w for u, v, w in zip(x, y, z)]
+        row = self[j] = [self._full ^ (1 << u | 1 << v | 1 << w) for u, v, w in zip(x, y, z)]
         return row
 
 
@@ -451,8 +451,8 @@ def _split(p: int, n: int, root: tuple, best: int, budget: int | None, target: i
 
 @functools.lru_cache(maxsize=1)
 def _zero_level(p: int, n: int) -> dict[int, int]:
-    """`_walk`'s level 0: every point of F_p^n blocks nothing yet. Read-only."""
-    return dict.fromkeys(range(p**n), 0)
+    """`_walk`'s level 0: every point of F_p^n keeps all of F_p^n yet. Read-only."""
+    return dict.fromkeys(range(p**n), (1 << p**n) - 1)
 
 
 def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
@@ -467,46 +467,52 @@ def _walk(p: int, n: int, root: tuple, best: int, budget: int | None):
     node resumes the deepest. An include child that fails the bound is
     counted where it is made and the walk goes on with its exclude sibling;
     one the budget cuts is descended to, to be pending as the current state.
-    levels[d][j] memoises the OR of rows[j][a] over path[:d] (level 0, all
-    0, is shared read-only by every walk in F_p^n): including j at depth d
-    ORs only the levels above the deepest holding j; only a descent from d
-    uses level d + 1, so it makes that level afresh. The memo, at most
-    depth * p^n masks, is dropped on return."""
+    levels[d][j] memoises the AND of rows[j][a] over path[:d] (level 0, all
+    full, is shared read-only by every walk in F_p^n): including j at depth
+    d ANDs only the levels above the deepest holding j, and the include
+    child is avail & keep; only a descent from d uses level d + 1, so it
+    makes that level afresh. The memo, at most depth * p^n masks, is
+    dropped on return. `size` = |avail|: one less on an exclude, the
+    include child's count on a descent, recounted on a backtrack."""
     rows = _block_rows(p, n)
     chosen, avail = root
     start = depth = len(chosen)
-    path = chosen + [0] * avail.bit_count()  # each include takes one point of avail
+    path = chosen + [0] * (size := avail.bit_count())  # each include takes one point of avail
     levels = [_zero_level(p, n)] + [{} for _ in chosen]
+    level = levels[depth]
     excluded = [0] * len(path)
     limit = math.inf if budget is None else budget
     best_chosen, nodes = None, 0
     while nodes < limit:
         nodes += 1
-        if depth + avail.bit_count() <= best:
+        if depth + size <= best:
             if depth == start:
                 return [], best, best_chosen, nodes
             depth, avail = depth - 1, excluded[depth - 1]
+            size, level = avail.bit_count(), levels[depth]
             continue
-        j = (avail & -avail).bit_length() - 1
-        if (extra := levels[depth].get(j)) is None:
+        j = (avail ^ (avail - 1)).bit_length() - 1
+        if (keep := level.get(j)) is None:
             k = depth - 1
-            while (extra := levels[k].get(j)) is None:
+            while (keep := levels[k].get(j)) is None:
                 k -= 1
             row = rows[j]
-            for i in range(k, depth):
-                extra |= row[path[i]]
-                levels[i + 1][j] = extra
+            while k < depth:
+                keep &= row[path[k]]
+                k += 1
+                levels[k][j] = keep
         avail ^= 1 << j
         path[depth] = j
         if depth >= best:
             best, best_chosen = depth + 1, path[: depth + 1]
-        include = avail & ~extra
-        if depth + 1 + include.bit_count() > best or nodes == limit:
-            excluded[depth], avail = avail, include
+        include = avail & keep
+        if depth + 1 + (count := include.bit_count()) > best or nodes == limit:
+            excluded[depth], avail, size = avail, include, count
             depth += 1
-            levels[depth:] = [{}]
+            levels[depth:] = [level := {}]
         else:
             nodes += 1
+            size -= 1
     pending = [(path[:d], excluded[d]) for d in range(start, depth)]
     return pending + [(path[:depth], avail)], best, best_chosen, nodes
 

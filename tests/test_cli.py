@@ -169,8 +169,8 @@ PINNED_SEARCHES = {
     ("7", "2", "2"): "1407929f000b8b2cd971adb89bcf70b74f1e27d96a4ed345bed850f1a338b406",
 }
 
-# Budgeted searches at 2 processes: best size and the witness's sha256, keys
-# sorted, as the tuple masks gave them.
+# Budgeted searches at 1 and 2 processes: best size and the witness's sha256,
+# keys sorted, as the tuple masks gave them at 2 processes.
 PINNED_BUDGETED = {
     ("3", "4"): (20, "36279c4948acdd07ecada6366083a8c6bd0b36992fc29c65bfa3ca2dd4c04224"),
     ("5", "3"): (25, "ab19ec029dd7af78512fd2112ccd578fd7ca5e29472f969577947e82777c95a4"),
@@ -187,15 +187,17 @@ def test_exact_search_output_pinned(run, key):
     assert _sha256_json(env["result"]) == PINNED_SEARCHES[key]
 
 
-@pytest.mark.parametrize("key", list(PINNED_BUDGETED), ids=lambda k: f"p{k[0]}_n{k[1]}")
+@pytest.mark.parametrize(
+    "key", [(*k, t) for k in PINNED_BUDGETED for t in "12"], ids=lambda k: f"p{k[0]}_n{k[1]}_threads{k[2]}"
+)
 def test_budgeted_search_pinned(run, key):
-    p, n = key
+    p, n, threads = key
     code, env = run_json(
-        run, "search", "--p", p, "--n", n, "--mode", "exact", "--budget", "300000", "--threads", "2"
+        run, "search", "--p", p, "--n", n, "--mode", "exact", "--budget", "300000", "--threads", threads
     )
     result = env["result"]
     assert code == 0 and result["nodes_explored"] == 300000 and not result["optimal"]
-    assert (result["best_size"], _sha256_json(result["witness"])) == PINNED_BUDGETED[key]
+    assert (result["best_size"], _sha256_json(result["witness"])) == PINNED_BUDGETED[(p, n)]
 
 
 CAP9 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2)]
@@ -1067,9 +1069,11 @@ class TestInputRefusals:
     def test_selection_forged_to_every_index(self, run, tmp_path):
         """A one-point zero-branch transcript in F_7^7 whose `selected_doubles`
         list all 823,543 indices takes the main branch, whose value table is
-        above VALUE_TABLE_BOUND. It is refused within 3 s (about 0.6 s on a
+        above VALUE_TABLE_BOUND. It is refused within 3 s (about 0.2 s on a
         2-CPU host, where building C' bit by bit took 5.5 s): C' is built in
-        one pass over its indices."""
+        one pass over its indices. The bound is applied before C' and A' are
+        listed, so a second, traced run peaks below 64 MiB (42 MiB, most of it
+        the parsed JSON list; listing them first peaked at 105 MiB)."""
         set_file = tmp_path / "point.txt"
         set_file.write_text(_point_text(7, 7, [(0,) * 7]))
         code, env = run_json(run, "prove", "--input", str(set_file))
@@ -1080,6 +1084,13 @@ class TestInputRefusals:
         start = time.perf_counter()
         self.refused(run, tmp_path, "verify-transcript", text, f"value-table bound {VALUE_TABLE_BOUND}")
         assert time.perf_counter() - start < 3.0
+        tracemalloc.start()
+        try:
+            self.refused(run, tmp_path, "verify-transcript", text, f"value-table bound {VALUE_TABLE_BOUND}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26, peak
 
     @pytest.mark.parametrize("n, selected", [(3, list(range(10))), (12, [0, 1])], ids=["cap9", "one_point_f3_12"])
     def test_selection_larger_than_input(self, run, tmp_path, n, selected):

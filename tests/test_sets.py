@@ -497,7 +497,9 @@ def walk_starts(draw):
 class TestWalk:
     """The memoised depth-first walk against the plain branch and bound over
     explicit chosen lists (tests/oracles.py): the same nodes, incumbent and
-    witness, and pending states whose chosen sets path[:depth] rebuilds."""
+    witness, and pending states whose chosen sets path[:depth] rebuilds. The
+    examples include the roots of F_5^3 and F_3^6 from the greedy incumbent,
+    whose masks span 125 and 729 bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=walk_starts())
@@ -505,6 +507,8 @@ class TestWalk:
     @example(case=(3, 3, ([0], (1 << 27) - 2), 8, 1))
     @example(case=(3, 3, ([0], (1 << 27) - 2), 8, 10_000))
     @example(case=(3, 4, ([0], (1 << 81) - 2), 16, 20_000))
+    @example(case=(5, 3, ([0], (1 << 125) - 2), 15, 20_000))
+    @example(case=(3, 6, ([0], (1 << 729) - 2), 69, 20_000))
     def test_walk_matches_branch_and_bound(self, case):
         p, n, (chosen, avail), best, budget = case
         pending, size, witness, nodes = sets._walk(p, n, (chosen, avail), best, budget)
@@ -560,13 +564,15 @@ ROW_AMBIENTS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), 
 
 @functools.cache
 def _tuple_rows(p: int, n: int) -> list[list[int]]:
-    return [[oracles.pair_block_mask(j, a, p, n) for a in range(j)] for j in range(p**n)]
+    full = (1 << p**n) - 1
+    return [[full ^ oracles.pair_block_mask(j, a, p, n) for a in range(j)] for j in range(p**n)]
 
 
 class TestBlockRows:
     """The search's row table against the per-pair tuple formula it replaced,
-    for every j and every a < j (the search only includes j above its chosen
-    points), with the rows built lazily in a drawn order."""
+    as keep masks (all of F_p^n but the blocked points), for every j and
+    every a < j (the search only includes j above its chosen points), with
+    the rows built lazily in a drawn order."""
 
     @pytest.mark.parametrize("p, n", ROW_AMBIENTS)
     @settings(max_examples=3, deadline=None)
