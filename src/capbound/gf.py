@@ -5,7 +5,7 @@ is re-exported here with `MAX_MODULUS`. Field elements are plain ints in
 [0, p-1], and a matrix is a 2-d int64 array with entries in [0, p), so row
 operations vectorize. This module holds what the certificate runs: the one
 Gauss-Jordan pass, `_row_reduce`, and `unit_kernel_vector`, which `prove`
-applies to the |C| x h indicator block. Elimination reduces mod p lazily:
+applies to the |C| x h evaluation block. Elimination reduces mod p lazily:
 after k pivots an entry has |entry| < p + k(p-1)^2, and it runs in the
 narrowest of int16, int32 and int64 that holds that bound (int64 does for
 p < 2^16 while k < 2^31), so it is exact. Rank and row-space intersection

@@ -3,15 +3,15 @@
 A function F_p^n -> F_p is exactly one polynomial with every exponent
 capped at p-1 (x^p = x on points). The certificate reads two things of it, and
 this module holds exactly those: the coefficient tensor of f read off its
-value table and the |C| x h block of indicator coefficients whose left
-kernel is V (its values f(a + b) over pairs are read by
-`proof.diagonal_certificate` without a matrix). Each is a dense numpy
-array, and each factors per coordinate, through two p x p tables with
-entries below p: the Vandermonde table and the indicator coefficients read
-off it. Nothing here is ambient-sized beyond a value table or coefficient
-tensor of p^n entries. The polynomial view (`ReducedPoly`, evaluation,
-interpolation, indicators) and the dense p^n x p^n references are in
-`capbound.reference`.
+value table, and the |C| x h evaluation block [c^beta] of the doubles at the
+monomials of degree below the cut, whose left kernel is V (its values
+f(a + b) over pairs are read by `proof.diagonal_certificate` without a
+matrix). Each is a dense numpy array, and each factors per coordinate,
+through a p x p table with entries below p: the indicator coefficients for
+the tensor, the Vandermonde table for the block. Nothing here is
+ambient-sized beyond a value table or coefficient tensor of p^n entries.
+The polynomial view (`ReducedPoly`, evaluation, interpolation, indicators)
+and the dense p^n x p^n references are in `capbound.reference`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import numpy as np
 
 from .field import PrimeField
 from .monomials import Monomial
-from .sets import PointSet, _members
 
 __all__ = [
     "coefficient_tensor",
-    "indicator_coefficients",
     "split_violation",
 ]
 
@@ -60,8 +58,9 @@ def coefficient_tensor(values: Sequence[int], field: PrimeField, n: int) -> np.n
 
     This is the linear combination sum_a values[a] * indicator(a); the
     indicator coefficients factor per coordinate, so the sum is evaluated
-    as n tensor contractions against the univariate indicator rows rather
-    than by solving a p^n x p^n system.
+    as n contractions against the univariate indicator rows, each a matmul
+    on the (p, p^(n-1)) reshape that puts the new axis last, rather than by
+    solving a p^n x p^n system.
     """
     p = field.p
     if len(values) != p**n:
@@ -69,24 +68,14 @@ def coefficient_tensor(values: Sequence[int], field: PrimeField, n: int) -> np.n
     tensor = np.mod(np.array(values, dtype=np.int64), p).reshape((p,) * n, order="F")
     rows = _indicator_rows(p)
     for _ in range(n):
-        tensor = np.tensordot(tensor, rows, axes=([0], [0])) % p
+        tensor = (rows.T @ tensor.reshape(p, -1) % p).T.reshape(tensor.shape)
     return tensor
-
-
-def indicator_coefficients(points: PointSet, monos: Sequence[Monomial]) -> np.ndarray:
-    """M[c, alpha] = coefficient of x^alpha in the indicator prod_i (1 - (x_i - c_i)^(p-1)) of c.
-
-    Rows are the members of `points` in index order, columns follow `monos`;
-    each entry is the product of univariate indicator coefficients, so no
-    indicator is expanded over all p^n monomials.
-    """
-    return _coordinate_products(_members(points)[1], monos, _indicator_rows(points.field.p), points.field)
 
 
 def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, field: PrimeField) -> np.ndarray:
     """M[c, alpha] = prod_i table[c_i, alpha_i] mod p (c^alpha with `_vandermonde(p)`), rows c from
-    `coords`, columns as in `indicator_coefficients`. Entries are below p, so for the largest k
-    with (p-1)^k < 2^63 (k >= 3) the reduced block takes k - 1 factors per reduction."""
+    `coords`, columns following `monos`. Entries are below p, so for the largest k with
+    (p-1)^k < 2^63 (k >= 3) the reduced block takes k - 1 factors per reduction."""
     p, n = field.p, coords.shape[1]
     k = max(j for j in range(2, 64) if (p - 1) ** j < 2**63)
     exps = np.array(monos, dtype=np.int64).reshape(-1, n)

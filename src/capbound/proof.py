@@ -6,11 +6,12 @@ off C, the low-degree slice L of degree <= (2/3)(p-1)n, their intersection
 V, a subset C' of C realizing dim V independent evaluations, a witness
 f in V with f = 1 on C', and the diagonal Gram certificate over
 A' = {a : 2a in C'}. C' and f come from one elimination of the transposed
-indicator block. f vanishes off C, so the transcript records it as its
-values on C. Every claimed (in)equality is checked with exact values and
-recorded; the transcript serializes to JSON and can be re-checked from that
-form alone, without re-deriving V: f's coefficients come from one
-interpolation pass over its value table.
+block of the doubles' evaluations c^beta at the monomials of degree below
+the cut. f vanishes off C, so the transcript records it as its values on C.
+Every claimed (in)equality is checked with exact values and recorded; the
+transcript serializes to JSON and can be re-checked from that form alone,
+without re-deriving V: f's coefficients come from one interpolation pass
+over its value table.
 
 One function, `_derive`, writes every field of a transcript from the
 input, the selection C' and the witness's values on C: `prove` calls it on
@@ -53,7 +54,7 @@ from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
-from .polyspace import coefficient_tensor, indicator_coefficients, split_violation
+from .polyspace import _coordinate_products, _vandermonde, coefficient_tensor, split_violation
 from .sets import PointSet, _index_of, _members, _pair_indices, is_progression_free, pair_sums
 
 __all__ = [
@@ -272,16 +273,15 @@ def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
     """The selection C' of `points` and the witness's values lam on `points`; needs an integral cut.
 
     V = K & L for K the functions vanishing off `points` and L the slice of
-    degree <= (2/3)(p-1)n. A member of K with values lam on `points` has
-    coefficient sum_c lam_c M[c, alpha] at x^alpha, with M from
-    `indicator_coefficients`, so it lies in L exactly when M^T lam = 0 over
-    the h monomials above the cap: by complementation alpha -> (p-1, ...,
-    p-1) - alpha, those of degree <= (p-1)n/3 - 1. C' is the set of leftmost
-    pivot columns of the RREF of a basis of that kernel, so |C'| = dim V, and
-    lam is 1 on C': the sum of that RREF's rows. Both come from one
-    elimination of the transposed |points| x h block
-    (`gf.unit_kernel_vector`), refused (ValueError) above `WORK_BOUND`
-    entries before it is built; an empty C' means V = 0 (lam is then 0).
+    degree <= (2/3)(p-1)n. The member sum_c lam_c 1_c of K lies in L exactly
+    when sum_c lam_c c^beta = 0 for the h exponents beta of degree <=
+    (p-1)n/3 - 1, so V is the left kernel of the |points| x h evaluation
+    block [c^beta]. C' is the set of leftmost pivot columns of the RREF of a
+    basis of that kernel, so |C'| = dim V, and lam is 1 on C': the sum of
+    that RREF's rows. Both come from one elimination of the block's
+    transpose (`gf.unit_kernel_vector`), refused (ValueError) above
+    `WORK_BOUND` entries before it is built; an empty C' means V = 0 (lam is
+    then 0).
     """
     if not points.size:
         return points, []
@@ -292,9 +292,10 @@ def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
             f"the |C| x h block would have |C| = {points.size} times h = {h} entries, "
             f"above the work bound {WORK_BOUND}"
         )
-    low = _exponent_array(n, field.p - 1, s - 1)
-    free, lam = unit_kernel_vector(indicator_coefficients(points, field.p - 1 - low), field.p)
-    return PointSet.from_indices(field, n, _members(points)[0][free]), lam.tolist()
+    idx, coords = _members(points)
+    block = _coordinate_products(coords, _exponent_array(n, field.p - 1, s - 1), _vandermonde(field.p), field)
+    free, lam = unit_kernel_vector(block, field.p)
+    return PointSet.from_indices(field, n, idx[free]), lam.tolist()
 
 
 def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
@@ -472,11 +473,10 @@ def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[Proo
     return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
 
-def _halves_of(A: PointSet, doubled) -> list[int]:
-    """Indices, in order, of the members a of A with 2a in `doubled`."""
+def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
+    """Indices, in order, of the members a of A with 2a in `doubled`, read off its membership table."""
     idx, coords = _members(A)
-    twice = _index_of(2 * coords % A.field.p, A.field.p)
-    return idx[np.isin(twice, list(doubled))].tolist()
+    return idx[doubled._table()[_index_of(2 * coords % A.field.p, A.field.p)]].tolist()
 
 
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:

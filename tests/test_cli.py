@@ -215,6 +215,10 @@ def _point_text(p: int, n: int, points) -> str:
 TRANSCRIPT_INPUTS = {
     "product_cap": _point_text(3, 6, [a + b for a in CAP9 for b in CAP9]),
     "zero_branch": _point_text(5, 3, GREEDY_F5_N3),
+    # main branch through a 1507 x 729 block (dim V = 125)
+    "product_of_three_caps": _point_text(3, 9, [a + b + c for a in CAP9 for b in CAP9 for c in CAP9]),
+    # a 2 x 50116 block whose Vandermonde entries reach 66
+    "pair_f67": _point_text(67, 3, [(0, 0, 0), (1, 2, 3)]),
 }
 
 # sha256 of the parsed JSON output of `prove --input <file>` and of
@@ -223,7 +227,9 @@ TRANSCRIPT_INPUTS = {
 # format after every transcript of the benchmark's prove inputs (seeds 0-5)
 # matched its /1 counterpart field by field. The verify hashes were re-taken
 # when the report dropped its six record rows for `recorded_claims` alone;
-# they are those of the earlier reports with the six rows removed.
+# they are those of the earlier reports with the six rows removed. The
+# product_of_three_caps and pair_f67 hashes were taken from the output of the
+# indicator-coefficient block that the evaluation block replaced.
 PINNED_TRANSCRIPTS = {
     "product_cap": (
         "c8c09c844eb8fc614641353b585e4e076643ff139cba7b9dd9da29da9f55dd61",
@@ -232,6 +238,14 @@ PINNED_TRANSCRIPTS = {
     "zero_branch": (
         "581fb2222bb7df5f301da6b06316cb8af5ca37afb8c6441ce3b43be5ed9865df",
         "f47e8d079eeaeedae537e2948e97f7122b47b059f0771cabefc9848707352ca1",
+    ),
+    "product_of_three_caps": (
+        "531a6fab131856aff8382c23f3af84cf57176111a032536a940cb7caf796331d",
+        "4388c42906be4b354fc0334b3f2358695cb7aec70fce1f495e5bb8e5b2e048b8",
+    ),
+    "pair_f67": (
+        "fd3a1452aba3f60b9b4ef98a88de9d9ce8fc0a3d4f2e767198a57820f777e2fd",
+        "ac3d45a378cc85841d71693aa2322501f6999cf363e10931cc277920d7062cfb",
     ),
 }
 
@@ -520,8 +534,8 @@ class TestProveAndVerify:
         assert code == 0 and json.loads(out)["result"]["valid"] is True
 
     def test_prove_and_verify_in_f67(self, run, tmp_path):
-        """F_67^3: from p = 67 on, the unreduced binomial form of the
-        indicator table does not fit in int64."""
+        """F_67^3, a large modulus: the |C| x h block reads `_vandermonde(67)`,
+        whose entries reach 66, reduced after k - 1 factors (66^10 < 2^63)."""
         set_file = tmp_path / "pair.txt"
         set_file.write_text("p=67 n=3\n0 0 0\n1 2 3\n")
         code, env = run_json(run, "prove", "--input", str(set_file))

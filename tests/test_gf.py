@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
-from capbound.polyspace import indicator_coefficients
+from capbound.polyspace import _coordinate_products, _vandermonde
 from capbound.reference import enumerate_monomials, rank, row_space_intersection
 from capbound.sets import PointSet, _coords_of, _index_of, pair_sums
 from oracles import brute_force_rank, rows_independent
@@ -142,12 +142,12 @@ class TestRowReduce:
         deficient = a[:, :150] @ a[:150, :] % p
         assert len(self.assert_matches_oracle(deficient, p)) == 150
 
-    def test_product_cap_indicator_block(self):
-        """The 78 x 81 block whose left kernel is V for the product cap in F_3^6."""
+    def test_product_cap_evaluation_block(self):
+        """The 78 x 81 transposed evaluation block whose left kernel is V for the product cap in F_3^6."""
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         _, doubles = pair_sums(PointSet.from_points(F3, 6, [a + b for a in cap9 for b in cap9]))
-        high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(6, F3, 3)]
-        block = indicator_coefficients(doubles, high).T
+        low = enumerate_monomials(6, F3, 3)
+        block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3).T
         assert block.shape == (78, 81)
         assert len(self.assert_matches_oracle(block, 3)) == 81 - 25
 
@@ -175,15 +175,15 @@ class TestRowReduce:
         a[k, k + 1] = 1
         assert len(self.assert_matches_oracle(a, p)) == k + 1
 
-    def test_product_of_three_caps_indicator_block(self):
-        """The 1507 x 729 block of the product of three 9-caps in F_3^9: a
-        pivot column has a few percent of its rows nonzero, so most pivots
-        update only those rows."""
+    def test_product_of_three_caps_evaluation_block(self):
+        """The 1507 x 729 transposed evaluation block of the product of three
+        9-caps in F_3^9: a pivot column has a few percent of its rows nonzero,
+        so most pivots update only those rows."""
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
         _, doubles = pair_sums(PointSet.from_points(F3, 9, product))
-        high = [tuple(2 - e for e in alpha) for alpha in enumerate_monomials(9, F3, 5)]
-        block = indicator_coefficients(doubles, high).T
+        low = enumerate_monomials(9, F3, 5)
+        block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3).T
         assert block.shape == (1507, 729)
         assert len(self.assert_matches_oracle(block, 3)) == 729 - 125
 

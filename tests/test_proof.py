@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 import re
 import time
@@ -15,9 +16,9 @@ from capbound import proof
 from capbound.bounds import exponent_c, precision_digits, verify_entropy_lemma
 from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
-from capbound.gf import PrimeField, _row_reduce
-from capbound.monomials import dim_L
-from capbound.polyspace import indicator_coefficients, split_violation
+from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
+from capbound.monomials import _exponent_array, dim_L
+from capbound.polyspace import _coordinate_products, _vandermonde, split_violation
 from capbound.proof import (
     _asymptotic,
     diagonal_certificate,
@@ -71,13 +72,7 @@ def kernel_polys(points):
 class TestSpaceBuilders:
     def test_empty_support(self):
         empty = PointSet.empty(F3, 3)
-        assert indicator_coefficients(empty, all_monomials(F3, 3)).shape[0] == 0
         assert select_unit_witness(empty) == (empty, [])
-
-    def test_univariate_indicator(self):
-        ps = PointSet.from_points(F3, 1, [(0,)])
-        block = indicator_coefficients(ps, all_monomials(F3, 1))
-        assert block.tolist() == [[1, 0, 2]]  # 1 + 2x^2
 
     def test_dimension_matches_set_size(self):
         rng = np.random.default_rng(4)
@@ -85,11 +80,38 @@ class TestSpaceBuilders:
         for _ in range(5):
             idxs = rng.choice(9, size=int(rng.integers(1, 9)), replace=False)
             ps = PointSet.from_indices(F3, 2, idxs)
-            block = indicator_coefficients(ps, monos)
+            block = _coordinate_products(np.array(ps.points()), monos, _vandermonde(3), F3)
             assert rank(block, 3) == ps.size
-            # row c holds the coefficients of indicator_poly(c) in graded-lex order
+            # row c holds the evaluations c^beta, in graded-lex order of beta
             for row, c in zip(block.tolist(), ps.points()):
-                assert row == list(poly_to_vector(indicator_poly(c, F3)))
+                assert row == [c[0] ** b0 * c[1] ** b1 % 3 for b0, b1 in monos]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_kernel_vector_as_the_indicator_block(self, data):
+        """The evaluation block [c^beta] that `select_unit_witness` eliminates
+        and the indicator block it replaced, M[c, alpha] the coefficient of
+        x^alpha in the indicator of c at alpha = (p-1, ..., p-1) - beta, built
+        entry by entry, have row-equivalent transposes: the same free rows and
+        the same kernel vector."""
+        p, n = data.draw(st.sampled_from([(3, 3), (5, 3), (7, 2), (13, 2)]))
+        field = PrimeField(p)
+        idxs = data.draw(st.sets(st.integers(0, p**n - 1), min_size=1, max_size=40))
+        coords = np.array(PointSet.from_indices(field, n, idxs).points())
+        low = _exponent_array(n, p - 1, (p - 1) * n // 3 - 1)
+        indicator = np.array(
+            [
+                [
+                    math.prod(oracles.indicator_coefficient(s, p - 1 - b, p) for s, b in zip(c, beta)) % p
+                    for beta in low.tolist()
+                ]
+                for c in coords.tolist()
+            ],
+            dtype=np.int64,
+        )
+        evaluation = _coordinate_products(coords, low, _vandermonde(p), field)
+        (free, lam), (free_ind, lam_ind) = (unit_kernel_vector(b, p) for b in (evaluation, indicator))
+        assert free.tolist() == free_ind.tolist() and lam.tolist() == lam_ind.tolist()
 
     def test_low_degree_basis(self):
         # with every function allowed on the support, V is the whole slice L

@@ -664,7 +664,6 @@ class TestKernelAgainstTupleLoops:
             if p == 3:
                 assert ok is not oracles.has_line(pts)
             expected_halves = oracles.halves(pts, doubled, p)
-            assert _halves_of(ps, doubled) == expected_halves
             assert _halves_of(ps, PointSet.from_indices(field, n, doubled)) == expected_halves
             gram = [
                 [evaluate(f, tuple((x + y) % p for x, y in zip(a, b))) for b in pts] for a in pts
