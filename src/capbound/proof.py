@@ -20,10 +20,11 @@ values, and then compares the whole record with that derivation in one
 row, `recorded_claims` (`_first_difference`).
 
 Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
-list the JSON keys of a transcript and of a check row with their kinds;
-`to_json`, `from_json` and its unknown-key checks (`_read`) read them.
-`_DIMENSION_KEYS` names the recorded dimensions. The cut s = (p-1)n/3
-(D2 = 2s) is `bounds._split_degree`.
+list the JSON keys of a transcript and of a check row in the order
+`to_json` writes them. `_read` parses the four fields that `_derive`
+consumes, and every other field is a claim, compared with the derived one
+as JSON (`_same`: true is not 1). `_DIMENSION_KEYS` names the recorded
+dimensions. The cut s = (p-1)n/3 (D2 = 2s) is `bounds._split_degree`.
 
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
@@ -99,8 +100,6 @@ def _check(name: str, lhs, relation: str, rhs, note: str = "") -> ProofCheck:
     """The row `lhs relation rhs`; ints and Decimals compare exactly with each other."""
     lv = lhs if isinstance(lhs, (int, Decimal)) else int(lhs)
     rv = rhs if isinstance(rhs, (int, Decimal)) else int(rhs)
-    if relation not in _RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
     return ProofCheck(name, relation, str(lhs), str(rhs), bool(_RELATIONS[relation](lv, rv)), note)
 
 
@@ -150,123 +149,23 @@ class ProofTranscript:
 
     def to_json(self) -> dict:
         """The transcript as a JSON object whose keys are those of `_FIELDS`, in its order."""
-        out = {key: getattr(self, key, None) for key in _FIELDS}
-        out.update(
-            format=TRANSCRIPT_FORMAT,
-            input=self.input_points.to_json(),
-            dims={k: str(v) for k, v in self.dims.items()},
-            checks=[c.to_json() for c in self.checks],
-        )
+        out = {"format": TRANSCRIPT_FORMAT, "input": self.input_points.to_json(), **self.claims()}
+        return {key: out[key] for key in _FIELDS}
+
+    def claims(self) -> dict:
+        """The JSON fields of the transcript but `format` and `input`: what `verify_transcript` compares."""
+        out = {key: getattr(self, key) for key in _FIELDS if key not in ("format", "input")}
+        out.update(dims={k: str(v) for k, v in self.dims.items()}, checks=[c.to_json() for c in self.checks])
         return {key: list(v) if isinstance(v, list) else v for key, v in out.items()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ProofTranscript":
-        """Parse a serialized transcript; a missing, ill-typed or unknown field is a ValueError.
 
-        The format is read first, so that another format is refused by name,
-        then the keys, then 'input', so that a truncated transcript reports
-        it missing, then every other field.
-        """
-        if isinstance(data, dict) and data.get("format") != TRANSCRIPT_FORMAT:
-            raise ValueError(f"unrecognized transcript format {data.get('format')!r}")
-        f = _read("transcript", data, {"input": dict, **_FIELDS})  # 'input' keeps its place at the front
-        _read("transcript field 'input'", f["input"], dict.fromkeys(("p", "n", "points")))
-        try:
-            input_points = PointSet.from_json(f["input"])
-            dims = {k: _decimal("dims", v) for k, v in f["dims"].items()}
-        except TypeError as exc:
-            raise ValueError(f"malformed transcript: {type(exc).__name__}: {exc}") from None
-        field, n = input_points.field, input_points.n
-        if (f["p"], f["n"]) != (field.p, n):
-            raise ValueError("transcript p and n disagree with its input set")
-        if sorted(dims) != sorted(_DIMENSION_KEYS):
-            raise ValueError(f"transcript field 'dims' must have the keys {_DIMENSION_KEYS}")
-        if not 1 <= f["precision"] <= MAX_PRECISION:
-            raise ValueError(f"transcript precision {f['precision']} is outside [1, {MAX_PRECISION}]")
-        for key in ("doubles", "selected_doubles", "selected_points"):
-            _indices(key, f[key], field.p**n)
-        if len(f["selected_points"]) > input_points.size:
-            raise ValueError("transcript field 'selected_points' lists more points than its input has")
-        values = f["witness_values"]
-        if values is not None and len(_indices("witness_values", values, field.p)) != input_points.size:
-            raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
-        checks = []
-        for row in f["checks"]:
-            row = _read("transcript check row", row, _ROW_FIELDS)
-            checks.append(ProofCheck(**{**row, "note": row["note"] or ""}))
-        _read("transcript field 'conclusion'", f["conclusion"], dict.fromkeys(("exact", "asymptotic")))
-        del f["format"], f["input"]
-        f.update(dims=dims, checks=checks)
-        return cls(input_points=input_points, **f)
-
-
-# The JSON keys of a serialized transcript and of one of its check rows, in
-# output order, each with the kind of its value (see `_read`).
-_FIELDS = {
-    "format": str,
-    "p": int,
-    "n": int,
-    "branch": str,
-    "input": dict,
-    "input_size": int,
-    "doubles": list,
-    "pair_sum_count": int,
-    "dims": dict,
-    "degree_cap": int,
-    "split_degree": int,
-    "selected_doubles": list,
-    "selected_points": list,
-    "witness_values": (list, None),
-    "matrix_rank": (int, None),
-    "checks": list,
-    "conclusion": dict,
-    "precision": int,
-}
-_ROW_FIELDS = {"name": str, "relation": str, "lhs": str, "rhs": str, "holds": bool, "note": (str, None)}
-
-
-def _read(where: str, data, table: dict) -> dict:
-    """`data`'s value at each key of `table`, checked against the key's kind.
-
-    A kind is a type (bool is not an int), a pair (type, None) whose value
-    may also be null or absent, or None, which takes anything. The error
-    names a non-object `data`, else its first key outside `table`, else the
-    first key in table order whose value is missing or of another kind.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
-    unknown = next((k for k in data if k not in table), None)
-    if unknown is not None:
-        raise ValueError(f"{where} has unknown key {unknown!r}")
-    values = {}
-    for key, kind in table.items():
-        value = values[key] = data.get(key)
-        if kind is None or (value is None and type(kind) is tuple):
-            continue
-        if key not in data:
-            raise ValueError(f"transcript field {key!r} is missing")
-        kind = kind[0] if type(kind) is tuple else kind
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ValueError(f"transcript field {key!r} must be {kind.__name__}, got {value!r}")
-    return values
-
-
-def _indices(key: str, values: list, total: int) -> list[int]:
-    """`values`, required to be ints in [0, total), else ValueError naming the field."""
-    if set(map(type, values)) - {int} and not all(type(v) is not bool and isinstance(v, int) for v in values):
-        raise ValueError(f"transcript field {key!r} must hold ints")
-    if values and not 0 <= min(values) <= max(values) < total:
-        bad = next(v for v in values if not 0 <= v < total)
-        raise ValueError(f"transcript field {key!r} holds {bad}, outside [0, {total})")
-    return values
-
-
-def _decimal(key: str, text) -> int:
-    """`text` as an int if it is a decimal string in canonical form, else ValueError."""
-    digits = text.removeprefix("-") if isinstance(text, str) else ""
-    if not digits.isdecimal() or str(int(text)) != text:
-        raise ValueError(f"transcript field {key!r} holds {text!r}, not a decimal integer")
-    return int(text)
+# The JSON keys of a serialized transcript and of one of its check rows, in output order.
+_FIELDS = (
+    "format", "p", "n", "branch", "input", "input_size", "doubles", "pair_sum_count", "dims", "degree_cap",
+    "split_degree", "selected_doubles", "selected_points", "witness_values", "matrix_rank", "checks",
+    "conclusion", "precision",
+)
+_ROW_FIELDS = ("name", "relation", "lhs", "rhs", "holds", "note")
 
 
 def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
@@ -482,52 +381,117 @@ def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
-    Reads the recorded `input`, `selected_doubles` (C'), `witness_values`
-    (a null witness reads as 0) and `precision`, and runs `_derive`, the
-    derivation that `prove_size_bound` records, on them: no kernel, no pivot
-    selection. The report is the derived rows, the asymptotic one evaluated
-    at `CAPSET_PRECISION` when that is above the recorded precision, then
-    `recorded_claims`, which holds when every recorded field equals the
-    derived one and otherwise names the first that differs. dim V is
-    recorded as |C'| and is not re-derived: the `intersection_dim_lower_bound`
-    row (|C'| >= |C| + dim L - p^n) binds it. Returns (every row holds, rows).
+    Reads the four fields that `_derive` consumes (`_read`): the `input` A,
+    `selected_doubles` (C'), `witness_values` (a null witness reads as 0)
+    and `precision`, and runs `_derive`, the derivation that
+    `prove_size_bound` records, on them: no kernel, no pivot selection.
+    Every other field is a claim. The report is the derived rows, the
+    asymptotic one evaluated at `CAPSET_PRECISION` when that is above the
+    recorded precision, then `recorded_claims`, which holds when the record,
+    `format` and `input` aside, equals the derivation's as JSON and
+    otherwise names the first field that differs (`_first_difference`). dim V
+    is recorded as |C'| and is not re-derived: the
+    `intersection_dim_lower_bound` row (|C'| >= |C| + dim L - p^n) binds it.
+    Returns (every row holds, rows).
 
-    Refused (ValueError), in the order its work comes: a cut (p-1)n/3 that
-    is not an integer, then the bound of the pair sweep and, on the main
-    branch, that of the value table. It builds no |C| x h block.
+    Refused (ValueError): a fault in a read field, then, in the order its
+    work comes, a cut (p-1)n/3 that is not an integer, the bound of the pair
+    sweep and, on the main branch, that of the value table. It builds no
+    |C| x h block.
     """
-    t = ProofTranscript.from_json(data)
-    A, field, n = t.input_points, t.input_points.field, t.n
+    A, c_prime, values, precision = _read(data)
+    field, n = A.field, A.n
     s = _split_degree(field.p, n)
     sums, doubles = pair_sums(A)
-    selected = PointSet.from_indices(field, n, t.selected_doubles)
-    derived = _derive(A, s, sums, doubles, selected, t.witness_values or [0] * A.size, t.precision)
+    selected = PointSet.from_indices(field, n, c_prime)
+    derived = _derive(A, s, sums, doubles, selected, values or [0] * A.size, precision)
     rows = derived.checks
-    if precision_digits() > t.precision:
+    if precision_digits() > precision:
         rows = rows[:-1] + [_asymptotic(field, n, A.size, precision_digits())[0]]
-    differs = _first_difference(*({key: getattr(x, key, None) for key in _FIELDS} for x in (t, derived)))
+    differs = _first_difference({k: v for k, v in data.items() if k not in ("format", "input")}, derived.claims())
     note = f"recorded {differs} differs" if differs else ""
     checks = rows + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
     return all(c.holds for c in checks), checks
 
 
-def _first_difference(recorded: dict, derived: dict, path: str = "") -> str | None:
-    """The first key of `derived`, in its order, whose value in `recorded` differs, as a dotted path.
+def _read(data) -> tuple[PointSet, list[int], list[int] | None, int]:
+    """The fields of a serialized transcript that `_derive` consumes: the input
+    A, C' as `selected_doubles` (ints in [0, p^n)), f's values on the doubles
+    as `witness_values` (|A| ints in [0, p), or null) and `precision` (an int
+    in [1, MAX_PRECISION]); a bool is not an int. An absent `witness_values`
+    is derived as null, and the record then fails `recorded_claims`, since a
+    missing key differs from null.
 
-    Check rows are compared one by one ("row i (name)") and objects key by
-    key, a missing key as null; a recorded object with a key of its own
-    differs as a whole. Every other value must match in JSON type as well
-    as in value (true is not 1).
+    A ValueError names a non-object, then another format, then the first
+    of these fields that is missing, then the first that is ill-formed.
     """
-    for key, value in derived.items():
-        mine, where = recorded.get(key), path + key
-        if key == "checks":
-            for i, (r, d) in enumerate(zip_longest(mine, value)):
-                if r != d:
-                    return f"row {i} ({(d or r).name})"
-        elif isinstance(value, dict) and isinstance(mine, dict) and mine.keys() <= value.keys():
+    if not isinstance(data, dict):
+        raise ValueError(f"transcript must be an object, got {type(data).__name__}")
+    if data.get("format") != TRANSCRIPT_FORMAT:
+        raise ValueError(f"unrecognized transcript format {data.get('format')!r}")
+    missing = next((k for k in ("input", "selected_doubles", "precision") if k not in data), None)
+    if missing is not None:
+        raise ValueError(f"transcript field {missing!r} is missing")
+    A = PointSet.from_json(data["input"], what="transcript field 'input'")
+    selected, values = _indices(data, "selected_doubles", A.field.p**A.n), data.get("witness_values")
+    if values is not None and len(_indices(data, "witness_values", A.field.p)) != A.size:
+        raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
+    precision = data["precision"]
+    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
+        raise ValueError(f"transcript precision {precision!r} is not an int in [1, {MAX_PRECISION}]")
+    return A, selected, values, precision
+
+
+def _indices(data: dict, key: str, total: int) -> list[int]:
+    """`data[key]`, required to be a list of ints in [0, total), else ValueError naming the field."""
+    values = data[key]
+    if not isinstance(values, list):
+        raise ValueError(f"transcript field {key!r} must be list, got {values!r}")
+    if set(map(type, values)) - {int}:
+        raise ValueError(f"transcript field {key!r} must hold ints")
+    if values and not 0 <= min(values) <= max(values) < total:
+        bad = next(v for v in values if not 0 <= v < total)
+        raise ValueError(f"transcript field {key!r} holds {bad}, outside [0, {total})")
+    return values
+
+
+_ABSENT = object()  # a key that a JSON object lacks, which differs from every value, null too
+
+
+def _first_difference(recorded: dict, derived: dict, path: str = "") -> str | None:
+    """The first key, `derived`'s in its order then `recorded`'s own, whose
+    values differ, as a dotted path; None when the two are the same (`_same`).
+
+    Objects that differ are compared key by key down to the leaf, and check
+    rows one by one ("row i (name)").
+    """
+    if _same(recorded, derived):
+        return None
+    for key in [*derived, *(k for k in recorded if k not in derived)]:
+        mine, value, where = recorded.get(key, _ABSENT), derived.get(key, _ABSENT), path + key
+        if where == "checks" and type(mine) is list:
+            for i, (r, d) in enumerate(zip_longest(mine, value, fillvalue=_ABSENT)):
+                if not _same(r, d):
+                    return f"row {i} ({d['name']})" if d is not _ABSENT else f"row {i}"
+        elif type(mine) is dict and type(value) is dict:
             if (inner := _first_difference(mine, value, where + ".")) is not None:
                 return inner
-        elif type(mine) is not type(value) or mine != value:
+        elif not _same(mine, value):
             return where
     return None
+
+
+def _same(a, b) -> bool:
+    """Whether `a` and `b` are equal as JSON: equal, with one JSON type at
+    every position, so true is not 1 and 5.0 is not 5, though == holds;
+    object keys may come in any order."""
+    if type(a) is not type(b) or a != b:
+        return False
+    if type(a) is dict:
+        a, b = list(a.values()), list(map(b.__getitem__, a))
+    elif type(a) is not list:
+        return True
+    kinds = list(map(type, a))
+    if kinds != list(map(type, b)):
+        return False
+    return (dict not in kinds and list not in kinds) or all(map(_same, a, b))

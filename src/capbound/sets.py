@@ -210,12 +210,18 @@ class PointSet:
         return {"p": self.field.p, "n": self.n, "points": [list(c) for c in self.points()]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "PointSet":
-        """Inverse of `to_json`: int p, n and coordinates; anything else raises ValueError."""
+    def from_json(cls, data: dict, what: str = "point set") -> "PointSet":
+        """Inverse of `to_json`: an object of int p, n and coordinates and no other key;
+        anything else raises ValueError, worded for `what` the object is."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+        unknown = next((k for k in data if k not in ("p", "n", "points")), None)
+        if unknown is not None:
+            raise ValueError(f"{what} has unknown key {unknown!r}")
         try:
             field, n, points = PrimeField(data["p"]), data["n"], [tuple(c) for c in data["points"]]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"point-set object needs p, n and a points list: {exc!r}") from None
+            raise ValueError(f"{what} needs p, n and a points list: {exc!r}") from None
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"point-set n must be an int, got {n!r}")
         return cls.from_points(field, n, points)
@@ -234,11 +240,12 @@ class PointSet:
             if not line:
                 continue
             if header is None:
-                pairs = [part.split("=", 1) for part in line.split() if "=" in part]
-                names = [name for name, _ in pairs]
-                if names.count("p") != 1 or names.count("n") != 1:
-                    raise ValueError(f"header line must declare p=<prime> n=<dim>, each once, got {line!r}")
-                fields = dict(pairs)
+                pairs = [part.partition("=") for part in line.split()]
+                if sorted((name, eq) for name, eq, _ in pairs) != [("n", "="), ("p", "=")]:
+                    raise ValueError(
+                        f"header line must be p=<prime> n=<dim>, each once and nothing else, got {line!r}"
+                    )
+                fields = {name: value for name, _, value in pairs}
                 header = (PrimeField(int(fields["p"])), int(fields["n"]))
                 continue
             points.append(tuple(int(t) for t in line.split()))

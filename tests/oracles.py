@@ -430,9 +430,9 @@ def transcript_witness_spec(t: dict) -> dict | None:
 
     None when `witness_values` is not a list of one int in [0, p) per
     recorded double. Otherwise `degree` is deg f for f = sum_c lam_c 1_c,
-    `in_L` says that the recorded `degree_cap` is (2/3)(p-1)n and that f has
-    no coefficient above it, and `unit` that lam = 1 on every selected
-    double (each of which must be a double)."""
+    `in_L` says that the recorded `degree_cap` is the int (2/3)(p-1)n and
+    that f has no coefficient above it, and `unit` that lam = 1 on every
+    selected double (each of which must be a double)."""
     p, n, values, doubles = t["p"], t["n"], t["witness_values"], t["doubles"]
     if type(values) is not list or len(values) != len(doubles):
         return None
@@ -441,7 +441,7 @@ def transcript_witness_spec(t: dict) -> dict | None:
     coeffs = witness_coefficients(values, doubles, p, n)
     degree = max(map(sum, coeffs), default=0)
     cap = t["degree_cap"]
-    in_l = cap == 2 * ((p - 1) * n // 3) and all(sum(a) <= cap for a in coeffs)
+    in_l = type(cap) is int and cap == 2 * ((p - 1) * n // 3) and all(sum(a) <= cap for a in coeffs)
     at = dict(zip(doubles, values))
     unit = all(at.get(s) == 1 for s in t["selected_doubles"])
     return {"degree": degree, "in_L": in_l, "unit": unit}

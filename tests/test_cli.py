@@ -576,15 +576,9 @@ class TestProveAndVerify:
         "edit, message",
         [
             (lambda t: {"format": t["format"]}, "'input' is missing"),
-            (lambda t: {k: v for k, v in t.items() if k != "doubles"}, "'doubles' is missing"),
-            (lambda t: {**t, "input_size": "9"}, "'input_size' must be int"),
-            (lambda t: {**t, "p": 5}, "disagree"),
-            (lambda t: {**t, "doubles": [0, True]}, "'doubles' must hold ints"),
             (lambda t: {**t, "witness_values": 5}, "'witness_values' must be list"),
             (lambda t: {**t, "witness_values": t["witness_values"][1:]}, "holds 8 values, not one per double"),
-            (lambda t: {**t, "dims": {**t["dims"], "low_degree": [23]}}, "'dims' holds [23]"),
             (lambda t: {**t, "input": {"p": 3, "n": 3}}, "points"),
-            (lambda t: {**t, "checks": [{**t["checks"][0], "holds": "yes"}]}, "'holds'"),
             (lambda t: [t], "got list"),
             (lambda t: 5, "got int"),
             (lambda t: None, "got NoneType"),
@@ -592,8 +586,6 @@ class TestProveAndVerify:
                 lambda t: {**t, "selected_doubles": [-1] + t["selected_doubles"][1:]},
                 "'selected_doubles' holds -1",
             ),
-            (lambda t: {**t, "doubles": t["doubles"][:-1] + [27]}, "'doubles' holds 27"),
-            (lambda t: {**t, "selected_points": [-5]}, "'selected_points' holds -5"),
             (
                 lambda t: {**t, "witness_values": t["witness_values"] + [1]},
                 "holds 10 values, not one per double",
@@ -604,63 +596,39 @@ class TestProveAndVerify:
             ),
             (lambda t: {**t, "input": {**t["input"], "p": 2**61 - 1}}, "too large"),
             (lambda t: {k: v for k, v in t.items() if k != "precision"}, "'precision' is missing"),
-            (lambda t: {**t, "dims": {**t["dims"], "low_degree": "023"}}, "'dims' holds '023'"),
             (lambda t: {**t, "witness_values": t["witness_values"] * 2}, "holds 18 values"),
             (
                 lambda t: {**t, "input": {**t["input"], "points": [[1.0, 0, 0]]}},
                 "must be an int, got 1.0",
             ),
-            (lambda t: {**t, "claims": []}, "transcript has unknown key 'claims'"),
-            (
-                lambda t: {**t, "checks": [{**t["checks"][0], "verified": True}]},
-                "check row has unknown key 'verified'",
-            ),
             (
                 lambda t: {**t, "input": {**t["input"], "size": 9}},
                 "field 'input' has unknown key 'size'",
-            ),
-            (
-                lambda t: {**t, "conclusion": {**t["conclusion"], "extra": "|A| <= 1"}},
-                "field 'conclusion' has unknown key 'extra'",
             ),
             (lambda t: {**t, "input": {**t["input"], "n": 2_000_000}}, "at most 16777216 points"),
             (
                 lambda t: {**t, "format": "capbound.transcript/1"},
                 "unrecognized transcript format 'capbound.transcript/1'",
             ),
-            (lambda t: {**t, "witness": []}, "transcript has unknown key 'witness'"),
         ],
         ids=[
             "truncated",
-            "missing_field",
-            "string_for_int",
-            "p_disagrees",
-            "bool_in_index_list",
             "witness_not_list",
             "witness_wrong_arity",
-            "dims_value_list",
             "input_without_points",
-            "check_holds_string",
             "not_an_object",
             "number",
             "null",
             "negative_selected_double",
-            "double_out_of_range",
-            "negative_selected_point",
             "off_selection_key_out_of_range",
             "off_selection_value_out_of_range",
             "modulus_too_large",
             "precision_missing",
-            "dims_not_canonical",
             "witness_monomial_twice",
             "float_coordinate",
-            "unknown_top_key",
-            "unknown_row_key",
             "unknown_input_key",
-            "unknown_conclusion_key",
             "ambient_too_large",
             "format_1",
-            "format_1_witness_terms",
         ],
     )
     def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit, message):
@@ -733,11 +701,44 @@ class TestProveAndVerify:
             ("branch", lambda t: t.update(branch="zero_intersection")),
             ("selected_points", lambda t: t.update(selected_points=t["selected_points"][:-1])),
             ("matrix_rank", lambda t: t.update(matrix_rank=t["matrix_rank"] + 1)),
+            pytest.param("doubles", lambda t: t.pop("doubles"), id="missing_field"),
+            pytest.param("input_size", lambda t: t.update(input_size="9"), id="string_for_int"),
+            pytest.param("p", lambda t: t.update(p=5), id="p_disagrees"),
+            pytest.param("doubles", lambda t: t.update(doubles=[0, True]), id="bool_in_index_list"),
+            pytest.param("dims.low_degree", lambda t: t["dims"].update(low_degree=[23]), id="dims_value_list"),
+            pytest.param(
+                "row 0 (progression_free)",
+                lambda t: t.update(checks=[{**t["checks"][0], "holds": "yes"}]),
+                id="check_holds_string",
+            ),
+            pytest.param("doubles", lambda t: t["doubles"].__setitem__(-1, 27), id="double_out_of_range"),
+            pytest.param("selected_points", lambda t: t.update(selected_points=[-5]), id="negative_selected_point"),
+            pytest.param("dims.low_degree", lambda t: t["dims"].update(low_degree="023"), id="dims_not_canonical"),
+            pytest.param("claims", lambda t: t.update(claims=[]), id="unknown_top_key"),
+            pytest.param(
+                "row 0 (progression_free)",
+                lambda t: t.update(checks=[{**t["checks"][0], "verified": True}]),
+                id="unknown_row_key",
+            ),
+            pytest.param(
+                "conclusion.extra", lambda t: t["conclusion"].update(extra="|A| <= 1"), id="unknown_conclusion_key"
+            ),
+            pytest.param("witness", lambda t: t.update(witness=[]), id="format_1_witness_terms"),
+            # equal in Python, not as JSON
+            pytest.param("doubles", lambda t: t["doubles"].__setitem__(0, False), id="false_for_0"),
+            pytest.param("matrix_rank", lambda t: t.update(matrix_rank=float(t["matrix_rank"])), id="float_rank"),
+            pytest.param("row 0 (progression_free)", lambda t: t["checks"][0].update(holds=1), id="holds_1"),
+            # a note that `prove` never writes
+            pytest.param(
+                "row 3 (low_degree_dim_lower_bound)", lambda t: t["checks"][3].update(note=None), id="null_note"
+            ),
+            pytest.param("row 2 (doubling_injective)", lambda t: t["checks"][2].update(note=""), id="empty_note"),
         ],
     )
     def test_verify_compares_derived_fields(self, run, tmp_path, field, edit):
-        """A field that verify derives rather than reads, forged alone, changes
-        no derived row: only `recorded_claims` fails, naming the field."""
+        """A field that verify does not read, forged alone (missing, retyped, out
+        of range, or added), changes no derived row: only `recorded_claims`
+        fails, naming the field down to its leaf key or row."""
         code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
         edit(env["result"])
         f = tmp_path / "forged.json"
@@ -746,6 +747,34 @@ class TestProveAndVerify:
         failed = [c for c in env2["result"]["checks"] if not c["holds"]]
         assert code == 1 and [c["name"] for c in failed] == ["recorded_claims"]
         assert failed[0]["note"] == f"recorded {field} differs"
+
+    @pytest.mark.parametrize("key", ["witness_values", "matrix_rank"])
+    def test_verify_zero_branch_without_null_claim(self, run, tmp_path, key):
+        """Both keys are null on the zero branch. A transcript without one fails
+        `recorded_claims` alone: a missing key differs from null, although the
+        derivation reads an absent `witness_values` as null."""
+        set_file = tmp_path / "point.txt"
+        set_file.write_text("p=3 n=3\n0 0 0\n")
+        code, env = run_json(run, "prove", "--input", str(set_file))
+        assert code == 0 and env["result"]["branch"] == "zero_intersection" and env["result"][key] is None
+        del env["result"][key]
+        f = tmp_path / "dropped.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        failed = [c for c in env2["result"]["checks"] if not c["holds"]]
+        assert code == 1 and [c["name"] for c in failed] == ["recorded_claims"]
+        assert failed[0]["note"] == f"recorded {key} differs"
+
+    def test_verify_ignores_key_order(self, run, tmp_path):
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        t = env["result"]
+        for key in ("dims", "conclusion"):
+            t[key] = dict(reversed(t[key].items()))
+        t["checks"][0] = dict(reversed(t["checks"][0].items()))
+        f = tmp_path / "reordered.json"
+        f.write_text(json.dumps(env))
+        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 0 and env2["result"]["valid"] is True
 
     def test_verify_precision_bounded(self, run, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
@@ -790,15 +819,17 @@ JSON_VALUES = st.recursive(
 
 
 def perturbed(draw, value, path: tuple):
-    """`value` with one change of meaning: a leaf changed, an item or key
-    dropped, a list item added (a copy of another item or any JSON value),
-    or a key added to an object."""
+    """`value` with one change of meaning: a leaf changed (in value, or in
+    JSON type alone, which Python's == does not see: k to float k, 0 and 1 to
+    false and true, and back), an item or key dropped, a list item added (a
+    copy of another item or any JSON value), or a key added to an object."""
     if isinstance(value, bool):
-        return not value
+        return draw(st.sampled_from([not value, int(value)]))
     if isinstance(value, int):
         if path == ("precision",):  # values in [1, MAX_PRECISION] are accepted by design
             return draw(st.integers(-10**6, 0) | st.integers(MAX_PRECISION + 1, 10**6))
-        return value + draw(st.integers(-30, 30).filter(bool))
+        retyped = [float(value)] + [bool(value)] * (value in (0, 1))
+        return draw(st.sampled_from(retyped) | st.integers(-30, 30).filter(bool).map(value.__add__))
     if isinstance(value, str):
         return draw(st.text(max_size=12).filter(lambda s: s != value))
     keys = list(range(len(value))) if isinstance(value, list) else list(value)
@@ -1044,6 +1075,55 @@ class TestInputRefusals:
     def test_header_repeating_p_or_n(self, run, tmp_path, command, header):
         self.refused(run, tmp_path, command, header + "\n0\n", "each once")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"p": 3, "n": 1, "points": [[0], [1]], "size": 5}', "point set has unknown key 'size'"),
+            ("p=3 n=1 size=5\n0\n1\n", "nothing else"),
+            ("p=3 n=1 cap\n0\n1\n", "nothing else"),
+        ],
+        ids=["json_key", "text_key", "text_word"],
+    )
+    @pytest.mark.parametrize("command", ["verify-set", "prove"])
+    def test_point_set_saying_more(self, run, tmp_path, command, text, message):
+        """A key or header token beside p, n and the points, such as a size that
+        the points contradict, is refused rather than ignored."""
+        self.refused(run, tmp_path, command, text, message)
+
+    def test_claim_nested_to_the_decoder_limit(self, run, tmp_path):
+        """A claim nested as deep as the decoder reads fails `recorded_claims`
+        (exit 1), and one nested deeper is refused (exit 2): comparing it with
+        the derived one raises nothing. The decoder's limit depends on the
+        Python version and, before 3.12, on the depth of the calling stack, so
+        it is found here with `load_json`, and the depths below it scanned: the
+        command reads one from deeper in the stack, so its limit is no higher."""
+
+        def reads(depth):
+            try:
+                sets.load_json("[" * depth + "]" * depth)
+            except ValueError:
+                return False
+            return True
+
+        cap = 2**17
+        high = 2
+        while high < cap and reads(high):
+            high *= 2
+        low = high // 2
+        if reads(high):
+            low = high  # read at the cap: no refusal to reach
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if reads(mid) else (low, mid)
+        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        text = json.dumps(env["result"])[:-1]
+        f = tmp_path / "deep.json"
+        codes = set()
+        for depth in range(max(1, low - 100), low + 1 + (low < cap)):
+            f.write_text(text + ', "extra": ' + "[" * depth + "]" * depth + "}")
+            codes.add(run("verify-transcript", "--input", str(f), "--format", "json")[0])
+        assert codes == ({1, 2} if low < cap else {1})
+
     @pytest.mark.parametrize("p, n", [(3, 12), (3, 13), (3, 15), (1447, 1), (1451, 1), (1453, 1)])
     def test_value_table_bound(self, run, tmp_path, p, n):
         """A one-point transcript made to take the main branch: its witness's
@@ -1109,8 +1189,8 @@ class TestInputRefusals:
     @pytest.mark.parametrize("n, selected", [(3, list(range(10))), (12, [0, 1])], ids=["cap9", "one_point_f3_12"])
     def test_selection_larger_than_input(self, run, tmp_path, n, selected):
         """A Gram selection A' listing more points than the input has, which
-        `prove` never writes, is refused when the transcript is read: A' is
-        derived from C', so this is a check of the record's consistency."""
+        `prove` never writes, fails the record's one claims row: A' is derived
+        from C', so this is a check of the record's consistency."""
         if n == 3:
             code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
             t = env["result"]
@@ -1120,9 +1200,15 @@ class TestInputRefusals:
             code, env = run_json(run, "prove", "--input", str(set_file))
             t = env["result"]
             t.update(branch="main", doubles=[0], selected_doubles=[0], witness_values=[1])
+            t["dims"]["intersection"] = "1"
         assert code == 0
         t["selected_points"] = selected
-        self.refused(run, tmp_path, "verify-transcript", json.dumps(t), "'selected_points' lists more points than its input")
+        f = tmp_path / "forged.json"
+        f.write_text(json.dumps(t))
+        code, env = run_json(run, "verify-transcript", "--input", str(f))
+        assert code == 1 and env["result"]["valid"] is False
+        row = env["result"]["checks"][-1]
+        assert (row["name"], row["note"]) == ("recorded_claims", "recorded selected_points differs")
 
 
 def _modules_after(code: str) -> tuple[int, set[str]]:

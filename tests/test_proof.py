@@ -589,15 +589,15 @@ class TestTranscriptSerialization:
     @pytest.mark.parametrize("branch", ["main", "zero_intersection"])
     def test_from_json_inverts_to_json(self, cap9_search, branch):
         """On the 9-cap (main branch) and greedy seed 0 in F_5^3 (zero branch),
-        with the keys of the field tables and no others."""
+        `to_json` writes the keys of the field tables, in their order, and no
+        others. No parser inverts it: `verify_transcript` reads four fields
+        and compares the rest as JSON."""
         A = cap9_search.witness if branch == "main" else greedy_progression_free(PrimeField(5), 3, order_seed=0)
         transcript = prove_size_bound(A)
         assert transcript.branch == branch
         payload = transcript.to_json()
         assert list(payload) == list(proof._FIELDS)
         assert all(set(row) <= set(proof._ROW_FIELDS) for row in payload["checks"])
-        for data in (payload, json.loads(json.dumps(payload))):
-            assert proof.ProofTranscript.from_json(data) == transcript
 
     def test_serialized_fields_stable(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
