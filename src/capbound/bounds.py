@@ -8,18 +8,20 @@ Real comparisons never decide anything close: exact big-integer dimensions
 are compared against bounds in log space with at least 30 significant
 digits (CAPSET_PRECISION overrides) and a 1e-9 guard margin.
 
-c, c n ln p and p^(cn) are evaluated in one place, `_p_cn`, which computes
-ln p once for a whole list of n; `exponent_c`, `verify_entropy_lemma`,
-`main_bound`, the `bound` command and the transcript's asymptotic row all
-read it. The degree cut (p-1)n/3 is written once too, in `_split_degree`.
+c, c n ln p and p^(cn) are evaluated in one place, `_p_cn`, which memoises
+ln p by (p, digits) and each row by (p, n, digits); `exponent_c`,
+`verify_entropy_lemma`, `main_bound`, the `bound` command and the
+transcript's asymptotic row all read it. The degree cut (p-1)n/3 is
+written once too, in `_split_degree`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 from .field import PrimeField
 from .monomials import dim_L
@@ -70,22 +72,29 @@ def _to_decimal(x) -> Decimal:
     raise ValueError(f"expected a number, got {x!r}")
 
 
-def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
-    """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)).
+@lru_cache(maxsize=32)
+def _ln_p(p: int, digits: int) -> tuple[Decimal, Decimal]:
+    with localcontext(Context(prec=digits)):
+        ln_p = Decimal(p).ln()
+        return ln_p, 1 - 1 / (18 * ln_p)
 
-    Every value is evaluated to `digits` significant digits (default
-    `precision_digits()`), with ln p computed once for all of `ns`.
-    """
-    with localcontext() as ctx:
-        ctx.prec = precision_digits() if digits is None else digits
-        ln_p = Decimal(field.p).ln()
-        c = 1 - 1 / (18 * ln_p)
-        rows = []
-        for n in ns:
-            log_bound = c * n * ln_p
-            p_cn = log_bound.exp()
-            rows.append((log_bound, p_cn, 3 * p_cn))
-        return c, rows
+
+@lru_cache(maxsize=128)
+def _p_cn_row(p: int, n: int, digits: int) -> tuple[Decimal, Decimal, Decimal]:
+    ln_p, c = _ln_p(p, digits)
+    with localcontext(Context(prec=digits)):
+        log_bound = c * n * ln_p
+        p_cn = log_bound.exp()
+        return log_bound, p_cn, 3 * p_cn
+
+
+def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
+    """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)),
+    to `digits` significant digits (default `precision_digits()`). Each value
+    is memoised by its key, (p, digits) or (p, n, digits), and evaluated in a
+    context built from `digits` alone; the list is new on each call."""
+    digits = precision_digits() if digits is None else digits
+    return _ln_p(field.p, digits)[1], [_p_cn_row(field.p, n, digits) for n in ns]
 
 
 def exponent_c(field: PrimeField, digits: int | None = None) -> Decimal:

@@ -74,15 +74,16 @@ def coefficient_tensor(values: Sequence[int], field: PrimeField, n: int) -> np.n
 
 def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, field: PrimeField) -> np.ndarray:
     """M[c, alpha] = prod_i table[c_i, alpha_i] mod p (c^alpha with `_vandermonde(p)`), rows c from
-    `coords`, columns following `monos`. Entries are below p, so for the largest k with
-    (p-1)^k < 2^63 (k >= 3) the reduced block takes k - 1 factors per reduction."""
+    `coords`, columns following `monos`. Factor i gathers the table's alpha_i columns, then its c_i
+    rows. Entries are below p, so for the largest k with (p-1)^k < 2^63 (k >= 3) the reduced block
+    takes k - 1 factors per reduction."""
     p, n = field.p, coords.shape[1]
     k = max(j for j in range(2, 64) if (p - 1) ** j < 2**63)
     exps = np.array(monos, dtype=np.int64).reshape(-1, n)
     block = np.ones((len(coords), len(exps)), dtype=np.int64)
     for lo in range(0, n, k - 1):
         for i in range(lo, min(lo + k - 1, n)):
-            block *= table[coords[:, i, None], exps[None, :, i]]
+            block *= table.take(exps[:, i], axis=1).take(coords[:, i], axis=0)
         block %= p
     return block
 

@@ -87,7 +87,7 @@ def monomial_index(p: int, n: int) -> tuple[tuple[Monomial, ...], dict[Monomial,
 
 def rank(a, p: int) -> int:
     """Rank over GF(p) of `a`, a 2-d integer array or a list of equal-length rows."""
-    return len(_row_reduce(np.mod(np.array(a, dtype=np.int64), p), p))
+    return len(_row_reduce(np.mod(np.array(a, dtype=np.int64), p).T, p)[0])
 
 
 def row_space_intersection(
@@ -113,12 +113,7 @@ def row_space_intersection(
     block[: len(b1), :m] = np.mod(np.array(b1, dtype=np.int64), p)
     block[: len(b1), m:] = block[: len(b1), :m]
     block[len(b1) :, :m] = np.mod(np.array(b2, dtype=np.int64), p)
-    _row_reduce(block, p)
-    out = []
-    for row in block:
-        if not row[:m].any() and row[m:].any():
-            out.append([int(x) for x in row[m:]])
-    return out
+    return [row[m:].tolist() for row in _row_reduce(block.T, p)[1].T if not row[:m].any() and row[m:].any()]
 
 
 class ReducedPoly:

@@ -113,8 +113,10 @@ class PointSet:
         Arity, coordinate types and range are each one pass over all points,
         which the index kernel then encodes; the first bad point is looked up
         only to word the error."""
-        total = _ambient_size(field, n)
         points = [tuple(c) for c in points]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"point-set n must be an int, got {n!r}")
+        total = _ambient_size(field, n)
         if set(map(len, points)) - {n}:
             bad = next(c for c in points if len(c) != n)
             raise ValueError(f"point {bad} has wrong dimension, expected {n}")
@@ -219,12 +221,9 @@ class PointSet:
         if unknown is not None:
             raise ValueError(f"{what} has unknown key {unknown!r}")
         try:
-            field, n, points = PrimeField(data["p"]), data["n"], [tuple(c) for c in data["points"]]
+            return cls.from_points(PrimeField(data["p"]), data["n"], data["points"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{what} needs p, n and a points list: {exc!r}") from None
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"point-set n must be an int, got {n!r}")
-        return cls.from_points(field, n, points)
 
     def to_text(self) -> str:
         lines = [f"p={self.field.p} n={self.n}"]

@@ -1,6 +1,6 @@
 import math
 import re
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from capbound.bounds import (
     GUARD_MARGIN,
     MAX_PRECISION,
+    _p_cn,
     exact_tail_identity,
     exponent_c,
     hoeffding_bound,
@@ -43,6 +44,31 @@ class TestExponent:
     def test_strictly_below_one(self):
         for p in (3, 5, 7, 11, 101, 65521):
             assert exponent_c(PrimeField(p)) < 1
+
+    @staticmethod
+    def uncached_p_cn(p: int, ns, digits: int) -> list[str]:
+        with localcontext(Context(prec=digits)):
+            ln_p = Decimal(p).ln()
+            c = 1 - 1 / (18 * ln_p)
+            rows = [(c * n * ln_p, (c * n * ln_p).exp()) for n in ns]
+            return [str(c)] + [str(x) for log_bound, p_cn in rows for x in (log_bound, p_cn, 3 * p_cn)]
+
+    def test_p_cn_memo_agrees_with_uncached_evaluation(self):
+        """`_p_cn` memoises ln p by (p, digits) and each row by (p, n, digits):
+        at two precisions in one process, first computed and then read back,
+        every digit agrees with an uncached evaluation, also when the caller's
+        own context has another precision and rounding. A returned list is new
+        on each call, so mutating it changes no later result."""
+        for p, ns in ((3, [3, 6, 9]), (7, [3, 6])):
+            for digits in (30, 55, 30, 55):
+                with localcontext(Context(prec=5, rounding=ROUND_FLOOR)):
+                    c, rows = _p_cn(PrimeField(p), ns, digits)
+                assert [str(c)] + [str(x) for row in rows for x in row] == self.uncached_p_cn(p, ns, digits)
+        rows = _p_cn(F3, [3, 6], 30)[1]
+        rows[0] = None
+        rows.append(rows[1])
+        c, again = _p_cn(F3, [3, 6], 30)
+        assert [str(c)] + [str(x) for row in again for x in row] == self.uncached_p_cn(3, [3, 6], 30)
 
 
 class TestHoeffding:

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,9 +107,9 @@ class TestRowReduce:
     @staticmethod
     def assert_matches_oracle(a: np.ndarray, p: int) -> list[int]:
         got, want = a.copy(), a.copy()
-        pivots = _row_reduce(got, p)
+        pivots, reduced = _row_reduce(got.T, p)
         assert pivots == oracles.row_reduce_per_pivot(want, p)
-        assert np.array_equal(got, want)
+        assert np.array_equal(reduced.T, want) and np.array_equal(got, a)
         return pivots
 
     @settings(max_examples=300, deadline=None)
@@ -177,8 +179,8 @@ class TestRowReduce:
 
     def test_product_of_three_caps_evaluation_block(self):
         """The 1507 x 729 transposed evaluation block of the product of three
-        9-caps in F_3^9: a pivot column has a few percent of its rows nonzero,
-        so most pivots update only those rows."""
+        9-caps in F_3^9, sparse: a pivot column has a few percent of its rows
+        nonzero."""
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
         _, doubles = pair_sums(PointSet.from_points(F3, 9, product))
@@ -203,6 +205,27 @@ class TestUnitKernelVector:
         assert (v[free] == 1).all() and (v >= 0).all() and (v < p).all()
         assert not (v @ block % p).any()
 
+    def test_affine_image_of_three_caps_block(self):
+        """The 729 x 1507 evaluation block of an affine image of the product of
+        three 9-caps in F_3^9, under x -> (x_0, x_0 + x_1, ..., x_0 + ... + x_8)
+        + t, which mixes the factors' coordinates, so the block has none of
+        the tensor structure that keeps the product's elimination sparse.
+        dim V = 125 for both, and the pivots of the reversed transpose are
+        the rows that are not free."""
+        cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
+        product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
+        t = (1, 0, 2, 2, 1, 0, 0, 2, 1)
+        image = [tuple((s + u) % 3 for s, u in zip(accumulate(x), t)) for x in product]
+        _, doubles = pair_sums(PointSet.from_points(F3, 9, image))
+        low = enumerate_monomials(9, F3, 5)
+        block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3)
+        assert block.shape == (729, 1507)
+        free, v = unit_kernel_vector(block, 3)
+        assert int(free.sum()) == 125 and (v[free] == 1).all()
+        assert not (v @ block % 3).any()
+        pivots = TestRowReduce.assert_matches_oracle(block[::-1].T, 3)
+        assert pivots == np.flatnonzero(~free[::-1]).tolist()
+
 
 class TestRowSpaceIntersection:
     def test_coordinate_subspaces(self):
@@ -225,7 +248,7 @@ class TestRowSpaceIntersection:
     def _random_subspace(rng, dim, ambient, p):
         while True:
             a = rng.integers(0, p, size=(dim, ambient))
-            if len(_row_reduce(a, p)) == dim:
+            if len(_row_reduce(a.T, p)[0]) == dim:
                 return a.tolist()
 
     def test_random_subspace_dimension_bound(self):

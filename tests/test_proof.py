@@ -191,10 +191,11 @@ def zassenhaus_reference(points):
     idxs = points.indices()
     tables = [evaluate_all(poly_from_vector(v, field, n)) for v in V]
     eval_mat = np.array([[t[i] for i in idxs] for t in tables], dtype=np.int64)
-    pivots = _row_reduce(eval_mat.copy(), p)
+    pivots, _ = _row_reduce(eval_mat.T, p)
     aug = np.column_stack([eval_mat[:, pivots].T, np.ones(len(pivots), dtype=np.int64)])
-    assert _row_reduce(aug, p) == list(range(len(pivots)))  # the pivot columns are independent
-    lam = aug[:, -1].tolist()
+    aug_pivots, reduced = _row_reduce(aug.T, p)
+    assert aug_pivots == list(range(len(pivots)))  # the pivot columns are independent
+    lam = reduced[-1].tolist()
     combo = sum(c * np.array(v, dtype=np.int64) for c, v in zip(lam, V)) % p
     return len(V), [idxs[j] for j in pivots], poly_from_vector(combo, field, n)
 
