@@ -173,19 +173,9 @@ def _search(args) -> SearchResult:
     if args.mode == "greedy":
         t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
-        return SearchResult(
-            best_size=witness.size,
-            witness=witness,
-            optimal=False,
-            nodes_explored=0,
-            elapsed=time.perf_counter() - t0,
-        )
-    return max_progression_free(
-        field,
-        args.n,
-        node_budget=args.budget,
-        workers=args.threads,
-    )
+        elapsed = time.perf_counter() - t0
+        return SearchResult(best_size=witness.size, witness=witness, optimal=False, nodes_explored=0, elapsed=elapsed)
+    return max_progression_free(field, args.n, node_budget=args.budget, workers=args.threads)
 
 
 def cmd_search(args) -> int:

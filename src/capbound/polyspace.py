@@ -40,6 +40,12 @@ def _vandermonde(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _reduction_stride(p: int) -> int:
+    """The largest k with (p-1)^k < 2^63, memoised for `_coordinate_products`: 62 big-integer powers."""
+    return max(j for j in range(2, 64) if (p - 1) ** j < 2**63)
+
+
+@lru_cache(maxsize=32)
 def _indicator_rows(p: int) -> np.ndarray:
     """U[s, e] = coefficient of x^e in 1 - (x - s)^(p-1), that is [e = 0] - s^(p-1-e) mod p.
 
@@ -75,10 +81,10 @@ def coefficient_tensor(values: Sequence[int], field: PrimeField, n: int) -> np.n
 def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, field: PrimeField) -> np.ndarray:
     """M[c, alpha] = prod_i table[c_i, alpha_i] mod p (c^alpha with `_vandermonde(p)`), rows c from
     `coords`, columns following `monos`. Factor i gathers the table's alpha_i columns, then its c_i
-    rows. Entries are below p, so for the largest k with (p-1)^k < 2^63 (k >= 3) the reduced block
-    takes k - 1 factors per reduction."""
+    rows. Entries are below p, so for the largest k with (p-1)^k < 2^63 (k >= 3, `_reduction_stride`)
+    the reduced block takes k - 1 factors per reduction."""
     p, n = field.p, coords.shape[1]
-    k = max(j for j in range(2, 64) if (p - 1) ** j < 2**63)
+    k = _reduction_stride(p)
     exps = np.array(monos, dtype=np.int64).reshape(-1, n)
     block = np.ones((len(coords), len(exps)), dtype=np.int64)
     for lo in range(0, n, k - 1):

@@ -15,8 +15,9 @@ The exact search keeps non-negative Python-int masks. Its row table of
 keep masks (`_BlockRows`) is built from the same kernel, one row per point
 j it reaches. The depth-first `_walk` memoises the keep mask of each chosen
 prefix, so including j costs about one AND, and goes on in place.
-`_split`, the breadth-first split into subtrees for `_walk_subtrees`,
-queues one-node `_walk` calls. A node budget caps both.
+`_split`, the breadth-first split into subtrees, queues one-node `_walk`
+calls, and `_walk_subtrees` walks the subtrees in the caller and in children
+forked on `os.fork`, which talk to it through pipes. A node budget caps both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import functools
 import json
 import math
 import os
+import pickle
 import random
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -537,44 +540,52 @@ def _check_search_options(n: int, node_budget: int | None, workers: int) -> None
 
 
 def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> list[tuple]:
-    """`_walk` from `best` on each (root, budget) of `runs`, in their order. With
-    `fork`, the caller and procs - 1 forked children claim runs from a shared
-    counter; a child's error, or its exit with results unsent (EOFError), raises here."""
+    """`_walk` from `best` on each (root, budget) of `runs`, in their order. With `os.fork`,
+    the caller and procs - 1 children claim runs, last first, as 2-byte indices from one pipe;
+    a child's error, or its pipe left empty (EOFError), raises here. No child outlives this."""
     if procs <= 1 or not hasattr(os, "fork"):
         return [_walk(p, n, root, best, budget) for root, budget in runs]
-    import multiprocessing  # only when a search forks
-
-    ctx = multiprocessing.get_context("fork")  # a child inherits imports and row table
-    counter, children = ctx.Value("i", len(runs)), []  # counts down: the last subtrees are the largest
+    claims, queue = os.pipe()  # at most 4 * _MAX_WORKERS + 1 indices: one write below PIPE_BUF
+    os.write(queue, b"".join(i.to_bytes(2, "big") for i in reversed(range(len(runs)))))
+    os.close(queue)  # a claim past the last index then reads EOF
 
     def walk_claimed() -> dict | Exception:
         done = {}
         try:
-            while True:
-                with counter.get_lock():
-                    i = counter.value = counter.value - 1
-                if i < 0:
-                    return done
+            while claim := os.read(claims, 2):
+                i = int.from_bytes(claim, "big")
                 done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
         except Exception as exc:  # a child's is sent, then raised in the caller
             return exc
+        return done
 
+    children = {}  # pid -> the read end of the pipe its results come down
     try:
         for _ in range(procs - 1):
-            reader, writer = ctx.Pipe(duplex=False)
-            process = ctx.Process(target=lambda w: w.send(walk_claimed()), args=(writer,), daemon=True)
-            children.append((process, reader))
-            process.start()
-            writer.close()  # the child's copy is then the only one, so its exit reads as EOF
+            reader, writer = os.pipe()
+            if (pid := os.fork()) == 0:  # a child inherits imports and row table, and leaves by _exit
+                try:
+                    try:
+                        data = pickle.dumps(done := walk_claimed())
+                    except Exception:
+                        data = pickle.dumps(RuntimeError(f"search child error {done!r} cannot be pickled"))
+                    with open(writer, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            children[pid] = reader
+            os.close(writer)  # the child's copy is then the only one, so its exit reads as EOF
         results = {}
-        for done in chain([walk_claimed()], (reader.recv() for _, reader in children)):
+        for done in chain([walk_claimed()], (pickle.load(open(r, "rb", closefd=False)) for r in children.values())):
             if isinstance(done, Exception):
                 raise done
             results.update(done)
     finally:
-        for process, _ in children:
-            process.terminate()  # a child that has sent its results has nothing left to do
-            process.join()
+        os.close(claims)
+        for pid, reader in children.items():
+            os.close(reader)
+            os.kill(pid, signal.SIGKILL)  # a child that has sent its results has nothing left to do
+            os.waitpid(pid, 0)
     return [results[i] for i in range(len(runs))]
 
 
@@ -624,16 +635,9 @@ def max_progression_free(
         if size > best:
             best, best_chosen = size, chosen
 
-    witness = (
-        PointSet.from_indices(field, n, best_chosen) if best_chosen is not None else seed_set
-    )
-    return SearchResult(
-        best_size=best,
-        witness=witness,
-        optimal=exhausted,
-        nodes_explored=nodes,
-        elapsed=time.perf_counter() - t0,
-    )
+    witness = seed_set if best_chosen is None else PointSet.from_indices(field, n, best_chosen)
+    elapsed = time.perf_counter() - t0
+    return SearchResult(best_size=best, witness=witness, optimal=exhausted, nodes_explored=nodes, elapsed=elapsed)
 
 
 def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> PointSet:

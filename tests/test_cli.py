@@ -1255,6 +1255,33 @@ class TestModuleStructure:
             "concurrent.futures.process",
         }
 
+    def test_forked_search_imports_no_multiprocessing(self):
+        """A budgeted search at two processes in a fresh interpreter, with two
+        CPUs reported so that it forks one child on any host: the pinned
+        witness, and multiprocessing is not loaded afterwards."""
+        argv = ["search", "--p", "3", "--n", "4", "--mode", "exact", "--budget", "300000", "--threads", "2"]
+        script = (
+            "import os, sys\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork, os.cpu_count = lambda: forks.append(os.getpid()) or fork(), lambda: 2\n"
+            "from capbound import cli\n"
+            f"assert cli.main({[*argv, '--format', 'json']!r}) == 0\n"
+            "print(len(forks), 'multiprocessing' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(capbound.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out, loaded = proc.stdout.splitlines()
+        result = json.loads(out)["result"]
+        assert (result["best_size"], _sha256_json(result["witness"])) == PINNED_BUDGETED[("3", "4")]
+        assert loaded == "1 False"  # one child forked, and multiprocessing never imported
+
     def test_package_import_is_lazy(self):
         code, loaded = _modules_after("import capbound")
         assert code == 0 and {m for m in loaded if m.startswith("capbound.")} == set()

@@ -1,7 +1,6 @@
 import contextlib
 import functools
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -35,6 +34,13 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 # coordinates a point file or a caller may give, valid or not
 COORDINATE = st.integers(-1, 3) | st.sampled_from([True, 1.0, "1", 2**70, np.int64(2), np.bool_(True)])
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped: `waitpid(-1)` finds none."""
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @contextlib.contextmanager
@@ -362,39 +368,43 @@ class TestWorkers:
         processes, the caller and the children it forks, over more than one and
         at most 4 * workers + 1 subtrees; a split that spends the budget forks
         no child."""
-        subtrees, children = [], []
-        split, start = sets._split, multiprocessing.process.BaseProcess.start
+        subtrees, forks = [], []
+        split, fork, caller = sets._split, os.fork, os.getpid()
 
         def recording_split(*args, **kwargs):
             result = split(*args, **kwargs)
             subtrees.append(len(result[0]))
             return result
 
-        def recording_start(process):
-            children.append(process)
-            start(process)
+        def recording_fork():
+            forks.append(os.getpid())
+            return fork()
 
         monkeypatch.setattr(sets, "_split", recording_split)
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+        monkeypatch.setattr(sets.os, "fork", recording_fork)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
         for workers in (3, sets._MAX_WORKERS):
             subtrees.clear()
-            children.clear()
+            forks.clear()
             res = max_progression_free(F3, 3, workers=workers)
             [tasks] = subtrees
-            assert len(children) + 1 == min(workers, tasks, 2) and 1 < tasks <= 4 * workers + 1
-            assert res.best_size == 9 and res.optimal
-        children.clear()
+            assert len(forks) + 1 == min(workers, tasks, 2) and 1 < tasks <= 4 * workers + 1
+            assert set(forks) == {caller} and res.best_size == 9 and res.optimal
+        forks.clear()
         max_progression_free(F3, 3, node_budget=200, workers=sets._MAX_WORKERS)
-        assert children == []  # the split spends the whole budget; no subtree is left a share
+        assert forks == []  # the split spends the whole budget; no subtree is left a share
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="children are forked")
-    @pytest.mark.parametrize("failure", ["raise", "exit", "caller"])
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="children are forked")
+    @pytest.mark.parametrize("failure", ["raise", "exit", "caller", "unpicklable", "killed"])
     def test_failing_child_fails_the_search(self, monkeypatch, failure):
-        """A child whose walk raises, or that exits without sending its results,
-        makes the search raise in the caller instead of hanging it; so does a
-        walk that raises in the caller."""
+        """A child whose walk raises, even an error that cannot be pickled, or
+        that exits or is killed without sending its results, makes the search
+        raise in the caller instead of hanging it; so does a walk that raises
+        in the caller. No child is left either way."""
         caller, walk = os.getpid(), sets._walk
+
+        class Unpicklable(ArithmeticError):
+            """A local class: pickle cannot find it by name."""
 
         def walk_failing_in_children(*args):
             if args[-1] == 1:  # a one-node step of the split, which runs before the launch
@@ -406,14 +416,20 @@ class TestWorkers:
                 return walk(*args)
             if failure == "exit":
                 os._exit(3)
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            if failure == "unpicklable":
+                raise Unpicklable("walk failed in a child")
             raise ArithmeticError("walk failed in a child")
 
         monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
-        expected = EOFError if failure == "exit" else ArithmeticError
-        with _deadline(60), pytest.raises(expected):
+        expected = {"exit": EOFError, "killed": EOFError, "unpicklable": RuntimeError}.get(failure, ArithmeticError)
+        with _deadline(60), pytest.raises(expected) as raised:
             max_progression_free(F3, 3, workers=2)
-        assert multiprocessing.active_children() == []
+        if failure == "unpicklable":
+            assert "Unpicklable('walk failed in a child')" in str(raised.value)
+        assert_no_child()
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("p, n", [(3, 3), (7, 2)])
@@ -425,7 +441,7 @@ class TestWorkers:
         res = max_progression_free(PrimeField(p), n, workers=workers)
         expected = _reference_search(p, n, None, workers)
         assert (res.best_size, res.witness.indices(), res.optimal, res.nodes_explored) == expected
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 def _reference_search(p: int, n: int, budget: int | None, workers: int) -> tuple:
@@ -472,7 +488,7 @@ class TestSplitSearch:
             res = max_progression_free(PrimeField(p), n, node_budget=budget, workers=workers)
         expected = _reference_search(p, n, budget, workers)
         assert (res.best_size, res.witness.indices(), res.optimal, res.nodes_explored) == expected
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 WALK_AMBIENTS = [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)]
