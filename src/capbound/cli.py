@@ -2,12 +2,12 @@
 
 Exit codes are stable across commands: 0 = all checks pass, 1 = a
 mathematical check failed (evidence included in the output), 2 = usage or
-parse error. JSON output is schema-stable per command and serializes every
-unbounded integer as a decimal string; `--format` overrides the default
-(table on a terminal, JSON when redirected). JSON output is
-`json.dumps(envelope)` and a newline: compact, on one line. All randomized
-behavior is seed-controlled, so identical invocations produce identical
-outputs.
+parse error, or a search worker that died unsent. JSON output is
+schema-stable per command and serializes every unbounded integer as a
+decimal string; `--format` overrides the default (table on a terminal,
+JSON when redirected). JSON output is `json.dumps(envelope)` and a
+newline: compact, on one line. All randomized behavior is seed-controlled,
+so identical invocations produce identical outputs.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """The polynomial side of the certificate, on value tables and coefficient arrays.
 
 A function F_p^n -> F_p is exactly one polynomial with every exponent
-capped at p-1 (x^p = x on points). The certificate reads two things of it, and
-this module holds exactly those: the coefficient tensor of f read off its
-value table, and the |C| x h evaluation block [c^beta] of the doubles at the
-monomials of degree below the cut, whose left kernel is V (its values
-f(a + b) over pairs are read by `proof.diagonal_certificate` without a
-matrix). Each is a dense numpy array, and each factors per coordinate,
-through a p x p table with entries below p: the indicator coefficients for
-the tensor, the Vandermonde table for the block. Nothing here is
-ambient-sized beyond a value table or coefficient tensor of p^n entries.
+capped at p-1 (x^p = x on points). The certificate reads two things of it,
+and this module holds exactly those: the coefficient tensor of f read off
+its value table, whose terms give f's degree (a degree of at most 2s also
+settles the support split, so no split is read), and the |C| x h
+evaluation block [c^beta] of the doubles at the monomials of degree below
+the cut, whose left kernel is V (its values f(a + b) over pairs are read
+by `proof.diagonal_certificate` without a matrix). Each is a dense numpy
+array, and each factors per coordinate, through a p x p table with
+entries below p: the indicator coefficients for the tensor, the
+Vandermonde table for the block. Nothing here is ambient-sized beyond a
+value table or coefficient tensor of p^n entries.
 The polynomial view (`ReducedPoly`, evaluation, interpolation, indicators)
 and the dense p^n x p^n references are in `capbound.reference`.
 """
@@ -24,10 +26,7 @@ import numpy as np
 from .field import PrimeField
 from .monomials import Monomial
 
-__all__ = [
-    "coefficient_tensor",
-    "split_violation",
-]
+__all__ = ["coefficient_tensor"]
 
 
 @lru_cache(maxsize=32)
@@ -92,22 +91,3 @@ def _coordinate_products(coords: np.ndarray, monos: Sequence[Monomial], table, f
             block *= table.take(exps[:, i], axis=1).take(coords[:, i], axis=0)
         block %= p
     return block
-
-
-def split_violation(terms: np.ndarray, d: int) -> Monomial | None:
-    """A term of f whose shift-grid cells break the support split at d, or None.
-
-    `terms` holds the exponents of f's terms in lexicographic row order, as
-    `np.argwhere` reads them from f's coefficient tensor. Cell (alpha, beta)
-    of `reference.shift_coefficient_matrix(f)` is c * prod_i C(gamma_i, alpha_i) for
-    the term c x^gamma with gamma = alpha + beta, and no such binomial
-    vanishes mod p since gamma_i < p (Lucas). So the grid has a nonzero cell
-    with |alpha| > d and |beta| > d exactly when f has a term of degree
-    >= 2d + 2; the first one in graded-lex order is returned, and the p^n x
-    p^n grid is never built.
-    """
-    degrees = terms.sum(axis=1)
-    bad = degrees >= 2 * d + 2
-    if not bad.any():
-        return None
-    return tuple(terms[np.argmax(bad & (degrees == degrees[bad].min()))].tolist())

@@ -8,10 +8,16 @@ f in V with f = 1 on C', and the diagonal Gram certificate over
 A' = {a : 2a in C'}. C' and f come from one elimination of the transposed
 block of the doubles' evaluations c^beta at the monomials of degree below
 the cut. f vanishes off C, so the transcript records it as its values on C.
-Every claimed (in)equality is checked with exact values and recorded; the
-transcript serializes to JSON and can be re-checked from that form alone,
-without re-deriving V: f's coefficients come from one interpolation pass
-over its value table.
+
+The report has one row per fact of the chain, checked with exact values:
+`progression_free` (B & C is empty, so f = 0 on B), on the main branch
+`witness_degree` (f in L), `witness_unit_on_selected` (f = 1 on C') and
+`selected_size_bound` (|A'| <= 2 dim(degree <= s), the rank of the then
+diagonal Gram matrix; degree <= 2s settles the support split), then
+`size_bound_exact` (|A| = |C| <= h + |C'|) and `size_bound_asymptotic`.
+The transcript serializes to JSON and can be re-checked from that form
+alone, without re-deriving V: f's coefficients come from one
+interpolation pass over its value table.
 
 One function, `_derive`, writes every field of a transcript from the
 input, the selection C' and the witness's values on C: `prove` calls it on
@@ -34,7 +40,7 @@ This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
 (`interpolate(t.value_table(), field, n)` for a transcript `t`) and the
 dense p^n x p^n rank arguments that the diagonal certificate and the
-support split replace. Each work bound is checked once, before its work is
+degree cap replace. Each work bound is checked once, before its work is
 allocated, where it is allocated: `WORK_BOUND` on the |C| x h block that
 `prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
 sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
@@ -55,7 +61,7 @@ from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
-from .polyspace import _coordinate_products, _vandermonde, coefficient_tensor, split_violation
+from .polyspace import _coordinate_products, _vandermonde, coefficient_tensor
 from .sets import PointSet, _index_of, _members, _pair_indices, is_progression_free, pair_sums
 
 __all__ = [
@@ -72,7 +78,7 @@ __all__ = [
 
 WORK_BOUND = 2**22  # entries of the |C| x h block that `prove` builds and eliminates
 VALUE_TABLE_BOUND = 2**21  # p^(n+1), the products of one interpolation pass over a value table
-TRANSCRIPT_FORMAT = "capbound.transcript/2"
+TRANSCRIPT_FORMAT = "capbound.transcript/3"
 _DIMENSION_KEYS = (
     "ambient", "vanishing_off_doubles", "low_degree", "low_third", "low_third_minus", "intersection"
 )
@@ -230,22 +236,6 @@ def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
     return diag
 
 
-def _split_check(terms: np.ndarray, size: int, d: int, field: PrimeField) -> ProofCheck:
-    """size <= 2 dim(degree <= d), the rank bound of the split shift grid of f,
-    whose terms' exponents are the rows of `terms`.
-
-    When a term of f breaks the support split the bound is not established
-    and the row fails, naming that term, instead of raising.
-    """
-    bound = 2 * dim_L(terms.shape[1], d, field)
-    term = split_violation(terms, d)
-    if term is None:
-        note = "diagonal Gram rank against the support split"
-        return _check("selected_size_bound", size, "<=", bound, note=note)
-    note = f"support split fails: term {list(term)} has degree >= 2d + 2 = {2 * d + 2}"
-    return ProofCheck("selected_size_bound", "<=", str(size), str(bound), False, note)
-
-
 def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> ProofTranscript:
     """Run the whole size-bound argument on a concrete set and record it.
 
@@ -282,9 +272,9 @@ def _derive(
     progression-free. dim V is recorded as |C'|; the branch is the main one
     exactly when C' is not empty, and only then is `lam` read. The Gram
     rank over A' = {a : 2a in C'} is |A'| when `diagonal_certificate` finds
-    the Gram matrix diagonal with nonzero diagonal, else -1. f's degree and
-    split are read from its coefficients, one interpolation pass over its
-    value table. The asymptotic bound is evaluated at `precision` digits.
+    the Gram matrix diagonal with nonzero diagonal, else -1. f's degree is
+    read from its coefficients, one interpolation pass over its value
+    table. The asymptotic bound is evaluated at `precision` digits.
     `prove_size_bound` records this; `verify_transcript` compares the record
     with it.
     """
@@ -312,27 +302,8 @@ def _derive(
     )
     table = t.value_table()
     t.selected_doubles, t.selected_points = selected.indices(), _halves_of(A, selected)
-    size, ambient, dim_low, h = A.size, dims["ambient"], dims["low_degree"], dims["low_third_minus"]
-    overlap = (sums & doubles).size
-    checks = [
-        _check("progression_free", int(not overlap), "==", 1, note="verified on input"),
-        _check("pair_sums_disjoint_from_doubles", overlap, "==", 0, note="B and C share no point"),
-        _check("doubling_injective", doubles.size, "==", size),
-        _check(
-            "low_degree_dim_lower_bound",
-            dim_low,
-            ">=",
-            ambient - h,
-            note="equality by the complementation duality",
-        ),
-        _check(
-            "intersection_dim_lower_bound",
-            dims["intersection"],
-            ">=",
-            doubles.size + dim_low - ambient,
-        ),
-    ]
-
+    size, h = A.size, dims["low_third_minus"]
+    checks = [_check("progression_free", int(not (sums & doubles).size), "==", 1, note="verified on input")]
     exact = {"size": str(size)}
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
@@ -344,17 +315,17 @@ def _derive(
             t.matrix_rank = a_prime.size
         except HypothesisViolation:
             t.matrix_rank = -1
-        terms = np.argwhere(coefficient_tensor(table, field, n)).reshape(-1, n)
-        vanishes_off_doubles = not table[~doubles._table()].any()
+        degree = int(np.argwhere(coefficient_tensor(table, field, n)).sum(axis=1).max(initial=0))
         checks += [
-            _check("selection_size", selected.size, "==", dims["intersection"]),
-            _check("witness_degree", int(terms.sum(axis=1).max(initial=0)), "<=", 2 * s),
-            _check("witness_vanishes_off_doubles", int(vanishes_off_doubles), "==", 1),
+            _check("witness_degree", degree, "<=", 2 * s),
             _check("witness_unit_on_selected", int((table[t.selected_doubles] == 1).all()), "==", 1),
-            _check("pair_sums_in_zero_set", int(not table[sums._table()].any()), "==", 1),
-            _check("selected_points_count", a_prime.size, "==", selected.size),
-            _check("gram_rank_equals_selection", t.matrix_rank, "==", a_prime.size),
-            _split_check(terms, a_prime.size, s, field),
+            _check(
+                "selected_size_bound",
+                a_prime.size,
+                "<=",
+                2 * dims["low_third"],
+                note="diagonal Gram rank against the support split",
+            ),
         ]
         exact_bound, note = h + selected.size, "|A| = |C| <= dim(low third minus one) + |C'|"
         exact.update(low_third_minus=str(h), selected=str(selected.size))
@@ -390,8 +361,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     recorded precision, then `recorded_claims`, which holds when the record,
     `format` and `input` aside, equals the derivation's as JSON and
     otherwise names the first field that differs (`_first_difference`). dim V
-    is recorded as |C'| and is not re-derived: the
-    `intersection_dim_lower_bound` row (|C'| >= |C| + dim L - p^n) binds it.
+    is recorded as |C'| and is not re-derived: the `size_bound_exact` row
+    (|A| <= h + |C'|) binds it.
     Returns (every row holds, rows).
 
     Refused (ValueError): a fault in a read field, then, in the order its

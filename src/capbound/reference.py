@@ -16,8 +16,8 @@ criteria compare with:
 - `rank` and `row_space_intersection` (the Zassenhaus block) on arrays;
 - evaluation at one point, zero sets, the duality identity over a whole
   layer-count table, and the two p^n x p^n rank arguments that `prove`
-  replaces by the diagonal certificate and by reading the support split
-  off f's terms.
+  replaces by the diagonal certificate and by the degree cap: a witness of
+  degree at most 2s has no shift-grid cell with both degrees above s.
 """
 
 from __future__ import annotations

@@ -542,7 +542,7 @@ def _check_search_options(n: int, node_budget: int | None, workers: int) -> None
 def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> list[tuple]:
     """`_walk` from `best` on each (root, budget) of `runs`, in their order. With `os.fork`,
     the caller and procs - 1 children claim runs, last first, as 2-byte indices from one pipe;
-    a child's error, or its pipe left empty (EOFError), raises here. No child outlives this."""
+    a child's error raises here, as does a ChildProcessError for one that died unsent. No child outlives this."""
     if procs <= 1 or not hasattr(os, "fork"):
         return [_walk(p, n, root, best, budget) for root, budget in runs]
     claims, queue = os.pipe()  # at most 4 * _MAX_WORKERS + 1 indices: one write below PIPE_BUF
@@ -576,7 +576,7 @@ def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> 
             children[pid] = reader
             os.close(writer)  # the child's copy is then the only one, so its exit reads as EOF
         results = {}
-        for done in chain([walk_claimed()], (pickle.load(open(r, "rb", closefd=False)) for r in children.values())):
+        for done in chain([walk_claimed()], (_results_of(pid, reader) for pid, reader in children.items())):
             if isinstance(done, Exception):
                 raise done
             results.update(done)
@@ -587,6 +587,14 @@ def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> 
             os.kill(pid, signal.SIGKILL)  # a child that has sent its results has nothing left to do
             os.waitpid(pid, 0)
     return [results[i] for i in range(len(runs))]
+
+
+def _results_of(pid: int, reader: int) -> dict | Exception:
+    """What the search child `pid` sent down the pipe `reader`: its results or its error."""
+    try:
+        return pickle.load(open(reader, "rb", closefd=False))
+    except EOFError:
+        raise ChildProcessError(f"search worker {pid} ended without sending its results") from None
 
 
 def max_progression_free(

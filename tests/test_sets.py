@@ -424,11 +424,13 @@ class TestWorkers:
 
         monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
-        expected = {"exit": EOFError, "killed": EOFError, "unpicklable": RuntimeError}.get(failure, ArithmeticError)
-        with _deadline(60), pytest.raises(expected) as raised:
+        expected = {"exit": ChildProcessError, "killed": ChildProcessError, "unpicklable": RuntimeError}
+        with _deadline(60), pytest.raises(expected.get(failure, ArithmeticError)) as raised:
             max_progression_free(F3, 3, workers=2)
         if failure == "unpicklable":
             assert "Unpicklable('walk failed in a child')" in str(raised.value)
+        if failure in ("exit", "killed"):
+            assert re.fullmatch(r"search worker \d+ ended without sending its results", str(raised.value))
         assert_no_child()
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
