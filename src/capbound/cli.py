@@ -2,12 +2,17 @@
 
 Exit codes are stable across commands: 0 = all checks pass, 1 = a
 mathematical check failed (evidence included in the output), 2 = usage or
-parse error, or a search worker that died unsent. JSON output is
+parse error, or a search worker that failed or died unsent. JSON output is
 schema-stable per command and serializes every unbounded integer as a
 decimal string; `--format` overrides the default (table on a terminal,
 JSON when redirected). JSON output is `json.dumps(envelope)` and a
 newline: compact, on one line. All randomized behavior is seed-controlled,
-so identical invocations produce identical outputs.
+and a search runs in one process unless `--threads` asks for more, so
+identical invocations produce identical outputs on any host.
+
+The search options belong to `search` alone. `prove --input` reads a
+point-set file or the envelope `search` writes, so a searched witness is
+proved by `capbound search ... | capbound prove --input -`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import time
 
@@ -152,34 +156,18 @@ def cmd_entropy_check(args) -> int:
     return 0 if all(rep.holds for rep in reports) else 1
 
 
-_POOL_BUDGET = 50_000  # more than one process only above this budget; moving it changes default-thread output
-
-
-def _default_threads(budget: int | None) -> int:
-    """Worker processes for an exact search run without --threads, at most `sets._MAX_WORKERS`."""
-    from .sets import _MAX_WORKERS
-
-    return min(os.cpu_count() or 1, _MAX_WORKERS) if budget is not None and budget > _POOL_BUDGET else 1
-
-
-def _search(args) -> SearchResult:
-    """Run the search `args` names; a missing `args.threads` gets its default."""
+def cmd_search(args) -> int:
     from .sets import SearchResult, _check_search_options, greedy_progression_free, max_progression_free
 
     field = PrimeField(args.p)
-    if args.threads is None:
-        args.threads = _default_threads(args.budget)
-    _check_search_options(args.n, args.budget, args.threads)  # greedy ignores the last two, but echoes them
-    if args.mode == "greedy":
+    if args.mode == "exact":
+        result = max_progression_free(field, args.n, node_budget=args.budget, workers=args.threads)
+    else:
+        _check_search_options(args.n, args.budget, args.threads)  # greedy reads neither option, but echoes both
         t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
         elapsed = time.perf_counter() - t0
-        return SearchResult(best_size=witness.size, witness=witness, optimal=False, nodes_explored=0, elapsed=elapsed)
-    return max_progression_free(field, args.n, node_budget=args.budget, workers=args.threads)
-
-
-def cmd_search(args) -> int:
-    result = _search(args)
+        result = SearchResult(best_size=witness.size, witness=witness, optimal=False, nodes_explored=0, elapsed=elapsed)
     envelope = {
         "command": "search",
         "params": {key: getattr(args, key) for key in ("p", "n", "mode", "budget", "seed", "threads")},
@@ -203,21 +191,26 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _load_set_for_prove(args):
-    from .sets import parse_point_set
+def _load_set_for_prove(path: str):
+    """The point set in `path`: a point-set file, or the witness in the envelope `search` writes."""
+    from .sets import PointSet, load_json
 
-    if args.input:
-        return parse_point_set(_read_input(args.input))
-    if not args.search:
-        raise ValueError("provide an input file or --search")
-    _split_degree(args.p, args.n)  # the cut needs only p and n: refuse it before searching
-    return _search(args).witness
+    text = _read_input(path)
+    if not text.lstrip().startswith("{"):
+        return PointSet.from_text(text)
+    data = load_json(text)
+    if isinstance(data, dict) and "command" in data:  # an envelope: only search's holds a point set
+        if data["command"] != "search":
+            raise ValueError(f"prove reads a point set or a search envelope, not a {data['command']!r} envelope")
+        result = data.get("result")
+        return PointSet.from_json(result.get("witness") if isinstance(result, dict) else result, what="search witness")
+    return PointSet.from_json(data)
 
 
 def cmd_prove(args) -> int:
     from .proof import prove_size_bound
 
-    points = _load_set_for_prove(args)
+    points = _load_set_for_prove(args.input)
     transcript = prove_size_bound(points)
     payload = transcript.to_json()
     envelope = {
@@ -287,17 +280,6 @@ def _add_format(sub) -> None:
     sub.add_argument("--format", choices=["table", "json", "csv"], default=None)
 
 
-def _add_search_options(sub, default: int | None = None) -> None:
-    """The options of a search; --p and --n are required, or default to `default` when it is given."""
-    sub.add_argument("--p", type=int, required=default is None, default=default)
-    sub.add_argument("--n", type=int, required=default is None, default=default)
-    sub.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    sub.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
-    sub.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
-    threads_help = "exact mode: processes, at most the CPU count (default 1; all CPUs above a 50000 budget)"
-    sub.add_argument("--threads", type=int, default=None, help=threads_help)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; `parse_args` returns a fresh
@@ -329,14 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(handler=cmd_entropy_check)
 
     s = subs.add_parser("search", help="maximum or greedy progression-free set")
-    _add_search_options(s)
+    s.add_argument("--p", type=int, required=True)
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--mode", choices=["exact", "greedy"], default="exact")
+    s.add_argument("--budget", type=int, default=None, help="exact mode: cap on nodes_explored")
+    s.add_argument("--seed", type=int, default=0, help="order seed for greedy mode")
+    s.add_argument("--threads", type=int, default=1, help="exact mode: worker processes, at most the CPU count")
     _add_format(s)
     s.set_defaults(handler=cmd_search)
 
     pr = subs.add_parser("prove", help="run the size-bound argument, emit a transcript")
-    pr.add_argument("--input", type=str, default=None, help="point-set file (JSON or text, - for stdin)")
-    pr.add_argument("--search", action="store_true", help="prove on a searched witness")
-    _add_search_options(pr, default=3)
+    pr.add_argument("--input", type=str, required=True, help="point set or search envelope (JSON or text, - for stdin)")
     _add_format(pr)
     pr.set_defaults(handler=cmd_prove)
 

@@ -272,9 +272,10 @@ def _derive(
     progression-free. dim V is recorded as |C'|; the branch is the main one
     exactly when C' is not empty, and only then is `lam` read. The Gram
     rank over A' = {a : 2a in C'} is |A'| when `diagonal_certificate` finds
-    the Gram matrix diagonal with nonzero diagonal, else -1. f's degree is
-    read from its coefficients, one interpolation pass over its value
-    table. The asymptotic bound is evaluated at `precision` digits.
+    the Gram matrix diagonal with nonzero diagonal, else -1; its sweep is
+    skipped when A is progression-free and f is 1 on C', which make it so.
+    f's degree is read from its coefficients, one interpolation pass over
+    its value table. The asymptotic bound is evaluated at `precision` digits.
     `prove_size_bound` records this; `verify_transcript` compares the record
     with it.
     """
@@ -303,22 +304,25 @@ def _derive(
     table = t.value_table()
     t.selected_doubles, t.selected_points = selected.indices(), _halves_of(A, selected)
     size, h = A.size, dims["low_third_minus"]
-    checks = [_check("progression_free", int(not (sums & doubles).size), "==", 1, note="verified on input")]
+    free = int(not (sums & doubles).size)
+    checks = [_check("progression_free", free, "==", 1, note="verified on input")]
     exact = {"size": str(size)}
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
         exact_bound, note = h, "zero-dimensional intersection branch"
     else:
         a_prime = PointSet.from_indices(field, n, t.selected_points)
-        try:
-            diagonal_certificate(table, a_prime)
-            t.matrix_rank = a_prime.size
-        except HypothesisViolation:
-            t.matrix_rank = -1
+        unit = int((table[t.selected_doubles] == 1).all())
+        t.matrix_rank = a_prime.size
+        if not (free and unit):  # else f, 0 off C, is 0 on B and 1 on C': the sweep would find |A'|
+            try:
+                diagonal_certificate(table, a_prime)
+            except HypothesisViolation:
+                t.matrix_rank = -1
         degree = int(np.argwhere(coefficient_tensor(table, field, n)).sum(axis=1).max(initial=0))
         checks += [
             _check("witness_degree", degree, "<=", 2 * s),
-            _check("witness_unit_on_selected", int((table[t.selected_doubles] == 1).all()), "==", 1),
+            _check("witness_unit_on_selected", unit, "==", 1),
             _check(
                 "selected_size_bound",
                 a_prime.size,

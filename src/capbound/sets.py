@@ -541,22 +541,20 @@ def _check_search_options(n: int, node_budget: int | None, workers: int) -> None
 
 def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> list[tuple]:
     """`_walk` from `best` on each (root, budget) of `runs`, in their order. With `os.fork`,
-    the caller and procs - 1 children claim runs, last first, as 2-byte indices from one pipe;
-    a child's error raises here, as does a ChildProcessError for one that died unsent. No child outlives this."""
+    the caller and procs - 1 children claim runs, last first, as 2-byte indices from one pipe.
+    The caller's own error raises here; a child's, or a child that died unsent, raises a
+    ChildProcessError. No child outlives this."""
     if procs <= 1 or not hasattr(os, "fork"):
         return [_walk(p, n, root, best, budget) for root, budget in runs]
     claims, queue = os.pipe()  # at most 4 * _MAX_WORKERS + 1 indices: one write below PIPE_BUF
     os.write(queue, b"".join(i.to_bytes(2, "big") for i in reversed(range(len(runs)))))
     os.close(queue)  # a claim past the last index then reads EOF
 
-    def walk_claimed() -> dict | Exception:
+    def walk_claimed() -> dict:
         done = {}
-        try:
-            while claim := os.read(claims, 2):
-                i = int.from_bytes(claim, "big")
-                done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
-        except Exception as exc:  # a child's is sent, then raised in the caller
-            return exc
+        while claim := os.read(claims, 2):
+            i = int.from_bytes(claim, "big")
+            done[i] = _walk(p, n, runs[i][0], best, runs[i][1])
         return done
 
     children = {}  # pid -> the read end of the pipe its results come down
@@ -566,20 +564,18 @@ def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> 
             if (pid := os.fork()) == 0:  # a child inherits imports and row table, and leaves by _exit
                 try:
                     try:
-                        data = pickle.dumps(done := walk_claimed())
-                    except Exception:
-                        data = pickle.dumps(RuntimeError(f"search child error {done!r} cannot be pickled"))
+                        data = pickle.dumps(walk_claimed())
+                    except Exception as exc:  # sent as text, which any error has
+                        data = pickle.dumps(repr(exc))
                     with open(writer, "wb") as pipe:
                         pipe.write(data)
                 finally:
                     os._exit(0)
             children[pid] = reader
             os.close(writer)  # the child's copy is then the only one, so its exit reads as EOF
-        results = {}
-        for done in chain([walk_claimed()], (_results_of(pid, reader) for pid, reader in children.items())):
-            if isinstance(done, Exception):
-                raise done
-            results.update(done)
+        results = walk_claimed()
+        for pid, reader in children.items():
+            results.update(_results_of(pid, reader))
     finally:
         os.close(claims)
         for pid, reader in children.items():
@@ -589,12 +585,16 @@ def _walk_subtrees(p: int, n: int, best: int, runs: list[tuple], procs: int) -> 
     return [results[i] for i in range(len(runs))]
 
 
-def _results_of(pid: int, reader: int) -> dict | Exception:
-    """What the search child `pid` sent down the pipe `reader`: its results or its error."""
+def _results_of(pid: int, reader: int) -> dict:
+    """The results the search child `pid` sent down the pipe `reader`; a
+    ChildProcessError when it sent its error instead, or nothing."""
     try:
-        return pickle.load(open(reader, "rb", closefd=False))
+        done = pickle.load(open(reader, "rb", closefd=False))
     except EOFError:
         raise ChildProcessError(f"search worker {pid} ended without sending its results") from None
+    if isinstance(done, str):
+        raise ChildProcessError(f"search worker {pid} failed: {done}")
+    return done
 
 
 def max_progression_free(

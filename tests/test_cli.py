@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -39,6 +40,14 @@ def run(capsys):
 def run_json(invoke, *argv):
     code, out, _ = invoke(*argv, "--format", "json")
     return code, json.loads(out)
+
+
+def prove_searched(invoke, *search_argv):
+    """`search <search_argv> | prove --input -`, both writing JSON: prove's exit code and envelope."""
+    code, out, _ = invoke("search", *search_argv, "--format", "json")
+    assert code == 0
+    with mock.patch("sys.stdin", io.StringIO(out)):
+        return run_json(invoke, "prove", "--input", "-")
 
 
 class TestBound:
@@ -249,6 +258,39 @@ PINNED_TRANSCRIPTS = {
 }
 
 
+# sha256 of the stdout of `search <argv> --format json | prove --input - --format json`
+# and of `verify-transcript --input - --format json` on that transcript. Taken
+# from the `prove --search <argv>` that this pipeline replaced, with the same
+# bytes.
+PINNED_PIPELINES = {
+    ("--p", "3", "--n", "3"): (
+        "b0cfe9c11d43a113635fff1a4bb4462c16e7f8aca6f7b44a32410ca46c2ce509",
+        "733d648b9fb32cee3c29c665f8aab31380d49ac2cab1683bf2d29e83e12488cc",
+    ),
+    ("--p", "3", "--n", "6", "--mode", "greedy"): (
+        "1fad9a78e4ffd39c52ef90afc49001b1915c265a6483d7cd838c61afdfa1adb7",
+        "3522501ac09a932f11e4a83d3b65216dc42b0dc63dda05190187a8f7f7b3e38e",
+    ),
+    ("--p", "7", "--n", "4", "--mode", "greedy"): (
+        "42808ec663836674191019a82141aa8109a23a5f0da7d27dc16f0143ba77949b",
+        "af9b29b36a324fd4b548f7e29a12762e7ca2d1f09cabb26efe9cf61400ecf54a",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_PIPELINES), ids=lambda a: "_".join(a).replace("--", ""))
+def test_search_prove_verify_pipeline_pinned(run, monkeypatch, argv):
+    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+    out = run("search", *argv, "--format", "json")[1]
+    outs = []
+    for command in ("prove", "verify-transcript"):
+        with mock.patch("sys.stdin", io.StringIO(out)):
+            code, out, _ = run(command, "--input", "-", "--format", "json")
+        assert code == 0
+        outs.append(out)
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in outs) == PINNED_PIPELINES[argv]
+
+
 @pytest.mark.parametrize("name", list(PINNED_TRANSCRIPTS))
 def test_transcript_outputs_byte_stable(run, monkeypatch, tmp_path, name):
     monkeypatch.delenv("CAPSET_PRECISION", raising=False)
@@ -331,36 +373,18 @@ class TestSearch:
         [["--threads", "0"], ["--threads", "-2"], ["--threads", "257"], ["--budget", "-5"]],
         ids=["0", "-2", "257", "budget"],
     )
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["search"],
-            ["prove", "--search"],
-            ["search", "--mode", "greedy"],
-            ["prove", "--search", "--mode", "greedy"],
-        ],
-        ids=["search", "prove", "search-greedy", "prove-greedy"],
-    )
+    @pytest.mark.parametrize("command", [["search"], ["search", "--mode", "greedy"]], ids=["search", "search-greedy"])
     def test_threads_out_of_range_is_usage_error(self, run, command, option):
         """Both modes refuse a thread count outside [1, 256] and a negative
         budget, although greedy mode reads neither."""
         code, out, err = run(*command, "--p", "3", "--n", "3", *option)
         assert code == 2 and option[0].removeprefix("--") in err and out == ""
 
-    @pytest.mark.parametrize(
-        "command, refusal",
-        [
-            (["search"], "n must be positive"),
-            (["search", "--mode", "greedy"], "n must be positive"),
-            (["prove", "--search"], "needs n >= 1"),
-        ],
-        ids=["search", "search-greedy", "prove"],
-    )
-    def test_n_below_one_is_usage_error(self, run, command, refusal):
-        """Both search modes refuse n = 0 with one message; prove on a searched
-        set refuses it by the degree cut, before any search."""
+    @pytest.mark.parametrize("command", [["search"], ["search", "--mode", "greedy"]], ids=["search", "search-greedy"])
+    def test_n_below_one_is_usage_error(self, run, command):
+        """Both search modes refuse n = 0 with one message."""
         code, out, err = run(*command, "--p", "3", "--n", "0")
-        assert code == 2 and out == "" and refusal in err
+        assert code == 2 and out == "" and "n must be positive" in err
 
     def test_threads_reported_as_resolved(self, run):
         code, env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "exact")
@@ -368,26 +392,15 @@ class TestSearch:
         code, env = run_json(run, "search", "--p", "3", "--n", "3", "--threads", "3")
         assert code == 0 and env["params"]["threads"] == 3 and env["result"]["optimal"]
 
-    def test_default_threads_follow_the_budget(self, monkeypatch):
-        """One process unless the budget is above cli._POOL_BUDGET. The
-        constant stays where it is because the worker count it picks sets
-        the output of a search run without --threads."""
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        assert cli._POOL_BUDGET == 50_000
-        for budget in (None, 0, 50_000):
-            assert cli._default_threads(budget) == 1
-        assert cli._default_threads(50_001) == 8
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._default_threads(300_000) == 1
-
-    def test_default_threads_capped_for_many_cpus(self, run, monkeypatch):
-        """On a host with more CPUs than a search splits for, a budget above
-        cli._POOL_BUDGET without --threads is not refused (greedy mode, so
-        that no process starts)."""
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1024)
-        assert cli._default_threads(50_001) == 256
-        code, env = run_json(run, "search", "--p", "3", "--n", "2", "--mode", "greedy", "--budget", "50001")
-        assert code == 0 and env["params"]["threads"] == 256
+    def test_default_threads_ignore_the_host(self, run, monkeypatch):
+        """Without --threads a search runs in one process on any host: with
+        eight CPUs reported, a budget above the whole tree of F_7^2 still
+        reports one thread and proves optimality, as a one-CPU host does."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        code, env = run_json(run, "search", "--p", "7", "--n", "2", "--budget", "1000000")
+        result = env["result"]
+        assert code == 0 and env["params"]["threads"] == 1
+        assert (result["best_size"], result["nodes_explored"], result["optimal"]) == (10, 568_895, True)
 
     def test_budget_caps_nodes_explored(self, run):
         for threads in ("1", "4"):
@@ -422,6 +435,31 @@ class TestSearch:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+    def test_failed_worker_is_an_error_line(self, run, monkeypatch):
+        """A search worker whose walk raises ends the command with exit 2 and one
+        `error:` line naming the worker and its error, not a traceback, and
+        leaves no child."""
+        from test_sets import _deadline
+
+        caller, walk = os.getpid(), sets._walk
+
+        def walk_failing_in_children(*args):
+            if args[-1] != 1:  # not a one-node step of the split, which runs before the launch
+                if os.getpid() != caller:
+                    raise ArithmeticError("walk failed in a child")
+                time.sleep(0.05)  # leaves subtrees for the child to claim
+            return walk(*args)
+
+        monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
+        monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
+        with _deadline(60):
+            code, out, err = run("search", "--p", "3", "--n", "3", "--mode", "exact", "--threads", "2")
+        assert code == 2 and out == "" and err.startswith("error: search worker ")
+        assert err.endswith(" failed: ArithmeticError('walk failed in a child')\n") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_greedy_deterministic(self, run):
         a = run("search", "--p", "3", "--n", "6", "--mode", "greedy", "--seed", "7", "--format", "json")
         b = run("search", "--p", "3", "--n", "6", "--mode", "greedy", "--seed", "7", "--format", "json")
@@ -431,20 +469,51 @@ class TestSearch:
 
 
 class TestProveAndVerify:
-    def test_prove_search_refuses_the_cut_before_searching(self, run, monkeypatch):
-        """The degree cut needs only --p and --n, so an n it refuses starts no search."""
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched before the cut was refused")
-
-        monkeypatch.setattr(sets, "max_progression_free", no_search)
-        code, out, err = run("prove", "--search", "--p", "3", "--n", "4")
+    def test_prove_refuses_the_cut_of_a_searched_set(self, run):
+        """A set searched in F_3^4, whose degree cut 8/3 is not an integer, is refused by prove."""
+        code, out, _ = run("search", "--p", "3", "--n", "4", "--mode", "greedy", "--format", "json")
+        assert code == 0
+        with mock.patch("sys.stdin", io.StringIO(out)):
+            code, out, err = run("prove", "--input", "-")
         assert code == 2 and out == "" and "degree cut" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda env: env.pop("result"), "search witness must be an object, got NoneType"),
+            (lambda env: env["result"].pop("witness"), "search witness must be an object, got NoneType"),
+            (lambda env: env["result"]["witness"].update(size=9), "search witness has unknown key 'size'"),
+        ],
+        ids=["no_result", "no_witness", "witness_key"],
+    )
+    def test_prove_refuses_a_malformed_search_envelope(self, run, edit, message):
+        env = run_json(run, "search", "--p", "3", "--n", "3", "--mode", "greedy")[1]
+        edit(env)
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(env))):
+            code, out, err = run("prove", "--input", "-")
+        assert (code, out) == (2, "") and message in err
+
+    def test_prove_reads_only_its_input(self, run):
+        """The search options belong to `search`: prove has --input, required, and --format."""
+        code, out, _ = run("prove", "--help")
+        assert code == 0 and set(re.findall(r"--[a-z-]+", out)) == {"--help", "--input", "--format"}
+        code, out, err = run("prove", "--search", "--p", "3", "--n", "3")
+        assert (code, out) == (2, "") and "--input" in err
+
+    @pytest.mark.parametrize("command", ["verify-set", "prove"])
+    def test_prove_refuses_other_envelopes(self, run, tmp_path, command):
+        """Of the envelopes the CLI writes, prove reads only that of `search`."""
+        f = tmp_path / "cap.txt"
+        f.write_text(_point_text(3, 3, CAP9))
+        code, out, _ = run(command, "--input", str(f), "--format", "json")
+        assert code == 0
+        envelope = tmp_path / "envelope.json"
+        envelope.write_text(out)
+        code, out, err = run("prove", "--input", str(envelope))
+        assert (code, out) == (2, "") and f"not a '{command}' envelope" in err
+
     def test_prove_from_search(self, run):
-        code, env = run_json(
-            run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1"
-        )
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         assert code == 0
         result = env["result"]
         assert result["dims"]["vanishing_off_doubles"] == "9"
@@ -551,7 +620,7 @@ class TestProveAndVerify:
     def test_certifies_every_n_when_p_is_1_mod_3(self, run, p, n, size, dim_v):
         """3 ∤ n, but the cut (p-1)n/3 is an integer: F_7^1 takes the main
         branch and the 89-point greedy set of F_7^4 the zero branch."""
-        code, env = run_json(run, "prove", "--search", "--p", str(p), "--n", str(n), "--mode", "greedy")
+        code, env = prove_searched(run, "--p", str(p), "--n", str(n), "--mode", "greedy")
         result = env["result"]
         assert code == 0 and (result["input_size"], result["dims"]["intersection"]) == (size, dim_v)
         assert result["split_degree"] == (p - 1) * n // 3
@@ -571,7 +640,7 @@ class TestProveAndVerify:
         assert code == 0 and env["result"]["valid"] is True
 
     def test_verify_tampered_transcript(self, run, tmp_path):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         env["result"]["dims"]["low_degree"] = "24"
         f = tmp_path / "tampered.json"
         f.write_text(json.dumps(env))
@@ -664,7 +733,7 @@ class TestProveAndVerify:
         ],
     )
     def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit, message):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         f = tmp_path / "malformed.json"
         f.write_text(json.dumps(edit(env["result"])))
         code, out, err = run("verify-transcript", "--input", str(f), "--format", "json")
@@ -700,7 +769,7 @@ class TestProveAndVerify:
         ],
     )
     def test_verify_compares_recorded_claims(self, run, tmp_path, edit, differs):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         edit(env["result"])
         f = tmp_path / "claims.json"
         f.write_text(json.dumps(env))
@@ -711,7 +780,7 @@ class TestProveAndVerify:
         assert differs in failed[0]["note"]
 
     def test_verify_compares_off_selection_values(self, run, tmp_path):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         t = env["result"]
         k = next(k for k, i in enumerate(t["doubles"]) if i not in t["selected_doubles"])
         t["witness_values"][k] = (t["witness_values"][k] + 1) % 3
@@ -773,7 +842,7 @@ class TestProveAndVerify:
         """A field that verify does not read, forged alone (missing, retyped, out
         of range, or added), changes no derived row: only `recorded_claims`
         fails, naming the field down to its leaf key or row."""
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         edit(env["result"])
         f = tmp_path / "forged.json"
         f.write_text(json.dumps(env))
@@ -800,7 +869,7 @@ class TestProveAndVerify:
         assert failed[0]["note"] == f"recorded {key} differs"
 
     def test_verify_ignores_key_order(self, run, tmp_path):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         t = env["result"]
         for key in ("dims", "conclusion"):
             t[key] = dict(reversed(t[key].items()))
@@ -812,7 +881,7 @@ class TestProveAndVerify:
 
     def test_verify_precision_bounded(self, run, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         monkeypatch.delenv("CAPSET_PRECISION")
         assert env["result"]["precision"] == MAX_PRECISION
         f = tmp_path / "precise.json"
@@ -825,7 +894,7 @@ class TestProveAndVerify:
         assert code == 2 and "precision 20000" in err
 
     def test_verify_above_recorded_precision(self, run, tmp_path, monkeypatch):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         f = tmp_path / "claims.json"
         f.write_text(json.dumps(env))
         monkeypatch.setenv("CAPSET_PRECISION", "60")
@@ -1098,7 +1167,7 @@ class TestInputRefusals:
         self.refused(run, tmp_path, command, text, "nested too deeply")
 
     def test_transcript_repeating_a_key(self, run, tmp_path):
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         text = json.dumps(env["result"])
         self.refused(run, tmp_path, "verify-transcript", '{"p": 3, ' + text[1:], "repeats the key 'p'")
         row = json.dumps(env["result"]["checks"][0])
@@ -1155,7 +1224,7 @@ class TestInputRefusals:
         while high - low > 1:
             mid = (low + high) // 2
             low, high = (mid, high) if reads(mid) else (low, mid)
-        code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+        code, env = prove_searched(run, "--p", "3", "--n", "3")
         text = json.dumps(env["result"])[:-1]
         f = tmp_path / "deep.json"
         codes = set()
@@ -1232,7 +1301,7 @@ class TestInputRefusals:
         `prove` never writes, fails the record's one claims row: A' is derived
         from C', so this is a check of the record's consistency."""
         if n == 3:
-            code, env = run_json(run, "prove", "--search", "--p", "3", "--n", "3", "--threads", "1")
+            code, env = prove_searched(run, "--p", "3", "--n", "3")
             t = env["result"]
         else:
             set_file = tmp_path / "point.txt"
@@ -1265,8 +1334,10 @@ def _modules_after(code: str) -> tuple[int, set[str]]:
 
 
 class TestModuleStructure:
-    def test_cli_does_not_load_the_references(self):
-        argv = ["prove", "--search", "--p", "3", "--n", "3", "--threads", "1", "--format", "json"]
+    def test_cli_does_not_load_the_references(self, tmp_path):
+        f = tmp_path / "cap.txt"
+        f.write_text(_point_text(3, 3, CAP9))
+        argv = ["prove", "--input", str(f), "--format", "json"]
         code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
         assert code == 0
         assert "capbound.proof" in loaded and "capbound.reference" not in loaded
@@ -1381,7 +1452,8 @@ class TestModuleStructure:
         try:
             for name in inputs:
                 proved[name] = run("prove", "--input", str(tmp_path / f"{name}.txt"), "--format", "json")
-            proved["greedy"] = run("prove", "--search", "--p", "3", "--n", "6", "--mode", "greedy", "--format", "json")
+            (tmp_path / "greedy.txt").write_text(run("search", "--p", "3", "--n", "6", "--mode", "greedy")[1])
+            proved["greedy"] = run("prove", "--input", str(tmp_path / "greedy.txt"), "--format", "json")
             verified = []
             for name, (_, out, _) in proved.items():
                 (tmp_path / f"{name}.json").write_text(out)
@@ -1438,8 +1510,8 @@ class TestOneProcess:
 
     def test_calls_print_what_a_fresh_interpreter_prints(self, run, monkeypatch, tmp_path):
         """The parser is shared by every `main` call in a process: a sequence of
-        calls, one of which writes `args.threads`, and one of which is a usage
-        error, must each print what they print in a fresh interpreter."""
+        calls, one of which is a usage error, must each print what they print
+        in a fresh interpreter."""
         monkeypatch.delenv("CAPSET_PRECISION", raising=False)
         f = tmp_path / "set.txt"
         f.write_text(TRANSCRIPT_INPUTS["zero_branch"])

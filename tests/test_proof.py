@@ -406,6 +406,40 @@ class TestPipeline:
         with pytest.raises(HypothesisViolation, match="not diagonal"):
             prove_size_bound(bad, _skip_progression_check=True)
 
+    def test_gram_sweep_skipped_when_its_outcome_is_known(self, cap9_search, monkeypatch):
+        """On a progression-free set whose witness is 1 on C', neither prove nor
+        verify sweeps the Gram matrix: its rank is recorded as |A'|."""
+
+        def refuse(*_):
+            raise AssertionError("Gram sweep whose outcome the rows already give")
+
+        monkeypatch.setattr(proof, "diagonal_certificate", refuse)
+        transcript = prove_size_bound(cap9_search.witness)
+        assert transcript.matrix_rank == len(transcript.selected_points) > 0
+        assert verify_transcript(transcript.to_json())[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_recorded_gram_rank_is_the_sweeps(self, cap9_search, data):
+        """On any A in F_3^3 (a subset of a cap, or any set), any C' and any
+        values of f on the doubles, the Gram rank `_derive` records, swept or
+        not, is the one `diagonal_certificate`'s sweep gives."""
+        pool = data.draw(st.sampled_from([cap9_search.witness.indices(), list(range(27))]))
+        A = PointSet.from_indices(F3, 3, data.draw(st.sets(st.sampled_from(pool), min_size=1)))
+        sums, doubles = pair_sums(A)
+        picked = data.draw(st.sets(st.sampled_from(doubles.indices() + [data.draw(st.integers(0, 26))]), min_size=1))
+        lam = data.draw(st.lists(st.integers(0, 2), min_size=A.size, max_size=A.size))
+        if data.draw(st.booleans()):  # f is 1 on C'
+            lam = [1 if i in picked else v for i, v in zip(doubles.indices(), lam)]
+        selected = PointSet.from_indices(F3, 3, sorted(picked))
+        t = proof._derive(A, 2, sums, doubles, selected, lam, precision_digits())
+        try:
+            diagonal_certificate(t.value_table(), PointSet.from_indices(F3, 3, t.selected_points))
+            swept = len(t.selected_points)
+        except HypothesisViolation:
+            swept = -1
+        assert t.matrix_rank == swept
+
     def test_verdict_read_off_pair_sums(self, cap9_search, monkeypatch):
         # the midpoint sweep runs only to name the witness of a failing input
         def refuse(_):

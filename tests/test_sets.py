@@ -399,8 +399,9 @@ class TestWorkers:
     def test_failing_child_fails_the_search(self, monkeypatch, failure):
         """A child whose walk raises, even an error that cannot be pickled, or
         that exits or is killed without sending its results, makes the search
-        raise in the caller instead of hanging it; so does a walk that raises
-        in the caller. No child is left either way."""
+        raise a ChildProcessError in the caller, naming the child and its error,
+        instead of hanging it; a walk that raises in the caller raises its own
+        error. No child is left either way."""
         caller, walk = os.getpid(), sets._walk
 
         class Unpicklable(ArithmeticError):
@@ -424,13 +425,15 @@ class TestWorkers:
 
         monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
         monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
-        expected = {"exit": ChildProcessError, "killed": ChildProcessError, "unpicklable": RuntimeError}
-        with _deadline(60), pytest.raises(expected.get(failure, ArithmeticError)) as raised:
+        with _deadline(60), pytest.raises(ArithmeticError if failure == "caller" else ChildProcessError) as raised:
             max_progression_free(F3, 3, workers=2)
-        if failure == "unpicklable":
-            assert "Unpicklable('walk failed in a child')" in str(raised.value)
-        if failure in ("exit", "killed"):
-            assert re.fullmatch(r"search worker \d+ ended without sending its results", str(raised.value))
+        messages = {
+            "caller": r"walk failed in the caller",
+            "raise": r"search worker \d+ failed: ArithmeticError\('walk failed in a child'\)",
+            "unpicklable": r"search worker \d+ failed: Unpicklable\('walk failed in a child'\)",
+        }
+        message = messages.get(failure, r"search worker \d+ ended without sending its results")
+        assert re.fullmatch(message, str(raised.value))
         assert_no_child()
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
