@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for progression-free sets in F_p^n.
 
 Everything is computed with exact integers mod p (numpy int64 storage) or
-big integers; real-valued bounds use decimal arithmetic at configurable
-precision. See the README for the CLI and the transcript format.
+big integers; real-valued bounds use decimal arithmetic at 30 significant
+digits (`bounds.PRECISION`). See the README for the CLI and the transcript
+format.
 
 The package re-exports its entry points, each imported from its module on
 first access, so `import capbound` loads no submodule (and no numpy). The

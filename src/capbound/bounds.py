@@ -5,19 +5,20 @@ is what makes p^(n(1-1/(18 log p))) equal p^n * e^(-n/18), and it matches
 the headline base 3^c = 2.84 (base-2 or base-10 would give 2.71 or 2.45).
 
 Real comparisons never decide anything close: exact big-integer dimensions
-are compared against bounds in log space with at least 30 significant
-digits (CAPSET_PRECISION overrides) and a 1e-9 guard margin.
+are compared against bounds in log space with a 1e-9 guard margin. Every
+real value is evaluated at `PRECISION` = 30 significant digits in a fresh
+decimal context, `Context(prec=PRECISION)`, whatever the caller's own
+context: 30 digits serve every printed digit of p^c and every verdict
+behind the guard.
 
 c, c n ln p and p^(cn) are evaluated in one place, `_p_cn`, which memoises
-ln p by (p, digits) and each row by (p, n, digits); `exponent_c`,
-`verify_entropy_lemma`, `main_bound`, the `bound` command and the
-transcript's asymptotic row all read it. The degree cut (p-1)n/3 is
-written once too, in `_split_degree`.
+ln p by p and each row by (p, n); `exponent_c`, `verify_entropy_lemma`,
+`main_bound`, the `bound` command and the transcript's asymptotic row all
+read it. The degree cut (p-1)n/3 is written once too, in `_split_degree`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -27,11 +28,9 @@ from .field import PrimeField
 from .monomials import dim_L
 
 __all__ = [
-    "DEFAULT_PRECISION",
-    "MAX_PRECISION",
+    "PRECISION",
     "GUARD_MARGIN",
     "BoundReport",
-    "precision_digits",
     "exponent_c",
     "hoeffding_bound",
     "verify_entropy_lemma",
@@ -39,25 +38,8 @@ __all__ = [
     "main_bound",
 ]
 
-DEFAULT_PRECISION = 30
-MAX_PRECISION = 1000
+PRECISION = 30  # significant digits of every real value the package computes
 GUARD_MARGIN = Decimal("1e-9")
-
-
-def precision_digits() -> int:
-    """Working precision for real comparisons (CAPSET_PRECISION, default 30).
-
-    Values above MAX_PRECISION raise ValueError instead of running the
-    decimal exp/ln for minutes.
-    """
-    raw = os.environ.get("CAPSET_PRECISION", "")
-    try:
-        digits = int(raw)
-    except ValueError:
-        return DEFAULT_PRECISION
-    if digits > MAX_PRECISION:
-        raise ValueError(f"CAPSET_PRECISION={digits} exceeds the maximum {MAX_PRECISION}")
-    return digits if digits >= 1 else DEFAULT_PRECISION
 
 
 def _to_decimal(x) -> Decimal:
@@ -73,34 +55,30 @@ def _to_decimal(x) -> Decimal:
 
 
 @lru_cache(maxsize=32)
-def _ln_p(p: int, digits: int) -> tuple[Decimal, Decimal]:
-    with localcontext(Context(prec=digits)):
+def _ln_p(p: int) -> tuple[Decimal, Decimal]:
+    with localcontext(Context(prec=PRECISION)):
         ln_p = Decimal(p).ln()
         return ln_p, 1 - 1 / (18 * ln_p)
 
 
 @lru_cache(maxsize=128)
-def _p_cn_row(p: int, n: int, digits: int) -> tuple[Decimal, Decimal, Decimal]:
-    ln_p, c = _ln_p(p, digits)
-    with localcontext(Context(prec=digits)):
+def _p_cn_row(p: int, n: int) -> tuple[Decimal, Decimal, Decimal]:
+    ln_p, c = _ln_p(p)
+    with localcontext(Context(prec=PRECISION)):
         log_bound = c * n * ln_p
         p_cn = log_bound.exp()
         return log_bound, p_cn, 3 * p_cn
 
 
-def _p_cn(field: PrimeField, ns=(), digits: int | None = None) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
-    """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)),
-    to `digits` significant digits (default `precision_digits()`). Each value
-    is memoised by its key, (p, digits) or (p, n, digits), and evaluated in a
-    context built from `digits` alone; the list is new on each call."""
-    digits = precision_digits() if digits is None else digits
-    return _ln_p(field.p, digits)[1], [_p_cn_row(field.p, n, digits) for n in ns]
+def _p_cn(field: PrimeField, ns=()) -> tuple[Decimal, list[tuple[Decimal, ...]]]:
+    """c = 1 - 1/(18 ln p) and, for each n in `ns`, (c n ln p, p^(cn), 3 p^(cn)).
+    Each value is memoised by its key, p or (p, n); the list is new on each call."""
+    return _ln_p(field.p)[1], [_p_cn_row(field.p, n) for n in ns]
 
 
-def exponent_c(field: PrimeField, digits: int | None = None) -> Decimal:
-    """The exponent c(p) = 1 - 1/(18 ln p), strictly inside (0, 1), to `digits`
-    significant digits (default `precision_digits()`)."""
-    return _p_cn(field, digits=digits)[0]
+def exponent_c(field: PrimeField) -> Decimal:
+    """The exponent c(p) = 1 - 1/(18 ln p), strictly inside (0, 1)."""
+    return _p_cn(field)[0]
 
 
 def hoeffding_bound(t, widths) -> Decimal:
@@ -111,8 +89,7 @@ def hoeffding_bound(t, widths) -> Decimal:
     widths = list(widths)
     if not widths:
         raise ValueError("widths must be nonempty")
-    with localcontext() as ctx:
-        ctx.prec = precision_digits()
+    with localcontext(Context(prec=PRECISION)):
         td = _to_decimal(t)
         ws = [_to_decimal(w) for w in widths]
         if td < 0:
@@ -157,10 +134,8 @@ def verify_entropy_lemma(field: PrimeField, n: int) -> BoundReport:
     enough that no valid case sits anywhere near it.
     """
     exact = dim_L(n, _split_degree(field.p, n), field)
-    digits = precision_digits()
-    c, [(log_bound, p_cn, _)] = _p_cn(field, [n], digits)
-    with localcontext() as ctx:
-        ctx.prec = digits
+    c, [(log_bound, p_cn, _)] = _p_cn(field, [n])
+    with localcontext(Context(prec=PRECISION)):
         margin = log_bound - Decimal(exact).ln()
     return BoundReport(
         p=field.p, n=n, c=c, exact_dim=exact, bound_value=p_cn, margin=margin, holds=margin > GUARD_MARGIN

@@ -10,9 +10,13 @@ newline: compact, on one line. All randomized behavior is seed-controlled,
 and a search runs in one process unless `--threads` asks for more, so
 identical invocations produce identical outputs on any host.
 
-The search options belong to `search` alone. `prove --input` reads a
-point-set file or the envelope `search` writes, so a searched witness is
-proved by `capbound search ... | capbound prove --input -`.
+The search options belong to `search` alone. Every `--input` is read by
+one rule: a JSON object with a `command` key is an envelope, and only the
+envelope of the command that writes the input is read (`_WRITERS`), any
+other being refused by name. `prove` and `verify-set` read a point-set
+file or the envelope `search` writes, and `verify-transcript` a transcript
+or the envelope `prove` writes, so a searched witness is proved by
+`capbound search ... | capbound prove --input -`.
 """
 
 from __future__ import annotations
@@ -191,26 +195,39 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _load_set_for_prove(path: str):
+# command -> the command whose envelope its --input may be
+_WRITERS = {"prove": "search", "verify-set": "search", "verify-transcript": "prove"}
+
+
+def _unwrap(data, command: str):
+    """`data`, or, when it is an envelope (an object with a `command` key), the
+    `result` of the one envelope `command` reads; any other is refused by name."""
+    if not (isinstance(data, dict) and "command" in data):
+        return data
+    writer = _WRITERS[command]
+    if data["command"] != writer:
+        raise ValueError(f"{command} reads the envelope of {writer} alone, not a {data['command']!r} envelope")
+    return data.get("result")
+
+
+def _load_point_set(path: str, command: str):
     """The point set in `path`: a point-set file, or the witness in the envelope `search` writes."""
     from .sets import PointSet, load_json
 
     text = _read_input(path)
     if not text.lstrip().startswith("{"):
         return PointSet.from_text(text)
-    data = load_json(text)
-    if isinstance(data, dict) and "command" in data:  # an envelope: only search's holds a point set
-        if data["command"] != "search":
-            raise ValueError(f"prove reads a point set or a search envelope, not a {data['command']!r} envelope")
-        result = data.get("result")
-        return PointSet.from_json(result.get("witness") if isinstance(result, dict) else result, what="search witness")
-    return PointSet.from_json(data)
+    data = load_json(text)  # an object, as the text starts with "{"
+    if "command" not in data:
+        return PointSet.from_json(data)
+    result = _unwrap(data, command)
+    return PointSet.from_json(result.get("witness") if isinstance(result, dict) else result, what="search witness")
 
 
 def cmd_prove(args) -> int:
     from .proof import prove_size_bound
 
-    points = _load_set_for_prove(args.input)
+    points = _load_point_set(args.input, args.command)
     transcript = prove_size_bound(points)
     payload = transcript.to_json()
     envelope = {
@@ -233,9 +250,9 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify_set(args) -> int:
-    from .sets import is_progression_free, parse_point_set
+    from .sets import is_progression_free
 
-    points = parse_point_set(_read_input(args.input))
+    points = _load_point_set(args.input, args.command)
     ok, triple = is_progression_free(points)
     result = {
         "p": points.field.p,
@@ -261,10 +278,7 @@ def cmd_verify_transcript(args) -> int:
     from .proof import verify_transcript
     from .sets import load_json
 
-    data = load_json(_read_input(args.input))
-    if isinstance(data, dict) and "result" in data and "command" in data:
-        data = data["result"]
-    ok, checks = verify_transcript(data)
+    ok, checks = verify_transcript(_unwrap(load_json(_read_input(args.input)), args.command))
     rows = [c.to_json() for c in checks]
     envelope = {
         "command": "verify-transcript",
@@ -326,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(handler=cmd_prove)
 
     vs = subs.add_parser("verify-set", help="progression-freeness verdict for a file")
-    vs.add_argument("--input", type=str, required=True)
+    vs.add_argument("--input", type=str, required=True, help="point set or search envelope (JSON or text, - for stdin)")
     _add_format(vs)
     vs.set_defaults(handler=cmd_verify_set)
 
     vt = subs.add_parser("verify-transcript", help="re-check a serialized transcript")
-    vt.add_argument("--input", type=str, required=True)
+    vt.add_argument("--input", type=str, required=True, help="transcript or prove envelope (JSON, - for stdin)")
     _add_format(vt)
     vt.set_defaults(handler=cmd_verify_transcript)
 

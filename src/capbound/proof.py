@@ -27,14 +27,14 @@ row, `recorded_claims` (`_first_difference`).
 
 Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
 list the JSON keys of a transcript and of a check row in the order
-`to_json` writes them. `_read` parses the four fields that `_derive`
-consumes, and every other field is a claim, compared with the derived one
-as JSON (`_same`: true is not 1). `_DIMENSION_KEYS` names the recorded
+`to_json` writes them. `_read` parses the three fields that `_derive`
+consumes, and every other field, `precision` too, is a claim, compared
+with the derived one as JSON (`_same`: true is not 1). `_DIMENSION_KEYS` names the recorded
 dimensions. The cut s = (p-1)n/3 (D2 = 2s) is `bounds._split_degree`.
 
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
-at the configured precision by `bounds._p_cn`.
+by `bounds._p_cn`, at the `bounds.PRECISION` digits that `precision` records.
 
 This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
@@ -57,7 +57,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .bounds import MAX_PRECISION, _p_cn, _split_degree, precision_digits
+from .bounds import PRECISION, _p_cn, _split_degree
 from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
@@ -255,14 +255,14 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
     selected, lam = select_unit_witness(doubles)
-    t = _derive(A, s, sums, doubles, selected, lam, precision_digits())
+    t = _derive(A, s, sums, doubles, selected, lam)
     if t.matrix_rank == -1:  # raises, naming the entry that breaks the diagonal
         diagonal_certificate(t.value_table(), PointSet.from_indices(field, n, t.selected_points))
     return t
 
 
 def _derive(
-    A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int], precision: int
+    A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]
 ) -> ProofTranscript:
     """The transcript of `A` whose selection is C' = `selected` and whose witness f
     has the values `lam` on the doubles, every field derived from these alone.
@@ -275,9 +275,8 @@ def _derive(
     the Gram matrix diagonal with nonzero diagonal, else -1; its sweep is
     skipped when A is progression-free and f is 1 on C', which make it so.
     f's degree is read from its coefficients, one interpolation pass over
-    its value table. The asymptotic bound is evaluated at `precision` digits.
-    `prove_size_bound` records this; `verify_transcript` compares the record
-    with it.
+    its value table. `prove_size_bound` records this; `verify_transcript`
+    compares the record with it.
     """
     field, n = A.field, A.n
     slices = [dim_L(n, d, field) for d in (2 * s, s, s - 1)]
@@ -299,7 +298,7 @@ def _derive(
         matrix_rank=None,
         checks=[],
         conclusion={},
-        precision=precision,
+        precision=PRECISION,
     )
     table = t.value_table()
     t.selected_doubles, t.selected_points = selected.indices(), _halves_of(A, selected)
@@ -335,14 +334,14 @@ def _derive(
         exact.update(low_third_minus=str(h), selected=str(selected.size))
     checks.append(_check("size_bound_exact", size, "<=", exact_bound, note=note))
     exact.update(bound=str(exact_bound), holds=size <= exact_bound)
-    row, asymptotic = _asymptotic(field, n, size, precision)
+    row, asymptotic = _asymptotic(field, n, size)
     t.checks, t.conclusion = checks + [row], {"exact": exact, "asymptotic": asymptotic}
     return t
 
 
-def _asymptotic(field: PrimeField, n: int, size: int, digits: int) -> tuple[ProofCheck, dict]:
-    """The row size <= 3 p^(cn) and the asymptotic conclusion, at `digits` digits."""
-    c, [(_, p_cn, bound)] = _p_cn(field, [n], digits)
+def _asymptotic(field: PrimeField, n: int, size: int) -> tuple[ProofCheck, dict]:
+    """The row size <= 3 p^(cn) and the asymptotic conclusion."""
+    c, [(_, p_cn, bound)] = _p_cn(field, [n])
     row = _check("size_bound_asymptotic", Decimal(size), "<=", bound)
     return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
 
@@ -356,17 +355,15 @@ def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
 def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
-    Reads the four fields that `_derive` consumes (`_read`): the `input` A,
-    `selected_doubles` (C'), `witness_values` (a null witness reads as 0)
-    and `precision`, and runs `_derive`, the derivation that
-    `prove_size_bound` records, on them: no kernel, no pivot selection.
-    Every other field is a claim. The report is the derived rows, the
-    asymptotic one evaluated at `CAPSET_PRECISION` when that is above the
-    recorded precision, then `recorded_claims`, which holds when the record,
-    `format` and `input` aside, equals the derivation's as JSON and
-    otherwise names the first field that differs (`_first_difference`). dim V
-    is recorded as |C'| and is not re-derived: the `size_bound_exact` row
-    (|A| <= h + |C'|) binds it.
+    Reads the three fields that `_derive` consumes (`_read`): the `input` A,
+    `selected_doubles` (C') and `witness_values` (a null witness reads as
+    0), and runs `_derive`, the derivation that `prove_size_bound` records,
+    on them: no kernel, no pivot selection. Every other field is a claim,
+    `precision` too. The report is the derived rows, then `recorded_claims`,
+    which holds when the record, `format` and `input` aside, equals the
+    derivation's as JSON and otherwise names the first field that differs
+    (`_first_difference`). dim V is recorded as |C'| and is not re-derived:
+    the `size_bound_exact` row (|A| <= h + |C'|) binds it.
     Returns (every row holds, rows).
 
     Refused (ValueError): a fault in a read field, then, in the order its
@@ -374,28 +371,24 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     sweep and, on the main branch, that of the value table. It builds no
     |C| x h block.
     """
-    A, c_prime, values, precision = _read(data)
+    A, c_prime, values = _read(data)
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
     sums, doubles = pair_sums(A)
     selected = PointSet.from_indices(field, n, c_prime)
-    derived = _derive(A, s, sums, doubles, selected, values or [0] * A.size, precision)
-    rows = derived.checks
-    if precision_digits() > precision:
-        rows = rows[:-1] + [_asymptotic(field, n, A.size, precision_digits())[0]]
+    derived = _derive(A, s, sums, doubles, selected, values or [0] * A.size)
     differs = _first_difference({k: v for k, v in data.items() if k not in ("format", "input")}, derived.claims())
     note = f"recorded {differs} differs" if differs else ""
-    checks = rows + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
+    checks = derived.checks + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
     return all(c.holds for c in checks), checks
 
 
-def _read(data) -> tuple[PointSet, list[int], list[int] | None, int]:
+def _read(data) -> tuple[PointSet, list[int], list[int] | None]:
     """The fields of a serialized transcript that `_derive` consumes: the input
-    A, C' as `selected_doubles` (ints in [0, p^n)), f's values on the doubles
-    as `witness_values` (|A| ints in [0, p), or null) and `precision` (an int
-    in [1, MAX_PRECISION]); a bool is not an int. An absent `witness_values`
-    is derived as null, and the record then fails `recorded_claims`, since a
-    missing key differs from null.
+    A, C' as `selected_doubles` (ints in [0, p^n)) and f's values on the
+    doubles as `witness_values` (|A| ints in [0, p), or null); a bool is not
+    an int. An absent `witness_values` is derived as null, and the record
+    then fails `recorded_claims`, since a missing key differs from null.
 
     A ValueError names a non-object, then another format, then the first
     of these fields that is missing, then the first that is ill-formed.
@@ -404,17 +397,14 @@ def _read(data) -> tuple[PointSet, list[int], list[int] | None, int]:
         raise ValueError(f"transcript must be an object, got {type(data).__name__}")
     if data.get("format") != TRANSCRIPT_FORMAT:
         raise ValueError(f"unrecognized transcript format {data.get('format')!r}")
-    missing = next((k for k in ("input", "selected_doubles", "precision") if k not in data), None)
+    missing = next((k for k in ("input", "selected_doubles") if k not in data), None)
     if missing is not None:
         raise ValueError(f"transcript field {missing!r} is missing")
     A = PointSet.from_json(data["input"], what="transcript field 'input'")
     selected, values = _indices(data, "selected_doubles", A.field.p**A.n), data.get("witness_values")
     if values is not None and len(_indices(data, "witness_values", A.field.p)) != A.size:
         raise ValueError(f"transcript field 'witness_values' holds {len(values)} values, not one per double")
-    precision = data["precision"]
-    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
-        raise ValueError(f"transcript precision {precision!r} is not an int in [1, {MAX_PRECISION}]")
-    return A, selected, values, precision
+    return A, selected, values
 
 
 def _indices(data: dict, key: str, total: int) -> list[int]:

@@ -1,19 +1,18 @@
 import math
 import re
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, Inexact, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
 
 from capbound.bounds import (
     GUARD_MARGIN,
-    MAX_PRECISION,
+    PRECISION,
     _p_cn,
     exact_tail_identity,
     exponent_c,
     hoeffding_bound,
     main_bound,
-    precision_digits,
     verify_entropy_lemma,
 )
 from capbound.gf import PrimeField
@@ -46,29 +45,48 @@ class TestExponent:
             assert exponent_c(PrimeField(p)) < 1
 
     @staticmethod
-    def uncached_p_cn(p: int, ns, digits: int) -> list[str]:
-        with localcontext(Context(prec=digits)):
+    def uncached_p_cn(p: int, ns) -> list[str]:
+        with localcontext(Context(prec=PRECISION)):
             ln_p = Decimal(p).ln()
             c = 1 - 1 / (18 * ln_p)
             rows = [(c * n * ln_p, (c * n * ln_p).exp()) for n in ns]
             return [str(c)] + [str(x) for log_bound, p_cn in rows for x in (log_bound, p_cn, 3 * p_cn)]
 
     def test_p_cn_memo_agrees_with_uncached_evaluation(self):
-        """`_p_cn` memoises ln p by (p, digits) and each row by (p, n, digits):
-        at two precisions in one process, first computed and then read back,
-        every digit agrees with an uncached evaluation, also when the caller's
-        own context has another precision and rounding. A returned list is new
-        on each call, so mutating it changes no later result."""
-        for p, ns in ((3, [3, 6, 9]), (7, [3, 6])):
-            for digits in (30, 55, 30, 55):
-                with localcontext(Context(prec=5, rounding=ROUND_FLOOR)):
-                    c, rows = _p_cn(PrimeField(p), ns, digits)
-                assert [str(c)] + [str(x) for row in rows for x in row] == self.uncached_p_cn(p, ns, digits)
-        rows = _p_cn(F3, [3, 6], 30)[1]
+        """`_p_cn` memoises ln p by p and each row by (p, n): first computed and
+        then read back in one process, every digit agrees with an uncached
+        evaluation, also when the caller's own context has another precision
+        and rounding. A returned list is new on each call, so mutating it
+        changes no later result."""
+        for p, ns in ((3, [3, 6, 9]), (7, [3, 6]), (3, [3, 6, 9]), (7, [3, 6])):
+            with localcontext(Context(prec=5, rounding=ROUND_FLOOR)):
+                c, rows = _p_cn(PrimeField(p), ns)
+            assert [str(c)] + [str(x) for row in rows for x in row] == self.uncached_p_cn(p, ns)
+        rows = _p_cn(F3, [3, 6])[1]
         rows[0] = None
         rows.append(rows[1])
-        c, again = _p_cn(F3, [3, 6], 30)
-        assert [str(c)] + [str(x) for row in again for x in row] == self.uncached_p_cn(3, [3, 6], 30)
+        c, again = _p_cn(F3, [3, 6])
+        assert [str(c)] + [str(x) for row in again for x in row] == self.uncached_p_cn(3, [3, 6])
+
+    def test_fresh_context_whatever_the_caller_holds(self):
+        """Every real value is evaluated in a fresh 30-digit context: a caller
+        that traps Inexact and rounds toward floor gets the values of the default
+        context, and its own context is left as it was, flags included."""
+        F7 = PrimeField(7)
+        calls = [
+            lambda: hoeffding_bound(Fraction(7, 3), [2, 2, 5]),
+            lambda: exact_tail_identity(F5, 6, 4),
+            lambda: verify_entropy_lemma(F3, 9),
+            lambda: verify_entropy_lemma(F7, 4),
+            lambda: exponent_c(PrimeField(11)),
+            lambda: main_bound(F5, 12),
+        ]
+        expected = [call() for call in calls]
+        with localcontext(Context(prec=12, rounding=ROUND_FLOOR, traps=[Inexact])) as caller:
+            before = (caller.prec, caller.rounding, dict(caller.traps), dict(caller.flags))
+            assert [call() for call in calls] == expected
+            assert (caller.prec, caller.rounding, dict(caller.traps), dict(caller.flags)) == before
+            assert getcontext() is caller
 
 
 class TestHoeffding:
@@ -182,18 +200,3 @@ class TestMainBound:
         assert close(main_bound(F3, 3), 68.565, 1e-2)
         assert close(main_bound(F3, 6), 3 * math.exp(c * 6 * math.log(3)), 1e-8)
         assert round(float(main_bound(F3, 6))) == 1567
-
-    def test_precision_env(self, monkeypatch):
-        monkeypatch.setenv("CAPSET_PRECISION", "50")
-        assert precision_digits() == 50
-        c = exponent_c(F3)
-        assert len(str(c).replace("0.", "")) >= 45
-        monkeypatch.setenv("CAPSET_PRECISION", "junk")
-        assert precision_digits() == 30
-
-    def test_precision_env_bounded(self, monkeypatch):
-        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
-        assert precision_digits() == MAX_PRECISION
-        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
-        with pytest.raises(ValueError, match="CAPSET_PRECISION"):
-            precision_digits()

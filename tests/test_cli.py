@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import capbound
 import oracles
 from capbound import cli, monomials, sets
-from capbound.bounds import MAX_PRECISION
 from capbound.cli import main
 from capbound.gf import PrimeField
 from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
@@ -156,8 +155,7 @@ PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=lambda a: f"{a[0]}_p{a[2]}_n{a[4]}")
-def test_dimension_outputs_byte_stable(run, monkeypatch, argv):
-    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+def test_dimension_outputs_byte_stable(run, argv):
     code, out, _ = run(*argv, "--format", "json")
     assert code == 0
     assert_written_by_json_dumps(out)
@@ -279,8 +277,7 @@ PINNED_PIPELINES = {
 
 
 @pytest.mark.parametrize("argv", list(PINNED_PIPELINES), ids=lambda a: "_".join(a).replace("--", ""))
-def test_search_prove_verify_pipeline_pinned(run, monkeypatch, argv):
-    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+def test_search_prove_verify_pipeline_pinned(run, argv):
     out = run("search", *argv, "--format", "json")[1]
     outs = []
     for command in ("prove", "verify-transcript"):
@@ -292,8 +289,7 @@ def test_search_prove_verify_pipeline_pinned(run, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("name", list(PINNED_TRANSCRIPTS))
-def test_transcript_outputs_byte_stable(run, monkeypatch, tmp_path, name):
-    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+def test_transcript_outputs_byte_stable(run, tmp_path, name):
     f = tmp_path / "set.txt"
     f.write_text(TRANSCRIPT_INPUTS[name])
     code, proved, _ = run("prove", "--input", str(f), "--format", "json")
@@ -303,6 +299,26 @@ def test_transcript_outputs_byte_stable(run, monkeypatch, tmp_path, name):
     for out in (proved, verified):
         assert_written_by_json_dumps(out)
     assert tuple(_sha256_json(json.loads(out)) for out in (proved, verified)) == PINNED_TRANSCRIPTS[name]
+
+
+@pytest.mark.parametrize("value", ["60", "2000", "junk"])
+def test_precision_env_ignored(run, monkeypatch, tmp_path, value):
+    """Every real value is evaluated at 30 digits, so `CAPSET_PRECISION`, which
+    earlier versions read, changes no byte and no exit code of any command."""
+    cap, transcript = tmp_path / "cap.txt", tmp_path / "cap9.json"
+    cap.write_text(_point_text(3, 3, CAP9))
+    calls = [
+        ("bound", "--p", "3", "--n-max", "5"),
+        ("entropy-check", "--p", "3", "--n", "3,6"),
+        ("prove", "--input", str(cap)),
+        ("verify-transcript", "--input", str(transcript)),
+    ]
+    monkeypatch.delenv("CAPSET_PRECISION", raising=False)
+    transcript.write_text(run("prove", "--input", str(cap), "--format", "json")[1])
+    unset = [run(*argv, "--format", "json") for argv in calls]
+    assert [code for code, _, _ in unset] == [0, 0, 0, 0]
+    monkeypatch.setenv("CAPSET_PRECISION", value)
+    assert [run(*argv, "--format", "json") for argv in calls] == unset
 
 
 def test_verify_reads_indented_transcripts(run, tmp_path):
@@ -691,7 +707,6 @@ class TestProveAndVerify:
                 "'witness_values' holds 3, outside [0, 3)",
             ),
             (lambda t: {**t, "input": {**t["input"], "p": 2**61 - 1}}, "too large"),
-            (lambda t: {k: v for k, v in t.items() if k != "precision"}, "'precision' is missing"),
             (lambda t: {**t, "witness_values": t["witness_values"] * 2}, "holds 18 values"),
             (
                 lambda t: {**t, "input": {**t["input"], "points": [[1.0, 0, 0]]}},
@@ -723,7 +738,6 @@ class TestProveAndVerify:
             "off_selection_key_out_of_range",
             "off_selection_value_out_of_range",
             "modulus_too_large",
-            "precision_missing",
             "witness_monomial_twice",
             "float_coordinate",
             "unknown_input_key",
@@ -752,8 +766,9 @@ class TestProveAndVerify:
             (lambda t: t["conclusion"]["asymptotic"].update(c="0.9"), "asymptotic.c"),
             (lambda t: t["conclusion"]["asymptotic"].update(p_cn="3"), "asymptotic.p_cn"),
             (lambda t: t["checks"][5].update(rhs="30"), "row 5 (size_bound_asymptotic)"),
-            (lambda t: t.update(precision=MAX_PRECISION), "row 5 (size_bound_asymptotic)"),
+            (lambda t: t.update(precision=1000), "recorded precision differs"),
             (lambda t: t["conclusion"]["exact"].update(holds=1), "conclusion.exact.holds"),
+            (lambda t: t.pop("precision"), "recorded precision differs"),
         ],
         ids=[
             "row_holds_flipped",
@@ -766,6 +781,7 @@ class TestProveAndVerify:
             "asymptotic_rhs_edited",
             "precision_relabelled",
             "exact_holds_retyped",
+            "precision_missing",
         ],
     )
     def test_verify_compares_recorded_claims(self, run, tmp_path, edit, differs):
@@ -879,38 +895,19 @@ class TestProveAndVerify:
         code, env2 = run_json(run, "verify-transcript", "--input", str(f))
         assert code == 0 and env2["result"]["valid"] is True
 
-    def test_verify_precision_bounded(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION))
+    def test_verify_precision_bounded(self, run, tmp_path):
+        """`precision` is a claim and is never evaluated at: a transcript that
+        records any value but 30, however large, fails `recorded_claims` alone
+        (exit 1), with every derived row evaluated at 30 digits."""
         code, env = prove_searched(run, "--p", "3", "--n", "3")
-        monkeypatch.delenv("CAPSET_PRECISION")
-        assert env["result"]["precision"] == MAX_PRECISION
+        assert env["result"]["precision"] == 30
         f = tmp_path / "precise.json"
-        f.write_text(json.dumps(env))
-        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
-        assert code == 0 and env2["result"]["valid"]
-        env["result"]["precision"] = 20000
-        f.write_text(json.dumps(env))
-        code, out, err = run("verify-transcript", "--input", str(f))
-        assert code == 2 and "precision 20000" in err
-
-    def test_verify_above_recorded_precision(self, run, tmp_path, monkeypatch):
-        code, env = prove_searched(run, "--p", "3", "--n", "3")
-        f = tmp_path / "claims.json"
-        f.write_text(json.dumps(env))
-        monkeypatch.setenv("CAPSET_PRECISION", "60")
-        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
-        assert code == 0 and env2["result"]["valid"]
-        env["result"]["conclusion"]["asymptotic"]["bound"] = "3"
-        f.write_text(json.dumps(env))
-        code, env2 = run_json(run, "verify-transcript", "--input", str(f))
-        failed = [c for c in env2["result"]["checks"] if not c["holds"]]
-        assert code == 1 and [c["name"] for c in failed] == ["recorded_claims"]
-        assert "conclusion.asymptotic.bound" in failed[0]["note"]
-
-    def test_precision_env_bounded(self, run, monkeypatch):
-        monkeypatch.setenv("CAPSET_PRECISION", str(MAX_PRECISION + 1))
-        code, out, err = run("bound", "--p", "3", "--n-max", "1")
-        assert code == 2 and "CAPSET_PRECISION" in err
+        for precision in (1, 60, 1000, 20000, 10**100, -30, "30", 30.0, True, None, [30]):
+            env["result"]["precision"] = precision
+            f.write_text(json.dumps(env))
+            code, env2 = run_json(run, "verify-transcript", "--input", str(f))
+            failed = [(c["name"], c.get("note")) for c in env2["result"]["checks"] if not c["holds"]]
+            assert code == 1 and failed == [("recorded_claims", "recorded precision differs")]
 
 
 JSON_VALUES = st.recursive(
@@ -932,8 +929,6 @@ def perturbed(draw, value, path: tuple):
     if isinstance(value, bool):
         return draw(st.sampled_from([not value, int(value)]))
     if isinstance(value, int):
-        if path == ("precision",):  # values in [1, MAX_PRECISION] are accepted by design
-            return draw(st.integers(-10**6, 0) | st.integers(MAX_PRECISION + 1, 10**6))
         retyped = [float(value)] + [bool(value)] * (value in (0, 1))
         return draw(st.sampled_from(retyped) | st.integers(-30, 30).filter(bool).map(value.__add__))
     if isinstance(value, str):
@@ -1140,6 +1135,43 @@ class TestVerifySet:
         code, out, err = run("verify-set", "--input", str(f))
         assert code == 2 and out == ""
         assert "duplicate point (0,)" in err
+
+
+class TestEnvelopes:
+    """An object with a `command` key is an envelope. `prove` and `verify-set`
+    read only the one `search` writes, as its witness, and `verify-transcript`
+    only the one `prove` writes, as its transcript; any other envelope is
+    refused by name (exit 2)."""
+
+    READS = {"prove": "search", "verify-set": "search", "verify-transcript": "prove"}
+    WRITES = {
+        "search": ("search", "--p", "3", "--n", "3", "--mode", "greedy"),
+        "prove": ("prove", "--input", "cap"),
+        "verify-set": ("verify-set", "--input", "cap"),
+        "verify-transcript": ("verify-transcript", "--input", "transcript"),
+        "bound": ("bound", "--p", "3", "--n-max", "1"),
+    }
+
+    @pytest.mark.parametrize("writer", list(WRITES))
+    @pytest.mark.parametrize("reader", list(READS))
+    def test_only_the_writers_envelope_is_read(self, run, tmp_path, reader, writer):
+        files = {"cap": tmp_path / "cap.txt", "transcript": tmp_path / "transcript.json"}
+        files["cap"].write_text(_point_text(3, 3, CAP9))
+        files["transcript"].write_text(run("prove", "--input", str(files["cap"]), "--format", "json")[1])
+        code, envelope = run_json(run, *(str(files.get(arg, arg)) for arg in self.WRITES[writer]))
+        assert code == 0 and envelope["command"] == writer
+        wrapped = tmp_path / "envelope.json"
+        wrapped.write_text(json.dumps(envelope))
+        code, out, err = run(reader, "--input", str(wrapped), "--format", "json")
+        if writer != self.READS[reader]:
+            assert (code, out) == (2, "") and err == (
+                f"error: {reader} reads the envelope of {self.READS[reader]} alone, not a '{writer}' envelope\n"
+            )
+            return
+        held = tmp_path / "held.json"
+        held.write_text(json.dumps(envelope["result"]["witness"] if writer == "search" else envelope["result"]))
+        code_held, out_held, _ = run(reader, "--input", str(held), "--format", "json")
+        assert code == code_held == 0 and json.loads(out)["result"] == json.loads(out_held)["result"]
 
 
 class TestInputRefusals:
@@ -1508,11 +1540,10 @@ class TestOneProcess:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_calls_print_what_a_fresh_interpreter_prints(self, run, monkeypatch, tmp_path):
+    def test_calls_print_what_a_fresh_interpreter_prints(self, run, tmp_path):
         """The parser is shared by every `main` call in a process: a sequence of
         calls, one of which is a usage error, must each print what they print
         in a fresh interpreter."""
-        monkeypatch.delenv("CAPSET_PRECISION", raising=False)
         f = tmp_path / "set.txt"
         f.write_text(TRANSCRIPT_INPUTS["zero_branch"])
         calls = [

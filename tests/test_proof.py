@@ -5,6 +5,7 @@ import random
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from capbound import proof
-from capbound.bounds import exponent_c, precision_digits, verify_entropy_lemma
+from capbound.bounds import PRECISION, exponent_c, verify_entropy_lemma
 from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
@@ -432,7 +433,7 @@ class TestPipeline:
         if data.draw(st.booleans()):  # f is 1 on C'
             lam = [1 if i in picked else v for i, v in zip(doubles.indices(), lam)]
         selected = PointSet.from_indices(F3, 3, sorted(picked))
-        t = proof._derive(A, 2, sums, doubles, selected, lam, precision_digits())
+        t = proof._derive(A, 2, sums, doubles, selected, lam)
         try:
             diagonal_certificate(t.value_table(), PointSet.from_indices(F3, 3, t.selected_points))
             swept = len(t.selected_points)
@@ -461,8 +462,12 @@ class TestPipeline:
     @pytest.mark.parametrize("digits", [1, 30, 100])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 251])
     def test_asymptotic_c_is_exponent_c(self, p, digits):
-        _, conclusion = _asymptotic(PrimeField(p), 3, 1, digits)
-        assert conclusion["c"] == str(exponent_c(PrimeField(p), digits))
+        """The asymptotic conclusion's c is `exponent_c`, at `PRECISION` digits
+        whatever precision (`digits`) the caller's own context holds."""
+        with localcontext(Context(prec=digits)):
+            _, conclusion = _asymptotic(PrimeField(p), 3, 1)
+        assert conclusion["c"] == str(exponent_c(PrimeField(p)))
+        assert len(Decimal(conclusion["c"]).as_tuple().digits) == PRECISION
 
 
 class TestLargeAmbient:
@@ -511,7 +516,7 @@ class TestLargeAmbient:
         sums, doubles = pair_sums(product)
         c_prime = PointSet.from_indices(F3, 12, np.flatnonzero(selected))
         lam = values[doubles.indices()].tolist()
-        composed = proof._derive(product, 8, sums, doubles, c_prime, lam, precision_digits())
+        composed = proof._derive(product, 8, sums, doubles, c_prime, lam)
         assert (composed.input_size, composed.dims["intersection"], composed.all_hold) == (6561, 625, True)
         assert verify_transcript(json.loads(json.dumps(composed.to_json())))[0]
 
@@ -599,7 +604,7 @@ class TestTranscriptSerialization:
     def test_from_json_inverts_to_json(self, cap9_search, branch):
         """On the 9-cap (main branch) and greedy seed 0 in F_5^3 (zero branch),
         `to_json` writes the keys of the field tables, in their order, and no
-        others. No parser inverts it: `verify_transcript` reads four fields
+        others. No parser inverts it: `verify_transcript` reads three fields
         and compares the rest as JSON."""
         A = cap9_search.witness if branch == "main" else greedy_progression_free(PrimeField(5), 3, order_seed=0)
         transcript = prove_size_bound(A)
