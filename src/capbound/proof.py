@@ -45,7 +45,8 @@ allocated, where it is allocated: `WORK_BOUND` on the |C| x h block that
 `prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
 sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
 interpolating the witness's value table (`ProofTranscript.value_table`).
-The Gram matrix over A' is read in a pair sweep and never built.
+The Gram matrix over A' is read in the progression check's pair sweep
+(`sets._first_pair`) and never built.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
 from .polyspace import _coordinate_products, _vandermonde, coefficient_tensor
-from .sets import PointSet, _index_of, _members, _pair_indices, is_progression_free, pair_sums
+from .sets import PointSet, _first_pair, _index_of, _members, is_progression_free, pair_sums
 
 __all__ = [
     "WORK_BOUND",
@@ -211,22 +212,19 @@ def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
     progression-freeness is consumed: an off-diagonal nonzero entry means
     f(a + b) != 0 for distinct a, b, i.e. a + b escaped the zero set that
     the construction promised. The matrix is not built: its entries above
-    the diagonal are read in `pair_sums`' sweep over the pairs a < b, whose
-    bound A' within A already meets, and the first nonzero in row-major
-    order is named. A diagonal matrix with nonzero diagonal has rank
-    |selected|, so its rank is not computed.
+    the diagonal are read in the sweep of `is_progression_free`
+    (`sets._first_pair`), whose pair bound A' within A already meets, and
+    the first nonzero is named. A diagonal matrix with nonzero diagonal
+    has rank |selected|, so its rank is not computed.
     """
     p, coords = selected.field.p, _members(selected)[1]
     table = np.append(np.asarray(values, dtype=np.int64), 0)  # entry p^n: the sweep's diagonal
-    for r, c, block in _pair_indices(coords, coords, p, upper=True):
-        hit = table.take(block)
-        if hit.any():
-            i, j = np.unravel_index(np.argmax(hit != 0), hit.shape)
-            a, b = coords[r + i].tolist(), coords[c + j].tolist()
-            raise HypothesisViolation(
-                "hypothesis violated: Gram matrix is not diagonal",
-                evidence={"row_point": a, "col_point": b, "value": int(hit[i, j])},
-            )
+    if (hit := _first_pair(coords, table, p)) is not None:
+        a, b, value = hit
+        raise HypothesisViolation(
+            "hypothesis violated: Gram matrix is not diagonal",
+            evidence={"row_point": coords[a].tolist(), "col_point": coords[b].tolist(), "value": value},
+        )
     diag = table[_index_of(2 * coords % p, p)]
     if not diag.all():
         raise HypothesisViolation(
@@ -425,13 +423,11 @@ _ABSENT = object()  # a key that a JSON object lacks, which differs from every v
 
 def _first_difference(recorded: dict, derived: dict, path: str = "") -> str | None:
     """The first key, `derived`'s in its order then `recorded`'s own, whose
-    values differ, as a dotted path; None when the two are the same (`_same`).
+    values differ, as a dotted path; None when every key's values are the same (`_same`).
 
-    Objects that differ are compared key by key down to the leaf, and check
+    One pass, key by key: objects are compared down to the leaf, and check
     rows one by one ("row i (name)").
     """
-    if _same(recorded, derived):
-        return None
     for key in [*derived, *(k for k in recorded if k not in derived)]:
         mine, value, where = recorded.get(key, _ABSENT), derived.get(key, _ABSENT), path + key
         if where == "checks" and type(mine) is list:

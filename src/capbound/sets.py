@@ -9,7 +9,8 @@ miss the doubles 2c, which keeps every check quadratic.
 Pair work runs in one carry-free key kernel (`_key_tables`): each point is
 reduced once and keyed per group of digits in base 2p, so the index of a sum
 mod p costs one key sum and one table lookup per group. `_pair_indices`
-sweeps pair sums in bounded blocks; `_form_keys` keys the completion forms.
+sweeps pair sums in bounded blocks, `_first_pair` finds the first pair whose
+sum a table marks, and `_form_keys` keys the completion forms.
 
 The exact search keeps non-negative Python-int masks. Its row table of
 keep masks (`_BlockRows`) is built from the same kernel, one row per point
@@ -17,7 +18,8 @@ j it reaches. The depth-first `_walk` memoises the keep mask of each chosen
 prefix, so including j costs about one AND, and goes on in place.
 `_split`, the breadth-first split into subtrees, queues one-node `_walk`
 calls, and `_walk_subtrees` walks the subtrees in the caller and in children
-forked on `os.fork`, which talk to it through pipes. A node budget caps both.
+forked on `os.fork`, which talk to it through pipes. A node budget caps both,
+and what the subtrees leave of it is handed on to those its shares cut.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "pair_sums",
     "max_progression_free",
     "greedy_progression_free",
-    "parse_point_set",
     "load_json",
     "EXACT_SEARCH_CEILING",
     "PAIR_BOUND",
@@ -256,14 +257,6 @@ class PointSet:
         return cls.from_points(header[0], header[1], points)
 
 
-def parse_point_set(text: str) -> PointSet:
-    """Accept either the JSON or the plain-text serialization; repeated points are rejected."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return PointSet.from_json(load_json(text))
-    return PointSet.from_text(text)
-
-
 def load_json(text: str):
     """`json.loads(text)`; an object that repeats a key, or nesting too deep
     for the decoder (a RecursionError), is a ValueError."""
@@ -362,18 +355,25 @@ def _members_and_doubles(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
 def is_progression_free(ps: PointSet) -> tuple[bool, tuple | None]:
     """Check for distinct a, b, c with a + b = 2c; returns one witness triple.
 
-    `pair_sums`' sweep over the pairs a < b, looked up in a table of the
-    doubles: for odd p, a + b = 2c with a != b forces c to differ from a and
-    b. The first hit in index order of the pairs gives (a, b, (a + b)/2)."""
-    field, p = ps.field, ps.field.p
+    `_first_pair` over a table of the doubles: for odd p, a + b = 2c with
+    a != b forces c to differ from a and b. The first pair a < b whose sum
+    is a double gives (a, b, (a + b)/2)."""
     coords, doubles = _members_and_doubles(ps)
+    if (hit := _first_pair(coords, doubles, ps.field.p)) is None:
+        return True, None
+    a, b = coords[hit[0]], coords[hit[1]]
+    return False, tuple(tuple(x.tolist()) for x in (a, b, (a + b) * ps.field.inv2 % ps.field.p))
+
+
+def _first_pair(coords: np.ndarray, table: np.ndarray, p: int) -> tuple[int, int, int] | None:
+    """The first rows a < b of `coords`, in `_pair_indices`' upper order, whose sum has a nonzero
+    entry in `table`, over [0, p^n] with entry p^n the sweep's diagonal: (a, b, entry), or None."""
     for r, c, block in _pair_indices(coords, coords, p, upper=True):
-        hit = doubles.take(block)
+        hit = table.take(block)
         if hit.any():
-            i, j = np.unravel_index(np.argmax(hit), hit.shape)
-            a, b = coords[r + i], coords[c + j]
-            return False, (tuple(a.tolist()), tuple(b.tolist()), tuple(((a + b) * field.inv2 % p).tolist()))
-    return True, None
+            i, j = np.unravel_index(np.argmax(hit != 0), hit.shape)
+            return r + i, c + j, int(hit[i, j])
+    return None
 
 
 def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
@@ -615,8 +615,12 @@ def max_progression_free(
     not depend on scheduling. `workers` must lie in [1, _MAX_WORKERS].
 
     `node_budget` caps `nodes_explored`: the split spends its nodes first
-    and the subtrees share the rest. A spent budget yields optimal=False,
-    not an error.
+    and the subtrees share the rest equally. The caller then hands what the
+    subtrees left unspent on to those left pending, in subtree order: each
+    walks its pending states on, the deepest (last) first, from its own
+    incumbent, which is the walk a larger share would have made. So a
+    budget that covers the unbudgeted search gives its result. A spent
+    budget yields optimal=False, not an error.
     """
     _check_search_options(n, node_budget, workers)
     total = field.p**n
@@ -634,11 +638,14 @@ def max_progression_free(
     if node_budget is not None and tasks:
         q, r = divmod(node_budget - nodes, len(tasks))
         shares = [q + (i < r) for i in range(len(tasks))]
-    runs = [(state, share) for state, share in zip(tasks, shares) if share != 0]
-    exhausted = len(runs) == len(tasks)
-    procs = min(workers, len(runs), os.cpu_count() or 1)  # no child when no run is left
-    for pending, size, chosen, task_nodes in _walk_subtrees(field.p, n, best, runs, procs):
-        nodes += task_nodes
+    procs = min(workers, len(tasks) - shares.count(0), os.cpu_count() or 1)  # no child when no share is left
+    results = _walk_subtrees(field.p, n, best, list(zip(tasks, shares)), procs)
+    nodes += sum(result[3] for result in results)
+    exhausted = True
+    for pending, size, chosen, _ in results:
+        while pending and nodes < node_budget:  # cut by its share: walked on, deepest state first
+            more, size, deeper, spent = _walk(field.p, n, pending[-1], size, node_budget - nodes)
+            pending, chosen, nodes = pending[:-1] + more, deeper or chosen, nodes + spent
         exhausted = exhausted and not pending
         if size > best:
             best, best_chosen = size, chosen

@@ -698,6 +698,7 @@ class TestProveAndVerify:
                 lambda t: {**t, "selected_doubles": [-1] + t["selected_doubles"][1:]},
                 "'selected_doubles' holds -1",
             ),
+            (lambda t: {**t, "selected_doubles": [0, 99]}, "'selected_doubles' holds 99, outside [0, 27)"),
             (
                 lambda t: {**t, "witness_values": t["witness_values"] + [1]},
                 "holds 10 values, not one per double",
@@ -735,6 +736,7 @@ class TestProveAndVerify:
             "number",
             "null",
             "negative_selected_double",
+            "selected_double_out_of_range_after_zero",
             "off_selection_key_out_of_range",
             "off_selection_value_out_of_range",
             "modulus_too_large",
@@ -768,6 +770,7 @@ class TestProveAndVerify:
             (lambda t: t["checks"][5].update(rhs="30"), "row 5 (size_bound_asymptotic)"),
             (lambda t: t.update(precision=1000), "recorded precision differs"),
             (lambda t: t["conclusion"]["exact"].update(holds=1), "conclusion.exact.holds"),
+            (lambda t: t["checks"][1].update(holds=1), "recorded row 1 (witness_degree) differs"),
             (lambda t: t.pop("precision"), "recorded precision differs"),
         ],
         ids=[
@@ -781,6 +784,7 @@ class TestProveAndVerify:
             "asymptotic_rhs_edited",
             "precision_relabelled",
             "exact_holds_retyped",
+            "row_holds_retyped",
             "precision_missing",
         ],
     )

@@ -172,6 +172,15 @@ class TestSelection:
         assert selected.indices() == ref_selected
         assert lam == (ref_lam if idxs else [])
 
+    def test_work_bound_admits_its_boundary(self, cap9_search, monkeypatch):
+        """The 9-cap's |C| x h block has 9 * 4 = 36 entries: a bound of 36 admits it, 35 refuses it."""
+        _, doubles = pair_sums(cap9_search.witness)
+        monkeypatch.setattr(proof, "WORK_BOUND", 36)
+        assert select_unit_witness(doubles)[0].size == 5
+        monkeypatch.setattr(proof, "WORK_BOUND", 35)
+        with pytest.raises(ValueError, match="9 times h = 4 entries, above the work bound 35"):
+            select_unit_witness(doubles)
+
 
 def zassenhaus_reference(points):
     """dim V, C' and the witness by the dense path: intersect K and L as
@@ -257,6 +266,10 @@ class TestDiagonalCertificate:
         pt = PointSet.from_points(F3, 1, [(0,)])
         with pytest.raises(HypothesisViolation, match="zero diagonal"):
             diagonal_certificate(evaluate_all(f), pt)
+        # f(2 * 0) = 1, f(0 + 1) = 0 and f(2 * 1) = 0: the point named is 1, not the first
+        with pytest.raises(HypothesisViolation, match="zero diagonal") as raised:
+            diagonal_certificate([1, 0, 0], PointSet.from_points(F3, 1, [(0,), (1,)]))
+        assert raised.value.evidence == {"point": [1]}
 
 
 class TestRankBoundCheck:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capbound import sets
+from capbound import cli, sets
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
 from capbound.proof import _halves_of
@@ -24,9 +24,9 @@ from capbound.sets import (
     SearchResult,
     greedy_progression_free,
     is_progression_free,
+    load_json,
     max_progression_free,
     pair_sums,
-    parse_point_set,
 )
 from oracles import has_progression, max_pf_all_subsets
 
@@ -138,10 +138,12 @@ class TestPointSet:
         with pytest.raises(ValueError, match="header"):
             PointSet.from_text("0 0\n1 2\n")
 
-    def test_parse_auto_detect(self):
+    def test_parse_auto_detect(self, tmp_path):
+        """The CLI's reader tells a JSON point set from a text one by its first character."""
         ps = PointSet.from_points(F3, 2, [(1, 1)])
-        assert parse_point_set(json.dumps(ps.to_json())) == ps
-        assert parse_point_set(ps.to_text()) == ps
+        for name, text in (("set.json", "  " + json.dumps(ps.to_json())), ("set.txt", ps.to_text())):
+            (tmp_path / name).write_text(text)
+            assert cli._load_point_set(str(tmp_path / name), "prove") == ps
 
     def test_ambient_bounded_before_its_size_is_computed(self):
         assert PointSet(F3, 15, 0).size == 0  # 3^15 points: within 2^24
@@ -153,7 +155,7 @@ class TestPointSet:
             lambda: PointSet.from_indices(F3, 2_000_000, []),
             lambda: PointSet.from_json({"p": 3, "n": 2_000_000, "points": []}),
             lambda: PointSet.from_points(F3, 2_000_000, [(0,) * 2_000_000]),
-            lambda: parse_point_set("p=3 n=2000000\n"),
+            lambda: PointSet.from_text("p=3 n=2000000\n"),
             lambda: greedy_progression_free(F3, 2_000_000),
         ):
             with pytest.raises(ValueError, match="at most 16777216 points"):
@@ -162,10 +164,12 @@ class TestPointSet:
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="duplicate point \\(0,\\)"):
-            parse_point_set("p=3 n=1\n0\n0\n1\n")
+            PointSet.from_text("p=3 n=1\n0\n0\n1\n")
         data = {"p": 3, "n": 2, "points": [[1, 2], [0, 0], [1, 2]]}
         with pytest.raises(ValueError, match="duplicate point \\(1, 2\\)"):
-            parse_point_set(json.dumps(data))
+            PointSet.from_json(load_json(json.dumps(data)))
+        with pytest.raises(ValueError, match="duplicate point \\(2, 1\\)"):  # the repeated point, not the first
+            PointSet.from_points(F3, 2, [(0, 0), (2, 1), (1, 2), (2, 1)])
 
     def test_numpy_coordinates_accepted(self):
         expected = PointSet.from_points(F3, 2, [(0, 1), (2, 2)])
@@ -448,19 +452,46 @@ class TestWorkers:
         assert (res.best_size, res.witness.indices(), res.optimal, res.nodes_explored) == expected
         assert_no_child()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("p, n, budget", [(3, 3, 21_100), (7, 2, 1_000_000)])
+    def test_budget_covering_the_search_gives_its_result(self, p, n, budget, workers):
+        """A subtree's unspent share is handed on, so no subtree starves: a
+        budget above the unbudgeted node count gives the unbudgeted result."""
+        unbudgeted = max_progression_free(PrimeField(p), n, workers=workers)
+        res = max_progression_free(PrimeField(p), n, node_budget=budget, workers=workers)
+        assert unbudgeted.optimal and unbudgeted.nodes_explored <= budget
+        assert (res.best_size, res.witness, res.optimal, res.nodes_explored) == (
+            unbudgeted.best_size, unbudgeted.witness, True, unbudgeted.nodes_explored
+        )
+
+
+def _resumed(p: int, n: int, pending: list, best: int, budget: int) -> tuple:
+    """`_walk`'s tuple for walking on from its `pending` states, last (deepest)
+    first, each from the incumbent the previous one reached, for `budget` nodes."""
+    pending, found, nodes = list(pending), None, 0
+    while pending and nodes < budget:
+        more, best, deeper, walked = sets._walk(p, n, pending.pop(), best, budget - nodes)
+        pending, found, nodes = pending + more, deeper or found, nodes + walked
+    return pending, best, found, nodes
+
 
 def _reference_search(p: int, n: int, budget: int | None, workers: int) -> tuple:
     """(best size, witness indices, optimal, nodes) of a split search, in one
-    process: `_split`, `_walk` on each subtree left a share of the budget from
-    the split's incumbent, then the merge in subtree order."""
+    process: `_split`, `_walk` on each subtree for its share of the budget
+    from the split's incumbent, then, in subtree order, each subtree left
+    pending walks its deepest pending state on from its own incumbent while
+    budget is unspent, and the merge."""
     seed = greedy_progression_free(PrimeField(p), n)
     tasks, best, chosen, nodes = sets._split(p, n, ([0], (1 << p**n) - 2), seed.size, budget, 4 * workers)
     q, r = divmod(budget - nodes, len(tasks)) if budget is not None and tasks else (None, 0)
     shares = [None if q is None else q + (i < r) for i in range(len(tasks))]
-    walks = [sets._walk(p, n, task, best, share) for task, share in zip(tasks, shares) if share != 0]
-    optimal = len(walks) == len(tasks)
-    for pending, size, found, walked in walks:
-        nodes += walked
+    walks = [sets._walk(p, n, task, best, share) for task, share in zip(tasks, shares)]
+    nodes += sum(walked for *_, walked in walks)
+    optimal = True
+    for pending, size, found, _ in walks:
+        if budget is not None:
+            pending, size, deeper, walked = _resumed(p, n, pending, size, budget - nodes)
+            found, nodes = deeper or found, nodes + walked
         optimal = optimal and not pending
         if size > best:
             best, chosen = size, found
@@ -537,6 +568,23 @@ class TestWalk:
         assert (size, witness, nodes) == expected[1:]
         assert sorted(pending) == sorted(expected[0])
         assert not pending or nodes == budget
+
+
+class TestResume:
+    """A walk for B1 nodes, then walked on from its pending states for B2
+    more, against one walk for B1 + B2: the same nodes, incumbent, witness
+    and pending states, in order. So a subtree that a split search hands
+    spare budget on to makes the walk a larger share would have made."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(case=walk_starts(), more=st.sampled_from([0, 1]) | st.integers(2, 20_000))
+    @example(case=(7, 2, ([0], (1 << 49) - 2), 9, 1), more=20_000)
+    def test_resumed_walk_matches_one_walk(self, case, more):
+        p, n, state, best, budget = case
+        pending, size, witness, nodes = sets._walk(p, n, state, best, budget)
+        resumed, size, found, walked = _resumed(p, n, pending, size, more)
+        expected = sets._walk(p, n, state, best, budget + more)
+        assert (resumed, size, found or witness, nodes + walked) == expected
 
 
 def _oracle_split(p: int, n: int, root: tuple, best: int, budget: int | None, target: int):
