@@ -36,11 +36,11 @@ _EXPORTS = {
     "ProofTranscript": "proof",
     "prove_size_bound": "proof",
     "verify_transcript": "proof",
+    "SearchResult": "search",
+    "greedy_progression_free": "search",
+    "max_progression_free": "search",
     "PointSet": "sets",
-    "SearchResult": "sets",
-    "greedy_progression_free": "sets",
     "is_progression_free": "sets",
-    "max_progression_free": "sets",
     "pair_sums": "sets",
 }
 

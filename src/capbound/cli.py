@@ -161,7 +161,7 @@ def cmd_entropy_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    from .sets import SearchResult, _check_search_options, greedy_progression_free, max_progression_free
+    from .search import SearchResult, _check_search_options, greedy_progression_free, max_progression_free
 
     field = PrimeField(args.p)
     if args.mode == "exact":

@@ -6,12 +6,13 @@ order, `_exponent_array`; the graded-lex lists and index maps of the dense
 references are in `capbound.reference`.
 
 Dimensions come from one prefix-sum table of layer counts per (n, p-1), built
-by a linear recurrence as far as a caller reads, entries 0..d in O((p-1) d)
-big-integer steps; the last two tables are cached, built entries read in O(1).
+by a linear recurrence over the last p counts as far as a caller reads, entries
+0..d in O((p-1) d) big-integer steps; the last table is cached, read in O(1).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import accumulate, islice
 
@@ -49,18 +50,18 @@ def _layer_counts(n: int, m: int):
     window sums updated in O(1) as the window slides, so c_0..c_d cost
     O(m d) big-integer steps.
     """
-    c = [1]
+    c = deque([1], maxlen=m + 1)  # c_{k-1-m}, ..., c_{k-1}: all the recurrence reads
     s = t = 0
     yield 1
     for k in range(1, m * n + 1):
-        out = c[k - 1 - m] if k > m else 0  # c_{k-1-m} leaves the window
-        s += c[k - 1] - out
+        out = c[0] if k > m else 0  # c_{k-1-m} leaves the window
+        s += c[-1] - out
         t += s - m * out
         c.append(((n + 1) * t - k * s) // k)
-        yield c[k]
+        yield c[-1]
 
 
-@lru_cache(maxsize=2)  # a command reads one (n, m)
+@lru_cache(maxsize=1)  # a command reads one (n, m)
 def _prefix_table(n: int, m: int):
     """The prefix sums of the layer counts built so far, and the iterator of the rest."""
     return [], accumulate(_layer_counts(n, m))

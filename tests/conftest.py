@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from capbound.gf import PrimeField
-from capbound.sets import max_progression_free
+from capbound.search import max_progression_free
 
 CRITERIA = {
     1: "headline constant: base 3^c(3) in [2.835, 2.845], < 0.1 s",

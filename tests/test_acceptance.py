@@ -18,12 +18,8 @@ from capbound.gf import PrimeField
 from capbound.monomials import dim_L
 from capbound.proof import prove_size_bound
 from capbound.reference import check_gram_rank_bound, evaluate_all, gram_matrix, interpolate, verify_duality
-from capbound.sets import (
-    PointSet,
-    greedy_progression_free,
-    is_progression_free,
-    max_progression_free,
-)
+from capbound.search import greedy_progression_free, max_progression_free
+from capbound.sets import PointSet, is_progression_free
 from oracles import max_pf_all_subsets, max_pf_recursive
 from test_polyspace import random_poly
 

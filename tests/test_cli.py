@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
-from capbound import cli, monomials, sets
+from capbound import cli, monomials, search, sets
 from capbound.cli import main
 from capbound.gf import PrimeField
 from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
@@ -433,7 +433,7 @@ class TestSearch:
         leaves no child."""
         from test_sets import _deadline
 
-        caller, walk = os.getpid(), sets._walk
+        caller, walk = os.getpid(), search._walk
 
         def walk_killed_in_children(*args):
             if args[-1] != 1:  # not a one-node step of the split, which runs before the launch
@@ -442,8 +442,8 @@ class TestSearch:
                 time.sleep(0.05)  # leaves subtrees for the child to claim
             return walk(*args)
 
-        monkeypatch.setattr(sets, "_walk", walk_killed_in_children)
-        monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "_walk", walk_killed_in_children)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         with _deadline(60):
             code, out, err = run("search", "--p", "3", "--n", "3", "--mode", "exact", "--threads", "2")
         assert code == 2 and out == ""
@@ -458,7 +458,7 @@ class TestSearch:
         leaves no child."""
         from test_sets import _deadline
 
-        caller, walk = os.getpid(), sets._walk
+        caller, walk = os.getpid(), search._walk
 
         def walk_failing_in_children(*args):
             if args[-1] != 1:  # not a one-node step of the split, which runs before the launch
@@ -467,8 +467,8 @@ class TestSearch:
                 time.sleep(0.05)  # leaves subtrees for the child to claim
             return walk(*args)
 
-        monkeypatch.setattr(sets, "_walk", walk_failing_in_children)
-        monkeypatch.setattr(sets.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(search, "_walk", walk_failing_in_children)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
         with _deadline(60):
             code, out, err = run("search", "--p", "3", "--n", "3", "--mode", "exact", "--threads", "2")
         assert code == 2 and out == "" and err.startswith("error: search worker ")
@@ -1377,6 +1377,27 @@ class TestModuleStructure:
         code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
         assert code == 0
         assert "capbound.proof" in loaded and "capbound.reference" not in loaded
+
+    @pytest.mark.parametrize("command", ["prove", "verify-transcript", "verify-set"])
+    def test_certificate_commands_do_not_load_the_search(self, run, tmp_path, command):
+        """The commands that prove or check a set run the trust base of `sets`
+        alone: `capbound.search`, with its fork and pickle, is not loaded."""
+        f, t = tmp_path / "cap.txt", tmp_path / "transcript.json"
+        f.write_text(_point_text(3, 3, CAP9))
+        t.write_text(run("prove", "--input", str(f), "--format", "json")[1])
+        argv = [command, "--input", str(t if command == "verify-transcript" else f), "--format", "json"]
+        code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
+        assert code == 0
+        assert "capbound.sets" in loaded and "capbound.search" not in loaded
+
+    def test_search_loads_the_search_module(self):
+        """`search` loads `capbound.search`, and `sets` resolves the two searches
+        there, the very functions, for readers that still name them in `sets`."""
+        argv = ["search", "--p", "3", "--n", "2", "--format", "json"]
+        code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
+        assert code == 0 and "capbound.search" in loaded
+        assert sets.max_progression_free is search.max_progression_free
+        assert sets.greedy_progression_free is search.greedy_progression_free
 
     @pytest.mark.parametrize(
         "argv",
