@@ -129,9 +129,9 @@ def _split_degree(p: int, n: int) -> int:
 def verify_entropy_lemma(field: PrimeField, n: int) -> BoundReport:
     """Check ln(dim of the degree-<=(p-1)n/3 slice) <= c * n * ln p exactly.
 
-    Requires n >= 1 with an integral degree cut (see `_split_degree`).
-    `holds` demands a margin above the 1e-9 guard; the bound is loose
-    enough that no valid case sits anywhere near it.
+    Requires n >= 1 with an integral degree cut (see `_split_degree`). The
+    dimension is one `dim_L` read, which builds no table. `holds` demands a
+    margin above the 1e-9 guard, which no valid case sits anywhere near.
     """
     exact = dim_L(n, _split_degree(field.p, n), field)
     c, [(log_bound, p_cn, _)] = _p_cn(field, [n])
@@ -155,9 +155,7 @@ def exact_tail_identity(
     if n < 1:
         raise ValueError("n must be positive")
     m = field.p - 1
-    if not 0 <= k <= m * n:
-        raise ValueError(f"k={k} out of range [0, {m * n}]")
-    tail = Fraction(dim_L(n, k, field), field.p**n)
+    tail = Fraction(dim_L(n, k, field), field.p**n)  # dim_L refuses k outside [0, mn]
     mean_twice = m * n  # 2 * E[S]
     if 2 * k > mean_twice:
         return tail, None

@@ -41,6 +41,7 @@ __all__ = ["main", "run"]
 
 
 BOUND_N_MAX = 1000  # `bound` writes one row of two Decimal exponentials per n
+_digit_ceiling = functools.lru_cache(maxsize=1)(functools.partial(pow, 10))  # 10^limit, keyed by the limit
 
 
 def _emit(envelope: dict, rows: list[dict], columns: list[str], table_head: list[str], fmt: str) -> None:
@@ -95,7 +96,7 @@ def cmd_bound(args) -> int:
 def _require_printable(p: int, n: int) -> None:
     """Refuse an n whose p^n has more digits than str(int) may write (p >= 3)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7: no limit
-    if limit and (n >= 3 * limit or p**n >= 10**limit):
+    if limit and (n >= 3 * limit or p**n >= _digit_ceiling(limit)):
         raise ValueError(f"p^n = {p}^{n} has more than {limit} decimal digits (sys.get_int_max_str_digits())")
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
-from capbound import cli, monomials, search, sets
+from capbound import bounds, cli, monomials, search, sets
 from capbound.cli import main
 from capbound.gf import PrimeField
 from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
@@ -34,6 +34,29 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+@pytest.fixture()
+def dimension_reads(monkeypatch):
+    """Every `dim_L` and `_cumulative_counts` call a command makes, spied where
+    the commands reach them: (name, n, d) and (name, n, m, d, entries built)."""
+    calls = []
+    real_dim, real_cum = monomials.dim_L, monomials._cumulative_counts
+
+    def dim_L(n, d, field):
+        calls.append(("dim_L", n, d))
+        return real_dim(n, d, field)
+
+    def cumulative_counts(n, m, d):
+        table = real_cum(n, m, d)
+        calls.append(("_cumulative_counts", n, m, d, len(table)))
+        return table
+
+    for module in (monomials, bounds):
+        monkeypatch.setattr(module, "dim_L", dim_L)
+    for module in (monomials, cli):
+        monkeypatch.setattr(module, "_cumulative_counts", cumulative_counts)
+    return calls
 
 
 def run_json(invoke, *argv):
@@ -101,14 +124,13 @@ class TestDims:
         assert (code, out) == (2, "") and "n must be nonnegative, got -1" in err
         assert run("dims", "--p", "3", "--n", "0", "--format", "json")[0] == 0
 
-    def test_huge_n_refused_before_any_table(self, run):
-        monomials._prefix_table.cache_clear()
+    def test_huge_n_refused_before_any_table(self, run, dimension_reads):
         code, out, err = run("dims", "--p", "3", "--n", "9100")
         assert (code, out) == (2, "")
         assert "3^9100" in err and str(sys.get_int_max_str_digits()) in err
         code, _, err = run("entropy-check", "--p", "3", "--n", "3,9102")
         assert code == 2 and "3^9102" in err
-        assert monomials._prefix_table.cache_info().currsize == 0
+        assert dimension_reads == []
 
     def test_digit_limit_is_exact(self, run):
         """3^1341 has 640 decimal digits and 3^1342 has 641; a limit of 0
@@ -121,6 +143,21 @@ class TestDims:
             assert code == 2 and "3^1342" in err and "640" in err
             sys.set_int_max_str_digits(0)
             assert run("dims", "--p", "3", "--n", "1342", "--d-max", "0", "--format", "json")[0] == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_change_between_calls(self, run):
+        """The memoised power 10^limit follows a limit changed between two
+        calls in one process, both ways."""
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert run("dims", "--p", "3", "--n", "1342", "--d-max", "0")[0] == 2
+            sys.set_int_max_str_digits(700)
+            assert run("dims", "--p", "3", "--n", "1342", "--d-max", "0", "--format", "json")[0] == 0
+            sys.set_int_max_str_digits(640)
+            code, _, err = run("entropy-check", "--p", "3", "--n", "1342")
+            assert code == 2 and "3^1342" in err and "640" in err
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -352,13 +389,14 @@ class TestEntropyCheck:
         code, out, err = run("entropy-check", "--p", "3", "--n", ns)
         assert (code, out) == (2, "") and "no n" in err
 
-    def test_builds_only_the_entries_read(self, run):
-        """entropy-check reads d = (p-1)n/3; dims reads up to max(d_max, top - d_min - 1)."""
-        monomials._prefix_table.cache_clear()
+    def test_builds_only_the_entries_read(self, run, dimension_reads):
+        """entropy-check reads the one slice d = (p-1)n/3 and builds no table;
+        dims builds entries 0..max(d_max, top - d_min - 1) once."""
         assert run_json(run, "entropy-check", "--p", "3", "--n", "30")[0] == 0
-        assert len(monomials._prefix_table(30, 2)[0]) == 21
+        assert dimension_reads == [("dim_L", 30, 20)]
+        dimension_reads.clear()
         assert run_json(run, "dims", "--p", "5", "--n", "10", "--d-min", "30", "--d-max", "31")[0] == 0
-        assert len(monomials._prefix_table(10, 4)[0]) == 32
+        assert dimension_reads == [("_cumulative_counts", 10, 4, 31, 32)]
 
     def test_big_prime_fast(self, run):
         code, env = run_json(run, "entropy-check", "--p", "7", "--n", "30")

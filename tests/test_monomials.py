@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from itertools import accumulate
 
 import pytest
@@ -41,7 +43,7 @@ class TestEnumeration:
 def extended_binomial(n: int, k: int, m: int) -> int:
     """The extended binomial coefficient c_k, the number of vectors in
     {0..m}^n with sum k (0 <= k <= mn), as a difference of the library's
-    prefix-sum table; a read builds that table up to entry k."""
+    prefix-sum table `_cumulative_counts`, built afresh up to entry k."""
     cum = monomials._cumulative_counts(n, m, k)
     return cum[k] - cum[k - 1] if k else cum[0]
 
@@ -91,30 +93,69 @@ class TestLayerRecurrence:
     @example(0, 2, random.Random(0))
     @example(40, 12, random.Random(1))
     def test_any_read_order(self, n, m, rnd):
-        """Entries read descending, at random, then as the full table, each
-        order from an empty cache, equal the convolution; a read builds the
-        table only up to the entry it asks for."""
+        """Entries read descending, at random, then in order equal the
+        convolution; the table built for a read of entry k is exactly
+        entries 0..k, the prefix of the full table."""
         ref = layer_counts_convolution(n, m)
         cum = list(accumulate(ref))
         top = m * n
         field = PrimeField(m + 1) if m + 1 in (3, 5, 7, 11, 13) else None
         for order in (range(top, -1, -1), rnd.sample(range(top + 1), top + 1), range(top + 1)):
-            monomials._prefix_table.cache_clear()
-            built = 0
             for k in order:
                 assert extended_binomial(n, k, m) == ref[k]
                 if field:
                     assert dim_L(n, k, field) == cum[k]
-                built = max(built, k + 1)
-                assert len(monomials._prefix_table(n, m)[0]) == built
+                assert monomials._cumulative_counts(n, m, k) == cum[: k + 1]
             if field and n:
                 assert verify_duality(n, field)
 
-    def test_cache_stays_bounded(self):
-        for n in range(200, 300):
-            dim_L(n, n, F3)
-        info = monomials._prefix_table.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+_SMALL_N = {3: 12, 5: 12, 7: 12, 11: 10, 13: 10, 101: 5, 65521: 2}
+
+
+@st.composite
+def _prime_and_small_n(draw):
+    p = draw(st.sampled_from(sorted(_SMALL_N)))
+    return p, draw(st.integers(0, _SMALL_N[p]))
+
+
+class TestInclusionExclusion:
+    """`dim_L`, a sum of d // p + 1 binomial terms, against the prefix sums
+    of the layer-count table it replaced and of the window convolution."""
+
+    @pytest.mark.parametrize("p, n", [(3, 1320), (5, 1155), (7, 1065), (11, 1020), (65521, 6), (65521, 12)])
+    def test_entropy_cut_matches_table(self, p, n):
+        """The `dims` workload's late-run sizes, and p > n, where each ratio
+        of binomials is written over n factors, not p: each read takes well
+        under 0.1 s."""
+        d = (p - 1) * n // 3
+        start = time.perf_counter()
+        dim = dim_L(n, d, PrimeField(p))
+        assert time.perf_counter() - start < 0.1
+        assert dim == monomials._cumulative_counts(n, p - 1, d)[d]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_prime_and_small_n())
+    @example((3, 12))
+    @example((13, 10))
+    @example((101, 5))
+    @example((65521, 2))
+    def test_matches_table_and_convolution(self, p_n):
+        p, n = p_n
+        field, top = PrimeField(p), (p - 1) * n
+        table = monomials._cumulative_counts(n, p - 1, top)
+        if p <= 101 or n <= 1:  # the convolution takes O(p^2 n^2) steps
+            assert table == list(accumulate(layer_counts_convolution(n, p - 1)))
+        for d in range(top + 1):
+            assert dim_L(n, d, field) == table[d]
+        for d in range(top + 1) if top <= 1500 else {0, p - 1, min(p, top), top - 1, top}:
+            assert monomials._cumulative_counts(n, p - 1, d) == table[: d + 1]
+
+    def test_inexact_step_raises(self, monkeypatch):
+        """A step whose division leaves a remainder raises: it is never floored."""
+        monkeypatch.setattr(monomials, "perm", lambda a, b: math.perm(a, b) + 1)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            dim_L(6, 6, F3)
 
 
 class TestDimensions:
