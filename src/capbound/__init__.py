@@ -32,8 +32,6 @@ _EXPORTS = {
     "ReducedPoly": "reference",
     "evaluate_all": "reference",
     "interpolate": "reference",
-    "ProofCheck": "proof",
-    "ProofTranscript": "proof",
     "prove_size_bound": "proof",
     "verify_transcript": "proof",
     "SearchResult": "search",

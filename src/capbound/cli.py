@@ -27,7 +27,6 @@ import functools
 import io
 import json
 import sys
-import time
 
 from .bounds import _p_cn, _split_degree, verify_entropy_lemma
 from .errors import CheckFailure, ProgressionFound
@@ -169,10 +168,8 @@ def cmd_search(args) -> int:
         result = max_progression_free(field, args.n, node_budget=args.budget, workers=args.threads)
     else:
         _check_search_options(args.n, args.budget, args.threads)  # greedy reads neither option, but echoes both
-        t0 = time.perf_counter()
         witness = greedy_progression_free(field, args.n, order_seed=args.seed)
-        elapsed = time.perf_counter() - t0
-        result = SearchResult(best_size=witness.size, witness=witness, optimal=False, nodes_explored=0, elapsed=elapsed)
+        result = SearchResult(best_size=witness.size, witness=witness, optimal=False, nodes_explored=0)
     envelope = {
         "command": "search",
         "params": {key: getattr(args, key) for key in ("p", "n", "mode", "budget", "seed", "threads")},
@@ -229,25 +226,24 @@ def cmd_prove(args) -> int:
     from .proof import prove_size_bound
 
     points = _load_point_set(args.input, args.command)
-    transcript = prove_size_bound(points)
-    payload = transcript.to_json()
+    t = prove_size_bound(points)
     envelope = {
         "command": "prove",
         "params": {"p": points.field.p, "n": points.n, "input_size": points.size},
-        "result": payload,
+        "result": t,
     }
     rows = [
         {"check": c["name"], "relation": c["relation"], "lhs": c["lhs"], "rhs": c["rhs"], "holds": c["holds"]}
-        for c in payload["checks"]
+        for c in t["checks"]
     ]
     head = [
-        f"size-bound transcript for |A| = {transcript.input_size} in F_{transcript.p}^{transcript.n}",
-        f"branch = {transcript.branch}   dims = {payload['dims']}",
-        f"conclusion: exact {payload['conclusion']['exact']}",
-        f"conclusion: asymptotic holds = {payload['conclusion']['asymptotic']['holds']}",
+        f"size-bound transcript for |A| = {t['input_size']} in F_{t['p']}^{t['n']}",
+        f"branch = {t['branch']}   dims = {t['dims']}",
+        f"conclusion: exact {t['conclusion']['exact']}",
+        f"conclusion: asymptotic holds = {t['conclusion']['asymptotic']['holds']}",
     ]
     _emit(envelope, rows, ["check", "relation", "lhs", "rhs", "holds"], head, _pick_format(args.format))
-    return 0 if transcript.all_hold else 1
+    return 0 if all(c["holds"] for c in t["checks"]) else 1
 
 
 def cmd_verify_set(args) -> int:
@@ -279,15 +275,14 @@ def cmd_verify_transcript(args) -> int:
     from .proof import verify_transcript
     from .sets import load_json
 
-    ok, checks = verify_transcript(_unwrap(load_json(_read_input(args.input)), args.command))
-    rows = [c.to_json() for c in checks]
+    ok, rows = verify_transcript(_unwrap(load_json(_read_input(args.input)), args.command))
     envelope = {
         "command": "verify-transcript",
         "params": {"input": args.input},
         "result": {"valid": ok, "checks": rows},
     }
     head = [f"transcript re-check: {'all checks reproduced' if ok else 'FAILED'}"]
-    _emit(envelope, rows, ["name", "relation", "lhs", "rhs", "holds"], head, _pick_format(args.format))
+    _emit(envelope, rows, ["name", "relation", "lhs", "rhs", "holds", "note"], head, _pick_format(args.format))
     return 0 if ok else 1
 
 

@@ -9,28 +9,29 @@ A' = {a : 2a in C'}. C' and f come from one elimination of the transposed
 block of the doubles' evaluations c^beta at the monomials of degree below
 the cut. f vanishes off C, so the transcript records it as its values on C.
 
-The report has one row per fact of the chain, checked with exact values:
+The transcript is one JSON object, and the report is its `checks`: one
+row per fact of the chain, each an object checked with exact values:
 `progression_free` (B & C is empty, so f = 0 on B), on the main branch
 `witness_degree` (f in L), `witness_unit_on_selected` (f = 1 on C') and
 `selected_size_bound` (|A'| <= 2 dim(degree <= s), the rank of the then
 diagonal Gram matrix; degree <= 2s settles the support split), then
 `size_bound_exact` (|A| = |C| <= h + |C'|) and `size_bound_asymptotic`.
-The transcript serializes to JSON and can be re-checked from that form
-alone, without re-deriving V: f's coefficients come from one
-interpolation pass over its value table.
+The transcript can be re-checked from that object alone, without
+re-deriving V: f's coefficients come from one interpolation pass over its
+value table (`value_table`).
 
 One function, `_derive`, writes every field of a transcript from the
-input, the selection C' and the witness's values on C: `prove` calls it on
+input, the selection C' and the witness's values on C, in one dict
+literal whose key order is the order `prove` writes: `prove` calls it on
 what its elimination found, `verify_transcript` on the recorded C' and
 values, and then compares the whole record with that derivation in one
 row, `recorded_claims` (`_first_difference`).
 
-Each decision of the certificate has one home. `_FIELDS` and `_ROW_FIELDS`
-list the JSON keys of a transcript and of a check row in the order
-`to_json` writes them. `_read` parses the three fields that `_derive`
-consumes, and every other field, `precision` too, is a claim, compared
-with the derived one as JSON (`_same`: true is not 1). `_DIMENSION_KEYS` names the recorded
-dimensions. The cut s = (p-1)n/3 (D2 = 2s) is `bounds._split_degree`.
+Each decision of the certificate has one home. `_read` parses the three
+fields that `_derive` consumes, and every other field, `precision` too, is
+a claim, compared with the derived one as JSON (`_same`: true is not 1).
+`_DIMENSION_KEYS` names the recorded dimensions. The cut s = (p-1)n/3
+(D2 = 2s) is `bounds._split_degree`.
 
 Two conclusions are recorded side by side: an exact one over big-integer
 dimensions, and the asymptotic form |A| <= 3 p^(cn) evaluated in decimal
@@ -38,13 +39,13 @@ by `bounds._p_cn`, at the `bounds.PRECISION` digits that `precision` records.
 
 This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
-(`interpolate(t.value_table(), field, n)` for a transcript `t`) and the
+(`interpolate(value_table(t), field, n)` for a transcript `t`) and the
 dense p^n x p^n rank arguments that the diagonal certificate and the
 degree cap replace. Each work bound is checked once, before its work is
 allocated, where it is allocated: `WORK_BOUND` on the |C| x h block that
 `prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
 sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
-interpolating the witness's value table (`ProofTranscript.value_table`).
+interpolating the witness's value table (`value_table`).
 The Gram matrix over A' is read in the progression check's pair sweep
 (`sets._first_pair`) and never built.
 """
@@ -52,7 +53,6 @@ The Gram matrix over A' is read in the progression check's pair sweep
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import zip_longest
 
@@ -69,8 +69,7 @@ __all__ = [
     "WORK_BOUND",
     "VALUE_TABLE_BOUND",
     "TRANSCRIPT_FORMAT",
-    "ProofCheck",
-    "ProofTranscript",
+    "value_table",
     "select_unit_witness",
     "diagonal_certificate",
     "prove_size_bound",
@@ -85,94 +84,38 @@ _DIMENSION_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ProofCheck:
-    """One verified (in)equality: both sides recorded, never just a boolean."""
-
-    name: str
-    relation: str
-    lhs: str
-    rhs: str
-    holds: bool
-    note: str = ""
-
-    def to_json(self) -> dict:
-        return {key: getattr(self, key) for key in _ROW_FIELDS if key != "note" or self.note}
-
-
 _RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
-def _check(name: str, lhs, relation: str, rhs, note: str = "") -> ProofCheck:
-    """The row `lhs relation rhs`; ints and Decimals compare exactly with each other."""
+def _check(name: str, lhs, relation: str, rhs, note: str = "") -> dict:
+    """The row `lhs relation rhs`, with its `note` only when there is one; ints
+    and Decimals compare exactly with each other."""
     lv = lhs if isinstance(lhs, (int, Decimal)) else int(lhs)
     rv = rhs if isinstance(rhs, (int, Decimal)) else int(rhs)
-    return ProofCheck(name, relation, str(lhs), str(rhs), bool(_RELATIONS[relation](lv, rv)), note)
+    holds = bool(_RELATIONS[relation](lv, rv))
+    row = {"name": name, "relation": relation, "lhs": str(lhs), "rhs": str(rhs), "holds": holds}
+    return {**row, "note": note} if note else row
 
 
-@dataclass
-class ProofTranscript:
-    """Full record of one size-bound run; self-contained for re-checking."""
+def value_table(t: dict) -> np.ndarray | None:
+    """The value table over F_p^n of the witness of transcript `t`: its
+    `witness_values` on its `doubles`, 0 elsewhere; None when it records no witness.
 
-    p: int
-    n: int
-    branch: str
-    input_points: PointSet
-    input_size: int
-    doubles: list[int]
-    pair_sum_count: int
-    dims: dict[str, int]
-    degree_cap: int
-    split_degree: int
-    selected_doubles: list[int]
-    selected_points: list[int]
-    witness_values: list[int] | None
-    matrix_rank: int | None
-    checks: list[ProofCheck]
-    conclusion: dict
-    precision: int
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def value_table(self) -> np.ndarray | None:
-        """The witness's value table over F_p^n: `witness_values` on the doubles, 0 elsewhere.
-
-        An ambient with p^(n+1) > VALUE_TABLE_BOUND is refused (ValueError)
-        before anything is allocated: `prove` and `verify_transcript` read
-        the witness's coefficients from this table.
-        """
-        if self.witness_values is None:
-            return None
-        if self.p ** (self.n + 1) > VALUE_TABLE_BOUND:
-            raise ValueError(
-                f"the witness's value table over F_{self.p}^{self.n} needs p^(n+1) = {self.p ** (self.n + 1)} "
-                f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
-            )
-        table = np.zeros(self.p**self.n, dtype=np.int64)
-        table[self.doubles] = self.witness_values
-        return table
-
-    def to_json(self) -> dict:
-        """The transcript as a JSON object whose keys are those of `_FIELDS`, in its order."""
-        out = {"format": TRANSCRIPT_FORMAT, "input": self.input_points.to_json(), **self.claims()}
-        return {key: out[key] for key in _FIELDS}
-
-    def claims(self) -> dict:
-        """The JSON fields of the transcript but `format` and `input`: what `verify_transcript` compares."""
-        out = {key: getattr(self, key) for key in _FIELDS if key not in ("format", "input")}
-        out.update(dims={k: str(v) for k, v in self.dims.items()}, checks=[c.to_json() for c in self.checks])
-        return {key: list(v) if isinstance(v, list) else v for key, v in out.items()}
-
-
-# The JSON keys of a serialized transcript and of one of its check rows, in output order.
-_FIELDS = (
-    "format", "p", "n", "branch", "input", "input_size", "doubles", "pair_sum_count", "dims", "degree_cap",
-    "split_degree", "selected_doubles", "selected_points", "witness_values", "matrix_rank", "checks",
-    "conclusion", "precision",
-)
-_ROW_FIELDS = ("name", "relation", "lhs", "rhs", "holds", "note")
+    An ambient with p^(n+1) > VALUE_TABLE_BOUND is refused (ValueError)
+    before anything is allocated: `prove` and `verify_transcript` read
+    the witness's coefficients from this table.
+    """
+    p, n = t["p"], t["n"]
+    if t["witness_values"] is None:
+        return None
+    if p ** (n + 1) > VALUE_TABLE_BOUND:
+        raise ValueError(
+            f"the witness's value table over F_{p}^{n} needs p^(n+1) = {p ** (n + 1)} "
+            f"products to interpolate, above the value-table bound {VALUE_TABLE_BOUND}"
+        )
+    table = np.zeros(p**n, dtype=np.int64)
+    table[t["doubles"]] = t["witness_values"]
+    return table
 
 
 def select_unit_witness(points: PointSet) -> tuple[PointSet, list[int]]:
@@ -234,15 +177,16 @@ def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
     return diag
 
 
-def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> ProofTranscript:
-    """Run the whole size-bound argument on a concrete set and record it.
+def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> dict:
+    """Run the whole size-bound argument on a concrete set and record it as
+    the JSON transcript that `prove` prints.
 
     Requires 3 | (p-1)n and a progression-free input (checked first unless the
     test hook `_skip_progression_check` forces the pipeline onward, in
     which case the diagonal certificate is where the damage surfaces).
     The steps here are the cut, the pair sweep, the progression refusal
     and the one elimination, which gives C' and the witness; `_derive`
-    writes every other field, exactly as for `verify_transcript`.
+    writes every field, exactly as for `verify_transcript`.
     """
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
@@ -254,14 +198,12 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> P
         )
     selected, lam = select_unit_witness(doubles)
     t = _derive(A, s, sums, doubles, selected, lam)
-    if t.matrix_rank == -1:  # raises, naming the entry that breaks the diagonal
-        diagonal_certificate(t.value_table(), PointSet.from_indices(field, n, t.selected_points))
+    if t["matrix_rank"] == -1:  # raises, naming the entry that breaks the diagonal
+        diagonal_certificate(value_table(t), PointSet.from_indices(field, n, t["selected_points"]))
     return t
 
 
-def _derive(
-    A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]
-) -> ProofTranscript:
+def _derive(A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]) -> dict:
     """The transcript of `A` whose selection is C' = `selected` and whose witness f
     has the values `lam` on the doubles, every field derived from these alone.
 
@@ -273,49 +215,32 @@ def _derive(
     the Gram matrix diagonal with nonzero diagonal, else -1; its sweep is
     skipped when A is progression-free and f is 1 on C', which make it so.
     f's degree is read from its coefficients, one interpolation pass over
-    its value table. `prove_size_bound` records this; `verify_transcript`
-    compares the record with it.
+    its value table. The record is one JSON object, its keys in the order
+    `prove` writes them: `prove_size_bound` returns it, and
+    `verify_transcript` compares a record with it.
     """
     field, n = A.field, A.n
+    c, values = doubles.indices(), lam if selected.size else None
+    # refused above its bound here, before C' and A' are listed
+    table = value_table({"p": field.p, "n": n, "doubles": c, "witness_values": values})
+    c_prime, halves = selected.indices(), _halves_of(A, selected)
     slices = [dim_L(n, d, field) for d in (2 * s, s, s - 1)]
-    dims = dict(zip(_DIMENSION_KEYS, (field.p**n, doubles.size, *slices, selected.size)))
-    t = ProofTranscript(
-        p=field.p,
-        n=n,
-        branch="main" if selected.size else "zero_intersection",
-        input_points=A,
-        input_size=A.size,
-        doubles=doubles.indices(),
-        pair_sum_count=sums.size,
-        dims=dims,
-        degree_cap=2 * s,
-        split_degree=s,
-        selected_doubles=[],  # listed below, once the value table's bound is passed
-        selected_points=[],
-        witness_values=lam if selected.size else None,
-        matrix_rank=None,
-        checks=[],
-        conclusion={},
-        precision=PRECISION,
-    )
-    table = t.value_table()
-    t.selected_doubles, t.selected_points = selected.indices(), _halves_of(A, selected)
-    size, h = A.size, dims["low_third_minus"]
-    free = int(not (sums & doubles).size)
+    _, low_third, h = slices
+    size, free = A.size, int(not (sums & doubles).size)
     checks = [_check("progression_free", free, "==", 1, note="verified on input")]
-    exact = {"size": str(size)}
+    exact, rank = {"size": str(size)}, None
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
         exact_bound, note = h, "zero-dimensional intersection branch"
     else:
-        a_prime = PointSet.from_indices(field, n, t.selected_points)
-        unit = int((table[t.selected_doubles] == 1).all())
-        t.matrix_rank = a_prime.size
+        a_prime = PointSet.from_indices(field, n, halves)
+        unit = int((table[c_prime] == 1).all())
+        rank = a_prime.size
         if not (free and unit):  # else f, 0 off C, is 0 on B and 1 on C': the sweep would find |A'|
             try:
                 diagonal_certificate(table, a_prime)
             except HypothesisViolation:
-                t.matrix_rank = -1
+                rank = -1
         degree = int(np.argwhere(coefficient_tensor(table, field, n)).sum(axis=1).max(initial=0))
         checks += [
             _check("witness_degree", degree, "<=", 2 * s),
@@ -324,7 +249,7 @@ def _derive(
                 "selected_size_bound",
                 a_prime.size,
                 "<=",
-                2 * dims["low_third"],
+                2 * low_third,
                 note="diagonal Gram rank against the support split",
             ),
         ]
@@ -333,15 +258,33 @@ def _derive(
     checks.append(_check("size_bound_exact", size, "<=", exact_bound, note=note))
     exact.update(bound=str(exact_bound), holds=size <= exact_bound)
     row, asymptotic = _asymptotic(field, n, size)
-    t.checks, t.conclusion = checks + [row], {"exact": exact, "asymptotic": asymptotic}
-    return t
+    return {
+        "format": TRANSCRIPT_FORMAT,
+        "p": field.p,
+        "n": n,
+        "branch": "main" if selected.size else "zero_intersection",
+        "input": A.to_json(),
+        "input_size": size,
+        "doubles": c,
+        "pair_sum_count": sums.size,
+        "dims": dict(zip(_DIMENSION_KEYS, map(str, (field.p**n, doubles.size, *slices, selected.size)))),
+        "degree_cap": 2 * s,
+        "split_degree": s,
+        "selected_doubles": c_prime,
+        "selected_points": halves,
+        "witness_values": values,
+        "matrix_rank": rank,
+        "checks": checks + [row],
+        "conclusion": {"exact": exact, "asymptotic": asymptotic},
+        "precision": PRECISION,
+    }
 
 
-def _asymptotic(field: PrimeField, n: int, size: int) -> tuple[ProofCheck, dict]:
+def _asymptotic(field: PrimeField, n: int, size: int) -> tuple[dict, dict]:
     """The row size <= 3 p^(cn) and the asymptotic conclusion."""
     c, [(_, p_cn, bound)] = _p_cn(field, [n])
     row = _check("size_bound_asymptotic", Decimal(size), "<=", bound)
-    return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row.holds}
+    return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row["holds"]}
 
 
 def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
@@ -350,7 +293,7 @@ def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
     return idx[doubled._table()[_index_of(2 * coords % A.field.p, A.field.p)]].tolist()
 
 
-def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
+def verify_transcript(data: dict) -> tuple[bool, list[dict]]:
     """Re-check a serialized transcript without re-deriving its certificate.
 
     Reads the three fields that `_derive` consumes (`_read`): the `input` A,
@@ -375,10 +318,10 @@ def verify_transcript(data: dict) -> tuple[bool, list[ProofCheck]]:
     sums, doubles = pair_sums(A)
     selected = PointSet.from_indices(field, n, c_prime)
     derived = _derive(A, s, sums, doubles, selected, values or [0] * A.size)
-    differs = _first_difference({k: v for k, v in data.items() if k not in ("format", "input")}, derived.claims())
+    differs = _first_difference({**data, "input": derived["input"]}, derived)  # the input is read, not claimed
     note = f"recorded {differs} differs" if differs else ""
-    checks = derived.checks + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
-    return all(c.holds for c in checks), checks
+    checks = derived["checks"] + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
+    return all(c["holds"] for c in checks), checks
 
 
 def _read(data) -> tuple[PointSet, list[int], list[int] | None]:

@@ -9,7 +9,7 @@ criteria compare with:
 
 - `ReducedPoly`, a sparse polynomial with exponents capped at p-1, with
   `evaluate_all`, `interpolate` and `indicator_poly`; the witness of a
-  transcript `t` is `interpolate(t.value_table(), field, n)`;
+  transcript `t` is `interpolate(proof.value_table(t), field, n)`;
 - graded-lex monomial lists and index maps, and the coefficient vectors
   and p^n x p^n shift coefficient grids over them, which need
   p^n <= `DENSE_MATRIX_CEILING`;

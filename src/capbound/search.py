@@ -20,7 +20,6 @@ import os
 import pickle
 import random
 import signal
-import time
 from collections import deque
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ class SearchResult:
     witness: PointSet
     optimal: bool
     nodes_explored: int
-    elapsed: float
 
     def __post_init__(self) -> None:
         ok, triple = is_progression_free(self.witness)
@@ -268,7 +266,6 @@ def max_progression_free(
             f"p^n = {total} exceeds the exact-search ceiling {EXACT_SEARCH_CEILING}; "
             "use the greedy search for spaces this large"
         )
-    t0 = time.perf_counter()
     seed_set = greedy_progression_free(field, n, order_seed=0)
     tasks, best, best_chosen, nodes = [([0], (1 << total) - 2)], seed_set.size, None, 0
     if workers > 1:
@@ -290,8 +287,7 @@ def max_progression_free(
             best, best_chosen = size, chosen
 
     witness = seed_set if best_chosen is None else PointSet.from_indices(field, n, best_chosen)
-    elapsed = time.perf_counter() - t0
-    return SearchResult(best_size=best, witness=witness, optimal=exhausted, nodes_explored=nodes, elapsed=elapsed)
+    return SearchResult(best_size=best, witness=witness, optimal=exhausted, nodes_explored=nodes)
 
 
 def greedy_progression_free(field: PrimeField, n: int, order_seed: int = 0) -> PointSet:

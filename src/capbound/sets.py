@@ -178,7 +178,7 @@ class PointSet:
         return f"PointSet(p={self.field.p}, n={self.n}, size={self._size})"
 
     def to_json(self) -> dict:
-        return {"p": self.field.p, "n": self.n, "points": [list(c) for c in self.points()]}
+        return {"p": self.field.p, "n": self.n, "points": _members(self)[1].tolist()}
 
     @classmethod
     def from_json(cls, data: dict, what: str = "point set") -> "PointSet":

@@ -16,7 +16,7 @@ from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
 from capbound.monomials import dim_L
-from capbound.proof import prove_size_bound
+from capbound.proof import prove_size_bound, value_table
 from capbound.reference import check_gram_rank_bound, evaluate_all, gram_matrix, interpolate, verify_duality
 from capbound.search import greedy_progression_free, max_progression_free
 from capbound.sets import PointSet, is_progression_free
@@ -134,11 +134,12 @@ def test_criterion_6_extremal_search(capsys, cap9_search):
         assert result.best_size == want
         assert result.best_size == max_pf_all_subsets(p, n)
 
+    assert max_progression_free(F3, 3) == cap9_search  # the shared search, timed with the rest
     assert cap9_search.optimal
     assert cap9_search.best_size == 9
     oracle_best, oracle_states = max_pf_recursive(3, 3)
     assert oracle_best == cap9_search.best_size == 9
-    elapsed = time.perf_counter() - t0 + cap9_search.elapsed
+    elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"search criterion took {elapsed:.1f}s"
     with capsys.disabled():
         _announce(
@@ -167,12 +168,12 @@ def test_criterion_7_end_to_end_transcript(capsys, cap9_search, tmp_path):
     assert payload["dims"]["low_degree"] == "23"
     assert int(payload["dims"]["intersection"]) >= 5
 
-    a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-    arr = gram_matrix(interpolate(transcript.value_table(), F3, 3), a_prime, a_prime)
+    a_prime = PointSet.from_indices(F3, 3, transcript["selected_points"])
+    arr = gram_matrix(interpolate(value_table(transcript), F3, 3), a_prime, a_prime)
     assert (np.diagonal(arr) == 1).all(), "diagonal is not all ones"
     assert not (arr - np.diag(np.diagonal(arr))).any(), "off-diagonal entries"
-    assert transcript.matrix_rank == a_prime.size == len(payload["selected_points"])
-    assert transcript.matrix_rank <= 20 == 2 * dim_L(3, 2, F3)
+    assert transcript["matrix_rank"] == a_prime.size == len(payload["selected_points"])
+    assert transcript["matrix_rank"] <= 20 == 2 * dim_L(3, 2, F3)
 
     bound = Decimal(payload["conclusion"]["asymptotic"]["bound"])
     assert Decimal(9) <= bound
@@ -183,7 +184,7 @@ def test_criterion_7_end_to_end_transcript(capsys, cap9_search, tmp_path):
     with capsys.disabled():
         _announce(
             7,
-            f"dims 9/23/{payload['dims']['intersection']}, rank {transcript.matrix_rank} <= 20, "
+            f"dims 9/23/{payload['dims']['intersection']}, rank {transcript['matrix_rank']} <= 20, "
             f"9 <= {float(bound):.1f}, {elapsed * 1000:.0f} ms",
         )
 

@@ -374,6 +374,137 @@ def test_verify_reads_indented_transcripts(run, tmp_path):
     assert reports[1] == reports[0]
 
 
+# greedy_progression_free(F_5, 3, order_seed=1): 13 points, zero-intersection branch
+GREEDY_F5_N3_SEED1 = [
+    (4, 0, 0), (0, 4, 0), (4, 4, 0), (1, 2, 1), (3, 2, 1), (1, 3, 1), (0, 4, 1), (0, 0, 2),
+    (4, 0, 3), (2, 1, 3), (4, 1, 3), (1, 4, 4), (4, 4, 4),
+]
+REPORT_INPUTS = {"cap9": _point_text(3, 3, CAP9), "greedy_f5_3": _point_text(5, 3, GREEDY_F5_N3_SEED1)}
+
+# The lines of `prove --input <set>` and of `verify-transcript` on its JSON
+# transcript, written as a table (every cell padded, the last one too) or as
+# CSV (each line ends in \r\n).
+PINNED_REPORTS = {
+    ("prove", "cap9", "table"): [
+        "size-bound transcript for |A| = 9 in F_3^3",
+        "branch = main   dims = {'ambient': '27', 'vanishing_off_doubles': '9', 'low_degree': '23', "
+        "'low_third': '10', 'low_third_minus': '4', 'intersection': '5'}",
+        "conclusion: exact {'size': '9', 'low_third_minus': '4', 'selected': '5', 'bound': '9', 'holds': True}",
+        "conclusion: asymptotic holds = True",
+        "check                     relation  lhs  rhs                              holds",
+        "progression_free          ==        1    1                                True ",
+        "witness_degree            <=        4    4                                True ",
+        "witness_unit_on_selected  ==        1    1                                True ",
+        "selected_size_bound       <=        5    20                               True ",
+        "size_bound_exact          <=        9    9                                True ",
+        "size_bound_asymptotic     <=        9    68.5650197161397399976383093829  True ",
+    ],
+    ("prove", "cap9", "csv"): [
+        "check,relation,lhs,rhs,holds",
+        "progression_free,==,1,1,True",
+        "witness_degree,<=,4,4,True",
+        "witness_unit_on_selected,==,1,1,True",
+        "selected_size_bound,<=,5,20,True",
+        "size_bound_exact,<=,9,9,True",
+        "size_bound_asymptotic,<=,9,68.5650197161397399976383093829,True",
+    ],
+    ("prove", "greedy_f5_3", "table"): [
+        "size-bound transcript for |A| = 13 in F_5^3",
+        "branch = zero_intersection   dims = {'ambient': '125', 'vanishing_off_doubles': '13', "
+        "'low_degree': '105', 'low_third': '35', 'low_third_minus': '20', 'intersection': '0'}",
+        "conclusion: exact {'size': '13', 'bound': '20', 'holds': True}",
+        "conclusion: asymptotic holds = True",
+        "check                  relation  lhs  rhs                              holds",
+        "progression_free       ==        1    1                                True ",
+        "size_bound_exact       <=        13   20                               True ",
+        "size_bound_asymptotic  <=        13   317.430646833980277766844024928  True ",
+    ],
+    ("prove", "greedy_f5_3", "csv"): [
+        "check,relation,lhs,rhs,holds",
+        "progression_free,==,1,1,True",
+        "size_bound_exact,<=,13,20,True",
+        "size_bound_asymptotic,<=,13,317.430646833980277766844024928,True",
+    ],
+    ("verify-transcript", "cap9", "table"): [
+        "transcript re-check: all checks reproduced",
+        "name                      relation  lhs  rhs                              holds  "
+        "note                                        ",
+        "progression_free          ==        1    1                                True   "
+        "verified on input                           ",
+        "witness_degree            <=        4    4                                True   "
+        "                                            ",
+        "witness_unit_on_selected  ==        1    1                                True   "
+        "                                            ",
+        "selected_size_bound       <=        5    20                               True   "
+        "diagonal Gram rank against the support split",
+        "size_bound_exact          <=        9    9                                True   "
+        "|A| = |C| <= dim(low third minus one) + |C'|",
+        "size_bound_asymptotic     <=        9    68.5650197161397399976383093829  True   "
+        "                                            ",
+        "recorded_claims           ==        1    1                                True   "
+        "                                            ",
+    ],
+    ("verify-transcript", "cap9", "csv"): [
+        "name,relation,lhs,rhs,holds,note",
+        "progression_free,==,1,1,True,verified on input",
+        "witness_degree,<=,4,4,True,",
+        "witness_unit_on_selected,==,1,1,True,",
+        "selected_size_bound,<=,5,20,True,diagonal Gram rank against the support split",
+        "size_bound_exact,<=,9,9,True,|A| = |C| <= dim(low third minus one) + |C'|",
+        "size_bound_asymptotic,<=,9,68.5650197161397399976383093829,True,",
+        "recorded_claims,==,1,1,True,",
+    ],
+    ("verify-transcript", "greedy_f5_3", "table"): [
+        "transcript re-check: all checks reproduced",
+        "name                   relation  lhs  rhs                              holds  note                                ",
+        "progression_free       ==        1    1                                True   verified on input                   ",
+        "size_bound_exact       <=        13   20                               True   zero-dimensional intersection branch",
+        "size_bound_asymptotic  <=        13   317.430646833980277766844024928  True                                       ",
+        "recorded_claims        ==        1    1                                True                                       ",
+    ],
+    ("verify-transcript", "greedy_f5_3", "csv"): [
+        "name,relation,lhs,rhs,holds,note",
+        "progression_free,==,1,1,True,verified on input",
+        "size_bound_exact,<=,13,20,True,zero-dimensional intersection branch",
+        "size_bound_asymptotic,<=,13,317.430646833980277766844024928,True,",
+        "recorded_claims,==,1,1,True,",
+    ],
+}
+
+
+def _report(run, tmp_path, command: str, text: str, fmt: str) -> tuple[int, str]:
+    """Exit code and stdout of `prove` on the set `text`, or of `verify-transcript` on its JSON transcript."""
+    (tmp_path / "set.txt").write_text(text)
+    code, out, _ = run("prove", "--input", str(tmp_path / "set.txt"), "--format", fmt if command == "prove" else "json")
+    if command == "verify-transcript":
+        assert code == 0
+        (tmp_path / "transcript.json").write_text(out)
+        code, out, _ = run(command, "--input", str(tmp_path / "transcript.json"), "--format", fmt)
+    return code, out
+
+
+@pytest.mark.parametrize("key", list(PINNED_REPORTS), ids="_".join)
+def test_table_and_csv_reports_pinned(run, tmp_path, key):
+    command, name, fmt = key
+    end = "\n" if fmt == "table" else "\r\n"
+    assert _report(run, tmp_path, command, REPORT_INPUTS[name], fmt) == (0, end.join(PINNED_REPORTS[key]) + end)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_table_and_csv_reports_name_the_difference(run, tmp_path, fmt):
+    """The table and CSV of a failed re-check carry each row's note, so the
+    9-cap transcript with one selected point dropped names that field."""
+    (tmp_path / "set.txt").write_text(REPORT_INPUTS["cap9"])
+    env = json.loads(run("prove", "--input", str(tmp_path / "set.txt"), "--format", "json")[1])
+    env["result"]["selected_points"].pop()
+    (tmp_path / "forged.json").write_text(json.dumps(env))
+    code, out, _ = run("verify-transcript", "--input", str(tmp_path / "forged.json"), "--format", fmt)
+    lines = out.splitlines()
+    head = "transcript re-check: FAILED" if fmt == "table" else "name,relation,lhs,rhs,holds,note"
+    assert code == 1 and lines[0] == head
+    assert lines[-1].startswith("recorded_claims") and "recorded selected_points differs" in lines[-1]
+
+
 class TestEntropyCheck:
     def test_multiple_n(self, run):
         code, env = run_json(run, "entropy-check", "--p", "3", "--n", "3,6,9")
@@ -1010,9 +1141,9 @@ def transcripts(cap9_search):
     cap = cap9_search.witness.points()
     product = PointSet.from_points(PrimeField(3), 6, [a + b for a in cap for b in cap])
     out = {
-        "cap9": prove_size_bound(cap9_search.witness).to_json(),
-        "product_cap": prove_size_bound(product).to_json(),
-        "greedy_f5_3": prove_size_bound(PointSet.from_points(PrimeField(5), 3, GREEDY_F5_N3)).to_json(),
+        "cap9": prove_size_bound(cap9_search.witness),
+        "product_cap": prove_size_bound(product),
+        "greedy_f5_3": prove_size_bound(PointSet.from_points(PrimeField(5), 3, GREEDY_F5_N3)),
     }
     assert all(verify_from_stdin(t)[0] == 0 for t in out.values())
     return out
@@ -1085,7 +1216,7 @@ class TestIndependentChecker:
     @pytest.mark.parametrize("name", ["cap9", "product_cap", "f7_1", "greedy_f5_3"])
     def test_accepts_what_prove_writes(self, transcripts, name):
         if name == "f7_1":
-            t = prove_size_bound(PointSet.from_points(PrimeField(7), 1, [(0,), (1,), (3,)])).to_json()
+            t = prove_size_bound(PointSet.from_points(PrimeField(7), 1, [(0,), (1,), (3,)]))
         else:
             t = transcripts[name]
         assert (t["branch"] == "zero_intersection") == (name == "greedy_f5_3")
@@ -1101,7 +1232,7 @@ class TestIndependentChecker:
         rows exactly the one that states that fact."""
         if fact == 1:  # a line, proved past the progression check on the zero branch
             line = PointSet.from_points(PrimeField(3), 3, [(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-            t = prove_size_bound(line, _skip_progression_check=True).to_json()
+            t = prove_size_bound(line, _skip_progression_check=True)
         else:
             t = copy.deepcopy(transcripts["cap9"])
         if fact == 2:  # a point of C' outside C, which has no half in A

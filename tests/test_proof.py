@@ -25,6 +25,7 @@ from capbound.proof import (
     diagonal_certificate,
     prove_size_bound,
     select_unit_witness,
+    value_table,
     verify_transcript,
 )
 from capbound.reference import (
@@ -321,8 +322,8 @@ class TestDiagonalSizeBound:
 
     def test_pipeline_instance(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-        rec = check_diagonal_size_bound(interpolate(transcript.value_table(), F3, 3), a_prime, 2)
+        a_prime = PointSet.from_indices(F3, 3, transcript["selected_points"])
+        rec = check_diagonal_size_bound(interpolate(value_table(transcript), F3, 3), a_prime, 2)
         assert rec.holds and rec.split_bound == 20
 
     def test_hypothesis_violation(self):
@@ -353,7 +354,7 @@ class TestPipeline:
             with pytest.raises(ValueError, match=re.escape("3 | n")):
                 verify_entropy_lemma(field, n)
         else:
-            assert prove_size_bound(PointSet.empty(field, n)).all_hold
+            assert all(c["holds"] for c in prove_size_bound(PointSet.empty(field, n))["checks"])
             assert verify_entropy_lemma(field, n).holds
 
     @pytest.mark.parametrize("p, n", [(3, 4), (5, 2)])
@@ -364,7 +365,7 @@ class TestPipeline:
         A = greedy_progression_free(field, n, order_seed=0)
         with pytest.raises(ValueError) as refused:
             prove_size_bound(A)
-        forged = prove_size_bound(PointSet.empty(field, 3)).to_json()
+        forged = prove_size_bound(PointSet.empty(field, 3))
         forged.update(n=n, input=A.to_json())
         with pytest.raises(ValueError) as info:
             verify_transcript(forged)
@@ -385,31 +386,31 @@ class TestPipeline:
 
     def test_empty_set(self):
         transcript = prove_size_bound(PointSet.empty(F3, 3))
-        assert transcript.branch == "zero_intersection"
-        assert transcript.all_hold
-        assert transcript.input_size == 0
+        assert transcript["branch"] == "zero_intersection"
+        assert all(c["holds"] for c in transcript["checks"])
+        assert transcript["input_size"] == 0
 
     def test_two_point_smoke(self):
         small = PointSet.from_points(F3, 3, [(0, 0, 0), (1, 0, 0)])
         transcript = prove_size_bound(small)
-        assert transcript.all_hold
-        assert float(transcript.conclusion["asymptotic"]["bound"]) > 2
+        assert all(c["holds"] for c in transcript["checks"])
+        assert float(transcript["conclusion"]["asymptotic"]["bound"]) > 2
 
     def test_nine_cap_end_to_end(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        assert transcript.branch == "main"
-        assert transcript.all_hold
-        assert transcript.dims["vanishing_off_doubles"] == 9
-        assert transcript.dims["low_degree"] == 23
-        assert transcript.dims["intersection"] >= 5
-        assert transcript.matrix_rank == len(transcript.selected_points)
-        assert transcript.matrix_rank <= 20
+        assert transcript["branch"] == "main"
+        assert all(c["holds"] for c in transcript["checks"])
+        assert transcript["dims"]["vanishing_off_doubles"] == "9"
+        assert transcript["dims"]["low_degree"] == "23"
+        assert int(transcript["dims"]["intersection"]) >= 5
+        assert transcript["matrix_rank"] == len(transcript["selected_points"])
+        assert transcript["matrix_rank"] <= 20
 
     def test_unit_diagonal(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        a_prime = PointSet.from_indices(F3, 3, transcript.selected_points)
-        diag = diagonal_certificate(transcript.value_table(), a_prime)
-        arr = gram_matrix(interpolate(transcript.value_table(), F3, 3), a_prime, a_prime)
+        a_prime = PointSet.from_indices(F3, 3, transcript["selected_points"])
+        diag = diagonal_certificate(value_table(transcript), a_prime)
+        arr = gram_matrix(interpolate(value_table(transcript), F3, 3), a_prime, a_prime)
         assert (diag == 1).all()
         assert (arr == np.diag(diag)).all()
 
@@ -430,8 +431,8 @@ class TestPipeline:
 
         monkeypatch.setattr(proof, "diagonal_certificate", refuse)
         transcript = prove_size_bound(cap9_search.witness)
-        assert transcript.matrix_rank == len(transcript.selected_points) > 0
-        assert verify_transcript(transcript.to_json())[0]
+        assert transcript["matrix_rank"] == len(transcript["selected_points"]) > 0
+        assert verify_transcript(transcript)[0]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -449,11 +450,11 @@ class TestPipeline:
         selected = PointSet.from_indices(F3, 3, sorted(picked))
         t = proof._derive(A, 2, sums, doubles, selected, lam)
         try:
-            diagonal_certificate(t.value_table(), PointSet.from_indices(F3, 3, t.selected_points))
-            swept = len(t.selected_points)
+            diagonal_certificate(value_table(t), PointSet.from_indices(F3, 3, t["selected_points"]))
+            swept = len(t["selected_points"])
         except HypothesisViolation:
             swept = -1
-        assert t.matrix_rank == swept
+        assert t["matrix_rank"] == swept
 
     def test_verdict_read_off_pair_sums(self, cap9_search, monkeypatch):
         # the midpoint sweep runs only to name the witness of a failing input
@@ -464,8 +465,8 @@ class TestPipeline:
         with monkeypatch.context() as mp:
             mp.setattr(proof, "is_progression_free", refuse)
             transcript = prove_size_bound(cap)
-            assert transcript.all_hold
-            assert verify_transcript(json.loads(json.dumps(transcript.to_json())))[0]
+            assert all(c["holds"] for c in transcript["checks"])
+            assert verify_transcript(json.loads(json.dumps(transcript)))[0]
         extra = next(i for i in range(27) if i not in cap)
         bad = PointSet(F3, 3, cap.mask | (1 << extra))
         with pytest.raises(ProgressionFound) as info:
@@ -495,11 +496,11 @@ class TestLargeAmbient:
         assert product.size == 81
         assert is_progression_free(product)[0]
         transcript = prove_size_bound(product)
-        assert transcript.branch == "main"
-        assert transcript.all_hold
-        assert transcript.dims["low_degree"] == 651
-        assert transcript.dims["intersection"] >= 81 + 651 - 729
-        ok, _ = verify_transcript(transcript.to_json())
+        assert transcript["branch"] == "main"
+        assert all(c["holds"] for c in transcript["checks"])
+        assert transcript["dims"]["low_degree"] == "651"
+        assert int(transcript["dims"]["intersection"]) >= 81 + 651 - 729
+        ok, _ = verify_transcript(transcript)
         assert ok
 
     def test_greedy_witness_zero_branch(self):
@@ -507,9 +508,9 @@ class TestLargeAmbient:
 
         witness = greedy_progression_free(PrimeField(5), 3, order_seed=1)
         transcript = prove_size_bound(witness)
-        assert transcript.branch == "zero_intersection"
-        assert transcript.all_hold
-        ok, _ = verify_transcript(transcript.to_json())
+        assert transcript["branch"] == "zero_intersection"
+        assert all(c["holds"] for c in transcript["checks"])
+        ok, _ = verify_transcript(transcript)
         assert ok
 
     def test_composed_product_verifies_above_the_work_bound(self, cap9_search):
@@ -518,8 +519,8 @@ class TestLargeAmbient:
         lam = lam_1 (x) ... (x) lam_4, composed from the 9-cap's witness and
         written through `_derive`, verify, since the verifier builds no block."""
         t = prove_size_bound(cap9_search.witness)
-        table, unit = t.value_table(), np.zeros(27, dtype=np.int64)
-        unit[t.selected_doubles] = 1
+        table, unit = value_table(t), np.zeros(27, dtype=np.int64)
+        unit[t["selected_doubles"]] = 1
         cap = points = cap9_search.witness.points()
         values, selected = table, unit
         for _ in range(3):  # a point a + b has index idx(a) + 27^k idx(b)
@@ -531,8 +532,9 @@ class TestLargeAmbient:
         c_prime = PointSet.from_indices(F3, 12, np.flatnonzero(selected))
         lam = values[doubles.indices()].tolist()
         composed = proof._derive(product, 8, sums, doubles, c_prime, lam)
-        assert (composed.input_size, composed.dims["intersection"], composed.all_hold) == (6561, 625, True)
-        assert verify_transcript(json.loads(json.dumps(composed.to_json())))[0]
+        assert (composed["input_size"], composed["dims"]["intersection"]) == (6561, "625")
+        assert all(c["holds"] for c in composed["checks"])
+        assert verify_transcript(json.loads(json.dumps(composed)))[0]
 
     def test_ceiling_rejected(self, cap9_search):
         # the product of four 9-caps in F_3^12: a 6561 x 29406 block, about 1.9e8 entries
@@ -548,19 +550,19 @@ class TestLargeAmbient:
 class TestTranscriptSerialization:
     def test_round_trip_and_verify(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        payload = json.loads(json.dumps(transcript.to_json()))
+        payload = json.loads(json.dumps(transcript))
         ok, checks = verify_transcript(payload)
         assert ok
-        assert all(c.holds for c in checks)
+        assert all(c["holds"] for c in checks)
 
     def test_verify_zero_branch(self):
         transcript = prove_size_bound(PointSet.empty(F3, 3))
-        ok, _ = verify_transcript(transcript.to_json())
+        ok, _ = verify_transcript(transcript)
         assert ok
 
     def test_tampering_is_detected(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        payload = transcript.to_json()
+        payload = transcript
 
         tampered = json.loads(json.dumps(payload))
         tampered["dims"]["low_degree"] = "24"
@@ -584,7 +586,7 @@ class TestTranscriptSerialization:
         interpolated witness when one recorded value moves by `scale`. That
         witness vanishes off the doubles, and so on the pair sums, which the
         cap keeps apart from the doubles: neither fact has a row of its own."""
-        payload = prove_size_bound(cap9_search.witness).to_json()
+        payload = prove_size_bound(cap9_search.witness)
         payload["witness_values"][double] = (payload["witness_values"][double] + scale) % 3
         _, rows = verify_transcript(payload)
         doubles_set = PointSet.from_indices(F3, 3, payload["doubles"])
@@ -593,7 +595,7 @@ class TestTranscriptSerialization:
         assert all(v == 0 for i, v in enumerate(table) if i not in doubles)
         assert all(table[i] == 0 for i in pair_sums(cap9_search.witness)[0])
         unit = all(table[i] == 1 for i in payload["selected_doubles"])
-        lhs = {c.name: c.lhs for c in rows}
+        lhs = {c["name"]: c["lhs"] for c in rows}
         assert (lhs["witness_unit_on_selected"], lhs["witness_degree"]) == (str(int(unit)), str(f.degree or 0))
 
     @pytest.mark.parametrize("kind", ["cap9", "product_cap", "zero_branch"])
@@ -607,29 +609,59 @@ class TestTranscriptSerialization:
             "zero_branch": greedy_progression_free(PrimeField(5), 3, order_seed=1),
         }
         transcript = prove_size_bound(inputs[kind])
-        assert (transcript.branch == "zero_intersection") == (kind == "zero_branch")
-        ok, rows = verify_transcript(json.loads(json.dumps(transcript.to_json())))
+        assert (transcript["branch"] == "zero_intersection") == (kind == "zero_branch")
+        ok, rows = verify_transcript(json.loads(json.dumps(transcript)))
         assert ok
-        assert rows[: len(transcript.checks)] == transcript.checks
-        records = [c.name for c in rows[len(transcript.checks) :]]
+        assert rows[: len(transcript["checks"])] == transcript["checks"]
+        records = [c["name"] for c in rows[len(transcript["checks"]) :]]
         assert records == ["recorded_claims"]
 
     @pytest.mark.parametrize("branch", ["main", "zero_intersection"])
-    def test_from_json_inverts_to_json(self, cap9_search, branch):
+    def test_record_keys_in_writing_order(self, cap9_search, branch):
         """On the 9-cap (main branch) and greedy seed 0 in F_5^3 (zero branch),
-        `to_json` writes the keys of the field tables, in their order, and no
-        others. No parser inverts it: `verify_transcript` reads three fields
-        and compares the rest as JSON."""
+        the transcript has these keys, in this order, and no others, and a check
+        row has its note only when it has one. No parser inverts it:
+        `verify_transcript` reads three fields and compares the rest as JSON."""
         A = cap9_search.witness if branch == "main" else greedy_progression_free(PrimeField(5), 3, order_seed=0)
         transcript = prove_size_bound(A)
-        assert transcript.branch == branch
-        payload = transcript.to_json()
-        assert list(payload) == list(proof._FIELDS)
-        assert all(set(row) <= set(proof._ROW_FIELDS) for row in payload["checks"])
+        assert transcript["branch"] == branch
+        assert list(transcript) == [
+            "format", "p", "n", "branch", "input", "input_size", "doubles", "pair_sum_count", "dims", "degree_cap",
+            "split_degree", "selected_doubles", "selected_points", "witness_values", "matrix_rank", "checks",
+            "conclusion", "precision",
+        ]
+        for row in transcript["checks"]:
+            assert list(row) == ["name", "relation", "lhs", "rhs", "holds", "note"][: 5 + ("note" in row)]
+            assert "note" not in row or row["note"]
+
+    @pytest.mark.parametrize("kind", ["cap9", "zero_branch", "product_of_three_caps"])
+    def test_record_is_plain_json(self, cap9_search, kind):
+        """What `prove_size_bound` returns is JSON as it stands: the JSON round
+        trip gives it back with the same keys, in order, and the same JSON
+        type at every position (`proof._same` at each leaf), so no numpy
+        scalar, tuple or Decimal is left in it. Main branch, zero branch, and
+        the product of three 9-caps in F_3^9 (dim V = 125)."""
+        cap = cap9_search.witness.points()
+        A = {
+            "cap9": cap9_search.witness,
+            "zero_branch": greedy_progression_free(PrimeField(5), 3, order_seed=1),
+            "product_of_three_caps": PointSet.from_points(F3, 9, [a + b + c for a in cap for b in cap for c in cap]),
+        }[kind]
+        transcript = prove_size_bound(A)
+        assert transcript["branch"] == ("zero_intersection" if kind == "zero_branch" else "main")
+
+        def same_everywhere(a, b) -> bool:
+            if type(a) is dict and type(b) is dict:
+                return list(a) == list(b) and all(same_everywhere(a[k], b[k]) for k in a)
+            if type(a) is list and type(b) is list:
+                return len(a) == len(b) and all(map(same_everywhere, a, b))
+            return proof._same(a, b)
+
+        assert same_everywhere(json.loads(json.dumps(transcript)), transcript)
 
     def test_serialized_fields_stable(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
-        payload = transcript.to_json()
+        payload = transcript
         dumped = json.dumps(payload, sort_keys=True)
         assert json.dumps(json.loads(dumped), sort_keys=True) == dumped
         assert all(isinstance(v, str) for v in payload["dims"].values())

@@ -347,9 +347,9 @@ class TestMaxSearch:
     def test_search_result_invariant(self):
         line = PointSet.from_points(F3, 1, [(0,), (1,), (2,)])
         with pytest.raises(ProgressionFound):
-            SearchResult(3, line, True, 0, 0.0)
+            SearchResult(3, line, True, 0)
         with pytest.raises(ValueError):
-            SearchResult(5, PointSet.from_indices(F3, 1, [0]), True, 0, 0.0)
+            SearchResult(5, PointSet.from_indices(F3, 1, [0]), True, 0)
 
 
 class TestWorkers:
