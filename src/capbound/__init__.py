@@ -8,10 +8,10 @@ format.
 The package re-exports its entry points, each imported from its module on
 first access, so `import capbound` loads no submodule (and no numpy). The
 stages of the certificate are imported from their modules. The polynomial
-view (`ReducedPoly`, `evaluate_all`, `interpolate`, re-exported here) and
-the dense references that tests compare against live in
-`capbound.reference`. No module of the package, the CLI included, imports
-it: it loads only when one of its names is read.
+view (`ReducedPoly`, `evaluate_all`, `interpolate`, re-exported here) lives
+in `capbound.reference`. No module of the package, the CLI included,
+imports it: it loads only when one of its names is read. The dense
+references that tests compare against are not in the package.
 """
 
 import importlib

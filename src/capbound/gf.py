@@ -8,8 +8,9 @@ one Gauss-Jordan pass, `_row_reduce`, which eliminates the transpose of the
 array it is given, so that each pivot updates one contiguous block, in the
 narrowest integer type that keeps its lazy reduction exact; and
 `unit_kernel_vector`, which `prove` applies to the |C| x h evaluation block
-and which hands the pass the block's rows in reverse order. Rank and
-row-space intersection, through a transpose, are in `capbound.reference`.
+and which hands the pass the block's rows in reverse order. The tests'
+dense references (`tests/dense.py`) build rank and row-space
+intersection on the same pass, through a transpose.
 """
 
 from __future__ import annotations

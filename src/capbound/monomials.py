@@ -3,10 +3,10 @@
 A monomial is a plain tuple of exponents, each in [0, p-1]. `prove` reads
 the monomials of bounded degree as one exponent array in lexicographic
 order, `_exponent_array`; the graded-lex lists and index maps of the dense
-references are in `capbound.reference`.
+references are on the tests' side (`tests/dense.py`).
 
 `dim_L` reads one slice dimension as a sum of at most d // p + 1 binomial
-terms. `dims` and `reference.verify_duality` read every slice from one table
+terms. `dims` and the tests' `verify_duality` read every slice from one table
 of prefix sums, `_cumulative_counts`, built afresh per call in O((p-1) d)
 big-integer steps. The module's only cache is `_exponent_array`'s.
 """

@@ -13,7 +13,8 @@ entries below p: the indicator coefficients for the tensor, the
 Vandermonde table for the block. Nothing here is ambient-sized beyond a
 value table or coefficient tensor of p^n entries.
 The polynomial view (`ReducedPoly`, evaluation, interpolation, indicators)
-and the dense p^n x p^n references are in `capbound.reference`.
+is in `capbound.reference`, and the dense p^n x p^n references are on the
+tests' side (`tests/dense.py`).
 """
 
 from __future__ import annotations

@@ -39,10 +39,11 @@ by `bounds._p_cn`, at the `bounds.PRECISION` digits that `precision` records.
 
 This module holds only what `prove` and `verify-transcript` run, on plain
 numpy arrays. `capbound.reference` has the witness as a polynomial
-(`interpolate(value_table(t), field, n)` for a transcript `t`) and the
+(`interpolate(value_table(t), field, n)` for a transcript `t`); the
 dense p^n x p^n rank arguments that the diagonal certificate and the
-degree cap replace. Each work bound is checked once, before its work is
-allocated, where it is allocated: `WORK_BOUND` on the |C| x h block that
+degree cap replace are references on the tests' side (`tests/dense.py`).
+Each work bound is checked once, before its work is allocated, where it
+is allocated: `WORK_BOUND` on the |C| x h block that
 `prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
 sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
 interpolating the witness's value table (`value_table`).
@@ -197,15 +198,21 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> d
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
     selected, lam = select_unit_witness(doubles)
-    t = _derive(A, s, sums, doubles, selected, lam)
+    t = _derive(A, A.to_json(), s, sums, doubles, selected, lam)
     if t["matrix_rank"] == -1:  # raises, naming the entry that breaks the diagonal
         diagonal_certificate(value_table(t), PointSet.from_indices(field, n, t["selected_points"]))
     return t
 
 
-def _derive(A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]) -> dict:
+def _derive(
+    A: PointSet, a_json: dict, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]
+) -> dict:
     """The transcript of `A` whose selection is C' = `selected` and whose witness f
     has the values `lam` on the doubles, every field derived from these alone.
+
+    `a_json` is A as the record holds it, in `input`: `prove_size_bound`
+    writes `A.to_json()`, and `verify_transcript` passes the recorded input
+    that `_read` parsed A from, since the input is read, not claimed.
 
     `s` is the split degree of the cut, and `sums` and `doubles` are B and
     C, derived from A; their overlap is empty exactly when A is
@@ -263,7 +270,7 @@ def _derive(A: PointSet, s: int, sums: PointSet, doubles: PointSet, selected: Po
         "p": field.p,
         "n": n,
         "branch": "main" if selected.size else "zero_intersection",
-        "input": A.to_json(),
+        "input": a_json,
         "input_size": size,
         "doubles": c,
         "pair_sum_count": sums.size,
@@ -317,8 +324,8 @@ def verify_transcript(data: dict) -> tuple[bool, list[dict]]:
     s = _split_degree(field.p, n)
     sums, doubles = pair_sums(A)
     selected = PointSet.from_indices(field, n, c_prime)
-    derived = _derive(A, s, sums, doubles, selected, values or [0] * A.size)
-    differs = _first_difference({**data, "input": derived["input"]}, derived)  # the input is read, not claimed
+    derived = _derive(A, data["input"], s, sums, doubles, selected, values or [0] * A.size)
+    differs = _first_difference(data, derived)
     note = f"recorded {differs} differs" if differs else ""
     checks = derived["checks"] + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]
     return all(c["holds"] for c in checks), checks
@@ -369,10 +376,13 @@ def _first_difference(recorded: dict, derived: dict, path: str = "") -> str | No
     values differ, as a dotted path; None when every key's values are the same (`_same`).
 
     One pass, key by key: objects are compared down to the leaf, and check
-    rows one by one ("row i (name)").
+    rows one by one ("row i (name)"). A key whose two sides are one object,
+    such as the input that `verify_transcript` passes through, is skipped.
     """
     for key in [*derived, *(k for k in recorded if k not in derived)]:
         mine, value, where = recorded.get(key, _ABSENT), derived.get(key, _ABSENT), path + key
+        if mine is value:
+            continue
         if where == "checks" and type(mine) is list:
             for i, (r, d) in enumerate(zip_longest(mine, value, fillvalue=_ABSENT)):
                 if not _same(r, d):

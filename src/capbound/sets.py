@@ -61,14 +61,6 @@ class PointSet:
         self._size = mask.bit_count()
 
     @classmethod
-    def empty(cls, field: PrimeField, n: int) -> "PointSet":
-        return cls(field, n, 0)
-
-    @classmethod
-    def full(cls, field: PrimeField, n: int) -> "PointSet":
-        return cls(field, n, (1 << _ambient_size(field, n)) - 1)
-
-    @classmethod
     def from_indices(cls, field: PrimeField, n: int, indices: Iterable[int]) -> "PointSet":
         """Set of the given indices, which may repeat; the first outside [0, p^n) raises ValueError."""
         total = _ambient_size(field, n)
@@ -131,18 +123,11 @@ class PointSet:
         return np.unpackbits(raw, count=total, bitorder="little").view(bool)
 
     @property
-    def mask(self) -> int:
-        return self._mask
-
-    @property
     def size(self) -> int:
         return self._size
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self._mask >> index & 1)
 
     def indices(self) -> list[int]:
         return np.flatnonzero(self._table()).tolist()
@@ -150,16 +135,10 @@ class PointSet:
     def points(self) -> list[tuple[int, ...]]:
         return list(map(tuple, _members(self)[1].tolist()))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
     def intersection(self, other: "PointSet") -> "PointSet":
         if other.field != self.field or other.n != self.n:
             raise ValueError("point sets live in different ambient spaces")
         return PointSet(self.field, self.n, self._mask & other._mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.field, self.n, ~self._mask & ((1 << self.field.p**self.n) - 1))
 
     __and__ = intersection
 
@@ -193,11 +172,6 @@ class PointSet:
             return cls.from_points(PrimeField(data["p"]), data["n"], data["points"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{what} needs p, n and a points list: {exc!r}") from None
-
-    def to_text(self) -> str:
-        lines = [f"p={self.field.p} n={self.n}"]
-        lines += [" ".join(map(str, c)) for c in self.points()]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "PointSet":
@@ -284,33 +258,31 @@ def _key_sums(a: np.ndarray, b: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_indices(
-    u: np.ndarray, v: np.ndarray, p: int, upper: bool = False
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Indices of x + y mod p for every row x of `u` and row y of `v`, all reduced.
+def _pair_indices(coords: np.ndarray, p: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Indices of a + b mod p for the pairs of rows a < b of `coords`, all reduced.
 
-    Yields (row, col, block) with block[i, j] the index for u[row + i] and
-    v[col + j], in row-major order of the pairs, at most _PAIR_CHUNK pairs a
-    block. `upper` (for v = u) sweeps the pairs i < j: a row band's blocks
-    start at the column after its first row, a diagonal entry holds p^n,
-    one past every index, and an entry j < i repeats the pair (j, i), which
-    the same block holds earlier in row-major order."""
-    weights, tables = _key_tables(p, u.shape[1])
-    ku = (weights @ u.T)[:, :, None]
-    kv = ku.transpose(0, 2, 1) if upper else (weights @ v.T)[:, None, :]
-    cols = max(1, min(len(v), _PAIR_CHUNK))
+    Yields (row, col, block) with block[i, j] the index for coords[row + i]
+    and coords[col + j], in row-major order of the pairs, at most
+    _PAIR_CHUNK pairs a block. A row band's blocks start at the column after
+    its first row, so a block may reach below the diagonal: a diagonal
+    entry holds p^n, one past every index, and an entry j < i repeats the
+    pair (j, i), which the same block holds earlier in row-major order."""
+    weights, tables = _key_tables(p, coords.shape[1])
+    ku = (weights @ coords.T)[:, :, None]
+    kv = ku.transpose(0, 2, 1)
+    cols = max(1, min(len(coords), _PAIR_CHUNK))
     rows = max(1, _PAIR_CHUNK // cols)  # 1 when a row needs several column blocks
-    for r in range(0, len(u), rows):
-        for c in range(r + 1 if upper else 0, len(v), cols):
+    for r in range(0, len(coords), rows):
+        for c in range(r + 1, len(coords), cols):
             block = _key_sums(ku[:, r : r + rows], kv[:, :, c : c + cols], tables)
-            if upper and c < r + len(block):
-                np.fill_diagonal(block[c - r :], p ** u.shape[1])
+            if c < r + len(block):
+                np.fill_diagonal(block[c - r :], p ** coords.shape[1])
             yield r, c, block
 
 
 def _members_and_doubles(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of the members a of `ps`, and a bool table over [0, p^n] of
-    the doubles 2a; entry p^n, the diagonal of an `upper` sweep, is False."""
+    the doubles 2a; entry p^n, the diagonal of a `_pair_indices` sweep, is False."""
     p, coords = ps.field.p, _members(ps)[1]
     doubles = np.zeros(p**ps.n + 1, dtype=bool)
     doubles[_index_of(2 * coords % p, p)] = True
@@ -331,9 +303,9 @@ def is_progression_free(ps: PointSet) -> tuple[bool, tuple | None]:
 
 
 def _first_pair(coords: np.ndarray, table: np.ndarray, p: int) -> tuple[int, int, int] | None:
-    """The first rows a < b of `coords`, in `_pair_indices`' upper order, whose sum has a nonzero
+    """The first rows a < b of `coords`, in `_pair_indices`' order, whose sum has a nonzero
     entry in `table`, over [0, p^n] with entry p^n the sweep's diagonal: (a, b, entry), or None."""
-    for r, c, block in _pair_indices(coords, coords, p, upper=True):
+    for r, c, block in _pair_indices(coords, p):
         hit = table.take(block)
         if hit.any():
             i, j = np.unravel_index(np.argmax(hit != 0), hit.shape)
@@ -356,7 +328,7 @@ def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
         )
     coords, doubles = _members_and_doubles(ps)
     sums = np.zeros(p**n + 1, dtype=bool)
-    for _, _, block in _pair_indices(coords, coords, p, upper=True):
+    for _, _, block in _pair_indices(coords, p):
         sums[block] = True
     return PointSet._from_table(field, n, sums[:-1]), PointSet._from_table(field, n, doubles[:-1])
 

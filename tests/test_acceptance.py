@@ -17,9 +17,10 @@ from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
 from capbound.monomials import dim_L
 from capbound.proof import prove_size_bound, value_table
-from capbound.reference import check_gram_rank_bound, evaluate_all, gram_matrix, interpolate, verify_duality
+from capbound.reference import evaluate_all, interpolate
 from capbound.search import greedy_progression_free, max_progression_free
 from capbound.sets import PointSet, is_progression_free
+from dense import check_gram_rank_bound, gram_matrix, verify_duality
 from oracles import max_pf_all_subsets, max_pf_recursive
 from test_polyspace import random_poly
 
@@ -204,8 +205,8 @@ def test_criterion_8_negative_control(capsys, cap9_search, tmp_path):
     # forcing the pipeline past verification must die inside the
     # diagonal certificate, which is where the hypothesis is consumed
     cap = cap9_search.witness
-    extra = next(i for i in range(27) if i not in cap)
-    tainted = PointSet(F3, 3, cap.mask | (1 << extra))
+    extra = next(i for i in range(27) if i not in cap.indices())
+    tainted = PointSet.from_indices(F3, 3, cap.indices() + [extra])
     assert not is_progression_free(tainted)[0]
     with pytest.raises(HypothesisViolation, match="not diagonal") as exc_info:
         prove_size_bound(tainted, _skip_progression_check=True)

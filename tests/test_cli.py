@@ -742,7 +742,7 @@ class TestProveAndVerify:
         |C| x h block, but its pair sweep comes first and finds a
         progression: exit 1 with the triple, not a refusal."""
         set_file = tmp_path / "slab.txt"
-        slab = [c + (0,) * 4 for c in PointSet.full(PrimeField(3), 8).points()]
+        slab = [c + (0,) * 4 for c in PointSet.from_indices(PrimeField(3), 8, range(3**8)).points()]
         set_file.write_text(_point_text(3, 12, slab))
         code, out, _ = run("prove", "--input", str(set_file), "--format", "json")
         assert code == 1
@@ -1471,7 +1471,7 @@ class TestInputRefusals:
         code, env = run_json(run, "prove", "--input", str(set_file))
         assert code == 0 and env["result"]["branch"] == "zero_intersection"
         t = env["result"]
-        t["input"]["points"] = [list(c) for c in PointSet.full(PrimeField(3), 9).points()]
+        t["input"]["points"] = [list(c) for c in PointSet.from_indices(PrimeField(3), 9, range(3**9)).points()]
         self.refused(run, tmp_path, "verify-transcript", json.dumps(t), f"above the pair bound {PAIR_BOUND}")
 
     def test_selection_forged_to_every_index(self, run, tmp_path):
@@ -1546,6 +1546,20 @@ class TestModuleStructure:
         code, loaded = _modules_after(f"from capbound import cli; assert cli.main({argv!r}) == 0")
         assert code == 0
         assert "capbound.proof" in loaded and "capbound.reference" not in loaded
+
+    def test_reference_is_the_polynomial_view(self):
+        """`capbound.reference` exports the polynomial view alone, and loading
+        it loads neither the trust base's `gf` and `sets` nor, with `tests/` on
+        the path, any module of the tests, such as their dense references."""
+        from capbound import reference
+
+        assert reference.__all__ == ["ReducedPoly", "evaluate_all", "interpolate", "indicator_poly", "graded_lex_key"]
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        test_side = {name[: -len(".py")] for name in os.listdir(tests_dir) if name.endswith(".py")}
+        code, loaded = _modules_after(f"import sys; sys.path.insert(0, {tests_dir!r}); import capbound.reference")
+        assert code == 0 and "capbound.reference" in loaded
+        assert not {"capbound.gf", "capbound.sets"} & loaded
+        assert not test_side & loaded
 
     @pytest.mark.parametrize("command", ["prove", "verify-transcript", "verify-set"])
     def test_certificate_commands_do_not_load_the_search(self, run, tmp_path, command):

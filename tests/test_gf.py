@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
 from capbound.polyspace import _coordinate_products, _vandermonde
-from capbound.reference import enumerate_monomials, rank, row_space_intersection
 from capbound.sets import PointSet, _coords_of, _index_of, pair_sums
+from dense import enumerate_monomials, rank, row_space_intersection
 from oracles import brute_force_rank, rows_independent
 
 F3 = PrimeField(3)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from capbound import monomials
 from capbound.gf import PrimeField
 from capbound.monomials import dim_L
-from capbound.reference import enumerate_monomials, graded_lex_key, verify_duality
+from capbound.reference import graded_lex_key
+from dense import enumerate_monomials, verify_duality
 from oracles import count_monomials_direct, layer_counts_convolution
 
 F3 = PrimeField(3)

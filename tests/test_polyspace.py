@@ -7,13 +7,11 @@ import oracles
 from capbound.errors import HypothesisViolation
 from capbound.gf import PrimeField
 from capbound.polyspace import _coordinate_products, _indicator_rows, _vandermonde
-from capbound.reference import (
-    ReducedPoly,
+from capbound.reference import ReducedPoly, evaluate_all, indicator_poly, interpolate
+from capbound.sets import PointSet
+from dense import (
     evaluate,
-    evaluate_all,
     gram_matrix,
-    indicator_poly,
-    interpolate,
     monomial_index,
     poly_from_vector,
     poly_to_vector,
@@ -22,7 +20,6 @@ from capbound.reference import (
     support_split_rank_bound,
     zero_set,
 )
-from capbound.sets import PointSet
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -212,7 +209,7 @@ class TestCoordinateProducts:
 
 class TestZeroSet:
     def test_zero_polynomial(self):
-        assert zero_set(ReducedPoly.zero(F3, 2)) == PointSet.full(F3, 2)
+        assert zero_set(ReducedPoly.zero(F3, 2)) == PointSet.from_indices(F3, 2, range(9))
 
     def test_example(self):
         f = ReducedPoly(F3, 1, {(0,): 1, (2,): 2})
@@ -275,12 +272,14 @@ class TestSupportSplit:
 
 class TestGramMatrix:
     def test_constant(self):
-        M = gram_matrix(ReducedPoly.constant(F3, 1, 1), PointSet.full(F3, 1), PointSet.full(F3, 1))
+        ambient = PointSet.from_indices(F3, 1, range(3))
+        M = gram_matrix(ReducedPoly.constant(F3, 1, 1), ambient, ambient)
         assert M.tolist() == [[1, 1, 1]] * 3
         assert rank(M, 3) == 1
 
     def test_square_table(self):
-        M = gram_matrix(ReducedPoly(F3, 1, {(2,): 1}), PointSet.full(F3, 1), PointSet.full(F3, 1))
+        ambient = PointSet.from_indices(F3, 1, range(3))
+        M = gram_matrix(ReducedPoly(F3, 1, {(2,): 1}), ambient, ambient)
         assert M.tolist() == [[0, 1, 1], [1, 1, 0], [1, 0, 1]]
 
     def test_rank_bounded_by_shift_rank(self):
@@ -296,5 +295,6 @@ class TestGramMatrix:
             assert rank(M, 3) <= rank(C, 3)
 
     def test_mismatched_spaces(self):
+        ambient = PointSet.from_indices(F3, 2, range(9))
         with pytest.raises(ValueError):
-            gram_matrix(ReducedPoly.constant(F3, 1, 1), PointSet.full(F3, 2), PointSet.full(F3, 2))
+            gram_matrix(ReducedPoly.constant(F3, 1, 1), ambient, ambient)

@@ -28,23 +28,20 @@ from capbound.proof import (
     value_table,
     verify_transcript,
 )
-from capbound.reference import (
-    ReducedPoly,
+from capbound.reference import ReducedPoly, evaluate_all, indicator_poly, interpolate
+from capbound.search import greedy_progression_free
+from capbound.sets import PointSet, is_progression_free, pair_sums
+from dense import (
     check_diagonal_size_bound,
     check_gram_rank_bound,
     enumerate_monomials,
-    evaluate_all,
     gram_matrix,
-    indicator_poly,
-    interpolate,
     poly_from_vector,
     poly_to_vector,
     rank,
     row_space_intersection,
     zero_set,
 )
-from capbound.search import greedy_progression_free
-from capbound.sets import PointSet, is_progression_free, pair_sums
 
 F3 = PrimeField(3)
 
@@ -72,7 +69,7 @@ def kernel_polys(points):
 
 class TestSpaceBuilders:
     def test_empty_support(self):
-        empty = PointSet.empty(F3, 3)
+        empty = PointSet.from_indices(F3, 3, [])
         assert select_unit_witness(empty) == (empty, [])
 
     def test_dimension_matches_set_size(self):
@@ -116,16 +113,16 @@ class TestSpaceBuilders:
 
     def test_low_degree_basis(self):
         # with every function allowed on the support, V is the whole slice L
-        V = kernel_polys(PointSet.full(F3, 3))
+        V = kernel_polys(PointSet.from_indices(F3, 3, range(27)))
         assert len(V) == 23 == dim_L(3, 4, F3) == 27 - dim_L(3, 1, F3)
         assert all(f.degree <= 4 for f in V)
         with pytest.raises(ValueError, match="3 \\| n"):
-            select_unit_witness(PointSet.full(F3, 4))
+            select_unit_witness(PointSet.from_indices(F3, 4, range(81)))
 
 
 class TestIntersection:
     def test_full_support_gives_low_degree_space(self):
-        V = kernel_polys(PointSet.full(F3, 3))
+        V = kernel_polys(PointSet.from_indices(F3, 3, range(27)))
         L = [poly_to_vector(ReducedPoly.monomial(F3, 3, m)) for m in enumerate_monomials(3, F3, 4)]
         assert rank([poly_to_vector(f) for f in V], 3) == len(L)
         assert rank(L + [poly_to_vector(f) for f in V], 3) == len(L)
@@ -137,7 +134,7 @@ class TestIntersection:
         assert rank([poly_to_vector(f) for f in V], 3) == len(V)
         for f in V:
             assert f.degree is None or f.degree <= 4
-            assert (zero_set(f).complement() & doubles.complement()).size == 0
+            assert set(zero_set(f).indices()) | set(doubles.indices()) == set(range(27))
 
 
 class TestSelection:
@@ -154,13 +151,12 @@ class TestSelection:
         assert selected.size == len(V)
         witness = interpolate(extend_by_zero(lam, doubles), F3, 3)
         table = evaluate_all(witness)
-        for i in selected:
+        for i in selected.indices():
             assert table[i] == 1
         # witness lies in V: a combination of the basis, of degree <= 4
         assert rank(V + [lam], 3) == len(V)
         assert witness.degree <= 4
-        complement = zero_set(witness).complement()
-        assert (complement & doubles.complement()).size == 0
+        assert set(zero_set(witness).indices()) | set(doubles.indices()) == set(range(27))
 
     @pytest.mark.parametrize("p, n, most", [(3, 3, 27), (5, 3, 60), (7, 3, 90), (3, 6, 110)])
     @settings(max_examples=25, deadline=None)
@@ -276,16 +272,14 @@ class TestDiagonalCertificate:
 
 class TestRankBoundCheck:
     def test_constant(self):
-        rec = check_gram_rank_bound(
-            ReducedPoly.constant(F3, 1, 1), PointSet.full(F3, 1), PointSet.full(F3, 1)
-        )
+        ambient = PointSet.from_indices(F3, 1, range(3))
+        rec = check_gram_rank_bound(ReducedPoly.constant(F3, 1, 1), ambient, ambient)
         assert rec.rank_gram == rec.rank_shift == 1
         assert rec.factorization_ok and rec.holds
 
     def test_square(self):
-        rec = check_gram_rank_bound(
-            ReducedPoly(F3, 1, {(2,): 1}), PointSet.full(F3, 1), PointSet.full(F3, 1)
-        )
+        ambient = PointSet.from_indices(F3, 1, range(3))
+        rec = check_gram_rank_bound(ReducedPoly(F3, 1, {(2,): 1}), ambient, ambient)
         assert rec.rank_gram <= 3 == rec.rank_shift
         assert rec.factorization_ok and rec.holds
 
@@ -309,7 +303,7 @@ class TestRankBoundCheck:
     def test_ceiling(self):
         with pytest.raises(ValueError, match="ceiling"):
             check_gram_rank_bound(
-                ReducedPoly.zero(F3, 7), PointSet.empty(F3, 7), PointSet.empty(F3, 7)
+                ReducedPoly.zero(F3, 7), PointSet.from_indices(F3, 7, []), PointSet.from_indices(F3, 7, [])
             )
 
 
@@ -340,7 +334,7 @@ class TestDiagonalSizeBound:
 class TestPipeline:
     def test_requires_multiple_of_three(self):
         with pytest.raises(ValueError, match=re.escape("3 | n")):
-            prove_size_bound(PointSet.empty(F3, 2))
+            prove_size_bound(PointSet.from_indices(F3, 2, []))
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -350,11 +344,11 @@ class TestPipeline:
         field = PrimeField(p)
         if (p - 1) * n % 3:
             with pytest.raises(ValueError, match=re.escape("3 | n")):
-                prove_size_bound(PointSet.empty(field, n))
+                prove_size_bound(PointSet.from_indices(field, n, []))
             with pytest.raises(ValueError, match=re.escape("3 | n")):
                 verify_entropy_lemma(field, n)
         else:
-            assert all(c["holds"] for c in prove_size_bound(PointSet.empty(field, n))["checks"])
+            assert all(c["holds"] for c in prove_size_bound(PointSet.from_indices(field, n, []))["checks"])
             assert verify_entropy_lemma(field, n).holds
 
     @pytest.mark.parametrize("p, n", [(3, 4), (5, 2)])
@@ -365,7 +359,7 @@ class TestPipeline:
         A = greedy_progression_free(field, n, order_seed=0)
         with pytest.raises(ValueError) as refused:
             prove_size_bound(A)
-        forged = prove_size_bound(PointSet.empty(field, 3))
+        forged = prove_size_bound(PointSet.from_indices(field, 3, []))
         forged.update(n=n, input=A.to_json())
         with pytest.raises(ValueError) as info:
             verify_transcript(forged)
@@ -385,7 +379,7 @@ class TestPipeline:
         assert all((x + y) % 3 == (2 * z) % 3 for x, y, z in zip(a, b, c))
 
     def test_empty_set(self):
-        transcript = prove_size_bound(PointSet.empty(F3, 3))
+        transcript = prove_size_bound(PointSet.from_indices(F3, 3, []))
         assert transcript["branch"] == "zero_intersection"
         assert all(c["holds"] for c in transcript["checks"])
         assert transcript["input_size"] == 0
@@ -416,8 +410,8 @@ class TestPipeline:
 
     def test_hook_reaches_diagonal_certificate(self, cap9_search):
         cap = cap9_search.witness
-        extra = next(i for i in range(27) if i not in cap)
-        bad = PointSet(F3, 3, cap.mask | (1 << extra))
+        extra = next(i for i in range(27) if i not in cap.indices())
+        bad = PointSet.from_indices(F3, 3, cap.indices() + [extra])
         assert not is_progression_free(bad)[0]
         with pytest.raises(HypothesisViolation, match="not diagonal"):
             prove_size_bound(bad, _skip_progression_check=True)
@@ -448,7 +442,7 @@ class TestPipeline:
         if data.draw(st.booleans()):  # f is 1 on C'
             lam = [1 if i in picked else v for i, v in zip(doubles.indices(), lam)]
         selected = PointSet.from_indices(F3, 3, sorted(picked))
-        t = proof._derive(A, 2, sums, doubles, selected, lam)
+        t = proof._derive(A, A.to_json(), 2, sums, doubles, selected, lam)
         try:
             diagonal_certificate(value_table(t), PointSet.from_indices(F3, 3, t["selected_points"]))
             swept = len(t["selected_points"])
@@ -467,8 +461,8 @@ class TestPipeline:
             transcript = prove_size_bound(cap)
             assert all(c["holds"] for c in transcript["checks"])
             assert verify_transcript(json.loads(json.dumps(transcript)))[0]
-        extra = next(i for i in range(27) if i not in cap)
-        bad = PointSet(F3, 3, cap.mask | (1 << extra))
+        extra = next(i for i in range(27) if i not in cap.indices())
+        bad = PointSet.from_indices(F3, 3, cap.indices() + [extra])
         with pytest.raises(ProgressionFound) as info:
             prove_size_bound(bad)
         in_index_order = sorted(cap.points() + [oracles.point_coords(extra, 3, 3)], key=lambda c: c[::-1])
@@ -531,7 +525,7 @@ class TestLargeAmbient:
         sums, doubles = pair_sums(product)
         c_prime = PointSet.from_indices(F3, 12, np.flatnonzero(selected))
         lam = values[doubles.indices()].tolist()
-        composed = proof._derive(product, 8, sums, doubles, c_prime, lam)
+        composed = proof._derive(product, product.to_json(), 8, sums, doubles, c_prime, lam)
         assert (composed["input_size"], composed["dims"]["intersection"]) == (6561, "625")
         assert all(c["holds"] for c in composed["checks"])
         assert verify_transcript(json.loads(json.dumps(composed)))[0]
@@ -556,9 +550,29 @@ class TestTranscriptSerialization:
         assert all(c["holds"] for c in checks)
 
     def test_verify_zero_branch(self):
-        transcript = prove_size_bound(PointSet.empty(F3, 3))
+        transcript = prove_size_bound(PointSet.from_indices(F3, 3, []))
         ok, _ = verify_transcript(transcript)
         assert ok
+
+    @pytest.mark.parametrize("branch", ["main", "zero_intersection"])
+    def test_input_is_read_not_claimed(self, cap9_search, branch):
+        """The recorded input is passed through to the derivation, not written
+        again: with its points in reverse order and its keys in another order
+        it gives the original's report, and the verifier writes no point set."""
+        A = cap9_search.witness if branch == "main" else greedy_progression_free(PrimeField(5), 3, order_seed=1)
+        transcript = json.loads(json.dumps(prove_size_bound(A)))
+        assert transcript["branch"] == branch
+        reordered = json.loads(json.dumps(transcript))
+        reordered["input"] = {"points": transcript["input"]["points"][::-1], "n": A.n, "p": A.field.p}
+
+        def refuse(_):
+            raise AssertionError("the verifier wrote the input's JSON")
+
+        report = verify_transcript(transcript)
+        assert report[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PointSet, "to_json", refuse)
+            assert verify_transcript(reordered) == report
 
     def test_tampering_is_detected(self, cap9_search):
         transcript = prove_size_bound(cap9_search.witness)
@@ -593,7 +607,7 @@ class TestTranscriptSerialization:
         f = interpolate(extend_by_zero(payload["witness_values"], doubles_set), F3, 3)
         table, doubles = evaluate_all(f), set(payload["doubles"])
         assert all(v == 0 for i, v in enumerate(table) if i not in doubles)
-        assert all(table[i] == 0 for i in pair_sums(cap9_search.witness)[0])
+        assert all(table[i] == 0 for i in pair_sums(cap9_search.witness)[0].indices())
         unit = all(table[i] == 1 for i in payload["selected_doubles"])
         lhs = {c["name"]: c["lhs"] for c in rows}
         assert (lhs["witness_unit_on_selected"], lhs["witness_degree"]) == (str(int(unit)), str(f.degree or 0))

@@ -18,9 +18,10 @@ from capbound import cli, search, sets
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
 from capbound.proof import _halves_of
-from capbound.reference import DENSE_MATRIX_CEILING, ReducedPoly, check_diagonal_size_bound, evaluate, gram_matrix
+from capbound.reference import ReducedPoly
 from capbound.search import SearchResult, greedy_progression_free, max_progression_free
 from capbound.sets import PointSet, is_progression_free, load_json, pair_sums
+from dense import DENSE_MATRIX_CEILING, check_diagonal_size_bound, evaluate, gram_matrix
 from oracles import has_progression, max_pf_all_subsets
 
 F3 = PrimeField(3)
@@ -56,7 +57,7 @@ class TestPointSet:
     def test_membership_and_size(self):
         ps = PointSet.from_points(F3, 2, [(0, 0), (1, 2)])
         assert len(ps) == 2
-        assert 0 in ps and 7 in ps and 1 not in ps
+        assert ps.indices() == [0, 7]
         assert ps.points() == [(0, 0), (1, 2)]
 
     def test_validation(self):
@@ -87,13 +88,12 @@ class TestPointSet:
                     PointSet.from_indices(PrimeField(p), n, iter(indices))
                 return
             mask |= 1 << i
-        assert PointSet.from_indices(PrimeField(p), n, iter(indices)).mask == mask
+        assert PointSet.from_indices(PrimeField(p), n, iter(indices)) == PointSet(PrimeField(p), n, mask)
 
     def test_set_algebra(self):
         a = PointSet.from_indices(F3, 1, [0, 1])
         b = PointSet.from_indices(F3, 1, [1, 2])
         assert (a & b).indices() == [1]
-        assert a.complement().indices() == [2]
         with pytest.raises(ValueError):
             a & PointSet.from_indices(F3, 2, [0])
 
@@ -119,8 +119,7 @@ class TestPointSet:
 
     def test_text_round_trip(self):
         ps = PointSet.from_points(F3, 3, [(0, 0, 0), (1, 2, 0)])
-        text = ps.to_text()
-        assert text.splitlines()[0] == "p=3 n=3"
+        text = "p=3 n=3\n0 0 0\n1 2 0\n"
         assert PointSet.from_text(text) == ps
 
     def test_text_comments_and_errors(self):
@@ -132,7 +131,7 @@ class TestPointSet:
     def test_parse_auto_detect(self, tmp_path):
         """The CLI's reader tells a JSON point set from a text one by its first character."""
         ps = PointSet.from_points(F3, 2, [(1, 1)])
-        for name, text in (("set.json", "  " + json.dumps(ps.to_json())), ("set.txt", ps.to_text())):
+        for name, text in (("set.json", "  " + json.dumps(ps.to_json())), ("set.txt", "p=3 n=2\n1 1\n")):
             (tmp_path / name).write_text(text)
             assert cli._load_point_set(str(tmp_path / name), "prove") == ps
 
@@ -142,7 +141,7 @@ class TestPointSet:
         start = time.perf_counter()
         for make in (
             lambda: PointSet(F3, 16, 0),
-            lambda: PointSet.full(F5, 11),
+            lambda: PointSet(F5, 11, 0),
             lambda: PointSet.from_indices(F3, 2_000_000, []),
             lambda: PointSet.from_json({"p": 3, "n": 2_000_000, "points": []}),
             lambda: PointSet.from_points(F3, 2_000_000, [(0,) * 2_000_000]),
@@ -673,7 +672,7 @@ class TestCapEquivalence:
         assert oracles.has_line(pts) and is_progression_free(ps)[0] is False
 
     def test_small_sets(self):
-        for ps in (PointSet.from_indices(F3, 2, [0, 5]), PointSet.empty(F3, 2)):
+        for ps in (PointSet.from_indices(F3, 2, [0, 5]), PointSet.from_indices(F3, 2, [])):
             assert is_progression_free(ps)[0] is not oracles.has_line(ps.points())
 
     @settings(max_examples=60, deadline=None)
@@ -719,7 +718,7 @@ class TestKernelAgainstTupleLoops:
             assert ok is not oracles.has_progression(set(pts), p)
             assert triple == oracles.first_progression(pts, p)
             sums, doubles = pair_sums(ps)
-            assert (set(sums), set(doubles)) == oracles.pair_sum_indices(pts, p)
+            assert (set(sums.indices()), set(doubles.indices())) == oracles.pair_sum_indices(pts, p)
             assert ok is ((sums & doubles).size == 0)  # the verdict `prove` reads off B & C
             if p == 3:
                 assert ok is not oracles.has_line(pts)
@@ -772,7 +771,7 @@ class TestKernelAgainstTupleLoops:
         """One key sum and one lookup per digit group give the index of a + b
         and of the completion forms alpha*a + beta*b mod p, from tables of at
         most 2^12 entries, or 2p entries when 2p exceeds that (p = 2053)."""
-        _, tables = sets._key_tables(p, n)
+        weights, tables = sets._key_tables(p, n)
         assert tables.shape[1] <= max(sets._KEY_TABLE_CEILING, 2 * p)
         rng = np.random.default_rng(p * 31 + n)
         u, v = rng.integers(0, p, size=(2, 20, n))
@@ -780,9 +779,7 @@ class TestKernelAgainstTupleLoops:
         def index(coords):
             return sum(int(x) % p * p**i for i, x in enumerate(coords))
 
-        got = np.zeros((len(u), len(v)), dtype=np.int64)
-        for r, c, block in sets._pair_indices(u, v, p):
-            got[r : r + block.shape[0], c : c + block.shape[1]] = block
+        got = sets._key_sums((weights @ u.T)[:, :, None], (weights @ v.T)[:, None, :], tables)
         assert got.tolist() == [[index(a + b) for b in v] for a in u]
         (z_keys, _), (_, a_keys) = search._form_keys(u, p), search._form_keys(v, p)
         forms = [((p + 1) // 2, (p + 1) // 2), (2, p - 1), (p - 1, 2)]
