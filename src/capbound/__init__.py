@@ -39,7 +39,6 @@ _EXPORTS = {
     "max_progression_free": "search",
     "PointSet": "sets",
     "is_progression_free": "sets",
-    "pair_sums": "sets",
 }
 
 __version__ = "0.1.0"

@@ -356,17 +356,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ProgressionFound as exc:
-        envelope = {
-            "command": args.command,
-            "error": str(exc),
-            "witness": exc.evidence,
-        }
-        print(json.dumps(envelope))
-        return 1
     except CheckFailure as exc:
-        envelope = {"command": args.command, "error": str(exc), "evidence": exc.evidence}
-        print(json.dumps(envelope))
+        key = "witness" if isinstance(exc, ProgressionFound) else "evidence"
+        print(json.dumps({"command": args.command, "error": str(exc), key: exc.evidence}))
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

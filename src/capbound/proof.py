@@ -1,7 +1,7 @@
 """Machine-checked size-bound transcripts for progression-free sets.
 
 Given a progression-free A in F_p^n (3 | (p-1)n), the pipeline builds the
-pair-sum set B and the doubles set C, the space K of functions vanishing
+doubles set C, which no pair sum meets, the space K of functions vanishing
 off C, the low-degree slice L of degree <= (2/3)(p-1)n, their intersection
 V, a subset C' of C realizing dim V independent evaluations, a witness
 f in V with f = 1 on C', and the diagonal Gram certificate over
@@ -42,11 +42,12 @@ numpy arrays. `capbound.reference` has the witness as a polynomial
 (`interpolate(value_table(t), field, n)` for a transcript `t`); the
 dense p^n x p^n rank arguments that the diagonal certificate and the
 degree cap replace are references on the tests' side (`tests/dense.py`).
-Each work bound is checked once, before its work is allocated, where it
-is allocated: `WORK_BOUND` on the |C| x h block that
-`prove` eliminates (`select_unit_witness`), `sets.PAIR_BOUND` on the pair
-sweep (`sets.pair_sums`) and `VALUE_TABLE_BOUND` on p^(n+1), the cost of
-interpolating the witness's value table (`value_table`).
+Each work bound is checked once, before its work is allocated: `WORK_BOUND`
+on the |C| x h block that `prove` eliminates (`select_unit_witness`),
+`PAIR_BOUND` on the progression sweep (`_progression_sweep`), and
+`VALUE_TABLE_BOUND` on p^(n+1), the cost of interpolating the witness's
+value table (`value_table`). The pair bound is the certificate's alone:
+`verify-set` and the searches run the same sweep without it.
 The Gram matrix over A' is read in the progression check's pair sweep
 (`sets._first_pair`) and never built.
 """
@@ -64,10 +65,11 @@ from .errors import HypothesisViolation, ProgressionFound
 from .gf import PrimeField, unit_kernel_vector
 from .monomials import _exponent_array, dim_L
 from .polyspace import _coordinate_products, _vandermonde, coefficient_tensor
-from .sets import PointSet, _first_pair, _index_of, _members, is_progression_free, pair_sums
+from .sets import PointSet, _doubles_and_progression, _first_pair, _index_of, _members
 
 __all__ = [
     "WORK_BOUND",
+    "PAIR_BOUND",
     "VALUE_TABLE_BOUND",
     "TRANSCRIPT_FORMAT",
     "value_table",
@@ -78,8 +80,9 @@ __all__ = [
 ]
 
 WORK_BOUND = 2**22  # entries of the |C| x h block that `prove` builds and eliminates
+PAIR_BOUND = 2**25  # pairs a < b of the certificate's progression sweep: admits |A| <= 8192
 VALUE_TABLE_BOUND = 2**21  # p^(n+1), the products of one interpolation pass over a value table
-TRANSCRIPT_FORMAT = "capbound.transcript/3"
+TRANSCRIPT_FORMAT = "capbound.transcript/4"
 _DIMENSION_KEYS = (
     "ambient", "vanishing_off_doubles", "low_degree", "low_third", "low_third_minus", "intersection"
 )
@@ -89,11 +92,9 @@ _RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 def _check(name: str, lhs, relation: str, rhs, note: str = "") -> dict:
-    """The row `lhs relation rhs`, with its `note` only when there is one; ints
-    and Decimals compare exactly with each other."""
-    lv = lhs if isinstance(lhs, (int, Decimal)) else int(lhs)
-    rv = rhs if isinstance(rhs, (int, Decimal)) else int(rhs)
-    holds = bool(_RELATIONS[relation](lv, rv))
+    """The row `lhs relation rhs`, with its `note` only when there is one; each
+    side is an int or a Decimal, and ints and Decimals compare exactly with each other."""
+    holds = _RELATIONS[relation](lhs, rhs)
     row = {"name": name, "relation": relation, "lhs": str(lhs), "rhs": str(rhs), "holds": holds}
     return {**row, "note": note} if note else row
 
@@ -156,8 +157,8 @@ def diagonal_certificate(values, selected: PointSet) -> np.ndarray:
     progression-freeness is consumed: an off-diagonal nonzero entry means
     f(a + b) != 0 for distinct a, b, i.e. a + b escaped the zero set that
     the construction promised. The matrix is not built: its entries above
-    the diagonal are read in the sweep of `is_progression_free`
-    (`sets._first_pair`), whose pair bound A' within A already meets, and
+    the diagonal are read in a progression sweep (`sets._first_pair`),
+    whose pair bound A' within A already meets, and
     the first nonzero is named. A diagonal matrix with nonzero diagonal
     has rank |selected|, so its rank is not computed.
     """
@@ -185,27 +186,38 @@ def prove_size_bound(A: PointSet, *, _skip_progression_check: bool = False) -> d
     Requires 3 | (p-1)n and a progression-free input (checked first unless the
     test hook `_skip_progression_check` forces the pipeline onward, in
     which case the diagonal certificate is where the damage surfaces).
-    The steps here are the cut, the pair sweep, the progression refusal
-    and the one elimination, which gives C' and the witness; `_derive`
-    writes every field, exactly as for `verify_transcript`.
+    The steps here are the cut and the progression sweep
+    (`_progression_sweep`), whose first progression a refusal names, and
+    the one elimination, which gives C' and the witness; `_derive` writes
+    every field, exactly as for `verify_transcript`.
     """
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
-    sums, doubles = pair_sums(A)
-    if (sums & doubles).size and not _skip_progression_check:
-        _, triple = is_progression_free(A)
+    doubles, triple = _progression_sweep(A)
+    if triple is not None and not _skip_progression_check:
         raise ProgressionFound(
             "input set contains a 3-term progression", [list(c) for c in triple]
         )
     selected, lam = select_unit_witness(doubles)
-    t = _derive(A, A.to_json(), s, sums, doubles, selected, lam)
+    t = _derive(A, A.to_json(), s, triple is None, doubles, selected, lam)
     if t["matrix_rank"] == -1:  # raises, naming the entry that breaks the diagonal
         diagonal_certificate(value_table(t), PointSet.from_indices(field, n, t["selected_points"]))
     return t
 
 
+def _progression_sweep(A: PointSet) -> tuple[PointSet, tuple | None]:
+    """C = 2A and the first progression of A, or None, from the certificate's
+    one progression sweep (`sets._doubles_and_progression`); a set of more
+    than `PAIR_BOUND` pairs is refused (ValueError) before any table is allocated."""
+    if (pairs := A.size * (A.size - 1) // 2) > PAIR_BOUND:
+        raise ValueError(
+            f"the pair sweep over |A| = {A.size} points would take {pairs} pairs, above the pair bound {PAIR_BOUND}"
+        )
+    return _doubles_and_progression(A)
+
+
 def _derive(
-    A: PointSet, a_json: dict, s: int, sums: PointSet, doubles: PointSet, selected: PointSet, lam: list[int]
+    A: PointSet, a_json: dict, s: int, free: bool, doubles: PointSet, selected: PointSet, lam: list[int]
 ) -> dict:
     """The transcript of `A` whose selection is C' = `selected` and whose witness f
     has the values `lam` on the doubles, every field derived from these alone.
@@ -214,10 +226,10 @@ def _derive(
     writes `A.to_json()`, and `verify_transcript` passes the recorded input
     that `_read` parsed A from, since the input is read, not claimed.
 
-    `s` is the split degree of the cut, and `sums` and `doubles` are B and
-    C, derived from A; their overlap is empty exactly when A is
-    progression-free. dim V is recorded as |C'|; the branch is the main one
-    exactly when C' is not empty, and only then is `lam` read. The Gram
+    `s` is the split degree of the cut, `doubles` is C = 2A, and `free`
+    says whether A is progression-free, that is whether no sum of two
+    distinct points of A is in C. dim V is recorded as |C'|; the branch is
+    the main one exactly when C' is not empty, and only then is `lam` read. The Gram
     rank over A' = {a : 2a in C'} is |A'| when `diagonal_certificate` finds
     the Gram matrix diagonal with nonzero diagonal, else -1; its sweep is
     skipped when A is progression-free and f is 1 on C', which make it so.
@@ -230,11 +242,11 @@ def _derive(
     c, values = doubles.indices(), lam if selected.size else None
     # refused above its bound here, before C' and A' are listed
     table = value_table({"p": field.p, "n": n, "doubles": c, "witness_values": values})
-    c_prime, halves = selected.indices(), _halves_of(A, selected)
+    c_prime, halves = selected.indices(), _halves_of(selected & doubles)
     slices = [dim_L(n, d, field) for d in (2 * s, s, s - 1)]
     _, low_third, h = slices
-    size, free = A.size, int(not (sums & doubles).size)
-    checks = [_check("progression_free", free, "==", 1, note="verified on input")]
+    size = A.size
+    checks = [_check("progression_free", int(free), "==", 1, note="verified on input")]
     exact, rank = {"size": str(size)}, None
     if table is None:
         # |A| = |C| <= p^n - dim L = dim(degree <= (p-1)n/3 - 1)
@@ -273,7 +285,6 @@ def _derive(
         "input": a_json,
         "input_size": size,
         "doubles": c,
-        "pair_sum_count": sums.size,
         "dims": dict(zip(_DIMENSION_KEYS, map(str, (field.p**n, doubles.size, *slices, selected.size)))),
         "degree_cap": 2 * s,
         "split_degree": s,
@@ -294,10 +305,13 @@ def _asymptotic(field: PrimeField, n: int, size: int) -> tuple[dict, dict]:
     return row, {"c": str(c), "p_cn": str(p_cn), "bound": str(bound), "holds": row["holds"]}
 
 
-def _halves_of(A: PointSet, doubled: PointSet) -> list[int]:
-    """Indices, in order, of the members a of A with 2a in `doubled`, read off its membership table."""
-    idx, coords = _members(A)
-    return idx[doubled._table()[_index_of(2 * coords % A.field.p, A.field.p)]].tolist()
+def _halves_of(doubled: PointSet) -> list[int]:
+    """Indices, in order, of the halves c/2 of the members c of `doubled`.
+
+    Doubling is a bijection for odd p, so for `doubled` within C = 2A these
+    are the members a of A with 2a in `doubled`: A' for C' & C."""
+    field, coords = doubled.field, _members(doubled)[1]
+    return sorted(_index_of(coords * field.inv2 % field.p, field.p).tolist())
 
 
 def verify_transcript(data: dict) -> tuple[bool, list[dict]]:
@@ -322,9 +336,9 @@ def verify_transcript(data: dict) -> tuple[bool, list[dict]]:
     A, c_prime, values = _read(data)
     field, n = A.field, A.n
     s = _split_degree(field.p, n)
-    sums, doubles = pair_sums(A)
+    doubles, triple = _progression_sweep(A)
     selected = PointSet.from_indices(field, n, c_prime)
-    derived = _derive(A, data["input"], s, sums, doubles, selected, values or [0] * A.size)
+    derived = _derive(A, data["input"], s, triple is None, doubles, selected, values or [0] * A.size)
     differs = _first_difference(data, derived)
     note = f"recorded {differs} differs" if differs else ""
     checks = derived["checks"] + [_check("recorded_claims", int(differs is None), "==", 1, note=note)]

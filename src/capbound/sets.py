@@ -10,7 +10,9 @@ Pair work runs in one carry-free key kernel (`_key_tables`): each point is
 reduced once and keyed per group of digits in base 2p, so the index of a sum
 mod p costs one key sum and one table lookup per group. `_pair_indices`
 sweeps pair sums in bounded blocks, and `_first_pair` finds the first pair
-whose sum a table marks. The searches, in `capbound.search`, build on it.
+whose sum a table marks: every progression check is one such sweep over
+the doubles (`_doubles_and_progression`), and no pair-sum set is built.
+The searches, in `capbound.search`, build on the same kernel.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from .field import PrimeField
 __all__ = [
     "PointSet",
     "is_progression_free",
-    "pair_sums",
     "load_json",
-    "PAIR_BOUND",
 ]
 
 _AMBIENT_CEILING = 1 << 24  # most points an ambient F_p^n may have
-PAIR_BOUND = 2**25  # pairs a < b of one `pair_sums` sweep: admits |A| <= 8192
 _PAIR_CHUNK = 1 << 14  # most entries of one block of `_pair_indices`, so that its temporaries stay in cache
 _KEY_TABLE_CEILING = 1 << 12  # most entries of one digit-group table, unless 2p exceeds it
 
@@ -280,26 +279,29 @@ def _pair_indices(coords: np.ndarray, p: int) -> Iterator[tuple[int, int, np.nda
             yield r, c, block
 
 
-def _members_and_doubles(ps: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the members a of `ps`, and a bool table over [0, p^n] of
-    the doubles 2a; entry p^n, the diagonal of a `_pair_indices` sweep, is False."""
-    p, coords = ps.field.p, _members(ps)[1]
+def _doubles_and_progression(ps: PointSet) -> tuple[PointSet, tuple | None]:
+    """C = 2A for A = `ps`, and the first progression (a, b, (a + b)/2) of A, or None.
+
+    One `_first_pair` sweep over a table of the doubles, over [0, p^n] with
+    entry p^n, the sweep's diagonal, False: for odd p, a + b = 2c with
+    a != b forces c to differ from a and b, so the first pair a < b whose
+    sum is a double names the first progression. Doubling x -> 2x is
+    injective for odd p, so C always has exactly |A| members."""
+    field, p, coords = ps.field, ps.field.p, _members(ps)[1]
     doubles = np.zeros(p**ps.n + 1, dtype=bool)
     doubles[_index_of(2 * coords % p, p)] = True
-    return coords, doubles
+    C = PointSet._from_table(field, ps.n, doubles[:-1])
+    if (hit := _first_pair(coords, doubles, p)) is None:
+        return C, None
+    a, b = coords[hit[0]], coords[hit[1]]
+    return C, tuple(tuple(x.tolist()) for x in (a, b, (a + b) * field.inv2 % p))
 
 
 def is_progression_free(ps: PointSet) -> tuple[bool, tuple | None]:
-    """Check for distinct a, b, c with a + b = 2c; returns one witness triple.
-
-    `_first_pair` over a table of the doubles: for odd p, a + b = 2c with
-    a != b forces c to differ from a and b. The first pair a < b whose sum
-    is a double gives (a, b, (a + b)/2)."""
-    coords, doubles = _members_and_doubles(ps)
-    if (hit := _first_pair(coords, doubles, ps.field.p)) is None:
-        return True, None
-    a, b = coords[hit[0]], coords[hit[1]]
-    return False, tuple(tuple(x.tolist()) for x in (a, b, (a + b) * ps.field.inv2 % ps.field.p))
+    """Check for distinct a, b, c with a + b = 2c; returns one witness triple,
+    the first of `_doubles_and_progression`'s sweep."""
+    triple = _doubles_and_progression(ps)[1]
+    return triple is None, triple
 
 
 def _first_pair(coords: np.ndarray, table: np.ndarray, p: int) -> tuple[int, int, int] | None:
@@ -311,26 +313,6 @@ def _first_pair(coords: np.ndarray, table: np.ndarray, p: int) -> tuple[int, int
             i, j = np.unravel_index(np.argmax(hit != 0), hit.shape)
             return r + i, c + j, int(hit[i, j])
     return None
-
-
-def pair_sums(ps: PointSet) -> tuple[PointSet, PointSet]:
-    """Sums of distinct pairs, from one sweep over the pairs a < b, and doubles.
-
-    Doubling x -> 2x is injective for odd p, so the doubles set always has
-    exactly |A| elements; the two sets are disjoint exactly when A is
-    progression-free, so the verdict alone is read off their intersection.
-    A set of more than `PAIR_BOUND` pairs is refused (ValueError) before any
-    table is allocated."""
-    field, n, p = ps.field, ps.n, ps.field.p
-    if (pairs := ps.size * (ps.size - 1) // 2) > PAIR_BOUND:
-        raise ValueError(
-            f"the pair sweep over |A| = {ps.size} points would take {pairs} pairs, above the pair bound {PAIR_BOUND}"
-        )
-    coords, doubles = _members_and_doubles(ps)
-    sums = np.zeros(p**n + 1, dtype=bool)
-    for _, _, block in _pair_indices(coords, p):
-        sums[block] = True
-    return PointSet._from_table(field, n, sums[:-1]), PointSet._from_table(field, n, doubles[:-1])
 
 
 # `perfbench/tracer.py` reads the searches here; ROADMAP item 1a retargets it and deletes this hook.

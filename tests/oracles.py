@@ -426,7 +426,7 @@ def witness_coefficients(values: list[int], doubles: list[int], p: int, n: int) 
 
 
 def transcript_witness_spec(t: dict) -> dict | None:
-    """The witness claims of a capbound.transcript/3 object `t`, from the spec.
+    """The witness claims of a capbound.transcript/4 object `t`, from the spec.
 
     None when `witness_values` is not a list of one int in [0, p) per
     recorded double. Otherwise `degree` is deg f for f = sum_c lam_c 1_c,
@@ -455,7 +455,7 @@ def _recorded(t: dict, path: str):
 
 
 def check_certificate(data: dict) -> list[str] | None:
-    """The five facts of a capbound.transcript/3 certificate, checked with numpy
+    """The five facts of a capbound.transcript/4 certificate, checked with numpy
     and `math` alone from its `input`, `selected_doubles` (C') and
     `witness_values` (lam on the doubles C = 2A in index order; null or
     absent reads as 0), at the cap D2 = 2s for the cut s = (p-1)n/3:
@@ -519,7 +519,6 @@ def check_certificate(data: dict) -> list[str] | None:
     certified = {
         "input_size": len(A),
         "doubles": C.tolist(),
-        "pair_sum_count": len(B),
         "degree_cap": 2 * s,
         "split_degree": s,
         "dims.vanishing_off_doubles": str(len(C)),

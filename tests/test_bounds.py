@@ -96,6 +96,7 @@ class TestHoeffding:
     def test_matches_float_formula(self):
         assert close(hoeffding_bound(1, [1]), math.exp(-2), 1e-12)
         assert close(hoeffding_bound(2, [1, 1, 2]), math.exp(-8 / 6), 1e-12)
+        assert hoeffding_bound(Decimal(2), [1.0, 1, Fraction(2)]) == hoeffding_bound(2, [1, 1, 2])
 
     def test_lemma_specialization(self):
         # t = (p-1)n/6 with n widths of p-1 gives exp(-n/18)
@@ -115,6 +116,8 @@ class TestHoeffding:
             hoeffding_bound(-1, [1])
         with pytest.raises(ValueError):
             hoeffding_bound(1, [1, -2])
+        with pytest.raises(ValueError, match="expected a number, got '1'"):
+            hoeffding_bound("1", [1])
 
     def test_monotonicity(self):
         ts = [hoeffding_bound(t, [2, 2]) for t in (0, 1, 2, 3)]
@@ -169,6 +172,8 @@ class TestExactTail:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             exact_tail_identity(F3, 3, 7)
+        with pytest.raises(ValueError, match="n must be positive"):
+            exact_tail_identity(F3, 0, 0)
 
     def test_low_third_never_exceeds_bound(self):
         for p, n in [(3, 3), (3, 9), (5, 3), (7, 6), (11, 3)]:
@@ -200,3 +205,5 @@ class TestMainBound:
         assert close(main_bound(F3, 3), 68.565, 1e-2)
         assert close(main_bound(F3, 6), 3 * math.exp(c * 6 * math.log(3)), 1e-8)
         assert round(float(main_bound(F3, 6))) == 1567
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            main_bound(F3, -1)

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import capbound
 import oracles
-from capbound import bounds, cli, monomials, search, sets
+from capbound import bounds, cli, monomials, proof, search, sets
 from capbound.cli import main
 from capbound.gf import PrimeField
-from capbound.proof import VALUE_TABLE_BOUND, prove_size_bound
-from capbound.sets import PAIR_BOUND, PointSet
+from capbound.errors import HypothesisViolation
+from capbound.proof import PAIR_BOUND, VALUE_TABLE_BOUND, prove_size_bound
+from capbound.sets import PointSet
 
 
 @pytest.fixture()
@@ -268,46 +269,48 @@ TRANSCRIPT_INPUTS = {
 
 # sha256 of the parsed JSON output of `prove --input <file>` and of
 # `verify-transcript --input -` on that transcript, keys sorted. Taken for
-# the capbound.transcript/3 format, whose report keeps one row per fact of
-# the certificate, after every transcript of the benchmark's prove inputs
-# (seeds 0-5) and of these four inputs, and every verify report on them,
-# matched the /2 output byte for byte once its format was renamed and its
-# nine other rows deleted; these are the hashes of that edited /2 output.
+# the capbound.transcript/4 format, which is /3 without `pair_sum_count`,
+# after every transcript of the benchmark's prove inputs (seeds 0-5) and of
+# these four inputs matched the /3 output once its format was renamed and
+# `pair_sum_count` deleted, and every verify report matched byte for byte;
+# these are the hashes of that edited /3 output, and the verify hashes are
+# the /3 ones.
 PINNED_TRANSCRIPTS = {
     "product_cap": (
-        "aa2b78671d2117c7f7232bcd5ed6237c4a80015b3f2dd279e737224cd4500c21",
+        "abc9452747c14cd647e6829a25b5d9e0d961a73887c5672cdfcc343dd6d47c35",
         "0a781b854928cf93519e8e9cd34f8326c105f6de8e7e85840cc0525ce0215660",
     ),
     "zero_branch": (
-        "5479eb2deb65ebd1f87fb4ae8d171ecd713793e9be878059a74ece8b4c6d0713",
+        "d2d4ec3df4b21aafc0e69dcc7521bb767c63f6f8b9a142bbde9219490523171b",
         "8260884235e3ba8c0fd9d88f24a6fbceffa3a3cff4ebe0ec1e641b465b36f583",
     ),
     "product_of_three_caps": (
-        "1e7d5f3ba2be5bab6aa53eae1e0a0dc115824f720894c719e7f6db1781a85de3",
+        "580032d5d2d931e6eb0d2aa7f2e052b54decb9f3c26a29632252c5ce60769b26",
         "712dde0bf5e1ecd5cd872990fcdff471528136b72560365def757f5a14bc5f47",
     ),
     "pair_f67": (
-        "fa3d35ce8ef91ca41d9c2a9dadf87d1e2468bec3d9fd52e4ef3553ed209584b7",
+        "0b7b07e2cb2c5f8a0947937d80d5b08358dc8c2c093885a9e78ad1d7def5cd96",
         "4da9d485a4c2f5fc05064f3d89c14357163936ac11cce1a949df6e4b3a449a04",
     ),
 }
 
 
 # sha256 of the stdout of `search <argv> --format json | prove --input - --format json`
-# and of `verify-transcript --input - --format json` on that transcript. Taken
-# from the `prove --search <argv>` that this pipeline replaced, with the same
-# bytes.
+# and of `verify-transcript --input - --format json` on that transcript. The
+# prove hashes are of the /3 output with its format renamed and
+# `pair_sum_count` deleted; the verify hashes are unchanged since the
+# `prove --search <argv>` that this pipeline replaced.
 PINNED_PIPELINES = {
     ("--p", "3", "--n", "3"): (
-        "b0cfe9c11d43a113635fff1a4bb4462c16e7f8aca6f7b44a32410ca46c2ce509",
+        "c8dffd802966030d0a2c1d0f86538fe244be367c04108dab2ec7104de7d1a427",
         "733d648b9fb32cee3c29c665f8aab31380d49ac2cab1683bf2d29e83e12488cc",
     ),
     ("--p", "3", "--n", "6", "--mode", "greedy"): (
-        "1fad9a78e4ffd39c52ef90afc49001b1915c265a6483d7cd838c61afdfa1adb7",
+        "faf0522a5bded4b6a13cd23568bccde24193111f4d68f44b5359ac74c3f140a5",
         "3522501ac09a932f11e4a83d3b65216dc42b0dc63dda05190187a8f7f7b3e38e",
     ),
     ("--p", "7", "--n", "4", "--mode", "greedy"): (
-        "42808ec663836674191019a82141aa8109a23a5f0da7d27dc16f0143ba77949b",
+        "0c04654c236c0f2f77f582e6fe11f59f131bc523a8beac07d199f841e8f1b9a8",
         "af9b29b36a324fd4b548f7e29a12762e7ca2d1f09cabb26efe9cf61400ecf54a",
     ),
 }
@@ -737,6 +740,21 @@ class TestProveAndVerify:
         a, b, c = [tuple(x) for x in env["witness"]]
         assert all((x + y) % 3 == 2 * z % 3 for x, y, z in zip(a, b, c))
 
+    def test_check_failure_envelope(self, run, tmp_path, monkeypatch):
+        """A check that fails with other evidence than a progression prints its
+        evidence under `evidence`, in the envelope a progression has, and exits 1."""
+        message = "hypothesis violated: zero diagonal entry in Gram matrix"
+
+        def fail(points):
+            raise HypothesisViolation(message, evidence={"point": [0, 0, 0]})
+
+        monkeypatch.setattr(proof, "prove_size_bound", fail)
+        set_file = tmp_path / "one.txt"
+        set_file.write_text("p=3 n=3\n0 0 0\n")
+        code, out, err = run("prove", "--input", str(set_file))
+        assert (code, err) == (1, "")
+        assert out == json.dumps({"command": "prove", "error": message, "evidence": {"point": [0, 0, 0]}}) + "\n"
+
     def test_prove_names_a_progression_above_the_work_bound(self, run, tmp_path):
         """All of F_3^8 x {0}^4 has 6561 points, too many for `prove`'s
         |C| x h block, but its pair sweep comes first and finds a
@@ -895,6 +913,10 @@ class TestProveAndVerify:
                 lambda t: {**t, "format": "capbound.transcript/2"},
                 "unrecognized transcript format 'capbound.transcript/2'",
             ),
+            (
+                lambda t: {**t, "format": "capbound.transcript/3"},
+                "unrecognized transcript format 'capbound.transcript/3'",
+            ),
         ],
         ids=[
             "truncated",
@@ -915,6 +937,7 @@ class TestProveAndVerify:
             "ambient_too_large",
             "format_1",
             "format_2",
+            "format_3",
         ],
     )
     def test_verify_malformed_transcript_is_usage_error(self, run, tmp_path, edit, message):
@@ -985,7 +1008,6 @@ class TestProveAndVerify:
         "field, edit",
         [
             ("doubles", lambda t: t["doubles"].__setitem__(-1, next(i for i in range(27) if i not in t["doubles"]))),
-            ("pair_sum_count", lambda t: t.update(pair_sum_count=t["pair_sum_count"] + 1)),
             ("dims.low_degree", lambda t: t["dims"].update(low_degree="24")),
             ("degree_cap", lambda t: t.update(degree_cap=t["degree_cap"] + 1)),
             ("branch", lambda t: t.update(branch="zero_intersection")),

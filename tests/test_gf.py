@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from capbound.gf import PrimeField, _row_reduce, unit_kernel_vector
 from capbound.polyspace import _coordinate_products, _vandermonde
-from capbound.sets import PointSet, _coords_of, _index_of, pair_sums
+from capbound.sets import PointSet, _coords_of, _doubles_and_progression, _index_of
 from dense import enumerate_monomials, rank, row_space_intersection
 from oracles import brute_force_rank, rows_independent
 
@@ -147,7 +147,7 @@ class TestRowReduce:
     def test_product_cap_evaluation_block(self):
         """The 78 x 81 transposed evaluation block whose left kernel is V for the product cap in F_3^6."""
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
-        _, doubles = pair_sums(PointSet.from_points(F3, 6, [a + b for a in cap9 for b in cap9]))
+        doubles, _ = _doubles_and_progression(PointSet.from_points(F3, 6, [a + b for a in cap9 for b in cap9]))
         low = enumerate_monomials(6, F3, 3)
         block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3).T
         assert block.shape == (78, 81)
@@ -183,7 +183,7 @@ class TestRowReduce:
         nonzero."""
         cap9 = [(x, y, (x * x + y * y) % 3) for x in range(3) for y in range(3)]
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
-        _, doubles = pair_sums(PointSet.from_points(F3, 9, product))
+        doubles, _ = _doubles_and_progression(PointSet.from_points(F3, 9, product))
         low = enumerate_monomials(9, F3, 5)
         block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3).T
         assert block.shape == (1507, 729)
@@ -216,7 +216,7 @@ class TestUnitKernelVector:
         product = [a + b + c for a in cap9 for b in cap9 for c in cap9]
         t = (1, 0, 2, 2, 1, 0, 0, 2, 1)
         image = [tuple((s + u) % 3 for s, u in zip(accumulate(x), t)) for x in product]
-        _, doubles = pair_sums(PointSet.from_points(F3, 9, image))
+        doubles, _ = _doubles_and_progression(PointSet.from_points(F3, 9, image))
         low = enumerate_monomials(9, F3, 5)
         block = _coordinate_products(np.array(doubles.points()), low, _vandermonde(3), F3)
         assert block.shape == (729, 1507)

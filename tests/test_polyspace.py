@@ -48,6 +48,8 @@ class TestReducedPoly:
             ReducedPoly(F3, 2, {(0, 0, 0): 1})
         with pytest.raises(ValueError, match="exponent outside"):
             ReducedPoly(F3, 2, {(0, -1): 1})
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            ReducedPoly(F3, -1, {})
 
     def test_degree_sentinel(self):
         assert ReducedPoly.zero(F3, 2).degree is None
@@ -60,6 +62,10 @@ class TestReducedPoly:
         assert (f + g).coefficient((1,)) == 0
         assert f.scale(2).coefficient((1,)) == 2
         assert (f - f).is_zero
+        with pytest.raises(ValueError, match="different spaces"):
+            f + ReducedPoly(F3, 2, {})
+        with pytest.raises(ValueError, match="different spaces"):
+            f + ReducedPoly(F5, 1, {})
 
     def test_text_round_trip(self):
         f = ReducedPoly(F3, 2, {(0, 0): 1, (2, 1): 2})
@@ -93,7 +99,7 @@ class TestEvaluation:
 
     def test_evaluate_all_matches_pointwise(self):
         rng = np.random.default_rng(5)
-        for field, n in [(F3, 1), (F3, 2), (F3, 3), (F5, 2)]:
+        for field, n in [(F3, 1), (F3, 2), (F3, 3), (F5, 2), (F3, 0)]:
             f = random_poly(rng, field, n)
             table = evaluate_all(f)
             for idx in range(field.p**n):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from capbound import proof
+from capbound import proof, sets
 from capbound.bounds import PRECISION, exponent_c, verify_entropy_lemma
 from capbound.cli import main
 from capbound.errors import HypothesisViolation, ProgressionFound
@@ -30,7 +30,7 @@ from capbound.proof import (
 )
 from capbound.reference import ReducedPoly, evaluate_all, indicator_poly, interpolate
 from capbound.search import greedy_progression_free
-from capbound.sets import PointSet, is_progression_free, pair_sums
+from capbound.sets import PointSet, _doubles_and_progression, is_progression_free
 from dense import (
     check_diagonal_size_bound,
     check_gram_rank_bound,
@@ -128,7 +128,7 @@ class TestIntersection:
         assert rank(L + [poly_to_vector(f) for f in V], 3) == len(L)
 
     def test_members_lie_in_both_spans(self, cap9_search):
-        _, doubles = pair_sums(cap9_search.witness)
+        doubles, _ = _doubles_and_progression(cap9_search.witness)
         V = kernel_polys(doubles)
         assert len(V) >= doubles.size + dim_L(3, 4, F3) - 27
         assert rank([poly_to_vector(f) for f in V], 3) == len(V)
@@ -145,7 +145,7 @@ class TestSelection:
         assert selected.size == 0 and lam == [0]
 
     def test_witness_is_unit_on_selection(self, cap9_search):
-        _, doubles = pair_sums(cap9_search.witness)
+        doubles, _ = _doubles_and_progression(cap9_search.witness)
         V = oracles.left_kernel_basis(doubles.indices(), 3, 3)
         selected, lam = select_unit_witness(doubles)
         assert selected.size == len(V)
@@ -172,7 +172,7 @@ class TestSelection:
 
     def test_work_bound_admits_its_boundary(self, cap9_search, monkeypatch):
         """The 9-cap's |C| x h block has 9 * 4 = 36 entries: a bound of 36 admits it, 35 refuses it."""
-        _, doubles = pair_sums(cap9_search.witness)
+        doubles, _ = _doubles_and_progression(cap9_search.witness)
         monkeypatch.setattr(proof, "WORK_BOUND", 36)
         assert select_unit_witness(doubles)[0].size == 5
         monkeypatch.setattr(proof, "WORK_BOUND", 35)
@@ -220,14 +220,14 @@ def assert_matches_reference(points, dim_v=None):
 
 class TestZassenhausCrossCheck:
     def test_nine_cap(self, cap9_search):
-        _, doubles = pair_sums(cap9_search.witness)
+        doubles, _ = _doubles_and_progression(cap9_search.witness)
         assert_matches_reference(doubles, dim_v=5)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_seeded_progression_free_sets(self, p):
         for seed in range(3):
             A = greedy_progression_free(PrimeField(p), 3, order_seed=seed)
-            assert_matches_reference(pair_sums(A)[1])
+            assert_matches_reference(_doubles_and_progression(A)[0])
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_seeded_supports_above_h(self, p):
@@ -243,7 +243,7 @@ class TestZassenhausCrossCheck:
     def test_product_cap(self, cap9_search):
         cap = cap9_search.witness.points()
         product = PointSet.from_points(F3, 6, [a + b for a in cap for b in cap])
-        assert_matches_reference(pair_sums(product)[1], dim_v=25)
+        assert_matches_reference(_doubles_and_progression(product)[0], dim_v=25)
 
 
 class TestDiagonalCertificate:
@@ -436,13 +436,13 @@ class TestPipeline:
         not, is the one `diagonal_certificate`'s sweep gives."""
         pool = data.draw(st.sampled_from([cap9_search.witness.indices(), list(range(27))]))
         A = PointSet.from_indices(F3, 3, data.draw(st.sets(st.sampled_from(pool), min_size=1)))
-        sums, doubles = pair_sums(A)
+        doubles, triple = _doubles_and_progression(A)
         picked = data.draw(st.sets(st.sampled_from(doubles.indices() + [data.draw(st.integers(0, 26))]), min_size=1))
         lam = data.draw(st.lists(st.integers(0, 2), min_size=A.size, max_size=A.size))
         if data.draw(st.booleans()):  # f is 1 on C'
             lam = [1 if i in picked else v for i, v in zip(doubles.indices(), lam)]
         selected = PointSet.from_indices(F3, 3, sorted(picked))
-        t = proof._derive(A, A.to_json(), 2, sums, doubles, selected, lam)
+        t = proof._derive(A, A.to_json(), 2, triple is None, doubles, selected, lam)
         try:
             diagonal_certificate(value_table(t), PointSet.from_indices(F3, 3, t["selected_points"]))
             swept = len(t["selected_points"])
@@ -450,21 +450,22 @@ class TestPipeline:
             swept = -1
         assert t["matrix_rank"] == swept
 
-    def test_verdict_read_off_pair_sums(self, cap9_search, monkeypatch):
-        # the midpoint sweep runs only to name the witness of a failing input
-        def refuse(_):
-            raise AssertionError("midpoint sweep on the certificate path")
-
+    def test_one_progression_sweep_per_certificate_op(self, cap9_search, monkeypatch):
+        """`prove` and `verify-transcript` run one pair sweep (`sets._pair_indices`)
+        each, on the 9-cap and its transcript; so does `prove` on the 9-cap
+        plus one point, refused with the first progression of that sweep."""
+        sweeps = []
+        pair_indices = sets._pair_indices
+        monkeypatch.setattr(sets, "_pair_indices", lambda *args: sweeps.append(1) or pair_indices(*args))
         cap = cap9_search.witness
-        with monkeypatch.context() as mp:
-            mp.setattr(proof, "is_progression_free", refuse)
-            transcript = prove_size_bound(cap)
-            assert all(c["holds"] for c in transcript["checks"])
-            assert verify_transcript(json.loads(json.dumps(transcript)))[0]
+        transcript = prove_size_bound(cap)
+        assert all(c["holds"] for c in transcript["checks"]) and len(sweeps) == 1
+        assert verify_transcript(json.loads(json.dumps(transcript)))[0] and len(sweeps) == 2
         extra = next(i for i in range(27) if i not in cap.indices())
         bad = PointSet.from_indices(F3, 3, cap.indices() + [extra])
         with pytest.raises(ProgressionFound) as info:
             prove_size_bound(bad)
+        assert len(sweeps) == 3
         in_index_order = sorted(cap.points() + [oracles.point_coords(extra, 3, 3)], key=lambda c: c[::-1])
         assert info.value.evidence == [list(c) for c in oracles.first_progression(in_index_order, 3)]
 
@@ -522,10 +523,10 @@ class TestLargeAmbient:
             values = np.multiply.outer(table, values).ravel() % 3
             selected = np.multiply.outer(unit, selected).ravel()
         product = PointSet.from_points(F3, 12, points)
-        sums, doubles = pair_sums(product)
+        doubles, triple = _doubles_and_progression(product)
         c_prime = PointSet.from_indices(F3, 12, np.flatnonzero(selected))
         lam = values[doubles.indices()].tolist()
-        composed = proof._derive(product, product.to_json(), 8, sums, doubles, c_prime, lam)
+        composed = proof._derive(product, product.to_json(), 8, triple is None, doubles, c_prime, lam)
         assert (composed["input_size"], composed["dims"]["intersection"]) == (6561, "625")
         assert all(c["holds"] for c in composed["checks"])
         assert verify_transcript(json.loads(json.dumps(composed)))[0]
@@ -607,7 +608,7 @@ class TestTranscriptSerialization:
         f = interpolate(extend_by_zero(payload["witness_values"], doubles_set), F3, 3)
         table, doubles = evaluate_all(f), set(payload["doubles"])
         assert all(v == 0 for i, v in enumerate(table) if i not in doubles)
-        assert all(table[i] == 0 for i in pair_sums(cap9_search.witness)[0].indices())
+        assert all(table[i] == 0 for i in oracles.pair_sum_indices(cap9_search.witness.points(), 3)[0])
         unit = all(table[i] == 1 for i in payload["selected_doubles"])
         lhs = {c["name"]: c["lhs"] for c in rows}
         assert (lhs["witness_unit_on_selected"], lhs["witness_degree"]) == (str(int(unit)), str(f.degree or 0))
@@ -640,7 +641,7 @@ class TestTranscriptSerialization:
         transcript = prove_size_bound(A)
         assert transcript["branch"] == branch
         assert list(transcript) == [
-            "format", "p", "n", "branch", "input", "input_size", "doubles", "pair_sum_count", "dims", "degree_cap",
+            "format", "p", "n", "branch", "input", "input_size", "doubles", "dims", "degree_cap",
             "split_degree", "selected_doubles", "selected_points", "witness_values", "matrix_rank", "checks",
             "conclusion", "precision",
         ]

@@ -17,10 +17,10 @@ import oracles
 from capbound import cli, search, sets
 from capbound.errors import HypothesisViolation, ProgressionFound
 from capbound.gf import PrimeField
-from capbound.proof import _halves_of
+from capbound.proof import _halves_of, _progression_sweep
 from capbound.reference import ReducedPoly
 from capbound.search import SearchResult, greedy_progression_free, max_progression_free
-from capbound.sets import PointSet, is_progression_free, load_json, pair_sums
+from capbound.sets import PointSet, _doubles_and_progression, is_progression_free, load_json
 from dense import DENSE_MATRIX_CEILING, check_diagonal_size_bound, evaluate, gram_matrix
 from oracles import has_progression, max_pf_all_subsets
 
@@ -90,6 +90,11 @@ class TestPointSet:
             mask |= 1 << i
         assert PointSet.from_indices(PrimeField(p), n, iter(indices)) == PointSet(PrimeField(p), n, mask)
 
+    def test_from_indices_past_int64(self):
+        """An index that int64 cannot hold is named, not an OverflowError."""
+        with pytest.raises(ValueError, match=re.escape(f"point index {2**70} out of range [0, 27)")):
+            PointSet.from_indices(F3, 3, [0, 2**70])
+
     def test_set_algebra(self):
         a = PointSet.from_indices(F3, 1, [0, 1])
         b = PointSet.from_indices(F3, 1, [1, 2])
@@ -127,6 +132,8 @@ class TestPointSet:
         assert parsed.size == 2
         with pytest.raises(ValueError, match="header"):
             PointSet.from_text("0 0\n1 2\n")
+        with pytest.raises(ValueError, match="missing header line"):
+            PointSet.from_text("# cap\n\n")
 
     def test_parse_auto_detect(self, tmp_path):
         """The CLI's reader tells a JSON point set from a text one by its first character."""
@@ -232,33 +239,42 @@ class TestProgressionFree:
             assert is_progression_free(ps)[0] == (not has_progression(set(ps.points()), 3))
 
 
+def swept_pair_sums(ps: PointSet) -> set[int]:
+    """B, the indices of the sums a + b of distinct members of `ps`: the union
+    of the `_pair_indices` blocks, without the diagonal's sentinel p^n."""
+    blocks = sets._pair_indices(sets._members(ps)[1], ps.field.p)
+    return set().union(*(block.ravel().tolist() for _, _, block in blocks)) - {ps.field.p**ps.n}
+
+
 class TestPairSums:
     def test_singleton(self):
-        B, C = pair_sums(PointSet.from_points(F3, 1, [(0,)]))
-        assert B.size == 0 and C.points() == [(0,)]
+        ps = PointSet.from_points(F3, 1, [(0,)])
+        C, triple = _doubles_and_progression(ps)
+        assert swept_pair_sums(ps) == set() and C.points() == [(0,)] and triple is None
 
     def test_z5_example(self):
-        B, C = pair_sums(PointSet.from_points(F5, 1, [(0,), (1,)]))
-        assert B.points() == [(1,)]
+        ps = PointSet.from_points(F5, 1, [(0,), (1,)])
+        C, _ = _doubles_and_progression(ps)
+        assert swept_pair_sums(ps) == {1}
         assert sorted(C.points()) == [(0,), (2,)]
 
     def test_disjoint_for_progression_free(self, cap9_search):
         cap = cap9_search.witness
-        B, C = pair_sums(cap)
-        assert (B & C).size == 0
+        C, triple = _doubles_and_progression(cap)
+        assert triple is None and not swept_pair_sums(cap) & set(C.indices())
         assert C.size == cap.size
 
     def test_doubles_always_full_size(self):
         ps = PointSet.from_indices(F5, 2, range(0, 25, 3))
-        _, C = pair_sums(ps)
+        C, _ = _doubles_and_progression(ps)
         assert C.size == ps.size
 
     def test_pair_bound(self):
-        """PAIR_BOUND = 2^25 pairs a < b admits 8192 points and refuses 8193."""
-        _, C = pair_sums(PointSet.from_indices(F3, 9, range(8192)))
+        """PAIR_BOUND = 2^25 pairs a < b of the certificate's sweep admits 8192 points and refuses 8193."""
+        C, _ = _progression_sweep(PointSet.from_indices(F3, 9, range(8192)))
         assert C.size == 8192
         with pytest.raises(ValueError, match="8193 points would take 33558528 pairs, above the pair bound 33554432"):
-            pair_sums(PointSet.from_indices(F3, 9, range(8193)))
+            _progression_sweep(PointSet.from_indices(F3, 9, range(8193)))
 
 
 class TestMaxSearch:
@@ -717,13 +733,15 @@ class TestKernelAgainstTupleLoops:
             ok, triple = is_progression_free(ps)
             assert ok is not oracles.has_progression(set(pts), p)
             assert triple == oracles.first_progression(pts, p)
-            sums, doubles = pair_sums(ps)
-            assert (set(sums.indices()), set(doubles.indices())) == oracles.pair_sum_indices(pts, p)
-            assert ok is ((sums & doubles).size == 0)  # the verdict `prove` reads off B & C
+            doubles, first = _doubles_and_progression(ps)
+            assert first == triple
+            sums = swept_pair_sums(ps)
+            assert (sums, set(doubles.indices())) == oracles.pair_sum_indices(pts, p)
+            assert ok is (not sums & set(doubles.indices()))  # the verdict: B & C is empty
             if p == 3:
                 assert ok is not oracles.has_line(pts)
             expected_halves = oracles.halves(pts, doubled, p)
-            assert _halves_of(ps, PointSet.from_indices(field, n, doubled)) == expected_halves
+            assert _halves_of(PointSet.from_indices(field, n, doubled) & doubles) == expected_halves
             gram = [
                 [evaluate(f, tuple((x + y) % p for x, y in zip(a, b))) for b in pts] for a in pts
             ]
